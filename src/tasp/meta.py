@@ -304,41 +304,6 @@ def _check_outputs(db: ReifiedDB):
 
 
 # ---------------------------------------------------------------------------
-# Layer builders (spec-level operations)
-
-
-def build_timed_core(db: ReifiedDB, n: int) -> GroundProgram:
-    return _instantiate([CORE_SCHEMA], db_facts(db), {"n": Integer(n)})
-
-
-def build_bridge(db: ReifiedDB, n: int) -> GroundProgram:
-    _check_outputs(db)
-    return _instantiate([CORE_SCHEMA, BRIDGE_SCHEMA], db_facts(db),
-                        {"n": Integer(n)})
-
-
-def build_tel_semantics(closure, n: int) -> GroundProgram:
-    facts = [_fact("formula", (Constant(t), e)) for t, e in closure]
-    return _instantiate(["time(0..n).", BASIC_SCHEMA, TEL_SCHEMA], facts,
-                        {"n": Integer(n)})
-
-
-def build_mel_semantics(closure, n: int, max_time: int) -> GroundProgram:
-    if max_time < n:
-        raise MetaError("max-time %d below horizon %d (infeasible timing)"
-                        % (max_time, n))
-    facts = [_fact("formula", (Constant(t), e)) for t, e in closure]
-    return _instantiate(["time(0..n).", BASIC_SCHEMA, TEL_SCHEMA, MEL_SCHEMA],
-                        facts, {"n": Integer(n), "m": Integer(max_time)})
-
-
-def build_del_semantics(closure: FLClosure, n: int) -> GroundProgram:
-    facts = [_fact("formula", (Constant(t), e)) for t, e in closure.formulas]
-    return _instantiate(["time(0..n).", BASIC_SCHEMA, TEL_SCHEMA, DEL_SCHEMA],
-                        facts, {"n": Integer(n)})
-
-
-# ---------------------------------------------------------------------------
 # Full assembly
 
 

@@ -1,19 +1,28 @@
-"""Stable-model enumeration for ground programs.
-
-Handles normal, disjunctive, and choice rules plus integrity constraints.
-Choice rules are translated into pairs of even-loop rules over fresh
-auxiliary atoms; enumeration is a DPLL search with worklist-driven unit
-propagation over the rules-as-clauses and a counter-based possible-support
-(unfounded-set) propagator; complete candidates pass a reduct-minimality
-check (a secondary search, skipped when no rule has two candidate heads).
+"""Stable models of ground programs (normal, disjunctive and choice rules,
+integrity constraints) by one conflict-driven engine over completion
+nogoods (Gebser, Kaufmann and Schaub, "Conflict-driven answer set solving:
+From theory to practice", AIJ 2012): each distinct rule body is a variable
+equivalent to its literals, a rule gives body -> heads, and an atom that is
+not a fact implies one of its bodies (Clark's completion).  A model of
+these clauses is stable iff no positive loop is unfounded (Lin and Zhao,
+AIJ 2004), so source pointers track only the atoms on loops and each
+unfounded set yields a loop nogood.  The search learns first-UIP clauses
+over a trail with watched literals, backjumps and blocks the decisions of
+each model, without recursion.  A model with two true heads of one rule
+must also be a minimal model of its reduct, checked by a second engine.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 from .ground import GroundProgram
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(Exception):
@@ -22,7 +31,8 @@ class SolverError(Exception):
 
 CONFLICT = "conflict"
 
-#: Default bound on propagation/branching steps.
+#: Default bound on search work: literals propagated plus clauses and
+#: unfounded-set candidates visited.
 DEFAULT_STEP_LIMIT = 10_000_000
 
 
@@ -32,346 +42,350 @@ class Model:
     tau: Optional[tuple] = None
 
 
-@dataclass
-class _Translated:
-    """Normal/disjunctive rules only: (heads, positive body, negative body),
-    all as atom indices.  Choice rules are gadget-translated."""
-    rules: List[Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]]
-    atoms: List  # index -> ground term (None for auxiliary atoms)
-    index: Dict  # ground term -> index
-    facts: Set[int]
-    visible: int  # indices < visible are real atoms
+def _translate(program: GroundProgram):
+    """Atoms in order of first occurrence, their index, and the rules as
+    (is_choice, heads, positive body, negative body) over atom indices."""
+    index: Dict = {}
 
+    def ids(atoms):
+        return tuple(index.setdefault(a, len(index)) for a in atoms)
 
-def _translate(program: GroundProgram) -> _Translated:
-    # deterministic atom order: facts and rule atoms by rendered form
-    universe = {}
-    for f in program.facts:
-        universe[f] = None
+    rules = [(False, ids((f,)), (), ()) for f in program.facts]
     for r in program.rules:
-        for h in r.head:
-            universe[h] = None
-        for _, a in r.body:
-            universe[a] = None
-    terms = sorted(universe, key=str)
-    index = {t: i for i, t in enumerate(terms)}
-    atoms: List = list(terms)
-    visible = len(atoms)
-
-    rules = []
-    for f in program.facts:
-        rules.append(((index[f],), (), ()))
-    for r in program.rules:
-        pos = tuple(index[a] for sign, a in r.body if sign)
-        neg = tuple(index[a] for sign, a in r.body if not sign)
-        if r.head_kind == "disjunction":
-            rules.append((tuple(index[h] for h in r.head), pos, neg))
-        else:
-            for h in r.head:
-                aux = len(atoms)
-                atoms.append(None)
-                hi = index[h]
-                rules.append(((hi,), pos, neg + (aux,)))
-                rules.append(((aux,), pos, neg + (hi,)))
-    facts = {index[f] for f in program.facts}
-    return _Translated(rules, atoms, index, facts, visible)
+        rules.append((r.head_kind == "choice", ids(r.head),
+                      ids(a for sign, a in r.body if sign),
+                      ids(a for sign, a in r.body if not sign)))
+    return list(index), index, rules
 
 
-# ---------------------------------------------------------------------------
-# Search
-
-
-class _Search:
-    def __init__(self, tr: _Translated, step_limit: int):
-        self.tr = tr
-        self.n = len(tr.atoms)
-        self.step_limit = step_limit
-        self.steps = 0
-        # clause per rule: satisfied iff some head true, some positive
-        # body atom false, or some negative body atom true
-        self.clauses = [
-            tuple(h + 1 for h in heads)
-            + tuple(-(p + 1) for p in pos)
-            + tuple(n + 1 for n in neg)
-            for heads, pos, neg in tr.rules]
-        # occurrence lists: for every atom, the clauses in which it
-        # appears positively / negatively
-        self.occ_pos: List[List[int]] = [[] for _ in range(self.n)]
-        self.occ_neg: List[List[int]] = [[] for _ in range(self.n)]
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                (self.occ_pos if lit > 0 else self.occ_neg)[
-                    abs(lit) - 1].append(ci)
-        # rule-body occurrence lists for the support propagator
-        self.body_occ: List[List[int]] = [[] for _ in range(self.n)]
-        for ri, (heads, pos, neg) in enumerate(tr.rules):
-            for p in set(pos):
-                self.body_occ[p].append(ri)
-
-    def _tick(self, amount=1):
-        self.steps += amount
-        if self.steps > self.step_limit:
-            raise SolverError("step limit exceeded")
-
-    # -- propagation ----------------------------------------------------------
-
-    def propagate(self, assign: list, queue: Optional[List[int]] = None):
-        """Unit propagation + possible-support closure; returns CONFLICT
-        or None (assign updated in place).  When queue is given it must
-        hold the freshly assigned atoms; otherwise all clauses are
-        seeded."""
-        if queue is None:
-            pending = list(self.clauses_range)
-        else:
-            pending = []
-            for a in queue:
-                pending.extend(self.occ_neg[a] if assign[a]
-                               else self.occ_pos[a])
-        seen_pending = set(pending)
-        while True:
-            while pending:
-                self._tick()
-                ci = pending.pop()
-                seen_pending.discard(ci)
-                clause = self.clauses[ci]
-                unassigned = None
-                count = 0
-                satisfied = False
-                for lit in clause:
-                    v = assign[abs(lit) - 1]
-                    if v is None:
-                        unassigned = lit
-                        count += 1
-                        if count > 1:
-                            break
-                    elif (v is True) == (lit > 0):
-                        satisfied = True
-                        break
-                if satisfied or count > 1:
-                    continue
-                if count == 0:
-                    return CONFLICT
-                i = abs(unassigned) - 1
-                value = unassigned > 0
-                assign[i] = value
-                for cj in (self.occ_neg[i] if value else self.occ_pos[i]):
-                    if cj not in seen_pending:
-                        seen_pending.add(cj)
-                        pending.append(cj)
-            # unit propagation quiesced: close under possible support
-            newly_false = self._support_prune(assign)
-            if newly_false is CONFLICT:
-                return CONFLICT
-            if not newly_false:
-                return None
-            for a in newly_false:
-                for cj in self.occ_pos[a]:
-                    if cj not in seen_pending:
-                        seen_pending.add(cj)
-                        pending.append(cj)
-
-    @property
-    def clauses_range(self):
-        return range(len(self.clauses))
-
-    def _possible(self, assign) -> Set[int]:
-        """Atoms with a potential non-circular derivation under assign."""
-        rules = self.tr.rules
-        missing = [0] * len(rules)
-        blocked = [False] * len(rules)
-        possible: Set[int] = set()
-        work: List[int] = []
-
-        def fire(ri):
-            for h in rules[ri][0]:
-                if assign[h] is not False and h not in possible:
-                    possible.add(h)
-                    work.append(h)
-
-        for ri, (heads, pos, neg) in enumerate(rules):
-            self._tick()
-            if any(assign[x] is True for x in neg) \
-                    or any(assign[p] is False for p in pos):
-                blocked[ri] = True
-                continue
-            need = len({p for p in pos})
-            missing[ri] = need
-            if need == 0:
-                fire(ri)
+def _loops(succ) -> List[int]:
+    """Per node of a graph given by successor lists, the first node of its
+    component if that has a cycle, else -1 (iterative Tarjan)."""
+    n, count = len(succ), 0
+    index, low, comp, stack, work = [-1] * n, [0] * n, [-1] * n, [], []
+    for root in range(n):
+        work = [(root, iter(succ[root]))] if index[root] < 0 else []
         while work:
-            self._tick()
-            a = work.pop()
-            for ri in self.body_occ[a]:
-                if blocked[ri]:
-                    continue
-                missing[ri] -= 1
-                if missing[ri] == 0:
-                    fire(ri)
-        return possible
+            v, edges = work[-1]
+            if index[v] < 0:
+                count = index[v] = low[v] = count + 1
+                stack.append(v)
+            w = next(edges, None)
+            if w is None:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    for u in members:
+                        index[u] = n + 1  # finished: lowers no other node
+                        comp[u] = v if len(members) > 1 or v in succ[v] else -1
+            elif index[w] < 0:
+                work.append((w, iter(succ[w])))
+            else:
+                low[v] = min(low[v], index[w])
+    return comp
 
-    def _support_prune(self, assign):
-        """Assign False to atoms without possible support; CONFLICT if a
-        true atom lacks support; else the list of newly falsified atoms."""
-        possible = self._possible(assign)
-        newly_false = []
-        for i in range(self.n):
-            if i in possible:
-                continue
-            if assign[i] is True:
-                return CONFLICT
-            if assign[i] is None:
-                assign[i] = False
-                newly_false.append(i)
-        return newly_false
 
-    # -- stability ------------------------------------------------------------
+class _Engine:
+    """Conflict-driven search over literals 2v (v true) and 2v+1 (v
+    false).  Variables below natoms are atoms, the rest rule bodies."""
 
-    def check_stable(self, candidate: Set[int]) -> bool:
-        """Candidate (a classical model) is stable iff it is a minimal
-        model of its reduct; searched via a secondary DPLL over subsets.
-        When no reduct rule retains two candidate heads the reduct is
-        normal; support closure (already enforced) implies minimality."""
-        reduct = []
-        multi_head = False
-        for heads, pos, neg in self.tr.rules:
-            if any(x in candidate for x in neg):
-                continue
-            if any(p not in candidate for p in pos):
-                # body can never hold inside a subset of the candidate
-                continue
-            heads_in = tuple(h for h in heads if h in candidate)
-            if not heads_in:
-                # pos ⊆ candidate and negs excluded: the body holds, so
-                # the candidate violates this rule (or constraint)
-                return False
-            if len(heads_in) > 1:
-                multi_head = True
-            reduct.append((heads_in, pos))
-        if not multi_head:
-            return self._supported(reduct, candidate)
-
-        order = sorted(candidate)
-        pos_of = {a: k for k, a in enumerate(order)}
+    def __init__(self, natoms: int, rules, step_limit: int):
+        self.natoms, self.rules, self.step_limit = natoms, rules, step_limit
+        self.steps, self.counters = 0, dict.fromkeys((  # logged by solve
+            "decisions", "conflicts", "learned", "loop_nogoods",
+            "unfounded_checks"), 0)
+        succ = [[] for _ in range(natoms)]
+        for _, heads, pos, _ in rules:
+            for h in heads:
+                succ[h].extend(pos)
+        self.scc = scc = _loops(succ)
+        keys: Dict = {}  # (positive, negative) body -> body number
+        self.supports = supports = [[] for _ in range(natoms)]
+        self.rule_body = []  # per rule; -1 for an integrity constraint
+        for choice, heads, pos, neg in rules:
+            key = (tuple(sorted(set(pos))), tuple(sorted(set(neg))))
+            b = keys.setdefault(key, len(keys)) if heads or choice else -1
+            self.rule_body.append(b)
+            for h in heads:
+                if b not in supports[h]:
+                    supports[h].append(b)
+        self.disjunctive = [(heads, pos, neg) for choice, heads, pos, neg
+                            in rules if not choice and len(heads) > 1]
+        nv = natoms + len(keys)
+        self.val = [0] * (2 * nv)  # per literal: 1 true, -1 false, 0 open
+        self.level, self.reason = [0] * nv, [None] * nv
+        self.trail, self.lim, self.qhead, self.ok = [], [], 0, True
+        self.imp = [[] for _ in range(2 * nv)]
+        self.watches = [[] for _ in range(2 * nv)]
+        self.activity, self.inc, self.phase = [0.0] * nv, 1.0, [1] * nv
+        self.heap = [(0.0, a) for a in range(natoms)]  # decisions on atoms
+        lit = list(range(2 * nv))  # clauses share one int object per literal
         clauses = []
-        for heads_in, pos in reduct:
-            clause = tuple(pos_of[h] + 1 for h in heads_in) \
-                + tuple(-(pos_of[p] + 1) for p in pos)
-            clauses.append(clause)
-        if not order:
-            return True
-        # require a strictly smaller model: at least one atom false
-        clauses.append(tuple(-(k + 1) for k in range(len(order))))
-        return not self._sat(clauses, len(order))
+        for (pos, neg), b in keys.items():
+            bl = lit[2 * (natoms + b)]
+            lits = [lit[2 * p] for p in pos] + [lit[2 * q + 1] for q in neg]
+            clauses += [[lit[bl + 1], x] for x in lits]
+            clauses.append([bl] + [lit[x ^ 1] for x in lits])
+        for (choice, heads, pos, neg), b in zip(rules, self.rule_body):
+            if b < 0:  # an integrity constraint needs no body variable
+                clauses.append(list(dict.fromkeys(
+                    [lit[2 * p + 1] for p in pos]
+                    + [lit[2 * q] for q in neg])))
+            elif not choice:
+                clauses.append([lit[2 * (natoms + b) + 1]]
+                               + [lit[2 * h] for h in dict.fromkeys(heads)])
+        fact = keys.get(((), ()))
+        clauses += [[lit[2 * a + 1]] + [lit[2 * (natoms + b)]
+                                        for b in supports[a]]
+                    for a in range(natoms) if fact not in supports[a]]
+        for c in clauses:
+            if len(c) == 2:  # binary clauses as implications
+                self.imp[c[0] ^ 1].append(c[1])
+                self.imp[c[1] ^ 1].append(c[0])
+            elif len(c) > 2:
+                self.watches[c[0]].append(c)
+                self.watches[c[1]].append(c)
+            elif not (c and self._enqueue(c[0], None)):
+                self.ok = False
+        # source pointers of the atoms on loops
+        self.src = [-1] * natoms
+        self.bheads: Dict[int, List[int]] = {}  # body -> its heads on loops
+        for a in range(natoms):
+            for b in supports[a] if scc[a] >= 0 else ():
+                self.bheads.setdefault(b, []).append(a)
+        self.dep = {a: [] for a in range(natoms) if scc[a] >= 0}
+        for (pos, _), b in keys.items():
+            for p in (p for p in pos if scc[p] >= 0 and b in self.bheads):
+                self.dep[p].append(b)
+        self.todo, self.ufs_head = list(self.dep), 0
 
-    def _supported(self, reduct, candidate) -> bool:
-        """Least-model check for a normal (single-head) reduct."""
-        derived: Set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            self._tick()
-            for heads_in, pos in reduct:
-                if heads_in[0] not in derived and all(
-                        p in derived for p in pos):
-                    derived.add(heads_in[0])
-                    changed = True
-        return derived == set(candidate)
+    def _enqueue(self, lit, reason) -> bool:
+        if self.val[lit]:
+            return self.val[lit] == 1
+        self.val[lit], self.val[lit ^ 1] = 1, -1
+        self.level[lit >> 1], self.reason[lit >> 1] = len(self.lim), reason
+        self.trail.append(lit)
+        return True
 
-    def _sat(self, clauses, nvars) -> bool:
-        assign: List[Optional[bool]] = [None] * nvars
+    def _cancel(self, lvl):
+        """Undo every decision level above lvl."""
+        if len(self.lim) <= lvl:
+            return
+        start, val, heap = self.lim[lvl], self.val, self.heap
+        for lit in self.trail[start:]:
+            v = lit >> 1
+            val[lit] = val[lit ^ 1] = 0
+            self.phase[v] = lit & 1
+            if v < self.natoms:
+                heapq.heappush(heap, (-self.activity[v], v))
+        del self.trail[start:], self.lim[lvl:]
+        self.qhead, self.ufs_head = start, min(self.ufs_head, start)
 
-        def unit(assign):
-            changed = True
-            while changed:
-                changed = False
-                self._tick()
-                for clause in clauses:
-                    unassigned = None
-                    count = 0
-                    satisfied = False
-                    for lit in clause:
-                        v = assign[abs(lit) - 1]
-                        if v is None:
-                            unassigned = lit
-                            count += 1
-                            if count > 1:
-                                break
-                        elif (v is True) == (lit > 0):
-                            satisfied = True
-                            break
-                    if satisfied or count > 1:
-                        continue
-                    if count == 0:
-                        return CONFLICT
-                    assign[abs(unassigned) - 1] = unassigned > 0
-                    changed = True
+    def _propagate(self):
+        """Unit propagation to a fixpoint, or a clause it falsified.  A
+        reason is a clause, or the false literal of a binary clause."""
+        val, imp, watches, trail = self.val, self.imp, self.watches, self.trail
+        level, reason, lvl = self.level, self.reason, len(self.lim)
+        while self.qhead < len(trail):
+            lit = trail[self.qhead]
+            self.qhead += 1
+            false = lit ^ 1
+            for x in imp[lit]:
+                if not val[x]:
+                    val[x], val[x ^ 1] = 1, -1
+                    level[x >> 1], reason[x >> 1] = lvl, false
+                    trail.append(x)
+                elif val[x] < 0:
+                    return [x, false]
+            ws, keep = watches[false], []
+            self.steps += len(imp[lit]) + len(ws) + 1
+            for i, c in enumerate(ws):
+                if c[0] == false:
+                    c[0], c[1] = c[1], false
+                first = c[0]
+                if val[first] == 1:
+                    keep.append(c)
+                    continue
+                for k in range(2, len(c)):
+                    if val[c[k]] != -1:
+                        c[1], c[k] = c[k], false
+                        watches[c[1]].append(c)
+                        break
+                else:
+                    keep.append(c)
+                    if val[first]:
+                        watches[false] = keep + ws[i + 1:]
+                        return c
+                    val[first], val[first ^ 1] = 1, -1
+                    level[first >> 1], reason[first >> 1] = lvl, c
+                    trail.append(first)
+            watches[false] = keep
+        return None
+
+    def _unfounded(self):
+        """Re-source the loop atoms whose source body turned false since
+        the last call, and the atoms of their loop depending on them; what
+        cannot be re-sourced is unfounded and falsified through its loop
+        nogood, which is returned instead if one of its atoms is true."""
+        val, src, na, scc = self.val, self.src, self.natoms, self.scc
+        bheads, dep, supports = self.bheads, self.dep, self.supports
+        cand, self.todo = dict.fromkeys(self.todo), []
+        for lit in self.trail[self.ufs_head:]:
+            b = (lit >> 1) - na
+            if lit & 1 and b in bheads:
+                cand.update((h, None) for h in bheads[b] if src[h] == b)
+        self.ufs_head = len(self.trail)
+        cand = {a: None for a in cand if val[2 * a] != -1}
+        if not cand:
             return None
+        self.counters["unfounded_checks"] += 1
+        stack = list(cand)
+        for p in stack:  # grows while it is read
+            for b in dep[p]:
+                for h in bheads[b]:
+                    if src[h] == b and h not in cand and scc[h] == scc[p] \
+                            and val[2 * h] != -1:
+                        cand[h] = None
+                        stack.append(h)
+        missing = Counter(b for p in cand for b in dep[p])  # body -> cands
+        work = list(cand)
+        self.steps += 2 * len(work)
+        while work:  # a body not false and free of candidates is a source
+            a = work.pop()
+            for b in supports[a] if a in cand else ():
+                if not missing[b] and val[2 * (na + b)] != -1:
+                    src[a] = b
+                    del cand[a]
+                    for b2 in dep[a]:
+                        missing[b2] -= 1
+                        if not missing[b2]:
+                            work += [h for h in bheads[b2] if h in cand]
+                    break
+        if not cand:
+            return None
+        self.counters["loop_nogoods"] += 1
+        external = list(dict.fromkeys(
+            2 * (na + b) for a in cand for b in supports[a]
+            if not missing[b]))
+        for a in cand:
+            if not self._enqueue(2 * a + 1, external):
+                return [2 * a + 1] + external
+        return None
 
-        def rec(assign):
-            if unit(assign) is CONFLICT:
-                return False
-            try:
-                i = assign.index(None)
-            except ValueError:
-                return True
-            for value in (False, True):
-                trial = list(assign)
-                trial[i] = value
-                if rec(trial):
-                    return True
+    def _fixpoint(self):
+        while True:
+            conflict = self._propagate()
+            if conflict is None and self.dep:
+                conflict = self._unfounded()
+            if self.steps > self.step_limit:
+                raise SolverError("step limit exceeded")
+            if conflict is not None or self.qhead == len(self.trail):
+                return conflict
+
+    def _learn(self, conflict) -> bool:
+        """Learn a first-UIP clause from a clause false under the assignment,
+        backjump and assert it; False if that clause is false at level 0."""
+        level, trail = self.level, self.trail
+        top = max((level[lit >> 1] for lit in conflict), default=0)
+        if top == 0:
             return False
-
-        return rec(assign)
-
-    # -- enumeration ----------------------------------------------------------
+        self._cancel(top)
+        seen, learnt, open_, i, lits = set(), [], 0, len(trail) - 1, conflict
+        while True:
+            for lit in lits:
+                v = lit >> 1
+                if v not in seen and level[v] > 0:
+                    seen.add(v)
+                    self.activity[v] += self.inc
+                    if level[v] == top:
+                        open_ += 1
+                    else:
+                        learnt.append(lit)
+            while trail[i] >> 1 not in seen:
+                i -= 1
+            uip, i, open_ = trail[i], i - 1, open_ - 1
+            if not open_:
+                break
+            lits = self.reason[uip >> 1]
+            lits = (lits,) if type(lits) is int else lits
+        learnt.sort(key=lambda lit: -level[lit >> 1])
+        self._cancel(level[learnt[0] >> 1] if learnt else 0)
+        self.inc = min(self.inc / 0.95, 1e100)  # decay, bounded below inf
+        c = [uip ^ 1] + learnt
+        if len(c) > 1:
+            self.watches[c[0]].append(c)
+            self.watches[c[1]].append(c)
+        self.counters["learned"] += 1
+        self._enqueue(c[0], c if len(c) > 1 else None)
+        return True
 
     def models(self):
-        assign: List[Optional[bool]] = [None] * self.n
-        for f in self.tr.facts:
-            assign[f] = True
-        if self.propagate(assign) is CONFLICT:
-            return
-        yield from self._enumerate(assign)
-
-    def _pick(self, assign):
-        """Branch atom: prefer an unassigned literal of an unsatisfied
-        clause (tried in its satisfying polarity first), which keeps the
-        search directed at the remaining constraints."""
-        for clause in self.clauses:
-            unassigned = None
-            satisfied = False
-            for lit in clause:
-                v = assign[abs(lit) - 1]
-                if v is None:
-                    if unassigned is None:
-                        unassigned = lit
-                elif (v is True) == (lit > 0):
-                    satisfied = True
-                    break
-            if not satisfied and unassigned is not None:
-                return abs(unassigned) - 1, unassigned > 0
-        try:
-            return assign.index(None), False
-        except ValueError:
-            return None, False
-
-    def _enumerate(self, assign):
-        i, first = self._pick(assign)
-        if i is None:
-            candidate = {k for k in range(self.n) if assign[k]}
-            if self.check_stable(candidate):
-                yield candidate
-            return
-        for value in (first, not first):
-            trial = list(assign)
-            trial[i] = value
-            if self.propagate(trial, queue=[i]) is CONFLICT:
+        """Yield the true atoms of every stable model, deterministically."""
+        while self.ok:
+            conflict = self._fixpoint()
+            if conflict is not None:
+                self.counters["conflicts"] += 1
+                if not self._learn(conflict):
+                    return
                 continue
-            yield from self._enumerate(trial)
+            while self.heap and self.val[2 * self.heap[0][1]]:
+                heapq.heappop(self.heap)
+            if self.heap:
+                self.counters["decisions"] += 1
+                v = heapq.heappop(self.heap)[1]
+                self.lim.append(len(self.trail))
+                self._enqueue(2 * v + self.phase[v], None)
+                continue
+            model = [a for a in range(self.natoms) if self.val[2 * a] > 0]
+            nogood = self.unstable(model)
+            if nogood is None:
+                yield model
+                nogood = [self.trail[k] ^ 1 for k in self.lim]
+            if not self._learn(nogood):
+                return
 
+    def unstable(self, model) -> Optional[list]:
+        """For the total assignment `model`, a clause false under it if a
+        proper subset satisfies the reduct, else None.  Only a rule with a
+        true body and two true heads can allow that."""
+        inside = {a: i for i, a in enumerate(model)}
 
-# ---------------------------------------------------------------------------
-# Public API
+        def holds(pos, neg):
+            return all(p in inside for p in pos) \
+                and not any(q in inside for q in neg)
+
+        if not any(sum(h in inside for h in heads) > 1 and holds(pos, neg)
+                   for heads, pos, neg in self.disjunctive):
+            return None
+        reduct = [(True, (i,), (), ()) for i in range(len(model))]
+        reduct.append((False, (), tuple(range(len(model))), ()))
+        for choice, heads, pos, neg in self.rules:
+            if holds(pos, neg):
+                ins = tuple(inside[h] for h in heads if h in inside)
+                local = tuple(inside[p] for p in pos)
+                reduct += [(False, (), local, g)
+                           for g in ([(h,) for h in ins] if choice else [ins])]
+        sub = _Engine(len(model), reduct, self.step_limit - self.steps)
+        found = next(sub.models(), None)
+        self.steps += sub.steps
+        if found is None:
+            return None
+        # the rest of the model is unfounded: its first atom is false, or a
+        # rule supports it from outside (true body, outside heads false)
+        rest = sorted(set(model) - {model[i] for i in found})
+        inside, clause = set(rest), [2 * rest[0] + 1]
+        for (_, heads, pos, _), b in zip(self.rules, self.rule_body):
+            if not inside.isdisjoint(heads) and inside.isdisjoint(pos):
+                body = 2 * (self.natoms + b)
+                clause.append(body if self.val[body] < 0 else 1 + 2 * next(
+                    h for h in heads
+                    if h not in inside and self.val[2 * h] > 0))
+        self.counters["loop_nogoods"] += 1
+        return clause
 
 
 def solve(program: GroundProgram, limit: int = 0,
@@ -380,60 +394,46 @@ def solve(program: GroundProgram, limit: int = 0,
 
     limit = 0 returns all models; otherwise at most `limit`.
     """
-    tr = _translate(program)
-    search = _Search(tr, step_limit)
+    terms, _, rules = _translate(program)
+    engine = _Engine(len(terms), rules, step_limit)
     out = []
-    for candidate in search.models():
-        atoms = frozenset(
-            tr.atoms[i] for i in candidate
-            if i < tr.visible and tr.atoms[i] is not None)
-        out.append(Model(atoms))
-        if limit and len(out) >= limit:
-            break
+    try:
+        for model in engine.models():
+            out.append(Model(frozenset(terms[a] for a in model)))
+            if limit and len(out) >= limit:
+                break
+    finally:
+        stats = dict(models=len(out), atoms=len(terms), steps=engine.steps,
+                     **engine.counters)
+        log.debug("solve: %s", ", ".join(
+            "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
     return out
+
+
+def _fixed(program: GroundProgram, assignment: Dict, closed=False):
+    """The atoms and an engine with assignment fixed at level 0 and
+    propagated (None on conflict); closed makes the other atoms false."""
+    terms, index, rules = _translate(program)
+    if closed:
+        assignment = {**dict.fromkeys(terms, False), **assignment}
+    engine = _Engine(len(terms), rules, DEFAULT_STEP_LIMIT)
+    ok = engine.ok and all(
+        engine._enqueue(2 * index[a] + (not v), None) if a in index else not v
+        for a, v in assignment.items())
+    return terms, engine if ok and engine._fixpoint() is None else None
 
 
 def check_stable(program: GroundProgram, candidate) -> bool:
     """True iff candidate (a set of ground atoms) is a stable model."""
-    tr = _translate(program)
-    search = _Search(tr, DEFAULT_STEP_LIMIT)
-    if any(a not in tr.index for a in candidate):
-        return False
-    base = {tr.index[a] for a in candidate}
-    # auxiliary choice atoms: value forced by the gadget given the base
-    assign: List[Optional[bool]] = [None] * search.n
-    for i in range(search.n):
-        if i < tr.visible:
-            assign[i] = i in base
-    if search.propagate(assign) is CONFLICT:
-        return False
-    if any(v is None for v in assign):
-        return False
-    full = {i for i, v in enumerate(assign) if v}
-    # candidate must match on the visible part
-    if {i for i in full if i < tr.visible} != base:
-        return False
-    return search.check_stable(full)
+    terms, engine = _fixed(program, dict.fromkeys(candidate, True), True)
+    return engine is not None and engine.unstable(
+        [a for a in range(len(terms)) if engine.val[2 * a] > 0]) is None
 
 
 def propagate(program: GroundProgram, assignment: Dict) -> object:
     """Extend a partial assignment {atom: bool}; returns the extended
     mapping or the string "conflict"."""
-    tr = _translate(program)
-    search = _Search(tr, DEFAULT_STEP_LIMIT)
-    assign: List[Optional[bool]] = [None] * search.n
-    for f in tr.facts:
-        assign[f] = True
-    for atom, value in assignment.items():
-        if atom not in tr.index:
-            if value:
-                return CONFLICT
-            continue
-        i = tr.index[atom]
-        if assign[i] is not None and assign[i] != bool(value):
-            return CONFLICT
-        assign[i] = bool(value)
-    if search.propagate(assign) is CONFLICT:
-        return CONFLICT
-    return {tr.atoms[i]: v for i, v in enumerate(assign)
-            if v is not None and i < tr.visible and tr.atoms[i] is not None}
+    terms, engine = _fixed(program, assignment)
+    return CONFLICT if engine is None else {
+        terms[a]: engine.val[2 * a] > 0 for a in range(len(terms))
+        if engine.val[2 * a]}

@@ -1,10 +1,16 @@
+import logging
 import random
 
-from conftest import random_prop_program, stable_models_bruteforce
+import pytest
+from conftest import (TELEX, ground_pipeline, random_prop_program,
+                      stable_models_bruteforce)
 
+from tasp import meta, oracle
 from tasp.ground import Grounder
 from tasp.parser import parse_program
-from tasp.solver import CONFLICT, check_stable, propagate, solve
+from tasp.reify import reify
+from tasp.solver import (CONFLICT, DEFAULT_STEP_LIMIT, SolverError,
+                         check_stable, propagate, solve)
 from tasp.syntax import Constant
 
 
@@ -92,3 +98,66 @@ def test_random_agreement_with_bruteforce():
         got = _solve(text)
         want = stable_models_bruteforce(text)
         assert got == want, "program:\n%s\ngot %r\nwant %r" % (text, got, want)
+
+
+def test_large_choice_first_model_without_recursion():
+    # the search keeps its trail in a list: depth 1200 needs no stack
+    gp = Grounder(parse_program("{ a(1..1200) }.")).ground()
+    assert len(solve(gp, limit=1)) == 1
+
+
+def _with_positive_cycles(rng, text, atoms=7):
+    """Append one to three positive cycles aI :- aJ. aJ :- aI., some
+    with a disjunctive head, so that unfounded sets and head cycles
+    occur in most programs."""
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randint(1, atoms), rng.randint(1, atoms)
+        if rng.random() < 0.3:
+            lines.append("a%d; a%d :- a%d." % (i, rng.randint(1, atoms), j))
+        else:
+            lines.append("a%d :- a%d." % (i, j))
+        lines.append("a%d :- a%d." % (j, i))
+    return text + "\n".join(lines) + "\n"
+
+
+def test_positive_loops_agree_with_bruteforce():
+    rng = random.Random(20261017)
+    for _ in range(150):
+        text = _with_positive_cycles(
+            rng, random_prop_program(rng, max_atoms=7, max_rules=7))
+        got = _solve(text)
+        want = stable_models_bruteforce(text)
+        assert got == want, "program:\n%s\ngot %r\nwant %r" % (text, got, want)
+
+
+def test_solve_logs_search_counters(caplog):
+    gp = Grounder(parse_program("a :- b. b :- a. { c }. a :- c.")).ground()
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        assert len(solve(gp)) == 2
+    line = caplog.records[-1].getMessage()
+    for counter in ("decisions", "conflicts", "learned", "loop nogoods",
+                    "unfounded checks"):
+        assert counter in line, line
+
+
+def test_full_enumeration_stops_at_step_limit():
+    gp = Grounder(parse_program("{ a(1..30) }.")).ground()
+    with pytest.raises(SolverError):
+        solve(gp)
+
+
+def test_telex_horizon_10_models_are_equilibrium_traces():
+    gp, show_all, _ = ground_pipeline(TELEX)
+    mp = meta.build(reify(gp, show_all), 10)
+    traces = {meta.extract_model(mp, m.atoms)
+              for m in solve(mp.program, step_limit=DEFAULT_STEP_LIMIT)}
+    assert len(traces) == 9
+    # each trace passes the oracle's own equilibrium test
+    rules = oracle.instantiate(parse_program(TELEX))
+    facts = {r.head.elements[0].atom for r in rules if oracle._is_fact(r)}
+    atoms = {str(a): a for a in oracle._vocabulary(rules)}
+    for states, tau in traces:
+        assert len(states) == 11 and tau is None
+        there = [frozenset(atoms[a] for a in s) for s in states]
+        assert oracle._equilibrium(rules, there, tau, facts)
