@@ -9,11 +9,11 @@ brute-force oracle for cross-validation.
 
 from .grammar import (TheoryGrammar, builtin_grammar, load_grammar,
                       typecheck_program)
-from .ground import Grounder, GroundProgram, ground
+from .ground import Grounder, GroundProgram
 from .meta import MetaProgram, build, default_max_time, extract_model, fl_close
 from .oracle import Trace, eval_formula, eval_path, temporal_models
 from .parser import parse_expression, parse_program
-from .reify import ReifiedDB, emit_reified_text, isomorphic, parse_reified, reify
+from .reify import ReifiedDB, emit_reified_text, isomorphic, parse_reified
 from .solver import Model, check_stable, solve
 from .transform import transform_program
 from .cli import main, run_pipeline
@@ -22,11 +22,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TheoryGrammar", "builtin_grammar", "load_grammar", "typecheck_program",
-    "Grounder", "GroundProgram", "ground",
+    "Grounder", "GroundProgram",
     "MetaProgram", "build", "default_max_time", "extract_model", "fl_close",
     "Trace", "eval_formula", "eval_path", "temporal_models",
     "parse_expression", "parse_program",
-    "ReifiedDB", "emit_reified_text", "isomorphic", "parse_reified", "reify",
+    "ReifiedDB", "emit_reified_text", "isomorphic", "parse_reified",
     "Model", "check_stable", "solve",
     "transform_program", "main", "run_pipeline",
     "__version__",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import (
@@ -182,6 +183,13 @@ def atom_key(a) -> tuple:
     raise GroundingError("not an atom: %s" % (a,))
 
 
+def read_keys(literals) -> tuple:
+    """Keys of the index lists a join over these literals reads."""
+    return tuple(dict.fromkeys(
+        atom_key(l.payload) for l in literals
+        if l.positive and not isinstance(l.payload, Comparison)))
+
+
 def match(pattern, ground, subst) -> Optional[dict]:
     """Unify a (possibly partially bound) pattern against a ground atom."""
     if isinstance(pattern, Variable):
@@ -325,6 +333,9 @@ class Grounder:
         self.grammar = grammar
         self.derivable: Dict = {}
         self._index: Dict[tuple, List] = {}
+        self.counters = dict.fromkeys((  # logged by ground
+            "rounds", "joins", "joins_skipped", "simplify_rounds",
+            "rules_dropped"), 0)
 
     # -- constant substitution ------------------------------------------------
 
@@ -502,33 +513,48 @@ class Grounder:
 
     def ground(self) -> GroundProgram:
         self._compute_non_domain()
-        collected: List[Tuple[str, tuple, tuple]] = []
+        # A join whose index lists kept the sizes they had when it last
+        # started would yield the same instances again, so it is skipped;
+        # one that grew its own input during its run is joined again.
+        reads = [read_keys(e.condition) for e in self.externals]
+        for r in self.rules:
+            lits = [c for b in r.body for c in (
+                b.condition if isinstance(b, ConditionalLiteral) else (b,))]
+            lits += [c for el in r.head.elements for c in el.condition]
+            reads.append(read_keys(lits))
+        sizes: List[Optional[tuple]] = [None] * len(reads)
+        instances: List[list] = [[] for _ in self.rules]
         external_atoms: Dict = {}
-        while True:
+        grew = True
+        while grew:
             grew = False
+            self.counters["rounds"] += 1
             # external instances join the domain first
-            for e in self.externals:
-                for subst in self._solutions(
-                        [c for c in e.condition], {}):
-                    try:
-                        targets = expand_term(e.target, subst)
-                    except DropInstance:
-                        continue
-                    for target in targets:
-                        if target not in external_atoms:
-                            external_atoms[target] = None
-                        grew |= self._add_derivable(target)
-            collected = []
-            for rule in self.rules:
-                for subst in self._solutions(list(rule.body), {}):
-                    for inst in self._build_instance(rule, subst):
-                        collected.append(inst)
-                        _, head, _ = inst
-                        for h in head:
+            for i, job in enumerate(self.externals + self.rules):
+                now = tuple(len(self._index.get(k, ())) for k in reads[i])
+                if now == sizes[i]:
+                    self.counters["joins_skipped"] += 1
+                    continue
+                sizes[i] = now
+                self.counters["joins"] += 1
+                if i < len(self.externals):
+                    for subst in self._solutions(list(job.condition), {}):
+                        for target in self._expand_safe(job.target, subst):
+                            external_atoms.setdefault(target)
+                            grew |= self._add_derivable(target)
+                    continue
+                insts = instances[i - len(self.externals)] = []
+                for subst in self._solutions(list(job.body), {}):
+                    for inst in self._build_instance(job, subst):
+                        insts.append(inst)
+                        for h in inst[1]:
                             grew |= self._add_derivable(h)
-            if not grew:
-                break
-        return self._finalize(collected, external_atoms)
+        program = self._finalize(
+            (inst for insts in instances for inst in insts), external_atoms)
+        log.debug("ground: %s", ", ".join(
+            "%d %s" % (v, k.replace("_", " "))
+            for k, v in self.counters.items()))
+        return program
 
     def _build_instance(self, rule, subst):
         """All ground instances of one rule under subst (head intervals
@@ -602,84 +628,87 @@ class Grounder:
 
     # -- simplification -----------------------------------------------------------
 
+    @staticmethod
+    def _simplify(r, facts, externals, underivable):
+        """r against the current facts and non-derivable atoms: None when
+        the rule is dropped.  A disjunction holding a fact is satisfied;
+        fact atoms in a choice are vacuous elements."""
+        head = r.head
+        if head and not r.is_fact:
+            if r.head_kind == "disjunction":
+                if any(h in facts for h in head):
+                    return None
+            else:
+                head = tuple(h for h in head if h not in facts)
+                if not head:
+                    return None
+        body = []
+        for pos, atom in r.body:
+            if atom in externals:
+                body.append((pos, atom))
+            elif atom in facts:
+                if not pos:
+                    return None
+            elif atom in underivable:
+                if pos:
+                    return None
+            else:
+                body.append((pos, atom))
+        return GroundRule(r.head_kind, head, tuple(body))
+
     def _finalize(self, collected, external_atoms) -> GroundProgram:
-        rules = []
-        seen = set()
-        for kind, head, body in collected:
-            gr = GroundRule(kind, head, body)
-            if gr not in seen:
-                seen.add(gr)
-                rules.append(gr)
-
+        rules = list(dict.fromkeys(GroundRule(*inst) for inst in collected))
         externals = dict(external_atoms)
+        occurs: Dict = {}   # atom -> indices of the rules mentioning it
+        support: Dict = {}  # atom -> number of rules with it in the head
+        for i, r in enumerate(rules):
+            for h in r.head:
+                support[h] = support.get(h, 0) + 1
+                occurs.setdefault(h, []).append(i)
+            for _, a in r.body:
+                occurs.setdefault(a, []).append(i)
+        # Rounds as in a full re-scan: facts found in one round are
+        # promoted, in rule order, at the start of the next, and atoms
+        # that lost their last head count as non-derivable from then on.
+        # A round re-simplifies only the rules mentioning such an atom.
         facts: Dict = {}
+        underivable = set()
+        promoted = [i for i, r in enumerate(rules) if r.is_fact]
+        lost = [a for a in occurs if a not in support and a not in externals]
         while True:
-            new_facts = {
-                r.head[0]: None for r in rules
-                if r.is_fact and r.head[0] not in externals}
-            facts_changed = any(f not in facts for f in new_facts)
+            underivable.update(lost)
+            new_facts = dict.fromkeys(
+                h for h in (rules[i].head[0] for i in sorted(promoted))
+                if h not in facts and h not in externals)
             facts.update(new_facts)
-            derivable_now = dict(facts)
-            for e in externals:
-                derivable_now[e] = None
-            for r in rules:
-                for h in r.head:
-                    derivable_now[h] = None
-
-            simplified, dropped = [], False
-            for r in rules:
-                # head simplification: a disjunction holding a fact is
-                # satisfied; fact atoms in a choice are vacuous elements
-                head = r.head
-                if head and not r.is_fact:
-                    if r.head_kind == "disjunction":
-                        if any(h in facts for h in head):
-                            dropped = True
-                            continue
-                    else:
-                        head = tuple(h for h in head if h not in facts)
-                        if not head:
-                            dropped = True
-                            continue
-                        if head != r.head:
-                            dropped = True
-                body, vacuous = [], False
-                for pos, atom in r.body:
-                    if atom in externals:
-                        body.append((pos, atom))
-                        continue
-                    if pos:
-                        if atom in facts:
-                            dropped = True
-                            continue
-                        if atom not in derivable_now:
-                            vacuous = True
-                            break
-                        body.append((pos, atom))
-                    else:
-                        if atom in facts:
-                            vacuous = True
-                            break
-                        if atom not in derivable_now:
-                            dropped = True
-                            continue
-                        body.append((pos, atom))
-                if vacuous:
-                    dropped = True
-                    continue
-                simplified.append(GroundRule(r.head_kind, head, tuple(body)))
-            rules = simplified
-            if not dropped and not facts_changed:
+            work = {i for a in chain(lost, new_facts) for i in occurs[a]}
+            if not work:
                 break
+            self.counters["simplify_rounds"] += 1
+            lost, promoted = [], []
+            for i in work:
+                r = rules[i]
+                if r is None:
+                    continue
+                new = self._simplify(r, facts, externals, underivable)
+                if new == r:
+                    continue
+                rules[i] = new
+                for h in r.head:
+                    if new is None or h not in new.head:
+                        support[h] -= 1
+                        if not support[h] and h not in externals:
+                            lost.append(h)
+                if new is None:
+                    self.counters["rules_dropped"] += 1
+                elif new.is_fact:
+                    promoted.append(i)
+        del occurs, support, underivable
 
-        # facts leave the rule list; everything else stays
-        final_rules = [r for r in rules if not (r.is_fact and r.head[0] in facts)]
-        # deduplicate again: simplification may merge instances
-        out_rules, seen = [], set()
-        for r in final_rules:
-            if r not in seen:
-                seen.add(r)
-                out_rules.append(r)
+        # facts leave the rule list; simplification may merge instances
+        out_rules = list(dict.fromkeys(
+            r for r in rules
+            if r is not None and not (r.is_fact and r.head[0] in facts)))
 
         symbol_table: Dict = {}
         for f in facts:

@@ -10,6 +10,8 @@ temporal equilibrium models of length n+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .ground import GroundProgram, Grounder
@@ -288,10 +290,16 @@ def db_facts(db: ReifiedDB, closure: Optional[FLClosure] = None) -> List[Rule]:
     return facts
 
 
+@lru_cache(maxsize=None)
+def _schema_statements(text) -> tuple:
+    """A schema's parsed statements; parsed on first use, then shared."""
+    return parse_program(text).statements
+
+
 def _instantiate(schema_texts, extra_facts, constants) -> GroundProgram:
     statements = list(extra_facts)
     for text in schema_texts:
-        statements.extend(parse_program(text).statements)
+        statements.extend(_schema_statements(text))
     return Grounder(Program(tuple(statements)), constants).ground()
 
 
@@ -358,17 +366,17 @@ def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
     Returns (states, tau): states is a tuple of n+1 frozensets of rendered
     terms; tau maps each state to its time point for MEL, else None.
     """
-    members = set(atoms) | set(meta.program.facts)
+    facts = meta.program.facts
     states = [set() for _ in range(meta.n + 1)]
     for kind, term, b in meta.db.shows:
         for t in range(meta.n + 1):
             probe = Function("conjunction", (Integer(b), Integer(t)))
-            if probe in members:
+            if probe in atoms or probe in facts:
                 states[t].add(str(term))
     tau = None
     if meta.semantics == "mel":
         tau = [None] * (meta.n + 1)
-        for a in members:
+        for a in chain(atoms, facts):
             if isinstance(a, Function) and a.name == "tau" and len(a.args) == 2:
                 t, v = a.args
                 if isinstance(t, Integer) and 0 <= t.value <= meta.n \

@@ -51,6 +51,20 @@ class Function:
     name: str
     args: tuple
 
+    #: Hash computed on first use; not a field, so equality ignores it.
+    _hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.name, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes differ between interpreters: never pickle the cache
+        return Function, (self.name, self.args)
+
     def __str__(self):
         return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
 

@@ -1,5 +1,12 @@
+import logging
+import os
+import subprocess
+import sys
+import types
+
 import pytest
 
+import tasp
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.ground import Grounder, GroundingError, expand_term
 from tasp.parser import parse_program
@@ -34,6 +41,14 @@ def test_interval_facts_expand():
 def test_join_and_arithmetic():
     gp = _ground("p(1..2). q(X+1) :- p(X).")
     assert {"q(2)", "q(3)"} <= {str(f) for f in gp.facts}
+
+
+def test_rule_joins_again_when_its_input_grows():
+    # r and q read atoms that only later rules, or q itself, derive
+    gp = _ground("r(X) :- q(X). q(X) :- p(X). q(X+1) :- q(X), X < 6. "
+                 "p(0). p(X+2) :- p(X), X < 4.")
+    assert {str(f) for f in gp.facts if str(f).startswith("r")} == {
+        "r(%d)" % i for i in range(7)}
 
 
 def test_comparison_filters():
@@ -109,6 +124,100 @@ def test_expand_term_interval():
     ] == [1, 2, 3]
 
 
+def test_stage_names_are_modules():
+    import tasp.ground as ground_module
+    import tasp.reify as reify_module
+    assert isinstance(ground_module, types.ModuleType)
+    assert isinstance(reify_module, types.ModuleType)
+    assert tasp.ground is ground_module and tasp.reify is reify_module
+
+
 def test_term_depth_bound():
     with pytest.raises(GroundingError):
         _ground("p(0). p(f(X)) :- p(X).")
+
+
+# ---------------------------------------------------------------------------
+# Simplification: outputs of the multi-pass re-scan the worklist replaced
+
+
+def _listing(gp):
+    return ([str(f) for f in gp.facts], [str(r) for r in gp.rules],
+            [str(e) for e in gp.externals], [str(a) for a in gp.symbol_table])
+
+
+def test_unsupported_positive_loop_is_kept():
+    gp = _ground("a :- b. b :- a. a :- c, not d. c :- not d. d. "
+                 "e :- not a. f :- a.")
+    assert _listing(gp) == (
+        ["d"], ["a :- b.", "b :- a.", "e :- not a.", "f :- a."], [],
+        ["d", "a", "b", "e", "f"])
+
+
+def test_negated_atom_without_head_is_removed():
+    gp = _ground("a :- not x. b :- a, not y, c. { c }. d :- x.")
+    assert _listing(gp) == (
+        ["a"], ["b :- c.", "{ c }."], [], ["a", "b", "c"])
+
+
+def test_choice_rule_with_fact_element():
+    gp = _ground("a. { a; b; c } :- d. d. { a }.")
+    assert _listing(gp) == (
+        ["a", "d"], ["{ b; c }."], [], ["a", "d", "b", "c"])
+
+
+def test_external_in_body_is_kept():
+    gp = _ground("#external e. a :- e. b :- not e. c :- a, not b. "
+                 "d :- e, f. e :- d.")
+    assert _listing(gp) == (
+        [], ["a :- e.", "b :- not e.", "c :- a; not b."], ["e"],
+        ["e", "a", "b", "c"])
+
+
+def test_fact_chains_promote_one_layer_per_round():
+    # q is written in layer order, p backwards; each round promotes one
+    # layer of both, in rule order
+    lines = ["q0."] + ["q%d :- q%d." % (i + 1, i) for i in range(21)]
+    lines += ["p%d :- p%d." % (i + 1, i) for i in reversed(range(21))]
+    gp = _ground("\n".join(lines + ["p0."]))
+    order = [x for i in range(22) for x in ("q%d" % i, "p%d" % i)]
+    assert _listing(gp) == (order, [], [], order)
+
+
+def test_ground_logs_counters(caplog):
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        _ground("p(1..3). q(X) :- p(X). r(X) :- q(X), not s(X).")
+    line = caplog.records[-1].getMessage()
+    for counter in ("rounds", "joins", "joins skipped", "simplify rounds",
+                    "rules dropped"):
+        assert counter in line, line
+
+
+_PICKLE_CHECK = """\
+import pickle, sys
+from tasp.syntax import Constant, Function, Integer
+f = Function("p", (Constant("a"), Function("q", (Integer(1), Constant("b")))))
+if sys.argv[1] == "dump":
+    hash(f)  # fills the cache of f and of its argument
+    sys.stdout.buffer.write(pickle.dumps(f))
+else:
+    g = pickle.loads(sys.stdin.buffer.read())
+    assert g == f and hash(g) == hash(f) and g in {f} and f in {g}
+    assert g.args[1] in {f.args[1]}
+"""
+
+
+def test_function_hash_not_pickled_across_hash_seeds():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(mode, seed, data=b""):
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_CHECK, mode], input=data,
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+            timeout=60)
+
+    dumped = run("dump", "1")
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = run("load", "2", dumped.stdout)
+    assert loaded.returncode == 0, loaded.stderr

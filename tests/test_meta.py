@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import (DEL_ALTERNATION, MELEX_SCALED, TELEX, ground_pipeline,
@@ -71,6 +73,23 @@ def test_del_alternation_counts():
     assert len(solve_traces(DEL_ALTERNATION, 0, semantics="del")) == 4
     assert len(solve_traces(DEL_ALTERNATION, 1, semantics="del")) == 0
     assert len(solve_traces(DEL_ALTERNATION, 2, semantics="del")) == 16
+
+
+# Digests of the meta programs as grounded before the grounder became
+# incremental: any change to rule order, fact order, externals or the
+# symbol table shows here.
+@pytest.mark.parametrize("text,n,semantics,rules,facts,atoms,digest", [
+    (TELEX, 6, "tel", 198, 95, 241, "775eb52bab0081b7"),
+    (MELEX_SCALED, 5, "mel", 10213, 118, 502, "abf0b0ef665d0750"),
+    (DEL_ALTERNATION, 6, "del", 233, 94, 238, "91afd3ab25debd71"),
+], ids=["tel", "mel", "del"])
+def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
+    gp, show_all, _ = ground_pipeline(text, semantics)
+    program = build(reify(gp, show_all), n, semantics=semantics).program
+    assert (len(program.rules), len(program.facts),
+            len(program.symbol_table)) == (rules, facts, atoms)
+    text = str(program) + "\n--\n" + "\n".join(map(str, program.symbol_table))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # ---------------------------------------------------------------------------
