@@ -18,7 +18,8 @@ import argparse
 import logging
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import meta as meta_mod
 from . import oracle as oracle_mod
@@ -73,9 +74,10 @@ def make_grammar(semantics: str, grammar_files: Tuple[str, ...] = ()) \
 def run_pipeline(text: str, n: int, semantics: str = "tel",
                  constants: Optional[Dict[str, object]] = None,
                  max_time: Optional[int] = None,
-                 grammar: Optional[TheoryGrammar] = None):
+                 grammar: Optional[TheoryGrammar] = None, limit: int = 0):
     """Full solve pipeline; returns (models, meta_program) where models
-    is a deduplicated list of (states, tau) pairs in enumeration order."""
+    is a deduplicated list of (states, tau) pairs in enumeration order,
+    at most `limit` of them unless it is 0."""
     g = grammar if grammar is not None else builtin_grammar(semantics)
     typed = typecheck_program(parse_program(text), g)
     for diag in check_occurrence(typed, g):
@@ -84,15 +86,18 @@ def run_pipeline(text: str, n: int, semantics: str = "tel",
     ground_program = Grounder(transformed, constants or {}, g).ground()
     db = reify(ground_program, show_all)
     mp = meta_mod.build(db, n, semantics=semantics, max_time=max_time)
-    models: List[Tuple[tuple, Optional[tuple]]] = []
+    return list(islice(distinct_traces(mp), limit or None)), mp
+
+
+def distinct_traces(mp) -> Iterator[Tuple[tuple, Optional[tuple]]]:
+    """The distinct (states, tau) traces of a meta program's stable
+    models, pulled from the solver only as far as the caller iterates."""
     seen = set()
-    for m in solver_mod.solve(mp.program):
-        states, tau = meta_mod.extract_model(mp, m.atoms)
-        key = (tuple(frozenset(s) for s in states), tau)
-        if key not in seen:
-            seen.add(key)
-            models.append((states, tau))
-    return models, mp
+    for m in solver_mod.models(mp.program):
+        trace = meta_mod.extract_model(mp, m.atoms)
+        if trace not in seen:
+            seen.add(trace)
+            yield trace
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +129,11 @@ PRINTERS = {"default": format_model_default,
             "temporal": format_model_temporal}
 
 
-def _footer(count: int, elapsed: float, out) -> None:
+def _footer(count: int, elapsed: float, out, more: bool = False) -> None:
+    """`more`: the search stopped at the model limit, so `count` is a
+    lower bound (printed as "K+", as clingo does)."""
     print("%s\n" % ("SATISFIABLE" if count else "UNSATISFIABLE"), file=out)
-    print("Models : %d" % count, file=out)
+    print("Models : %d%s" % (count, "+" if more else ""), file=out)
     print("Time   : %.3fs" % elapsed, file=out)
 
 
@@ -253,28 +260,20 @@ def _horizon(constants: Dict[str, object]) -> int:
 def _cmd_solve(args, out) -> int:
     start = time.time()
     constants = _parse_constants(args.constants)
-    text = _read_input(args)
-    g, typed, semantics = _frontend(args, text)
-    transformed, show_all = transform_program(typed, g)
-    ground_program = Grounder(transformed, constants, g).ground()
-    db = reify(ground_program, show_all)
-    mp = meta_mod.build(db, _horizon(constants), semantics=semantics,
-                        max_time=args.max_time)
-    printer = PRINTERS[args.printer or "default"]
     limit = args.models or 0
-    seen = set()
-    shown = 0
-    for m in solver_mod.solve(mp.program):
-        states, tau = meta_mod.extract_model(mp, m.atoms)
-        key = (tuple(frozenset(s) for s in states), tau)
-        if key in seen:
-            continue
-        seen.add(key)
-        if not limit or shown < limit:
-            shown += 1
-            print(printer(shown, states, tau), file=out)
-    _footer(len(seen), time.time() - start, out)
-    return EXIT_SAT if seen else EXIT_UNSAT
+    if limit < 0:
+        raise _UsageError("--models must be 0 (all) or more")
+    semantics = args.semantics or "tel"
+    models, _ = run_pipeline(
+        _read_input(args), _horizon(constants), semantics, constants,
+        max_time=args.max_time,
+        grammar=make_grammar(semantics, tuple(args.grammar)), limit=limit)
+    printer = PRINTERS[args.printer or "default"]
+    for i, (states, tau) in enumerate(models, 1):
+        print(printer(i, states, tau), file=out)
+    _footer(len(models), time.time() - start, out,
+            more=0 < limit == len(models))
+    return EXIT_SAT if models else EXIT_UNSAT
 
 
 def _cmd_transform(args, out) -> int:

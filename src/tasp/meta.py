@@ -10,7 +10,7 @@ temporal equilibrium models of length n+1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -77,43 +77,52 @@ true(F,J) : time(J), J >= T :-
     formula(_,eventually(F)), time(T), true(eventually(F),T).
 """
 
-#: Metric layer: timing function scaffolding plus interval operators.
+#: Metric layer.  The timing function is order-encoded: tau_ge(T,V) says
+#: tau(T) >= V.  tau(0) = 0, tau strictly increases, so tau(T) >= T is a
+#: fact and tau(T) <= m-n+T keeps tau(n) <= m.  dist_ge(T,J,D) says
+#: tau(J) - tau(T) >= D, only for the finite window bounds D that occur
+#: (#sup is above every integer); it follows from the gap J-T alone when
+#: D <= J-T.  A witness of an interval &eventually is also derived from
+#: every state in its window where F holds, so that witnesses at
+#: different states compare under minimality.
 MEL_SCHEMA = """\
-delta(1..m).
+tau_ge(T,V) :- time(T), time(V), V <= T.
+{ tau_ge(T,V) : V = T+1..m-n+T } :- time(T), T > 0.
+tau_ge(T,V-1) :- tau_ge(T,V), V > T.
+tau_ge(T,V+1) :- time(T), T > 0, tau_ge(T-1,V).
+tau(T,V) :- tau_ge(T,V), not tau_ge(T,V+1).
 
-{ tau_diff(T,D) : delta(D) } :- time(T), T > 0.
-has_diff(T) :- time(T), T > 0, delta(D), tau_diff(T,D).
-:- time(T), T > 0, not has_diff(T).
-:- time(T), delta(D1), delta(D2), D1 < D2, tau_diff(T,D1), tau_diff(T,D2).
-
-tau(0,0) :- time(0).
-tau(T,V) :- time(T), T > 0, delta(D), tau_diff(T,D), tau(T-1,V2),
-    V = V2+D, V <= m.
-has_tau(T) :- time(T), tau(T,V).
-:- time(T), not has_tau(T).
+span(T,T+1,L) :- formula(mel,next(i(L,U),F)), time(T), T < n, L < #sup.
+span(T,T+1,U) :- formula(mel,next(i(L,U),F)), time(T), T < n, U < #sup.
+span(T,J,L) :- formula(mel,eventually(i(L,U),F)), time(T), time(J),
+    J >= T, L < #sup.
+span(T,J,U) :- formula(mel,eventually(i(L,U),F)), time(T), time(J),
+    J >= T, U < #sup.
+dist_ge(T,J,D) :- span(T,J,D), D <= J-T.
+dist_ge(T,J,D) :- span(T,J,D), J > T, D > J-T, tau(T,V), tau_ge(J,V+D).
 
 true(next(i(L,U),F),T) :- formula(mel,next(i(L,U),F)), time(T), T < n,
-    true(F,T+1), delta(D), tau_diff(T+1,D), L <= D, D < U.
+    true(F,T+1), dist_ge(T,T+1,L), not dist_ge(T,T+1,U).
 true(F,T+1) :- formula(mel,next(i(L,U),F)), time(T), T < n,
     true(next(i(L,U),F),T).
 :- formula(mel,next(i(L,U),F)), time(T), T >= n, true(next(i(L,U),F),T).
 :- formula(mel,next(i(L,U),F)), time(T), T < n, true(next(i(L,U),F),T),
-    not true(F,T+1).
+    not dist_ge(T,T+1,L).
 :- formula(mel,next(i(L,U),F)), time(T), T < n, true(next(i(L,U),F),T),
-    delta(D), tau_diff(T+1,D), D < L.
-:- formula(mel,next(i(L,U),F)), time(T), T < n, true(next(i(L,U),F),T),
-    delta(D), tau_diff(T+1,D), D >= U.
+    dist_ge(T,T+1,U).
 
 true(eventually(i(L,U),F),T) :- formula(mel,eventually(i(L,U),F)),
     time(T), time(J), J >= T, true(F,J),
-    tau(T,VT), tau(J,VJ), D = VJ-VT, L <= D, D < U.
+    dist_ge(T,J,L), not dist_ge(T,J,U).
 wit(eventually(i(L,U),F),T,J) : time(J), J >= T :-
     formula(mel,eventually(i(L,U),F)), time(T),
     true(eventually(i(L,U),F),T).
+wit(eventually(i(L,U),F),T,J) :- formula(mel,eventually(i(L,U),F)),
+    time(T), time(J), J >= T, true(eventually(i(L,U),F),T), true(F,J),
+    dist_ge(T,J,L), not dist_ge(T,J,U).
 true(F,J) :- wit(eventually(i(L,U),F),T,J).
-:- wit(eventually(i(L,U),F),T,J), not true(F,J).
-:- wit(eventually(i(L,U),F),T,J), tau(T,VT), tau(J,VJ), VJ-VT < L.
-:- wit(eventually(i(L,U),F),T,J), tau(T,VT), tau(J,VJ), VJ-VT >= U.
+:- wit(eventually(i(L,U),F),T,J), not dist_ge(T,J,L).
+:- wit(eventually(i(L,U),F),T,J), dist_ge(T,J,U).
 """
 
 #: Path operators over the Fischer-Ladner closure (provided as facts).
@@ -323,6 +332,14 @@ class MetaProgram:
     semantics: str
     max_time: Optional[int] = None
 
+    @cached_property
+    def shown(self) -> List[Tuple[str, List[Function]]]:
+        """Each shown term rendered, with its conjunction(B,T) probe for
+        every state T; built once, read by every extract_model call."""
+        return [(str(term), [Function("conjunction", (Integer(b), Integer(t)))
+                             for t in range(self.n + 1)])
+                for _, term, b in self.db.shows]
+
 
 def default_max_time(n: int) -> int:
     return 4 * (n + 1)
@@ -368,11 +385,10 @@ def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
     """
     facts = meta.program.facts
     states = [set() for _ in range(meta.n + 1)]
-    for kind, term, b in meta.db.shows:
-        for t in range(meta.n + 1):
-            probe = Function("conjunction", (Integer(b), Integer(t)))
+    for rendered, probes in meta.shown:
+        for state, probe in zip(states, probes):
             if probe in atoms or probe in facts:
-                states[t].add(str(term))
+                state.add(rendered)
     tau = None
     if meta.semantics == "mel":
         tau = [None] * (meta.n + 1)

@@ -18,7 +18,8 @@ import heapq
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from itertools import islice
+from typing import Dict, Iterator, List, Optional
 
 from .ground import GroundProgram
 
@@ -388,26 +389,35 @@ class _Engine:
         return clause
 
 
+def models(program: GroundProgram,
+           step_limit: int = DEFAULT_STEP_LIMIT) -> Iterator[Model]:
+    """Yield the stable models one at a time, in a deterministic order;
+    the search goes on only as far as the caller pulls."""
+    terms, _, rules = _translate(program)
+    engine = _Engine(len(terms), rules, step_limit)
+    count = 0
+    try:
+        for model in engine.models():
+            count += 1
+            yield Model(frozenset(terms[a] for a in model))
+    finally:
+        stats = dict(models=count, atoms=len(terms), steps=engine.steps,
+                     **engine.counters)
+        log.debug("solve: %s", ", ".join(
+            "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
+
+
 def solve(program: GroundProgram, limit: int = 0,
           step_limit: int = DEFAULT_STEP_LIMIT) -> List[Model]:
     """Enumerate stable models in a deterministic order.
 
     limit = 0 returns all models; otherwise at most `limit`.
     """
-    terms, _, rules = _translate(program)
-    engine = _Engine(len(terms), rules, step_limit)
-    out = []
+    found = models(program, step_limit)
     try:
-        for model in engine.models():
-            out.append(Model(frozenset(terms[a] for a in model)))
-            if limit and len(out) >= limit:
-                break
+        return list(islice(found, limit or None))
     finally:
-        stats = dict(models=len(out), atoms=len(terms), steps=engine.steps,
-                     **engine.counters)
-        log.debug("solve: %s", ", ".join(
-            "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
-    return out
+        found.close()
 
 
 def _fixed(program: GroundProgram, assignment: Dict, closed=False):

@@ -9,7 +9,7 @@ from tasp.reify import reify
 from tasp.transform import transform_program
 from tasp import meta as meta_mod
 from tasp import oracle as oracle_mod
-from tasp import solver as solver_mod
+from tasp.cli import distinct_traces
 
 # The traffic-light example: pressing the button at state 1 makes the
 # light eventually turn green; red while not green.
@@ -60,11 +60,7 @@ def solve_traces(text, n, semantics="tel", max_time=None, constants=None):
     gp, show_all, _ = ground_pipeline(text, semantics, constants)
     db = reify(gp, show_all)
     mp = meta_mod.build(db, n, semantics=semantics, max_time=max_time)
-    out = set()
-    for m in solver_mod.solve(mp.program):
-        states, tau = meta_mod.extract_model(mp, m.atoms)
-        out.add((tuple(frozenset(s) for s in states), tau))
-    return out
+    return set(distinct_traces(mp))
 
 
 def stable_models_bruteforce(text):

@@ -150,6 +150,71 @@ def test_criterion_4_tel_oracle_equivalence():
             % (mismatches, elapsed))
 
 
+def _rand_window(rng):
+    """A metric window &i(L,U): possibly empty (U = L), sometimes
+    unbounded above (#sup)."""
+    lo = rng.randint(0, 2)
+    if rng.random() < 0.3:
+        return "&i(%d,#sup)" % lo
+    return "&i(%d,%d)" % (lo, lo + rng.randint(0, 3))
+
+
+def _rand_mel_formula(rng, depth):
+    if depth == 0:
+        return rng.choice(_ATOMS[:2])
+    k = rng.randrange(5)
+    if k == 0:
+        return rng.choice(("&initial", "&final"))
+    if k == 1:
+        return "&not(%s)" % _rand_mel_formula(rng, depth - 1)
+    if k == 2:
+        return rng.choice(_ATOMS[:2])
+    return "%s(%s,%s)" % (("&next", "&eventually")[k - 3], _rand_window(rng),
+                          _rand_mel_formula(rng, depth - 1))
+
+
+def _rand_mel_program(rng):
+    """Like _rand_tel_program over two atoms, with windowed operators.
+    At least one window occurs, so the oracle reads it as metric too."""
+    lines = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.random()
+        if kind < 0.2:
+            lines.append("%s." % rng.choice(_ATOMS[:2]))
+            continue
+        body = ", ".join(
+            ("not " if rng.random() < 0.3 else "") + _rand_mel_formula(rng, 1)
+            for _ in range(rng.randint(1, 2)))
+        if kind < 0.35:
+            lines.append(":- %s." % body)
+        elif kind < 0.6:
+            lines.append("%s :- %s." % (rng.choice(_ATOMS[:2]), body))
+        else:
+            lines.append("%s(%s,%s) :- %s." % (
+                rng.choice(("&next", "&eventually")), _rand_window(rng),
+                _rand_mel_formula(rng, 1), body))
+    text = "\n".join(lines) + "\n"
+    return text if "&i(" in text else _rand_mel_program(rng)
+
+
+def test_criterion_4_mel_oracle_equivalence():
+    start = time.time()
+    rng = random.Random(414)
+    mismatches = 0
+    for trial in range(200):
+        text = _rand_mel_program(rng)
+        n = rng.randint(0, 3)
+        m = n + rng.randint(0, 3)
+        if solve_traces(text, n, "mel", max_time=m) \
+                != oracle_traces(text, n, max_time=m):
+            mismatches += 1
+            print("criterion 4 mismatch (n=%d, max-time %d):\n%s"
+                  % (n, m, text))
+    elapsed = time.time() - start
+    _report(4, mismatches == 0, "200 random MEL programs, %d mismatches "
+            "(%.1fs)" % (mismatches, elapsed))
+
+
 # ---------------------------------------------------------------------------
 # 5. Metric window check at M=20 plus scaled oracle count cross-check
 

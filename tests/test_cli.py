@@ -4,7 +4,7 @@ import pytest
 
 from conftest import MELEX_SCALED, TELEX
 
-from tasp.cli import main
+from tasp.cli import main, run_pipeline
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def test_solve_unsatisfiable(telex_file):
     code, out = _run(["solve", telex_file, "-c", "n=0"])
     assert code == 20
     assert "UNSATISFIABLE" in out
-    assert "Models : 0" in out
+    assert "Models : 0\n" in out
 
 
 def test_default_printer_tags_states(telex_file):
@@ -49,7 +49,22 @@ def test_models_limit(telex_file):
     code, out = _run(["solve", telex_file, "-c", "n=3", "--models", "1"])
     assert code == 10
     assert out.count("Answer:") == 1
-    assert "Models : 2" in out  # the footer still reports the total
+    assert "Models : 1+" in out  # the search stopped at the limit
+
+
+def test_models_limit_stops_search(monkeypatch):
+    # Enumerating all 2^30 models would hit the step limit.
+    code, out = _run(["solve", "-c", "n=0", "--models", "1"],
+                     stdin="{ a(1..30) }.\n", monkeypatch=monkeypatch)
+    assert code == 10
+    assert out.count("Answer:") == 1
+    assert "Models : 1+" in out
+
+
+def test_run_pipeline_limit():
+    every, _ = run_pipeline(TELEX, 3)
+    first, _ = run_pipeline(TELEX, 3, limit=1)
+    assert len(every) == 2 and first == every[:1]
 
 
 def test_transform_prints_externals(telex_file):
@@ -98,6 +113,7 @@ def test_mel_printer_includes_tau(tmp_path):
 def test_usage_error_exit_1():
     assert main(["bogus"], out=io.StringIO()) == 1
     assert main(["solve", "-c", "broken"], out=io.StringIO()) == 1
+    assert main(["solve", "--models", "-1"], out=io.StringIO()) == 1
 
 
 def test_input_error_exit_65(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from conftest import (DEL_ALTERNATION, MELEX_SCALED, TELEX, ground_pipeline,
-                      solve_traces)
+                      oracle_traces, solve_traces)
 
 from tasp.meta import (MetaError, build, default_max_time, fl_close)
 from tasp.reify import ReifiedDB, reify
@@ -75,12 +75,13 @@ def test_del_alternation_counts():
     assert len(solve_traces(DEL_ALTERNATION, 2, semantics="del")) == 16
 
 
-# Digests of the meta programs as grounded before the grounder became
-# incremental: any change to rule order, fact order, externals or the
+# Digests of the meta programs: TEL and DEL as grounded before the
+# grounder became incremental, MEL as first grounded with the order-encoded
+# timing function.  Any change to rule order, fact order, externals or the
 # symbol table shows here.
 @pytest.mark.parametrize("text,n,semantics,rules,facts,atoms,digest", [
     (TELEX, 6, "tel", 198, 95, 241, "775eb52bab0081b7"),
-    (MELEX_SCALED, 5, "mel", 10213, 118, 502, "abf0b0ef665d0750"),
+    (MELEX_SCALED, 5, "mel", 726, 179, 535, "7aa9c2f772abd455"),
     (DEL_ALTERNATION, 6, "del", 233, 94, 238, "91afd3ab25debd71"),
 ], ids=["tel", "mel", "del"])
 def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
@@ -90,6 +91,24 @@ def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
             len(program.symbol_table)) == (rules, facts, atoms)
     text = str(program) + "\n--\n" + "\n".join(map(str, program.symbol_table))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_mel_meta_program_size_gate():
+    # The value-pair encoding of the timing function grounded 104,188
+    # rules here; the order encoding must stay at least ten times smaller.
+    gp, show_all, _ = ground_pipeline(MELEX_SCALED, "mel")
+    program = build(reify(gp, show_all), 10, semantics="mel").program
+    assert len(program.rules) <= 10_418
+
+
+@pytest.mark.parametrize("max_time,count", [(4, 1), (5, 6)])
+def test_mel_models_match_oracle(max_time, count):
+    # A witness of &eventually(&i(2,4),...) at one state must not keep an
+    # equilibrium model alive when F also holds at another in-window state.
+    solved = solve_traces(MELEX_SCALED, 4, semantics="mel",
+                          max_time=max_time)
+    assert solved == oracle_traces(MELEX_SCALED, 4, max_time=max_time)
+    assert len(solved) == count
 
 
 # ---------------------------------------------------------------------------

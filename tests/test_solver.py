@@ -10,7 +10,7 @@ from tasp.ground import Grounder
 from tasp.parser import parse_program
 from tasp.reify import reify
 from tasp.solver import (CONFLICT, DEFAULT_STEP_LIMIT, SolverError,
-                         check_stable, propagate, solve)
+                         check_stable, models, propagate, solve)
 from tasp.syntax import Constant
 
 
@@ -145,6 +145,13 @@ def test_full_enumeration_stops_at_step_limit():
     gp = Grounder(parse_program("{ a(1..30) }.")).ground()
     with pytest.raises(SolverError):
         solve(gp)
+
+
+def test_models_generator_is_lazy():
+    # one model of 2^30 is found long before the step limit
+    gp = Grounder(parse_program("{ a(1..30) }.")).ground()
+    first = next(models(gp))
+    assert [first] == solve(gp, limit=1)
 
 
 def test_telex_horizon_10_models_are_equilibrium_traces():
