@@ -18,10 +18,11 @@ import argparse
 import logging
 import sys
 import time
+from functools import cached_property
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from . import meta as meta_mod
+from . import meta
 from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .grammar import (GrammarError, TheoryGrammar, TypeError_,
@@ -62,13 +63,44 @@ class _Parser(argparse.ArgumentParser):
 # Programmatic pipeline (used by the CLI and by tests)
 
 
-def make_grammar(semantics: str, grammar_files: Tuple[str, ...] = ()) \
-        -> TheoryGrammar:
-    g = builtin_grammar(semantics)
-    for path in grammar_files:
-        with open(path) as fh:
-            g = g.union(load_grammar(fh.read()))
-    return g
+class Pipeline:
+    """The solve pipeline as stages, each computed on first use from the
+    one before it: typed -> transformed -> ground -> db -> meta(n)."""
+
+    def __init__(self, text: str, semantics: str = "tel",
+                 constants: Optional[Dict[str, object]] = None,
+                 grammar: Optional[TheoryGrammar] = None):
+        self.text = text
+        self.semantics = semantics
+        self.constants = constants or {}
+        self.grammar = grammar if grammar is not None \
+            else builtin_grammar(semantics)
+
+    @cached_property
+    def typed(self):
+        """Parsed and typechecked; occurrence diagnostics are logged."""
+        typed = typecheck_program(parse_program(self.text), self.grammar)
+        for diag in check_occurrence(typed, self.grammar):
+            log.warning("%s", diag)
+        return typed
+
+    @cached_property
+    def transformed(self):
+        """(program, show_all) after the first-order transformations."""
+        return transform_program(self.typed, self.grammar)
+
+    @cached_property
+    def ground(self):
+        return Grounder(self.transformed[0], self.constants,
+                        self.grammar).ground()
+
+    @cached_property
+    def db(self):
+        return reify(self.ground, self.transformed[1])
+
+    def meta(self, n: int, max_time: Optional[int] = None):
+        return meta.build(self.db, n, semantics=self.semantics,
+                          max_time=max_time)
 
 
 def run_pipeline(text: str, n: int, semantics: str = "tel",
@@ -78,14 +110,7 @@ def run_pipeline(text: str, n: int, semantics: str = "tel",
     """Full solve pipeline; returns (models, meta_program) where models
     is a deduplicated list of (states, tau) pairs in enumeration order,
     at most `limit` of them unless it is 0."""
-    g = grammar if grammar is not None else builtin_grammar(semantics)
-    typed = typecheck_program(parse_program(text), g)
-    for diag in check_occurrence(typed, g):
-        log.warning("%s", diag)
-    transformed, show_all = transform_program(typed, g)
-    ground_program = Grounder(transformed, constants or {}, g).ground()
-    db = reify(ground_program, show_all)
-    mp = meta_mod.build(db, n, semantics=semantics, max_time=max_time)
+    mp = Pipeline(text, semantics, constants, grammar).meta(n, max_time)
     return list(islice(distinct_traces(mp), limit or None)), mp
 
 
@@ -94,7 +119,7 @@ def distinct_traces(mp) -> Iterator[Tuple[tuple, Optional[tuple]]]:
     models, pulled from the solver only as far as the caller iterates."""
     seen = set()
     for m in solver_mod.models(mp.program):
-        trace = meta_mod.extract_model(mp, m.atoms)
+        trace = meta.extract_model(mp, m.atoms)
         if trace not in seen:
             seen.add(trace)
             yield trace
@@ -129,12 +154,18 @@ PRINTERS = {"default": format_model_default,
             "temporal": format_model_temporal}
 
 
-def _footer(count: int, elapsed: float, out, more: bool = False) -> None:
-    """`more`: the search stopped at the model limit, so `count` is a
-    lower bound (printed as "K+", as clingo does)."""
-    print("%s\n" % ("SATISFIABLE" if count else "UNSATISFIABLE"), file=out)
-    print("Models : %d%s" % (count, "+" if more else ""), file=out)
-    print("Time   : %.3fs" % elapsed, file=out)
+def _print_models(traces, printer, limit: int, start: float, out) -> int:
+    """Print the first `limit` (states, tau) traces (all when 0) and the
+    footer.  A search stopped at the limit prints its count as "K+", as
+    clingo does."""
+    models = list(islice(traces, limit or None))
+    for i, (states, tau) in enumerate(models, 1):
+        print(printer(i, states, tau), file=out)
+    more = "+" if 0 < limit == len(models) else ""
+    print("%s\n" % ("SATISFIABLE" if models else "UNSATISFIABLE"), file=out)
+    print("Models : %d%s" % (len(models), more), file=out)
+    print("Time   : %.3fs" % (time.time() - start), file=out)
+    return EXIT_SAT if models else EXIT_UNSAT
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +251,28 @@ def _parse_constants(pairs) -> Dict[str, object]:
     return constants
 
 
-def _read_input(args) -> str:
+def _pipeline(args) -> Pipeline:
+    """The pipeline over the input program, with the builtin grammar of
+    the chosen logic extended by every --grammar file."""
+    constants = _parse_constants(args.constants)
+    semantics = args.semantics or "tel"
     if args.file is None:
-        return sys.stdin.read()
-    with open(args.file) as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(args.file) as fh:
+            text = fh.read()
+    g = builtin_grammar(semantics)
+    for path in args.grammar:
+        with open(path) as fh:
+            g = g.union(load_grammar(fh.read()))
+    return Pipeline(text, semantics, constants, g)
+
+
+def _limit(args) -> int:
+    limit = args.models or 0
+    if limit < 0:
+        raise _UsageError("--models must be 0 (all) or more")
+    return limit
 
 
 def _setup_logging(args) -> None:
@@ -240,16 +288,6 @@ def _setup_logging(args) -> None:
 # Subcommands
 
 
-def _frontend(args, text: str):
-    """Shared front half: grammar, parse, typecheck, transform."""
-    semantics = args.semantics or "tel"
-    g = make_grammar(semantics, tuple(args.grammar))
-    typed = typecheck_program(parse_program(text), g)
-    for diag in check_occurrence(typed, g):
-        log.warning("%s", diag)
-    return g, typed, semantics
-
-
 def _horizon(constants: Dict[str, object]) -> int:
     n = constants.get("n", Integer(0))
     if not isinstance(n, Integer) or n.value < 0:
@@ -259,40 +297,18 @@ def _horizon(constants: Dict[str, object]) -> int:
 
 def _cmd_solve(args, out) -> int:
     start = time.time()
-    constants = _parse_constants(args.constants)
-    limit = args.models or 0
-    if limit < 0:
-        raise _UsageError("--models must be 0 (all) or more")
-    semantics = args.semantics or "tel"
-    models, _ = run_pipeline(
-        _read_input(args), _horizon(constants), semantics, constants,
-        max_time=args.max_time,
-        grammar=make_grammar(semantics, tuple(args.grammar)), limit=limit)
-    printer = PRINTERS[args.printer or "default"]
-    for i, (states, tau) in enumerate(models, 1):
-        print(printer(i, states, tau), file=out)
-    _footer(len(models), time.time() - start, out,
-            more=0 < limit == len(models))
-    return EXIT_SAT if models else EXIT_UNSAT
+    limit = _limit(args)
+    p = _pipeline(args)
+    traces = distinct_traces(p.meta(_horizon(p.constants), args.max_time))
+    return _print_models(traces, PRINTERS[args.printer or "default"],
+                         limit, start, out)
 
 
-def _cmd_transform(args, out) -> int:
-    text = _read_input(args)
-    g, typed, _ = _frontend(args, text)
-    transformed, _ = transform_program(typed, g)
-    rendered = str(transformed)
-    if rendered:
-        print(rendered, file=out)
-    return EXIT_OK
-
-
-def _cmd_reify(args, out) -> int:
-    constants = _parse_constants(args.constants)
-    text = _read_input(args)
-    g, typed, _ = _frontend(args, text)
-    transformed, show_all = transform_program(typed, g)
-    ground_program = Grounder(transformed, constants, g).ground()
-    rendered = emit_reified_text(reify(ground_program, show_all))
+def _cmd_print(args, out) -> int:
+    """`transform` prints the transformed program, `reify` the facts."""
+    p = _pipeline(args)
+    rendered = str(p.transformed[0]) if args.command == "transform" \
+        else emit_reified_text(p.db)
     if rendered:
         print(rendered, file=out)
     return EXIT_OK
@@ -300,26 +316,20 @@ def _cmd_reify(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     start = time.time()
-    constants = _parse_constants(args.constants)
-    text = _read_input(args)
-    _, typed, semantics = _frontend(args, text)
-    n = _horizon(constants)
+    limit = _limit(args)
+    p = _pipeline(args)
+    n = _horizon(p.constants)
     max_time = args.max_time
-    if max_time is None and semantics == "mel":
-        max_time = meta_mod.default_max_time(n)
-    models = oracle_mod.temporal_models(typed, n, max_time=max_time)
-    limit = args.models or 0
-    for i, m in enumerate(models, 1):
-        if limit and i > limit:
-            break
-        states = [frozenset(str(a) for a in s) for s in m.states]
-        print(format_model_temporal(i, states, m.tau), file=out)
-    _footer(len(models), time.time() - start, out)
-    return EXIT_SAT if models else EXIT_UNSAT
+    if max_time is None and p.semantics == "mel":
+        max_time = meta.default_max_time(n)
+    traces = ((tuple(frozenset(map(str, s)) for s in m.states), m.tau)
+              for m in oracle_mod.temporal_models(p.typed, n,
+                                                  max_time=max_time))
+    return _print_models(traces, format_model_temporal, limit, start, out)
 
 
-COMMANDS = {"solve": _cmd_solve, "transform": _cmd_transform,
-            "reify": _cmd_reify, "oracle": _cmd_oracle}
+COMMANDS = {"solve": _cmd_solve, "transform": _cmd_print,
+            "reify": _cmd_print, "oracle": _cmd_oracle}
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:

@@ -9,14 +9,14 @@ expanding macros on the fly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import parser
 from .syntax import (
-    Choice, ConditionalLiteral, Constant, Disjunction, External, Function,
-    HeadElement, Infimum, Integer, Literal, Program, Rule, Show, String,
-    Supremum, TheoryExpression, TypeBlock, Variable,
+    ConditionalLiteral, Constant, External, Function, HeadElement, Infimum,
+    Integer, Literal, Program, Rule, String, Supremum, TheoryExpression,
+    TypeBlock, Variable,
 )
 
 

@@ -18,9 +18,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    Disjunction, External, Function, HeadElement, Infimum, Integer, Literal,
-    Program, Rule, Show, String, Supremum, TheoryExpression, UnaryMinus,
-    Variable,
+    External, Function, HeadElement, Infimum, Integer, Literal, Program,
+    Rule, Show, String, Supremum, TheoryExpression, UnaryMinus, Variable,
 )
 
 log = logging.getLogger(__name__)
@@ -263,7 +262,6 @@ class GroundProgram:
     symbol_table: Dict = field(default_factory=dict)
     grammar: Optional[object] = None
     show_signatures: Tuple = ()
-    show_all: bool = True
 
     def __str__(self):
         lines = ["%s." % f for f in self.facts]
@@ -725,9 +723,3 @@ class Grounder:
             rules=out_rules, facts=facts, externals=externals,
             symbol_table=symbol_table, grammar=self.grammar,
             show_signatures=self.show_signatures)
-
-
-def ground(program: Program, constants: Optional[dict] = None,
-           grammar=None) -> GroundProgram:
-    """Instantiate a transformed program; see Grounder for the mechanics."""
-    return Grounder(program, constants, grammar).ground()

@@ -9,7 +9,7 @@ temporal equilibrium models of length n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
@@ -17,9 +17,8 @@ from typing import Dict, List, Optional, Tuple
 from .ground import GroundProgram, Grounder
 from .parser import parse_program
 from .reify import ReifiedDB
-from .syntax import (
-    Constant, Disjunction, Function, HeadElement, Integer, Program, Rule,
-)
+from .syntax import (Disjunction, Function, HeadElement, Integer, Program,
+                     Rule)
 
 
 class MetaError(Exception):
@@ -205,9 +204,6 @@ true(always(P,always(star(P),F)),T) :- formula(del,always(star(P),F)),
 class FLClosure:
     formulas: Tuple = ()  # of (type, encoded term), insertion ordered
 
-    def __contains__(self, item):
-        return item in self.formulas
-
 
 #: Safety bound on closure size; the closure of a finite set is finite.
 MAX_CLOSURE = 100_000
@@ -266,37 +262,12 @@ def fl_close(formulas) -> FLClosure:
 # Schema instantiation
 
 
-def _fact(name, args):
-    head = Function(name, tuple(args)) if args else Constant(name)
-    return Rule(Disjunction((HeadElement(head),)), ())
-
-
 def db_facts(db: ReifiedDB, closure: Optional[FLClosure] = None) -> List[Rule]:
-    """The reified database (and optionally its closure) as fact rules."""
-    facts = []
-    for kind, h, b in db.rules:
-        facts.append(_fact("rule", (
-            Function(kind, (Integer(h),)),
-            Function("normal", (Integer(b),)))))
-    for i, atoms in db.atom_tuples.items():
-        facts.append(_fact("atom_tuple", (Integer(i),)))
-        facts.extend(_fact("atom_tuple", (Integer(i), Integer(a)))
-                     for a in atoms)
-    for i, lits in db.literal_tuples.items():
-        facts.append(_fact("literal_tuple", (Integer(i),)))
-        facts.extend(_fact("literal_tuple", (Integer(i), Integer(l)))
-                     for l in lits)
-    for sym, b in db.outputs:
-        facts.append(_fact("output", (sym, Integer(b))))
-    seen_formulas = set()
-    entries = closure.formulas if closure is not None else db.formulas
-    for t, e in entries:
-        if (t, e) not in seen_formulas:
-            seen_formulas.add((t, e))
-            facts.append(_fact("formula", (Constant(t), e)))
-    for sym, b in db.externals:
-        facts.append(_fact("external", (sym, Integer(b))))
-    return facts
+    """The reified database (with the closure's formulas in place of its
+    own, when given) as fact rules."""
+    formulas = closure.formulas if closure is not None else None
+    return [Rule(Disjunction((HeadElement(a),)), ())
+            for a in db.facts(formulas)]
 
 
 @lru_cache(maxsize=None)

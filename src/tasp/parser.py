@@ -8,7 +8,7 @@ blocks.  Produces the AST of :mod:`tasp.syntax`.
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,

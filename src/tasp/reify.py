@@ -10,7 +10,7 @@ printer restores the ``&`` surface syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .ground import GroundProgram
 from .syntax import (
@@ -48,20 +48,33 @@ class ReifiedDB:
     #: ("show_atom" | "show_term", term, literal_tuple_id)
     shows: List[tuple] = field(default_factory=list)
 
-    def core_facts(self):
-        """The §-style core: rules, tuples, outputs (no extensions)."""
+    def core_facts(self) -> list:
+        """The core fact atoms: rules, tuples, outputs (no extensions)."""
         out = []
         for kind, h, b in self.rules:
-            out.append("rule(%s(%d),normal(%d))." % (kind, h, b))
+            out.append(Function("rule", (Function(kind, (Integer(h),)),
+                                         Function("normal", (Integer(b),)))))
         for i, atoms in self.atom_tuples.items():
-            out.append("atom_tuple(%d)." % i)
-            out.extend("atom_tuple(%d,%d)." % (i, a) for a in atoms)
+            out.append(Function("atom_tuple", (Integer(i),)))
+            out.extend(Function("atom_tuple", (Integer(i), Integer(a)))
+                       for a in atoms)
         for i, lits in self.literal_tuples.items():
-            out.append("literal_tuple(%d)." % i)
-            out.extend("literal_tuple(%d,%d)." % (i, l) for l in lits)
+            out.append(Function("literal_tuple", (Integer(i),)))
+            out.extend(Function("literal_tuple", (Integer(i), Integer(l)))
+                       for l in lits)
         for sym, b in self.outputs:
-            out.append("output(%s,%d)." % (sym, b))
+            out.append(Function("output", (sym, Integer(b))))
         return out
+
+    def facts(self, formulas=None):
+        """Every fact atom but the show facts: the core, then the
+        formulas (`formulas` in their place, e.g. their closure, when
+        given), then the externals."""
+        yield from self.core_facts()
+        for t, e in self.formulas if formulas is None else formulas:
+            yield Function("formula", (Constant(t), e))
+        for sym, b in self.externals:
+            yield Function("external", (sym, Integer(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +220,8 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
 
 
 def emit_reified_text(db: ReifiedDB) -> str:
-    lines = list(db.core_facts())
-    for t, e in db.formulas:
-        lines.append("formula(%s,%s)." % (t, e))
-    for sym, b in db.externals:
-        lines.append("external(%s,%d)." % (sym, b))
-    for kind, term, b in db.shows:
-        lines.append("%s(%s,%d)." % (kind, term, b))
+    lines = ["%s." % a for a in db.facts()]
+    lines.extend("%s(%s,%d)." % show for show in db.shows)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -40,7 +40,6 @@ DEFAULT_STEP_LIMIT = 10_000_000
 @dataclass(frozen=True)
 class Model:
     atoms: frozenset
-    tau: Optional[tuple] = None
 
 
 def _translate(program: GroundProgram):

@@ -107,16 +107,6 @@ Term = Union[Constant, Integer, String, Variable, Function, Supremum,
 SUP = Supremum()
 INF = Infimum()
 
-#: Atoms are plain terms: a constant (arity 0) or a function.
-Atom = Union[Constant, Function]
-
-
-def atom_signature(a: Atom) -> tuple:
-    if isinstance(a, Function):
-        return (a.name, len(a.args))
-    return (a.name, 0)
-
-
 # ---------------------------------------------------------------------------
 # Theory expressions
 
@@ -140,10 +130,6 @@ class TheoryExpression:
 
 #: Things that may stand where an atom stands.
 AtomLike = Union[Constant, Function, TheoryExpression]
-
-
-def is_expression(x) -> bool:
-    return isinstance(x, TheoryExpression)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +344,3 @@ def payload_variables(p) -> set:
 
 def literal_variables(lit: Literal) -> set:
     return payload_variables(lit.payload)
-
-
-def format_expression(e) -> str:
-    """Render an expression or term in surface syntax (round-trips)."""
-    return str(e)

@@ -10,7 +10,7 @@ externals that put them into the instantiation domain (kind 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from .grammar import TheoryGrammar
 from .syntax import (
@@ -68,16 +68,6 @@ def safe_atoms_in(expr, g: TheoryGrammar):
     for arg, safety in zip(expr.args, spec.arg_safety):
         if safety == "safe":
             yield from safe_atoms_in(arg, g)
-
-
-def all_atoms_in(expr):
-    """Every atom nested anywhere in an expression."""
-    if isinstance(expr, (Constant, Function)):
-        yield expr
-        return
-    if isinstance(expr, TheoryExpression):
-        for arg in expr.args:
-            yield from all_atoms_in(arg)
 
 
 def _bind_comparisons(body, bound: Set[str]):

@@ -1,15 +1,8 @@
-"""Shared fixtures: reconstructed example programs and pipeline helpers."""
+"""Shared fixtures: reconstructed example programs and reference
+helpers (brute-force stable models, oracle traces, random programs)."""
 
-import pytest
-
-from tasp.grammar import builtin_grammar, typecheck_program
-from tasp.ground import Grounder
-from tasp.parser import parse_program
-from tasp.reify import reify
-from tasp.transform import transform_program
-from tasp import meta as meta_mod
 from tasp import oracle as oracle_mod
-from tasp.cli import distinct_traces
+from tasp.parser import parse_program
 
 # The traffic-light example: pressing the button at state 1 makes the
 # light eventually turn green; red while not green.
@@ -44,23 +37,6 @@ DEL_ALTERNATION = """\
 { red(l1) }.
 :- &initial, not &eventually(&star(&seq(green(l1),red(l1))),&final).
 """
-
-
-def ground_pipeline(text, semantics="tel", constants=None):
-    """parse -> typecheck -> transform -> ground; returns (gp, show_all, g)."""
-    g = builtin_grammar(semantics)
-    typed = typecheck_program(parse_program(text), g)
-    transformed, show_all = transform_program(typed, g)
-    return Grounder(transformed, constants or {}, g).ground(), show_all, g
-
-
-def solve_traces(text, n, semantics="tel", max_time=None, constants=None):
-    """Full pipeline; returns the set of (states, tau) temporal models,
-    states as a tuple of frozensets of atom strings."""
-    gp, show_all, _ = ground_pipeline(text, semantics, constants)
-    db = reify(gp, show_all)
-    mp = meta_mod.build(db, n, semantics=semantics, max_time=max_time)
-    return set(distinct_traces(mp))
 
 
 def stable_models_bruteforce(text):
@@ -146,7 +122,7 @@ def random_prop_program(rng, max_atoms=12, max_rules=8):
 
 
 def oracle_traces(text, n, max_time=None):
-    """Oracle models in the same shape as solve_traces output."""
+    """Oracle models in the shape of `cli.distinct_traces` output."""
     models = oracle_mod.temporal_models(parse_program(text), n,
                                         max_time=max_time)
     return {(tuple(frozenset(map(str, s)) for s in m.states), m.tau)

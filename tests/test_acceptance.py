@@ -10,17 +10,18 @@ import random
 import time
 
 from conftest import (DEL_ALTERNATION, MELEX, MELEX_SCALED, TELEX, WAIT,
-                      ground_pipeline, oracle_traces, random_prop_program,
-                      solve_traces, stable_models_bruteforce)
+                      oracle_traces, random_prop_program,
+                      stable_models_bruteforce)
 from test_reify import FIXTURE, GOLDEN_15
 
 from tasp import meta as meta_mod
 from tasp import solver as solver_mod
+from tasp.cli import Pipeline, distinct_traces
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.meta import fl_close
 from tasp.oracle import Trace, eval_formula
 from tasp.parser import parse_expression, parse_program
-from tasp.reify import isomorphic, parse_reified, reify
+from tasp.reify import isomorphic, parse_reified
 from tasp.syntax import Constant
 from tasp.transform import transform_program
 
@@ -36,9 +37,10 @@ def _report(num, ok, desc):
 
 def test_criterion_1_traffic_light():
     start = time.time()
-    ok = (len(solve_traces(TELEX, 0)) == 0
-          and len(solve_traces(TELEX, 1)) == 0)
-    models = solve_traces(TELEX, 2)
+    p = Pipeline(TELEX)
+    ok = (len(set(distinct_traces(p.meta(0)))) == 0
+          and len(set(distinct_traces(p.meta(1)))) == 0)
+    models = set(distinct_traces(p.meta(2)))
     ok = ok and len(models) == 1
     if ok:
         ((states, tau),) = models
@@ -57,8 +59,7 @@ def test_criterion_1_traffic_light():
 
 def test_criterion_2_reify_golden():
     start = time.time()
-    gp, show_all, _ = ground_pipeline(FIXTURE)
-    db = reify(gp, show_all)
+    db = Pipeline(FIXTURE).db
     golden = parse_reified(GOLDEN_15)
     ok = (isomorphic(db, golden, core_only=True)
           and len(db.core_facts()) == 15)
@@ -141,7 +142,8 @@ def test_criterion_4_tel_oracle_equivalence():
     for trial in range(200):
         text = _rand_tel_program(rng)
         n = rng.choice((0, 1, 2))
-        if solve_traces(text, n) != oracle_traces(text, n):
+        solved = set(distinct_traces(Pipeline(text).meta(n)))
+        if solved != oracle_traces(text, n):
             mismatches += 1
             print("criterion 4 mismatch (n=%d):\n%s" % (n, text))
     elapsed = time.time() - start
@@ -205,7 +207,7 @@ def test_criterion_4_mel_oracle_equivalence():
         text = _rand_mel_program(rng)
         n = rng.randint(0, 3)
         m = n + rng.randint(0, 3)
-        if solve_traces(text, n, "mel", max_time=m) \
+        if set(distinct_traces(Pipeline(text, "mel").meta(n, m))) \
                 != oracle_traces(text, n, max_time=m):
             mismatches += 1
             print("criterion 4 mismatch (n=%d, max-time %d):\n%s"
@@ -222,9 +224,7 @@ def test_criterion_4_mel_oracle_equivalence():
 def test_criterion_5_mel_window_and_count():
     # Full-scale instance: every returned model must place green(l1)
     # inside the metric window measured from the state after the push.
-    gp, show_all, _ = ground_pipeline(MELEX, "mel")
-    db = reify(gp, show_all)
-    mp = meta_mod.build(db, 3, semantics="mel", max_time=20)
+    mp = Pipeline(MELEX, "mel").meta(3, max_time=20)
     models = []
     seen = set()
     for m in solver_mod.solve(mp.program, limit=40):
@@ -240,7 +240,7 @@ def test_criterion_5_mel_window_and_count():
             10 <= tau[j] - tau[anchor] < 15 for j in greens)
 
     # Scaled instance: exact model-count agreement with the oracle.
-    solved = solve_traces(MELEX_SCALED, 3, semantics="mel", max_time=6)
+    solved = set(distinct_traces(Pipeline(MELEX_SCALED, "mel").meta(3, 6)))
     oracled = oracle_traces(MELEX_SCALED, 3, max_time=6)
     ok = ok and solved == oracled
     _report(5, ok, "M=20 window respected on %d models; scaled counts "
@@ -265,9 +265,8 @@ def test_criterion_6_del_alternation():
     start = time.time()
     ok = True
     for n in range(5):
-        solved = {states
-                  for states, tau in solve_traces(DEL_ALTERNATION, n,
-                                                  semantics="del")}
+        mp = Pipeline(DEL_ALTERNATION, "del").meta(n)
+        solved = {states for states, tau in distinct_traces(mp)}
         labels = [frozenset(s) for s in
                   (set(), {"green(l1)"}, {"red(l1)"},
                    {"green(l1)", "red(l1)"})]
@@ -315,8 +314,7 @@ def test_criterion_7_path_closure_and_satisfaction():
         formula = parse_expression("&eventually(%s,&final)" % rho)
 
         # fl_close terminates and is idempotent on the reified formulas
-        gp, show_all, _ = ground_pipeline(program, "del")
-        db = reify(gp, show_all)
+        db = Pipeline(program, "del").db
         once = fl_close(db.formulas)
         twice = fl_close(once.formulas)
         if set(once.formulas) != set(twice.formulas):
@@ -326,7 +324,7 @@ def test_criterion_7_path_closure_and_satisfaction():
 
         # meta-level satisfaction of the path formula equals eval_path
         n = rng.choice((0, 1, 2))
-        solved = solve_traces(program, n, semantics="del")
+        solved = set(distinct_traces(Pipeline(program, "del").meta(n)))
         expected = set()
         for combo in itertools.product(labels, repeat=n + 1):
             trace = Trace(tuple(combo))
@@ -352,7 +350,7 @@ def test_criterion_8_solver_vs_bruteforce():
     mismatches = 0
     for trial in range(100):
         text = random_prop_program(rng)
-        gp, show_all, _ = ground_pipeline(text)
+        gp = Pipeline(text).ground
         got = {frozenset(str(a) for a in m.atoms)
                for m in solver_mod.solve(gp)}
         want = stable_models_bruteforce(text)

@@ -1,10 +1,11 @@
+import hashlib
 import io
 
 import pytest
 
-from conftest import MELEX_SCALED, TELEX
+from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX
 
-from tasp.cli import main, run_pipeline
+from tasp.cli import Pipeline, main, run_pipeline
 
 
 @pytest.fixture
@@ -85,6 +86,30 @@ def test_reify_emits_facts(telex_file):
     assert "rule(disjunction(" in out and "output(" in out
 
 
+# sha256[:16] and line count of `tasp transform` / `tasp reify` output,
+# recorded before the subcommands shared one pipeline.
+PINNED_OUTPUT = [
+    (TELEX, "tel", "transform", "e2b5ebbd6b95003d", 7),
+    (TELEX, "tel", "reify", "3a79f4cbba972a79", 50),
+    (MELEX_SCALED, "mel", "transform", "a178eea60cd609de", 7),
+    (MELEX_SCALED, "mel", "reify", "ddf08cf7e99ba183", 52),
+    (DEL_ALTERNATION, "del", "transform", "1522a490696e7b2a", 5),
+    (DEL_ALTERNATION, "del", "reify", "a501ed62d28da006", 48),
+]
+
+
+@pytest.mark.parametrize("text,semantics,command,digest,lines", PINNED_OUTPUT,
+                         ids=["tel-transform", "tel-reify", "mel-transform",
+                              "mel-reify", "del-transform", "del-reify"])
+def test_pinned_output(tmp_path, text, semantics, command, digest, lines):
+    f = tmp_path / "p.lp"
+    f.write_text(text)
+    code, out = _run([command, str(f), "--semantics", semantics])
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_oracle_subcommand(telex_file):
     code, out = _run(["oracle", telex_file, "-c", "n=2"])
     assert code == 10
@@ -98,6 +123,39 @@ def test_oracle_matches_solve(telex_file):
     body = lambda s: [l for l in s.splitlines()
                       if l.startswith(("State", "  "))]
     assert body(solve_out) == body(oracle_out)
+
+
+def test_oracle_rejects_negative_models_limit(monkeypatch):
+    code, out = _run(["oracle", "-c", "n=0", "--models", "-1"],
+                     stdin="a.\n", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+
+
+def test_oracle_models_limit_matches_solve(monkeypatch):
+    # `{ a }.` has two models; both commands stop at the first.
+    for command in ("solve", "oracle"):
+        code, out = _run([command, "-c", "n=0", "--models", "1"],
+                         stdin="{ a }.\n", monkeypatch=monkeypatch)
+        assert code == 10
+        assert out.count("Answer:") == 1
+        assert "Models : 1+\n" in out
+
+
+@pytest.mark.parametrize("text,semantics", [
+    (TELEX, "tel"), (MELEX_SCALED, "mel"), (DEL_ALTERNATION, "del")],
+    ids=["tel", "mel", "del"])
+def test_reify_output_is_what_meta_grounds(tmp_path, text, semantics):
+    f = tmp_path / "p.lp"
+    f.write_text(text)
+    code, out = _run(["reify", str(f), "--semantics", semantics])
+    assert code == 0
+    printed = [line for line in out.splitlines()
+               if line and not line.startswith("show_")]
+    assert printed
+    facts = {"%s." % a
+             for a in Pipeline(text, semantics).meta(2).program.facts}
+    assert [line for line in printed if line not in facts] == []
 
 
 def test_mel_printer_includes_tau(tmp_path):

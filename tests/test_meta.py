@@ -2,11 +2,11 @@ import hashlib
 
 import pytest
 
-from conftest import (DEL_ALTERNATION, MELEX_SCALED, TELEX, ground_pipeline,
-                      oracle_traces, solve_traces)
+from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, oracle_traces
 
+from tasp.cli import Pipeline, distinct_traces
 from tasp.meta import (MetaError, build, default_max_time, fl_close)
-from tasp.reify import ReifiedDB, reify
+from tasp.reify import ReifiedDB
 from tasp.solver import solve
 from tasp.syntax import Constant, Function
 
@@ -23,14 +23,13 @@ def test_empty_db_single_empty_model_per_horizon():
 
 
 def test_traffic_light_model_counts():
-    assert len(solve_traces(TELEX, 0)) == 0
-    assert len(solve_traces(TELEX, 1)) == 0
-    assert len(solve_traces(TELEX, 2)) == 1
-    assert len(solve_traces(TELEX, 3)) == 2
+    p = Pipeline(TELEX)
+    assert [len(set(distinct_traces(p.meta(n)))) for n in range(4)] \
+        == [0, 0, 1, 2]
 
 
 def test_traffic_light_trace():
-    ((states, tau),) = solve_traces(TELEX, 2)
+    ((states, tau),) = set(distinct_traces(Pipeline(TELEX).meta(2)))
     assert tau is None
     assert [sorted(s) for s in states] == [
         ["light(l1)", "red(l1)"],
@@ -40,7 +39,7 @@ def test_traffic_light_trace():
 
 
 def test_mel_tau_reported_and_bounded():
-    models = solve_traces(MELEX_SCALED, 3, semantics="mel", max_time=6)
+    models = set(distinct_traces(Pipeline(MELEX_SCALED, "mel").meta(3, 6)))
     assert models
     for states, tau in models:
         assert tau is not None and tau[0] == 0
@@ -53,10 +52,8 @@ def test_mel_max_time_default():
 
 
 def test_mel_max_time_below_horizon_rejected():
-    gp, show_all, _ = ground_pipeline(MELEX_SCALED, "mel")
-    db = reify(gp, show_all)
     with pytest.raises(MetaError):
-        build(db, 3, semantics="mel", max_time=2)
+        Pipeline(MELEX_SCALED, "mel").meta(3, max_time=2)
 
 
 def test_negative_horizon_rejected():
@@ -70,9 +67,9 @@ def test_unknown_semantics_rejected():
 
 
 def test_del_alternation_counts():
-    assert len(solve_traces(DEL_ALTERNATION, 0, semantics="del")) == 4
-    assert len(solve_traces(DEL_ALTERNATION, 1, semantics="del")) == 0
-    assert len(solve_traces(DEL_ALTERNATION, 2, semantics="del")) == 16
+    p = Pipeline(DEL_ALTERNATION, "del")
+    assert [len(set(distinct_traces(p.meta(n)))) for n in (0, 1, 2)] \
+        == [4, 0, 16]
 
 
 # Digests of the meta programs: TEL and DEL as grounded before the
@@ -85,8 +82,7 @@ def test_del_alternation_counts():
     (DEL_ALTERNATION, 6, "del", 233, 94, 238, "91afd3ab25debd71"),
 ], ids=["tel", "mel", "del"])
 def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
-    gp, show_all, _ = ground_pipeline(text, semantics)
-    program = build(reify(gp, show_all), n, semantics=semantics).program
+    program = Pipeline(text, semantics).meta(n).program
     assert (len(program.rules), len(program.facts),
             len(program.symbol_table)) == (rules, facts, atoms)
     text = str(program) + "\n--\n" + "\n".join(map(str, program.symbol_table))
@@ -96,8 +92,7 @@ def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
 def test_mel_meta_program_size_gate():
     # The value-pair encoding of the timing function grounded 104,188
     # rules here; the order encoding must stay at least ten times smaller.
-    gp, show_all, _ = ground_pipeline(MELEX_SCALED, "mel")
-    program = build(reify(gp, show_all), 10, semantics="mel").program
+    program = Pipeline(MELEX_SCALED, "mel").meta(10).program
     assert len(program.rules) <= 10_418
 
 
@@ -105,8 +100,8 @@ def test_mel_meta_program_size_gate():
 def test_mel_models_match_oracle(max_time, count):
     # A witness of &eventually(&i(2,4),...) at one state must not keep an
     # equilibrium model alive when F also holds at another in-window state.
-    solved = solve_traces(MELEX_SCALED, 4, semantics="mel",
-                          max_time=max_time)
+    mp = Pipeline(MELEX_SCALED, "mel").meta(4, max_time)
+    solved = set(distinct_traces(mp))
     assert solved == oracle_traces(MELEX_SCALED, 4, max_time=max_time)
     assert len(solved) == count
 

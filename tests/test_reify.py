@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import TELEX, ground_pipeline
+from conftest import TELEX
 
+from tasp.cli import Pipeline
 from tasp.reify import (ReifyError, emit_reified_text, isomorphic,
                         parse_reified, reify)
 
@@ -26,8 +27,7 @@ red(l1) :- not green(l1), light(l1).
 
 
 def _db(text, semantics="tel"):
-    gp, show_all, _ = ground_pipeline(text, semantics)
-    return reify(gp, show_all)
+    return Pipeline(text, semantics).db
 
 
 def test_golden_fixture_isomorphic():

@@ -2,13 +2,12 @@ import logging
 import random
 
 import pytest
-from conftest import (TELEX, ground_pipeline, random_prop_program,
-                      stable_models_bruteforce)
+from conftest import TELEX, random_prop_program, stable_models_bruteforce
 
 from tasp import meta, oracle
+from tasp.cli import Pipeline
 from tasp.ground import Grounder
 from tasp.parser import parse_program
-from tasp.reify import reify
 from tasp.solver import (CONFLICT, DEFAULT_STEP_LIMIT, SolverError,
                          check_stable, models, propagate, solve)
 from tasp.syntax import Constant
@@ -155,8 +154,7 @@ def test_models_generator_is_lazy():
 
 
 def test_telex_horizon_10_models_are_equilibrium_traces():
-    gp, show_all, _ = ground_pipeline(TELEX)
-    mp = meta.build(reify(gp, show_all), 10)
+    mp = Pipeline(TELEX).meta(10)
     traces = {meta.extract_model(mp, m.atoms)
               for m in solve(mp.program, step_limit=DEFAULT_STEP_LIMIT)}
     assert len(traces) == 9
