@@ -14,9 +14,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import parser
 from .syntax import (
-    ConditionalLiteral, Constant, External, Function, HeadElement, Infimum,
-    Integer, Literal, Program, Rule, String, Supremum, TheoryExpression,
-    TypeBlock, Variable,
+    ConditionalLiteral, Constant, External, Function, Infimum, Integer,
+    Program, Rule, String, Supremum, TheoryExpression, TypeBlock, Variable,
+    expression_variables, map_payloads, substitute,
 )
 
 
@@ -99,8 +99,8 @@ class TheoryGrammar:
                 seen.add(key)
             for m in spec.macros:
                 declared = {n for n, _ in m.placeholders}
-                used = _placeholder_names(m.expansion)
-                pattern_names = _placeholder_names(m.pattern)
+                used = expression_variables(m.expansion)
+                pattern_names = expression_variables(m.pattern)
                 if not used <= pattern_names:
                     raise GrammarError(
                         "macro expansion in type %r uses placeholders %s "
@@ -198,19 +198,6 @@ class TheoryGrammar:
                 raise GrammarError("duplicate type %r in grammar union" % name)
             merged[name] = spec
         return TheoryGrammar(merged)
-
-
-def _placeholder_names(node) -> set:
-    names = set()
-    if isinstance(node, Variable):
-        names.add(node.name)
-    elif isinstance(node, TheoryExpression):
-        for a in node.args:
-            names |= _placeholder_names(a)
-    elif isinstance(node, Function):
-        for a in node.args:
-            names |= _placeholder_names(a)
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +299,8 @@ def _try_macros(e, expected: str, g: TheoryGrammar):
     for _, macro in g.find_macros(expected):
         binding = _match_macro(macro.pattern, e, macro, g)
         if binding is not None:
-            return _substitute(macro.expansion, binding)
+            return substitute(macro.expansion, lambda x: binding.get(x.name)
+                              if isinstance(x, Variable) else None)
     return None
 
 
@@ -349,17 +337,6 @@ def _admissible(e, expected: str, g: TheoryGrammar) -> bool:
         return True
     except TypeError_:
         return False
-
-
-def _substitute(node, binding):
-    if isinstance(node, Variable) and node.name in binding:
-        return binding[node.name]
-    if isinstance(node, TheoryExpression):
-        return TheoryExpression(node.operator,
-                                tuple(_substitute(a, binding) for a in node.args))
-    if isinstance(node, Function):
-        return Function(node.name, tuple(_substitute(a, binding) for a in node.args))
-    return node
 
 
 def expand_macros(e, g: TheoryGrammar, expected: Optional[str] = None):
@@ -399,43 +376,12 @@ def _type_atom_like(x, g: TheoryGrammar):
                      % (x, "; ".join(errors)))
 
 
-def _type_literal(lit: Literal, g: TheoryGrammar) -> Literal:
-    payload = lit.payload
-    if isinstance(payload, TheoryExpression):
-        payload = _type_atom_like(payload, g)
-    return Literal(lit.positive, payload)
-
-
-def _type_condition(cond, g):
-    return tuple(_type_literal(c, g) for c in cond)
-
-
 def typecheck_program(program: Program, g: TheoryGrammar) -> Program:
     """Type every theory expression in the program (macros expanded)."""
-    statements = []
-    for s in program.statements:
-        if isinstance(s, Rule):
-            elements = tuple(
-                HeadElement(_type_atom_like(el.atom, g),
-                            _type_condition(el.condition, g))
-                for el in s.head.elements)
-            head = type(s.head)(elements)
-            body = []
-            for b in s.body:
-                if isinstance(b, ConditionalLiteral):
-                    body.append(ConditionalLiteral(
-                        _type_literal(b.literal, g),
-                        _type_condition(b.condition, g)))
-                else:
-                    body.append(_type_literal(b, g))
-            statements.append(Rule(head, tuple(body), location=s.location))
-        elif isinstance(s, External):
-            statements.append(External(_type_atom_like(s.target, g),
-                                       _type_condition(s.condition, g),
-                                       location=s.location))
-        else:
-            statements.append(s)
-    return Program(tuple(statements))
+    return Program(tuple(
+        map_payloads(s, lambda x: _type_atom_like(x, g))
+        if isinstance(s, (Rule, External)) else s
+        for s in program.statements))
 
 
 def check_occurrence(program: Program, g: TheoryGrammar):

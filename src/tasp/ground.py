@@ -18,8 +18,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, HeadElement, Infimum, Integer, Literal, Program,
-    Rule, Show, String, Supremum, TheoryExpression, UnaryMinus, Variable,
+    External, Function, Infimum, Integer, Program, Show, String, Supremum,
+    TheoryExpression, UnaryMinus, Variable, map_payloads, substitute,
+    with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -41,9 +42,7 @@ MAX_ATOMS = 1_000_000
 
 
 def term_depth(t) -> int:
-    if isinstance(t, Function):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    if isinstance(t, TheoryExpression):
+    if isinstance(t, (Function, TheoryExpression)):
         return 1 + max((term_depth(a) for a in t.args), default=0)
     return 0
 
@@ -97,12 +96,8 @@ def eval_term(t, subst):
         if t.name not in subst:
             raise GroundingError("unbound variable %s" % t.name)
         return subst[t.name]
-    if isinstance(t, Function):
-        return Function(t.name, tuple(eval_term(a, subst) for a in t.args))
-    if isinstance(t, TheoryExpression):
-        return TheoryExpression(
-            t.operator, tuple(eval_term(a, subst) for a in t.args),
-            assigned_type=t.assigned_type, memberships=t.memberships)
+    if isinstance(t, (Function, TheoryExpression)):
+        return with_args(t, tuple(eval_term(a, subst) for a in t.args))
     if isinstance(t, UnaryMinus):
         v = eval_term(t.arg, subst)
         if not isinstance(v, Integer):
@@ -140,19 +135,12 @@ def expand_term(t, subst) -> List:
         if not isinstance(lo, Integer) or not isinstance(hi, Integer):
             raise GroundingError("interval bounds must be integers")
         return [Integer(v) for v in range(lo.value, hi.value + 1)]
-    if isinstance(t, Function):
+    if isinstance(t, (Function, TheoryExpression)):
         out = [()]
         for a in t.args:
             vals = expand_term(a, subst)
             out = [prefix + (v,) for prefix in out for v in vals]
-        return [Function(t.name, args) for args in out]
-    if isinstance(t, TheoryExpression):
-        out = [()]
-        for a in t.args:
-            vals = expand_term(a, subst)
-            out = [prefix + (v,) for prefix in out for v in vals]
-        return [TheoryExpression(t.operator, args, assigned_type=t.assigned_type,
-                                 memberships=t.memberships) for args in out]
+        return [with_args(t, args) for args in out]
     return [eval_term(t, subst)]
 
 
@@ -208,25 +196,21 @@ def match(pattern, ground, subst) -> Optional[dict]:
             return None
         return subst if value == ground else None
     if isinstance(pattern, Function):
-        if not isinstance(ground, Function) or pattern.name != ground.name \
-                or len(pattern.args) != len(ground.args):
+        if not isinstance(ground, Function) or pattern.name != ground.name:
             return None
-        for p, g in zip(pattern.args, ground.args):
-            subst = match(p, g, subst)
-            if subst is None:
-                return None
-        return subst
-    if isinstance(pattern, TheoryExpression):
+    elif isinstance(pattern, TheoryExpression):
         if not isinstance(ground, TheoryExpression) \
-                or pattern.operator != ground.operator \
-                or len(pattern.args) != len(ground.args):
+                or pattern.operator != ground.operator:
             return None
-        for p, g in zip(pattern.args, ground.args):
-            subst = match(p, g, subst)
-            if subst is None:
-                return None
-        return subst
-    return subst if pattern == ground else None
+    else:
+        return subst if pattern == ground else None
+    if len(pattern.args) != len(ground.args):
+        return None
+    for p, g in zip(pattern.args, ground.args):
+        subst = match(p, g, subst)
+        if subst is None:
+            return None
+    return subst
 
 
 # ---------------------------------------------------------------------------
@@ -274,39 +258,6 @@ class GroundProgram:
 # Grounder
 
 
-def _subst_constants(node, constants):
-    """Replace defined constants inside argument positions."""
-    if isinstance(node, Constant) and node.name in constants:
-        return constants[node.name]
-    if isinstance(node, Function):
-        return Function(node.name,
-                        tuple(_subst_constants(a, constants) for a in node.args))
-    if isinstance(node, TheoryExpression):
-        return TheoryExpression(
-            node.operator,
-            tuple(_subst_constants(a, constants) for a in node.args),
-            assigned_type=node.assigned_type, memberships=node.memberships)
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _subst_constants(node.left, constants),
-                     _subst_constants(node.right, constants))
-    if isinstance(node, UnaryMinus):
-        return UnaryMinus(_subst_constants(node.arg, constants))
-    return node
-
-
-def _subst_atom_root(atom, constants):
-    """Constants in predicate position are not substituted, arguments are."""
-    if isinstance(atom, Function):
-        return Function(atom.name,
-                        tuple(_subst_constants(a, constants) for a in atom.args))
-    if isinstance(atom, TheoryExpression):
-        return TheoryExpression(
-            atom.operator,
-            tuple(_subst_constants(a, constants) for a in atom.args),
-            assigned_type=atom.assigned_type, memberships=atom.memberships)
-    return atom
-
-
 class Grounder:
     def __init__(self, program: Program, constants: Optional[dict] = None,
                  grammar=None):
@@ -316,15 +267,24 @@ class Grounder:
         if constants:
             for name, value in constants.items():
                 consts[name] = value if not isinstance(value, int) else Integer(value)
+
+        def leaf(x):
+            return consts.get(x.name) if isinstance(x, Constant) else None
+
+        def payload(p):
+            # a constant in predicate position is not substituted
+            if isinstance(p, Comparison):
+                return Comparison(p.op, substitute(p.left, leaf),
+                                  substitute(p.right, leaf))
+            return p if isinstance(p, Constant) else substitute(p, leaf)
+
         # resolve constant-to-constant references once
         for name in list(consts):
-            consts[name] = _subst_constants(consts[name], consts)
+            consts[name] = substitute(consts[name], leaf)
         self.constants = consts
-        self.rules = [self._subst_rule(r) for r in program.rules]
-        self.externals = [
-            External(_subst_atom_root(e.target, consts),
-                     tuple(self._subst_literal(c) for c in e.condition))
-            for e in program.directives(External)]
+        self.rules = [map_payloads(r, payload) for r in program.rules]
+        self.externals = [map_payloads(e, payload)
+                          for e in program.directives(External)]
         self.show_signatures = tuple(
             s.signature for s in program.directives(Show)
             if s.signature is not None)
@@ -334,32 +294,6 @@ class Grounder:
         self.counters = dict.fromkeys((  # logged by ground
             "rounds", "joins", "joins_skipped", "simplify_rounds",
             "rules_dropped"), 0)
-
-    # -- constant substitution ------------------------------------------------
-
-    def _subst_rule(self, r: Rule) -> Rule:
-        head_elems = tuple(
-            HeadElement(_subst_atom_root(el.atom, self.constants),
-                        tuple(self._subst_literal(c) for c in el.condition))
-            for el in r.head.elements)
-        body = []
-        for b in r.body:
-            if isinstance(b, ConditionalLiteral):
-                body.append(ConditionalLiteral(
-                    self._subst_literal(b.literal),
-                    tuple(self._subst_literal(c) for c in b.condition)))
-            else:
-                body.append(self._subst_literal(b))
-        return Rule(type(r.head)(head_elems), tuple(body), location=r.location)
-
-    def _subst_literal(self, lit: Literal) -> Literal:
-        p = lit.payload
-        if isinstance(p, Comparison):
-            p = Comparison(p.op, _subst_constants(p.left, self.constants),
-                           _subst_constants(p.right, self.constants))
-        else:
-            p = _subst_atom_root(p, self.constants)
-        return Literal(lit.positive, p)
 
     # -- derivable index -------------------------------------------------------
 

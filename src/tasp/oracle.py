@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, Constant, Disjunction,
@@ -454,8 +454,11 @@ def _equilibrium(rules, there, tau, facts=frozenset()) -> bool:
 
 
 def temporal_models(program: Program, n: int,
-                    max_time: Optional[int] = None) -> List[Trace]:
-    """All temporal equilibrium models of length n+1, by brute force."""
+                    max_time: Optional[int] = None) -> Iterator[Trace]:
+    """All temporal equilibrium models of length n+1, by brute force.
+
+    The models are generated lazily; the bounds are checked at the call.
+    """
     rules = instantiate(program)
     vocab = _vocabulary(rules)
     facts = {r.head.elements[0].atom for r in rules if _is_fact(r)}
@@ -473,12 +476,13 @@ def temporal_models(program: Program, n: int,
     if count > MAX_CANDIDATES:
         raise OracleError("state space too large: %d candidates" % count)
 
-    models = []
     state_choices = list(itertools.chain.from_iterable(
         [itertools.combinations(free, k) for k in range(len(free) + 1)]))
-    for states in itertools.product(state_choices, repeat=n + 1):
-        there = [frozenset(set(s) | facts) for s in states]
-        for tau in taus:
-            if _equilibrium(rules, there, tau, facts):
-                models.append(Trace(tuple(there), tau))
-    return models
+
+    def models():
+        for states in itertools.product(state_choices, repeat=n + 1):
+            there = [frozenset(set(s) | facts) for s in states]
+            for tau in taus:
+                if _equilibrium(rules, there, tau, facts):
+                    yield Trace(tuple(there), tau)
+    return models()

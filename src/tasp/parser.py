@@ -82,6 +82,7 @@ class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self._anon_counter = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -422,11 +423,9 @@ class Parser:
             return inner
         self.error("unexpected token %r" % (t.value or "end of input"))
 
-    _anon_counter = 0
-
     def _fresh_anonymous(self):
-        Parser._anon_counter += 1
-        return "_Anon%d" % Parser._anon_counter
+        self._anon_counter += 1
+        return "_Anon%d" % self._anon_counter
 
 
 def parse_program(text: str) -> Program:

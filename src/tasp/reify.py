@@ -131,6 +131,9 @@ class _Reifier:
             h = self._atom_tuple(tuple(self._atom_id(a) for a in r.head))
             db.rules.append((r.head_kind, h, b))
         for f in gp.facts:
+            if self._is_marker(f):  # a show whose condition is all facts
+                marker_shows.append((f.args[0], ()))
+                continue
             b = self._literal_tuple(())
             h = self._atom_tuple((self._atom_id(f),))
             db.rules.append(("disjunction", h, b))
@@ -222,7 +225,7 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
 def emit_reified_text(db: ReifiedDB) -> str:
     lines = ["%s." % a for a in db.facts()]
     lines.extend("%s(%s,%d)." % show for show in db.shows)
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "\n".join(lines)
 
 
 def parse_reified(text: str) -> ReifiedDB:

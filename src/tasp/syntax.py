@@ -7,6 +7,7 @@ are carried in compare-excluded fields so structural equality ignores them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Optional, Union
 
 
@@ -344,3 +345,52 @@ def payload_variables(p) -> set:
 
 def literal_variables(lit: Literal) -> set:
     return payload_variables(lit.payload)
+
+
+# ---------------------------------------------------------------------------
+# Rebuilding
+
+
+def with_args(node, args):
+    """node, a Function or TheoryExpression, with args (types kept)."""
+    return Function(node.name, args) if isinstance(node, Function) else \
+        TheoryExpression(node.operator, args, node.assigned_type, node.memberships)
+
+
+def substitute(node, leaf):
+    """node with each leaf x (a term without subterms) replaced by leaf(x),
+    unless that is None.  Rebuilds through functions, expressions (types
+    kept) and arithmetic; returns node itself when nothing changed."""
+    if isinstance(node, (Function, TheoryExpression)):
+        args = tuple(substitute(a, leaf) for a in node.args)
+        if all(map(is_, args, node.args)):
+            return node
+        return with_args(node, args)
+    if isinstance(node, BinOp):
+        left, right = substitute(node.left, leaf), substitute(node.right, leaf)
+        if left is node.left and right is node.right:
+            return node
+        return BinOp(node.op, left, right)
+    if isinstance(node, UnaryMinus):
+        arg = substitute(node.arg, leaf)
+        return node if arg is node.arg else UnaryMinus(arg)
+    new = leaf(node)
+    return node if new is None else new
+
+
+def map_payloads(stmt, f):
+    """stmt (a Rule or External) with f applied to every head atom, body
+    payload and condition payload."""
+    def lit(l):
+        return Literal(l.positive, f(l.payload))
+
+    if isinstance(stmt, External):
+        return External(f(stmt.target), tuple(map(lit, stmt.condition)),
+                        location=stmt.location)
+    head = type(stmt.head)(tuple(
+        HeadElement(f(el.atom), tuple(map(lit, el.condition)))
+        for el in stmt.head.elements))
+    body = tuple(
+        ConditionalLiteral(lit(b.literal), tuple(map(lit, b.condition)))
+        if isinstance(b, ConditionalLiteral) else lit(b) for b in stmt.body)
+    return Rule(head, body, location=stmt.location)

@@ -17,7 +17,7 @@ from .syntax import (
     Comparison, ConditionalLiteral, Constant, Disjunction, External,
     Function, HeadElement, Literal, Program, Rule, Show, TheoryExpression,
     Variable, expression_variables, literal_variables, payload_variables,
-    term_variables,
+    substitute, term_variables,
 )
 
 #: Head marker predicate for rewritten ``#show t : C.`` directives.
@@ -144,20 +144,13 @@ def _canonical(target, condition):
     """Key identifying an external up to variable renaming."""
     mapping = {}
 
-    def rename(node):
-        if isinstance(node, Variable):
-            if node.name not in mapping:
-                mapping[node.name] = "V%d" % len(mapping)
-            return Variable(mapping[node.name])
-        if isinstance(node, TheoryExpression):
-            return TheoryExpression(node.operator,
-                                    tuple(rename(a) for a in node.args))
-        if isinstance(node, Function):
-            return Function(node.name, tuple(rename(a) for a in node.args))
-        return node
+    def rename(x):
+        if isinstance(x, Variable):
+            return Variable(mapping.setdefault(x.name, "V%d" % len(mapping)))
+        return None
 
-    return (rename(target),
-            tuple(rename(c.payload) for c in condition))
+    return (substitute(target, rename),
+            tuple(substitute(c.payload, rename) for c in condition))
 
 
 def inject_externals(program: Program, g: TheoryGrammar) -> Program:

@@ -6,7 +6,10 @@ import types
 
 import pytest
 
+from conftest import oracle_traces
+
 import tasp
+from tasp.cli import Pipeline, distinct_traces
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.ground import Grounder, GroundingError, expand_term
 from tasp.parser import parse_program
@@ -116,6 +119,15 @@ def test_expression_externals_instantiated_over_condition():
     gp = _ground("green(l1). wait(L) :- not &eventually(green(L)), green(L).",
                  semantics="tel")
     assert "&eventually(green(l1))" in {str(a) for a in gp.externals}
+
+
+def test_expression_body_literal_joins_ground_expressions():
+    text = "p(1). p(2). q(X) :- &eventually(p(X)).\n"
+    gp = _ground(text, semantics="tel")
+    assert [str(r) for r in gp.rules] == ["q(1) :- &eventually(p(1)).",
+                                          "q(2) :- &eventually(p(2))."]
+    assert set(distinct_traces(Pipeline(text).meta(1))) \
+        == oracle_traces(text, 1)
 
 
 def test_expand_term_interval():

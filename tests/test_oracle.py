@@ -2,6 +2,7 @@ import pytest
 
 from conftest import TELEX, oracle_traces
 
+from tasp import oracle
 from tasp.oracle import (OracleError, Trace, eval_formula, eval_path,
                          instantiate, temporal_models)
 from tasp.parser import parse_expression, parse_program
@@ -119,7 +120,18 @@ def test_temporal_models_minimality():
 
 def test_temporal_models_choice():
     models = temporal_models(parse_program("{ a }."), 0)
-    assert len(models) == 2
+    assert len(list(models)) == 2
+
+
+def test_temporal_models_is_lazy(monkeypatch):
+    calls = []
+    equilibrium = oracle._equilibrium
+    monkeypatch.setattr(oracle, "_equilibrium",
+                        lambda *args: calls.append(args) or equilibrium(*args))
+    models = temporal_models(parse_program("{ a; b; c }."), 1)
+    assert calls == []
+    assert [sorted(s) for s in next(models).states] == [[], []]
+    assert len(calls) == 1
 
 
 def test_metric_program_requires_bound():

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from tasp.parser import ParseError, parse_expression, parse_program
 from tasp.syntax import (Choice, Comparison, ConstDef, Constant, Disjunction,
                          External, Function, Integer, Literal, Rule, Show,
-                         Supremum, TheoryExpression, Variable)
+                         Supremum, TheoryExpression, Variable, substitute)
 
 
 def test_fact():
@@ -79,6 +79,22 @@ def test_conditional_head():
     (rule,) = parse_program("p(X) : q(X) :- r.").rules
     el = rule.head.elements[0]
     assert el.condition and str(el.condition[0]) == "q(X)"
+
+
+def test_anonymous_variables_numbered_per_parse():
+    assert parse_program("q :- p(_).") == parse_program("q :- p(_).")
+
+
+def test_substitute_keeps_unchanged_nodes():
+    e = parse_expression("&next(p(X,f(1),(X+1),-Y))")
+    assert substitute(e, lambda x: None) is e
+    y_to_z = lambda x: Variable("Z") if x == Variable("Y") else None
+    typed = TheoryExpression("next", e.args, "tel", ("tel",))
+    out = substitute(typed, y_to_z)
+    assert str(out) == "&next(p(X,f(1),(X+1),-Z))"
+    assert (out.assigned_type, out.memberships) == ("tel", ("tel",))
+    assert all(a is b for a, b in zip(out.args[0].args[:3],
+                                      e.args[0].args[:3]))
 
 
 def test_parse_error_reports_location():

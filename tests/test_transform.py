@@ -48,6 +48,13 @@ def test_no_duplicate_externals():
     assert len(decls) == len(set(decls))
 
 
+def test_externals_deduplicated_up_to_renaming_inside_arithmetic():
+    prog, _ = _transformed(
+        "q(1). &next(p(X+1)) :- q(X). &next(p(Y+1)) :- q(Y).")
+    assert [str(e) for e in prog.directives(External)] == [
+        "#external p((X+1)) : q(X)."]
+
+
 def test_derived_atoms_not_external():
     prog, _ = _transformed(TELEX)
     decls = " ".join(str(e) for e in prog.directives(External))
