@@ -18,8 +18,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, Infimum, Integer, Program, Show, String, Supremum,
-    TheoryExpression, UnaryMinus, Variable, map_payloads, substitute,
+    External, Function, Infimum, Integer, Program, Rule, Show, String,
+    Supremum, TheoryExpression, UnaryMinus, Variable, map_payloads, substitute,
     with_args,
 )
 
@@ -174,7 +174,7 @@ def read_keys(literals) -> tuple:
     """Keys of the index lists a join over these literals reads."""
     return tuple(dict.fromkeys(
         atom_key(l.payload) for l in literals
-        if l.positive and not isinstance(l.payload, Comparison)))
+        if not isinstance(l.payload, Comparison)))
 
 
 def match(pattern, ground, subst) -> Optional[dict]:
@@ -258,33 +258,38 @@ class GroundProgram:
 # Grounder
 
 
+def bind_constants(statements, constants: dict) -> list:
+    """The rules and externals among statements with every constant named
+    in constants replaced by its value, which may name other constants;
+    a constant in predicate position stays."""
+    consts = dict(constants)
+    statements = [s for s in statements if isinstance(s, (Rule, External))]
+    if not consts:
+        return statements
+
+    def leaf(x):
+        return consts.get(x.name) if isinstance(x, Constant) else None
+
+    def payload(p):
+        if isinstance(p, Comparison):
+            return Comparison(p.op, substitute(p.left, leaf),
+                              substitute(p.right, leaf))
+        return p if isinstance(p, Constant) else substitute(p, leaf)
+
+    for name in list(consts):
+        consts[name] = substitute(consts[name], leaf)
+    return [map_payloads(s, payload) for s in statements]
+
+
 class Grounder:
     def __init__(self, program: Program, constants: Optional[dict] = None,
                  grammar=None):
-        consts = {}
-        for d in program.directives(ConstDef):
-            consts[d.name] = d.value
-        if constants:
-            for name, value in constants.items():
-                consts[name] = value if not isinstance(value, int) else Integer(value)
-
-        def leaf(x):
-            return consts.get(x.name) if isinstance(x, Constant) else None
-
-        def payload(p):
-            # a constant in predicate position is not substituted
-            if isinstance(p, Comparison):
-                return Comparison(p.op, substitute(p.left, leaf),
-                                  substitute(p.right, leaf))
-            return p if isinstance(p, Constant) else substitute(p, leaf)
-
-        # resolve constant-to-constant references once
-        for name in list(consts):
-            consts[name] = substitute(consts[name], leaf)
-        self.constants = consts
-        self.rules = [map_payloads(r, payload) for r in program.rules]
-        self.externals = [map_payloads(e, payload)
-                          for e in program.directives(External)]
+        consts = {d.name: d.value for d in program.directives(ConstDef)}
+        for name, value in (constants or {}).items():
+            consts[name] = Integer(value) if isinstance(value, int) else value
+        statements = bind_constants(program.statements, consts)
+        self.rules = [s for s in statements if isinstance(s, Rule)]
+        self.externals = [s for s in statements if isinstance(s, External)]
         self.show_signatures = tuple(
             s.signature for s in program.directives(Show)
             if s.signature is not None)
@@ -314,80 +319,55 @@ class Grounder:
 
     # -- body joins ------------------------------------------------------------
 
-    def _solutions(self, body, subst) -> Iterator[dict]:
-        """All substitutions satisfying the positive part of the body."""
-        pending = list(body)
-        return self._solve(pending, subst)
-
-    def _solve(self, pending, subst) -> Iterator[dict]:
+    def _solve(self, pending, subst, found=()) -> Iterator[tuple]:
+        """Each substitution satisfying the positive part of pending, a
+        list of (index, literal) pairs, with the (index, ground atom) of
+        every atom literal: the candidate it matched, or its value once
+        bound.  A bound comparison is checked here, and only here."""
         if not pending:
-            yield subst
+            yield subst, found
             return
         # pick the first processable element
-        for i, el in enumerate(pending):
-            rest = pending[:i] + pending[i + 1:]
-            if isinstance(el, ConditionalLiteral):
-                # conditionals never bind outer variables; checked later
-                yield from self._solve(rest, subst)
-                return
+        for k, (i, el) in enumerate(pending):
+            rest = pending[:k] + pending[k + 1:]
             p = el.payload
             if isinstance(p, Comparison):
-                handled = yield from self._try_comparison(el, rest, subst)
-                if handled:
+                left = term_is_bound(p.left, subst)
+                right = term_is_bound(p.right, subst)
+                if left and right:
+                    if self._comparison_holds(p, el.positive, subst):
+                        yield from self._solve(rest, subst, found)
+                    return
+                # assignment V = t, either way round
+                var, value = (p.right, p.left) if left else (p.left, p.right)
+                if el.positive and p.op == "=" and (left or right) \
+                        and isinstance(var, Variable):
+                    for v in self._expand_safe(value, subst):
+                        s2 = dict(subst)
+                        s2[var.name] = v
+                        yield from self._solve(rest, s2, found)
                     return
                 continue
-            if el.positive:
-                ground_enough = term_is_bound(p, subst)
-                if ground_enough:
-                    try:
-                        atom = eval_term(p, subst)
-                    except DropInstance:
-                        return
-                    if atom in self.derivable:
-                        yield from self._solve(rest, subst)
-                    return
-                for cand in list(self._candidates(p)):
-                    s2 = match(p, cand, subst)
-                    if s2 is not None:
-                        yield from self._solve(rest, s2)
-                return
-            # negative literal: defer until bound, ignore for derivability
             if term_is_bound(p, subst):
-                yield from self._solve(rest, subst)
+                try:
+                    atom = eval_term(p, subst)
+                except DropInstance:
+                    return
+                # a negative literal is deferred until bound and does not
+                # filter here
+                if not el.positive or atom in self.derivable:
+                    yield from self._solve(rest, subst, found + ((i, atom),))
                 return
-            continue
+            if not el.positive:
+                continue
+            for cand in list(self._candidates(p)):
+                s2 = match(p, cand, subst)
+                if s2 is not None:
+                    yield from self._solve(rest, s2, found + ((i, cand),))
+            return
         raise GroundingError(
             "cannot instantiate body: unbound %s" %
-            "; ".join(str(e) for e in pending))
-
-    def _try_comparison(self, el, rest, subst):
-        """Generator-returning helper; yields solutions, returns handled flag."""
-        p = el.payload
-        left_bound = term_is_bound(p.left, subst)
-        right_bound = term_is_bound(p.right, subst)
-        if el.positive and p.op == "=":
-            if isinstance(p.left, Variable) and p.left.name not in subst and right_bound:
-                for v in self._expand_safe(p.right, subst):
-                    s2 = dict(subst)
-                    s2[p.left.name] = v
-                    yield from self._solve(rest, s2)
-                return True
-            if isinstance(p.right, Variable) and p.right.name not in subst and left_bound:
-                for v in self._expand_safe(p.left, subst):
-                    s2 = dict(subst)
-                    s2[p.right.name] = v
-                    yield from self._solve(rest, s2)
-                return True
-        if left_bound and right_bound:
-            try:
-                a = eval_term(p.left, subst)
-                b = eval_term(p.right, subst)
-            except DropInstance:
-                return True
-            if compare_terms(p.op, a, b) == el.positive:
-                yield from self._solve(rest, subst)
-            return True
-        return False
+            "; ".join(str(el) for _, el in pending))
 
     def _expand_safe(self, t, subst):
         try:
@@ -398,9 +378,13 @@ class Grounder:
     # -- conditional expansion ---------------------------------------------------
 
     def expand_condition(self, condition, subst) -> List[dict]:
-        """All extensions of subst satisfying a conditional's condition."""
+        """All extensions of subst satisfying a conditional's condition;
+        a bound negative literal drops the extensions where it is
+        derivable (the condition is over domain predicates only)."""
         self._check_domain(condition)
-        return list(self._solve(list(condition), subst))
+        return [s for s, found in self._solve(list(enumerate(condition)), subst)
+                if not any(atom in self.derivable for i, atom in found
+                           if not condition[i].positive)]
 
     def _check_domain(self, condition):
         for c in condition:
@@ -448,12 +432,19 @@ class Grounder:
         # A join whose index lists kept the sizes they had when it last
         # started would yield the same instances again, so it is skipped;
         # one that grew its own input during its run is joined again.
-        reads = [read_keys(e.condition) for e in self.externals]
+        # A negative literal filters in a condition only.
+        reads = [read_keys(l for l in e.condition if l.positive)
+                 for e in self.externals]
+        joins = [list(enumerate(e.condition)) for e in self.externals]
         for r in self.rules:
             lits = [c for b in r.body for c in (
-                b.condition if isinstance(b, ConditionalLiteral) else (b,))]
+                b.condition if isinstance(b, ConditionalLiteral)
+                else (b,) if b.positive else ())]
             lits += [c for el in r.head.elements for c in el.condition]
             reads.append(read_keys(lits))
+            # conditionals never bind outer variables; expanded per instance
+            joins.append([(i, b) for i, b in enumerate(r.body)
+                          if not isinstance(b, ConditionalLiteral)])
         sizes: List[Optional[tuple]] = [None] * len(reads)
         instances: List[list] = [[] for _ in self.rules]
         external_atoms: Dict = {}
@@ -470,14 +461,14 @@ class Grounder:
                 sizes[i] = now
                 self.counters["joins"] += 1
                 if i < len(self.externals):
-                    for subst in self._solutions(list(job.condition), {}):
+                    for subst, _ in self._solve(joins[i], {}):
                         for target in self._expand_safe(job.target, subst):
                             external_atoms.setdefault(target)
                             grew |= self._add_derivable(target)
                     continue
                 insts = instances[i - len(self.externals)] = []
-                for subst in self._solutions(list(job.body), {}):
-                    for inst in self._build_instance(job, subst):
+                for subst, found in self._solve(joins[i], {}):
+                    for inst in self._build_instance(job, subst, found):
                         insts.append(inst)
                         for h in inst[1]:
                             grew |= self._add_derivable(h)
@@ -488,49 +479,46 @@ class Grounder:
             for k, v in self.counters.items()))
         return program
 
-    def _build_instance(self, rule, subst):
-        """All ground instances of one rule under subst (head intervals
-        expand conjunctively, i.e. into separate rules)."""
+    def _build_instance(self, rule, subst, found):
+        """All ground instances of one rule under a solution of its join
+        (head intervals expand conjunctively, i.e. into separate rules).
+        The body is assembled in body order from the join's ground atoms;
+        only conditional literals are expanded here."""
+        atoms = dict(found)
+        body = []
         try:
-            body = self._ground_body(rule.body, subst)
-            if body is None:
-                return []
+            for i, b in enumerate(rule.body):
+                if i in atoms:
+                    body.append((b.positive, atoms[i]))
+                elif isinstance(b, ConditionalLiteral):
+                    lit = b.literal
+                    for s2 in self.expand_condition(b.condition, subst):
+                        if not isinstance(lit.payload, Comparison):
+                            body.append(
+                                (lit.positive, eval_term(lit.payload, s2)))
+                        elif not self._comparison_holds(
+                                lit.payload, lit.positive, s2):
+                            return []
             heads = self._ground_head(rule.head, subst)
         except DropInstance:
             return []
         kind = "choice" if isinstance(rule.head, Choice) else "disjunction"
-        return [(kind, head, tuple(body)) for head in heads]
+        body = tuple(body)
+        return [(kind, head, body) for head in heads]
 
     def _comparison_holds(self, cmp, positive, subst) -> bool:
-        lv = self._expand_safe(cmp.left, subst)
-        rv = self._expand_safe(cmp.right, subst)
-        if not lv or not rv:
+        """Whether a bound comparison holds; an interval on either side
+        of = gives membership, e.g. X = 1..N."""
+        try:
+            lv = expand_term(cmp.left, subst)
+            rv = expand_term(cmp.right, subst)
+        except DropInstance:
             return False
         if len(lv) == 1 and len(rv) == 1:
             return compare_terms(cmp.op, lv[0], rv[0]) == positive
         if cmp.op == "=":
-            # interval assignment/membership, e.g. X = 1..N
             return bool(set(lv) & set(rv)) == positive
         raise GroundingError("interval with %r comparison" % cmp.op)
-
-    def _ground_body(self, body, subst):
-        out = []
-        for b in body:
-            if isinstance(b, ConditionalLiteral):
-                for s2 in self.expand_condition(b.condition, subst):
-                    lit = b.literal
-                    if isinstance(lit.payload, Comparison):
-                        if not self._comparison_holds(lit.payload, lit.positive, s2):
-                            return None
-                        continue
-                    out.append((lit.positive, eval_term(lit.payload, s2)))
-                continue
-            if isinstance(b.payload, Comparison):
-                if not self._comparison_holds(b.payload, b.positive, subst):
-                    return None
-                continue
-            out.append((b.positive, eval_term(b.payload, subst)))
-        return out
 
     def _ground_head(self, head, subst) -> List[tuple]:
         """Alternative heads: conditioned elements expand disjunctively,

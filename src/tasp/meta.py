@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .ground import GroundProgram, Grounder
+from .ground import GroundProgram, Grounder, bind_constants
 from .parser import parse_program
 from .reify import ReifiedDB
 from .syntax import (Disjunction, Function, HeadElement, Integer, Program,
@@ -277,10 +277,12 @@ def _schema_statements(text) -> tuple:
 
 
 def _instantiate(schema_texts, extra_facts, constants) -> GroundProgram:
+    """Ground the schemas, with constants bound in them only, over the
+    facts: a reified user symbol keeps any n or m it names."""
     statements = list(extra_facts)
     for text in schema_texts:
-        statements.extend(_schema_statements(text))
-    return Grounder(Program(tuple(statements)), constants).ground()
+        statements.extend(bind_constants(_schema_statements(text), constants))
+    return Grounder(Program(tuple(statements))).ground()
 
 
 def _check_outputs(db: ReifiedDB):

@@ -268,9 +268,9 @@ class Parser:
         if self.accept("{"):
             elements = []
             if not self.check("}"):
-                elements.append(self.parse_head_element(in_choice=True))
+                elements.append(self.parse_head_element())
                 while self.accept(";"):
-                    elements.append(self.parse_head_element(in_choice=True))
+                    elements.append(self.parse_head_element())
             self.expect("}")
             return Choice(tuple(elements))
         elements = [self.parse_head_element()]
@@ -279,12 +279,11 @@ class Parser:
             elements.append(self.parse_head_element())
         return Disjunction(tuple(elements))
 
-    def parse_head_element(self, in_choice=False) -> HeadElement:
+    def parse_head_element(self) -> HeadElement:
         atom = self.parse_atom_like()
         condition = ()
         if self.accept(":"):
-            stops = ("}",) if in_choice else ()
-            condition = tuple(self.parse_condition(stops))
+            condition = tuple(self.parse_condition())
         return HeadElement(atom, condition)
 
     def parse_body(self):
@@ -304,8 +303,8 @@ class Parser:
             return ConditionalLiteral(lit, condition)
         return lit
 
-    def parse_condition(self, stops=()):
-        """Comma-separated literals, ending at ; . :- or a custom stop."""
+    def parse_condition(self):
+        """Comma-separated literals."""
         out = [self.parse_literal()]
         while self.accept(","):
             out.append(self.parse_literal())

@@ -317,11 +317,11 @@ def walk_terms(t):
 
 def walk_expression(e):
     """Yield e and every nested expression/term node, depth first."""
-    yield e
     if isinstance(e, TheoryExpression):
+        yield e
         for a in e.args:
             yield from walk_expression(a)
-    elif isinstance(e, (Function, BinOp, UnaryMinus)):
+    else:
         yield from walk_terms(e)
 
 

@@ -5,6 +5,7 @@ Each test covers one acceptance criterion and prints a single
 lines for passing tests as well).
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -150,6 +151,25 @@ def test_criterion_4_tel_oracle_equivalence():
     ok = mismatches == 0 and elapsed < 300
     _report(4, ok, "200 random TEL programs, %d mismatches (%.1fs)"
             % (mismatches, elapsed))
+
+
+def test_criterion_4_ground_programs_digest():
+    # sha256 over the user and meta ground programs (text and symbol
+    # table) of criterion 4's programs, recorded before the grounder
+    # built each instance in its join
+    rng = random.Random(404)
+    h = hashlib.sha256()
+    for trial in range(200):
+        text = _rand_tel_program(rng)
+        n = rng.choice((0, 1, 2))
+        p = Pipeline(text)
+        for gp in (p.ground, p.meta(n).program):
+            h.update(("%s\n%s\n" % (
+                gp, " ".join(map(str, gp.symbol_table)))).encode())
+    ok = h.hexdigest() == (
+        "efc647e9f9c34bc03ea6608b81e5c00b04938ac230a092ab9ef3847b8ba210ad")
+    _report(4, ok, "ground programs of the 200 random TEL programs "
+            "unchanged")
 
 
 def _rand_window(rng):

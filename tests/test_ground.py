@@ -196,6 +196,80 @@ def test_fact_chains_promote_one_layer_per_round():
     assert _listing(gp) == (order, [], [], order)
 
 
+# ---------------------------------------------------------------------------
+# The join builds each instance: listings recorded before the body was
+# assembled from the join's own atoms
+
+
+@pytest.mark.parametrize("text,semantics,listing", [
+    # a comparison written before the atoms that bind it
+    ("p(1..3). q(X,Y) :- X < Y, p(X), p(Y), not r(X,Y). { r(1,2) }.", None,
+     (["p(1)", "p(2)", "p(3)", "q(1,3)", "q(2,3)"],
+      ["q(1,2) :- not r(1,2).", "{ r(1,2) }."], [],
+      ["p(1)", "p(2)", "p(3)", "q(1,3)", "q(2,3)", "q(1,2)", "r(1,2)"])),
+    # V = t assigns every value of an interval
+    ("q(1). q(3). p(X,V) :- q(X), V = X..X+1, not s(V). { s(2) }.", None,
+     (["q(1)", "q(3)", "p(1,1)", "p(3,3)", "p(3,4)"],
+      ["p(1,2) :- not s(2).", "{ s(2) }."], [],
+      ["q(1)", "q(3)", "p(1,1)", "p(3,3)", "p(3,4)", "p(1,2)", "s(2)"])),
+    # arithmetic inside a matched pattern
+    ("r(1..3). s(2,a). s(4,b). { t(3) }. q(X,Y) :- r(X), s(X+1,Y), not t(X).",
+     None,
+     (["r(1)", "r(2)", "r(3)", "s(2,a)", "s(4,b)", "q(1,a)"],
+      ["{ t(3) }.", "q(3,b) :- not t(3)."], [],
+      ["r(1)", "r(2)", "r(3)", "s(2,a)", "s(4,b)", "q(1,a)", "t(3)",
+       "q(3,b)"])),
+    # division by zero drops the instance, in an atom, a comparison and a
+    # negative literal
+    ("p(0..2). s(3). s(6). r(X) :- p(X), s(6/X). u(X) :- p(X), 6/X > 3. "
+     "{ w(3) }. v(X) :- p(X), not w(6/X).", None,
+     (["p(0)", "p(1)", "p(2)", "s(3)", "s(6)", "r(1)", "r(2)", "u(1)",
+       "v(1)"],
+      ["{ w(3) }.", "v(2) :- not w(3)."], [],
+      ["p(0)", "p(1)", "p(2)", "s(3)", "s(6)", "r(1)", "r(2)", "u(1)", "v(1)",
+       "w(3)", "v(2)"])),
+    # a comparison in a condition, and as the literal of a conditional
+    ("p(1..3). { q(1..3) }. a :- q(X) : p(X), X < 3. b :- X < 4 : p(X); q(1). "
+     "c :- X < 3 : p(X); q(2).", None,
+     (["p(1)", "p(2)", "p(3)"],
+      ["{ q(1) }.", "{ q(2) }.", "{ q(3) }.", "a :- q(1); q(2).", "b :- q(1)."],
+      [], ["p(1)", "p(2)", "p(3)", "q(1)", "q(2)", "q(3)", "a", "b"])),
+    # expression body literals, negative and positive
+    ("green(l1). light(l1). light(l2). "
+     "wait(L) :- not &eventually(green(L)), light(L). "
+     "go(L) :- &next(green(L)), light(L).", "tel",
+     (["green(l1)", "light(l1)", "light(l2)"],
+      ["wait(l1) :- not &eventually(green(l1)).",
+       "wait(l2) :- not &eventually(green(l2)).",
+       "go(l1) :- &next(green(l1))."],
+      ["&eventually(green(l1))", "&eventually(green(l2))", "&next(green(l1))"],
+      ["green(l1)", "light(l1)", "light(l2)", "&eventually(green(l1))",
+       "&eventually(green(l2))", "&next(green(l1))", "wait(l1)", "wait(l2)",
+       "go(l1)"])),
+])
+def test_join_listing(text, semantics, listing):
+    assert _listing(_ground(text, semantics=semantics)) == listing
+
+
+def test_bound_interval_comparison_is_membership():
+    gp = _ground("q(1). q(5). p(X) :- q(X), X = 1..3.")
+    assert [str(f) for f in gp.facts] == ["q(1)", "q(5)", "p(1)"]
+    gp = _ground("q(1). q(5). p(X) :- q(X), not X = 1..3.")
+    assert [str(f) for f in gp.facts] == ["q(1)", "q(5)", "p(5)"]
+
+
+def test_negative_condition_literal_filters_expansion():
+    facts = "q(1). q(2). r(1). { p(1); p(2) }. "
+    gp = _ground(facts + "a :- p(X) : q(X), not r(X).")
+    assert "a :- p(2)." in [str(r) for r in gp.rules]
+    gp = _ground("q(1). q(2). r(1). { s(X) : q(X), not r(X) }.")
+    assert [str(r) for r in gp.rules] == ["{ s(2) }."]
+    # r is derived by a rule written after the one that reads it
+    gp = _ground("q(1). q(2). { p(1); p(2) }. a :- p(X) : q(X), not r(X). "
+                 "r(X) :- q(X), X < 2.")
+    assert "a :- p(2)." in [str(r) for r in gp.rules]
+
+
 def test_ground_logs_counters(caplog):
     with caplog.at_level(logging.DEBUG, logger="tasp"):
         _ground("p(1..3). q(X) :- p(X). r(X) :- q(X), not s(X).")

@@ -106,6 +106,17 @@ def test_mel_models_match_oracle(max_time, count):
     assert len(solved) == count
 
 
+@pytest.mark.parametrize("text,semantics,max_time", [
+    ("{ p(n) }. { p(0) }. a :- &eventually(p(0)).", "tel", None),
+    ("{ p(m) }. { p(4) }. a :- &eventually(&i(0,#sup),p(4)).", "mel", 4),
+])
+def test_horizon_constants_bound_in_schemas_only(text, semantics, max_time):
+    # n = 0 and m = 4 must not rename the user symbols p(n) and p(m)
+    solved = set(distinct_traces(Pipeline(text, semantics).meta(0, max_time)))
+    assert solved == oracle_traces(text, 0, max_time=max_time)
+    assert len(solved) == 4
+
+
 # ---------------------------------------------------------------------------
 # Fischer-Ladner closure
 

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 from tasp.parser import ParseError, parse_expression, parse_program
 from tasp.syntax import (Choice, Comparison, ConstDef, Constant, Disjunction,
                          External, Function, Integer, Literal, Rule, Show,
-                         Supremum, TheoryExpression, Variable, substitute)
+                         Supremum, TheoryExpression, Variable, substitute,
+                         walk_expression)
 
 
 def test_fact():
@@ -95,6 +96,14 @@ def test_substitute_keeps_unchanged_nodes():
     assert (out.assigned_type, out.memberships) == ("tel", ("tel",))
     assert all(a is b for a, b in zip(out.args[0].args[:3],
                                       e.args[0].args[:3]))
+
+
+def test_walk_expression_visits_each_node_once():
+    e = parse_expression("&next(p(a,(X+1)))")
+    assert [str(x) for x in walk_expression(e)] == [
+        "&next(p(a,(X+1)))", "p(a,(X+1))", "a", "(X+1)", "X", "1"]
+    assert [str(x) for x in walk_expression(e.args[0])] == [
+        "p(a,(X+1))", "a", "(X+1)", "X", "1"]
 
 
 def test_parse_error_reports_location():
