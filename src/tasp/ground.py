@@ -18,8 +18,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, Infimum, Integer, Program, Rule, Show, String,
-    Supremum, TheoryExpression, UnaryMinus, Variable, map_payloads, substitute,
+    External, Function, Infimum, Integer, Program, Show, String, Supremum,
+    TheoryExpression, UnaryMinus, Variable, map_payloads, substitute,
     with_args,
 )
 
@@ -259,13 +259,12 @@ class GroundProgram:
 
 
 def bind_constants(statements, constants: dict) -> list:
-    """The rules and externals among statements with every constant named
-    in constants replaced by its value, which may name other constants;
-    a constant in predicate position stays."""
+    """statements (rules and externals) with every constant named in
+    constants replaced by its value, which may name other constants; a
+    constant in predicate position stays."""
     consts = dict(constants)
-    statements = [s for s in statements if isinstance(s, (Rule, External))]
     if not consts:
-        return statements
+        return list(statements)
 
     def leaf(x):
         return consts.get(x.name) if isinstance(x, Constant) else None
@@ -287,9 +286,8 @@ class Grounder:
         consts = {d.name: d.value for d in program.directives(ConstDef)}
         for name, value in (constants or {}).items():
             consts[name] = Integer(value) if isinstance(value, int) else value
-        statements = bind_constants(program.statements, consts)
-        self.rules = [s for s in statements if isinstance(s, Rule)]
-        self.externals = [s for s in statements if isinstance(s, External)]
+        self.rules = bind_constants(program.rules, consts)
+        self.externals = bind_constants(program.directives(External), consts)
         self.show_signatures = tuple(
             s.signature for s in program.directives(Show)
             if s.signature is not None)
@@ -323,7 +321,8 @@ class Grounder:
         """Each substitution satisfying the positive part of pending, a
         list of (index, literal) pairs, with the (index, ground atom) of
         every atom literal: the candidate it matched, or its value once
-        bound.  A bound comparison is checked here, and only here."""
+        bound.  A bound comparison is checked here, and only here.  A
+        literal with index None need only be bound."""
         if not pending:
             yield subst, found
             return
@@ -349,6 +348,9 @@ class Grounder:
                     return
                 continue
             if term_is_bound(p, subst):
+                if i is None:  # bound, but neither evaluated nor recorded
+                    yield from self._solve(rest, subst, found)
+                    return
                 try:
                     atom = eval_term(p, subst)
                 except DropInstance:
@@ -397,21 +399,23 @@ class Grounder:
                     "%s/%d" % (key[1], key[2]))
 
     def _compute_non_domain(self):
-        """Predicates whose extension depends on choices or negation."""
+        """Predicates whose extension depends on choices, negation,
+        disjunction or a conditional body literal: every derivable atom
+        of the others is true."""
         non_domain = set()
         changed = True
         while changed:
             changed = False
             for r in self.rules:
-                tainted = isinstance(r.head, Choice) or len(r.head.elements) > 1
+                tainted = (isinstance(r.head, Choice)
+                           or len(r.head.elements) > 1
+                           or any(el.condition for el in r.head.elements))
                 for b in r.body:
-                    lit = b.literal if isinstance(b, ConditionalLiteral) else b
-                    if isinstance(lit.payload, Comparison):
-                        continue
-                    if not lit.positive:
+                    if isinstance(b, ConditionalLiteral):
                         tainted = True
-                    elif atom_key(lit.payload) in non_domain:
-                        tainted = True
+                    elif not isinstance(b.payload, Comparison):
+                        tainted |= (not b.positive
+                                    or atom_key(b.payload) in non_domain)
                 if tainted:
                     for el in r.head.elements:
                         key = atom_key(el.atom)
@@ -432,10 +436,12 @@ class Grounder:
         # A join whose index lists kept the sizes they had when it last
         # started would yield the same instances again, so it is skipped;
         # one that grew its own input during its run is joined again.
-        # A negative literal filters in a condition only.
+        # A negative literal filters in a condition only; in an
+        # external's condition it need only be bound.
         reads = [read_keys(l for l in e.condition if l.positive)
                  for e in self.externals]
-        joins = [list(enumerate(e.condition)) for e in self.externals]
+        joins = [[(i if l.positive else None, l)
+                  for i, l in enumerate(e.condition)] for e in self.externals]
         for r in self.rules:
             lits = [c for b in r.body for c in (
                 b.condition if isinstance(b, ConditionalLiteral)
@@ -508,11 +514,10 @@ class Grounder:
 
     def _comparison_holds(self, cmp, positive, subst) -> bool:
         """Whether a bound comparison holds; an interval on either side
-        of = gives membership, e.g. X = 1..N."""
-        try:
-            lv = expand_term(cmp.left, subst)
-            rv = expand_term(cmp.right, subst)
-        except DropInstance:
+        of = gives membership, e.g. X = 1..N, and an empty side fails."""
+        lv = self._expand_safe(cmp.left, subst)
+        rv = self._expand_safe(cmp.right, subst)
+        if not lv or not rv:
             return False
         if len(lv) == 1 and len(rv) == 1:
             return compare_terms(cmp.op, lv[0], rv[0]) == positive

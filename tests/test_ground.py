@@ -258,6 +258,31 @@ def test_bound_interval_comparison_is_membership():
     assert [str(f) for f in gp.facts] == ["q(1)", "q(5)", "p(5)"]
 
 
+def test_empty_interval_comparison_fails_in_a_conditional():
+    for lit in ("not X = 3..1", "X < 3..1"):
+        gp = _ground("q(1). p :- %s : q(X)." % lit)
+        assert [str(f) for f in gp.facts] == ["q(1)"] and gp.rules == []
+
+
+def test_external_negative_condition_literal_is_not_evaluated():
+    gp = _ground("#external a(X) : q(X), not r(X/0). q(1).")
+    assert [str(e) for e in gp.externals] == ["a(1)"]
+    with pytest.raises(GroundingError, match="unbound not r"):
+        _ground("#external a(X) : q(X), not r(Y). q(1).")
+
+
+@pytest.mark.parametrize("text", [
+    # a conditional body: p(2) is underivable, so a is false
+    "q(1). q(2). p(1). a :- p(X) : q(X). { b(1..2) }. "
+    "c :- b(Y) : q(Y), not a.",
+    # a conditioned head is a disjunction once expanded
+    "q(1). q(2). p(X) : q(X). { b(1..2) }. a :- b(X) : p(X).",
+])
+def test_condition_over_a_possibly_false_derivable_atom_is_rejected(text):
+    with pytest.raises(GroundingError, match="non-domain predicate"):
+        _ground(text)
+
+
 def test_negative_condition_literal_filters_expansion():
     facts = "q(1). q(2). r(1). { p(1); p(2) }. "
     gp = _ground(facts + "a :- p(X) : q(X), not r(X).")
