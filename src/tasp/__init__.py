@@ -10,7 +10,7 @@ brute-force oracle for cross-validation.
 from .grammar import (TheoryGrammar, builtin_grammar, load_grammar,
                       typecheck_program)
 from .ground import Grounder, GroundProgram
-from .meta import MetaProgram, build, default_max_time, extract_model, fl_close
+from .meta import MetaProgram, build, default_max_time, extract_model
 from .oracle import Trace, eval_formula, eval_path, temporal_models
 from .parser import parse_expression, parse_program
 from .reify import ReifiedDB, emit_reified_text, isomorphic, parse_reified
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "TheoryGrammar", "builtin_grammar", "load_grammar", "typecheck_program",
     "Grounder", "GroundProgram",
-    "MetaProgram", "build", "default_max_time", "extract_model", "fl_close",
+    "MetaProgram", "build", "default_max_time", "extract_model",
     "Trace", "eval_formula", "eval_path", "temporal_models",
     "parse_expression", "parse_program",
     "ReifiedDB", "emit_reified_text", "isomorphic", "parse_reified",

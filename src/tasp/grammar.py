@@ -111,62 +111,44 @@ class TheoryGrammar:
                         "macro pattern in type %r has undeclared placeholders %s"
                         % (spec.name, sorted(pattern_names - declared)))
         for name in self.types:
-            self.closure(name)  # raises on cycles
+            self.closure(name)  # raises on cycles through name
 
     # -- subtype closure -----------------------------------------------------
 
     def closure(self, name: str) -> Tuple[str, ...]:
-        """BFS order of name and all types reachable via subtype edges."""
-        if name in self._closure:
-            return self._closure[name]
-        order, queue, onpath = [], [name], set()
-        seen = set()
-        # detect cycles with a DFS first
-        self._check_acyclic(name, onpath)
-        while queue:
-            t = queue.pop(0)
-            if t in seen:
-                continue
-            seen.add(t)
-            order.append(t)
-            spec = self.types.get(t)
-            if spec is not None:
-                queue.extend(spec.subtypes)
-        self._closure[name] = tuple(order)
+        """BFS order of name and all types reachable via subtype edges;
+        a subtype edge back to name is a cycle."""
+        if name not in self._closure:
+            order, seen = [name], {name}
+            for t in order:  # the list grows as the BFS queue
+                for sub in self._subtypes(t):
+                    if sub == name:
+                        raise GrammarError(
+                            "cyclic subtypes involving %r" % name)
+                    if sub not in seen:
+                        seen.add(sub)
+                        order.append(sub)
+            self._closure[name] = tuple(order)
         return self._closure[name]
 
-    def _check_acyclic(self, name, onpath):
-        if name in onpath:
-            raise GrammarError("cyclic subtypes involving %r" % name)
+    def _subtypes(self, name: str) -> Tuple[str, ...]:
         spec = self.types.get(name)
-        if spec is None:
-            return
-        onpath.add(name)
-        for sub in spec.subtypes:
-            self._check_acyclic(sub, onpath)
-        onpath.discard(name)
+        return spec.subtypes if spec is not None else ()
 
     def is_subtype(self, sub: str, sup: str) -> bool:
         return sub in self.closure(sup)
 
     def membership_path(self, start: str, goal: str) -> Optional[Tuple[str, ...]]:
-        """Shortest subtype path from start down to goal, inclusive."""
-        if start == goal:
-            return (start,)
-        queue = [(start, (start,))]
-        seen = {start}
-        while queue:
-            t, path = queue.pop(0)
-            spec = self.types.get(t)
-            subs = spec.subtypes if spec is not None else ()
-            for sub in subs:
-                if sub in seen:
-                    continue
-                if sub == goal:
-                    return path + (sub,)
-                seen.add(sub)
-                queue.append((sub, path + (sub,)))
-        return None
+        """Shortest subtype path from start down to goal, inclusive: the
+        branch of closure(start)'s BFS tree that reaches goal, where each
+        type's parent is the first type in BFS order that lists it."""
+        order = self.closure(start)
+        if goal not in order:
+            return None
+        path = [goal]
+        while path[-1] != start:
+            path.append(next(t for t in order if path[-1] in self._subtypes(t)))
+        return tuple(reversed(path))
 
     def find_spec(self, expected: str, operator: str, arity: int):
         """Locate (type, ExpressionSpec) for operator/arity under expected."""

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .ground import GroundProgram, Grounder, bind_constants
 from .parser import parse_program
@@ -124,8 +123,24 @@ true(F,J) :- wit(eventually(i(L,U),F),T,J).
 :- wit(eventually(i(L,U),F),T,J), dist_ge(T,J,U).
 """
 
-#: Path operators over the Fischer-Ladner closure (provided as facts).
+#: Path operators.  The first twelve rules close formula/2 under one-step
+#: unfolding of each path (the Fischer-Ladner closure); the rest give the
+#: truth conditions of the unfolded formulas.
 DEL_SCHEMA = """\
+formula(K,F) :- formula(K,eventually(P,F)).
+formula(K,G) :- formula(K,eventually(test(G),F)).
+formula(K,eventually(P,eventually(Q,F))) :- formula(K,eventually(seq(P,Q),F)).
+formula(K,eventually(P,F)) :- formula(K,eventually(choice(P,Q),F)).
+formula(K,eventually(Q,F)) :- formula(K,eventually(choice(P,Q),F)).
+formula(K,eventually(P,eventually(star(P),F))) :-
+    formula(K,eventually(star(P),F)).
+formula(K,F) :- formula(K,always(P,F)).
+formula(K,G) :- formula(K,always(test(G),F)).
+formula(K,always(P,always(Q,F))) :- formula(K,always(seq(P,Q),F)).
+formula(K,always(P,F)) :- formula(K,always(choice(P,Q),F)).
+formula(K,always(Q,F)) :- formula(K,always(choice(P,Q),F)).
+formula(K,always(P,always(star(P),F))) :- formula(K,always(star(P),F)).
+
 true(eventually(step,F),T) :- formula(del,eventually(step,F)),
     time(T), T < n, true(F,T+1).
 true(F,T+1) :- formula(del,eventually(step,F)),
@@ -197,77 +212,12 @@ true(always(P,always(star(P),F)),T) :- formula(del,always(star(P),F)),
 
 
 # ---------------------------------------------------------------------------
-# Fischer-Ladner closure
-
-
-@dataclass
-class FLClosure:
-    formulas: Tuple = ()  # of (type, encoded term), insertion ordered
-
-
-#: Safety bound on closure size; the closure of a finite set is finite.
-MAX_CLOSURE = 100_000
-
-
-def _shape(term):
-    """(operator, args) for modal terms, else None."""
-    if isinstance(term, Function) and term.name in ("eventually", "always") \
-            and len(term.args) == 2:
-        return term.name, term.args
-    return None
-
-
-def fl_close(formulas) -> FLClosure:
-    """Least superset closed under one-step unfolding of path operators."""
-    out: Dict = {}
-    work: List = []
-
-    def add(entry):
-        if entry not in out:
-            if len(out) > MAX_CLOSURE:
-                raise MetaError("closure bound exceeded")
-            out[entry] = None
-            work.append(entry)
-
-    for entry in formulas:
-        add(tuple(entry))
-
-    def modal(op, path, f):
-        return Function(op, (path, f))
-
-    while work:
-        t, term = work.pop()
-        shape = _shape(term)
-        if shape is None:
-            continue
-        op, (path, f) = shape
-        add((t, f))
-        if isinstance(path, Function):
-            if path.name == "test" and len(path.args) == 1:
-                add((t, path.args[0]))
-            elif path.name == "seq" and len(path.args) == 2:
-                p, q = path.args
-                add((t, modal(op, p, modal(op, q, f))))
-            elif path.name == "choice" and len(path.args) == 2:
-                p, q = path.args
-                add((t, modal(op, p, f)))
-                add((t, modal(op, q, f)))
-            elif path.name == "star" and len(path.args) == 1:
-                p = path.args[0]
-                add((t, modal(op, p, modal(op, Function("star", (p,)), f))))
-    return FLClosure(tuple(out))
-
-
-# ---------------------------------------------------------------------------
 # Schema instantiation
 
 
-def db_facts(db: ReifiedDB, closure: Optional[FLClosure] = None) -> List[Rule]:
-    """The reified database (with the closure's formulas in place of its
-    own, when given) as fact rules."""
-    formulas = closure.formulas if closure is not None else None
-    return [Rule(Disjunction((HeadElement(a),)), ())
-            for a in db.facts(formulas)]
+def db_facts(db: ReifiedDB) -> List[Rule]:
+    """The reified database as fact rules."""
+    return [Rule(Disjunction((HeadElement(a),)), ()) for a in db.facts()]
 
 
 @lru_cache(maxsize=None)
@@ -329,7 +279,6 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
 
     schemas = [CORE_SCHEMA, BRIDGE_SCHEMA, BASIC_SCHEMA, TEL_SCHEMA]
     constants = {"n": Integer(n)}
-    closure = None
     if semantics == "mel":
         if max_time is None:
             max_time = default_max_time(n)
@@ -339,10 +288,9 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
         schemas.append(MEL_SCHEMA)
         constants["m"] = Integer(max_time)
     elif semantics == "del":
-        closure = fl_close(db.formulas)
         schemas.append(DEL_SCHEMA)
 
-    program = _instantiate(schemas, db_facts(db, closure), constants)
+    program = _instantiate(schemas, db_facts(db), constants)
     return MetaProgram(program, db, n, semantics, max_time)
 
 
@@ -353,19 +301,20 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
 def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
     """Project a stable model of the meta program onto shown states.
 
-    Returns (states, tau): states is a tuple of n+1 frozensets of rendered
-    terms; tau maps each state to its time point for MEL, else None.
+    `atoms` is the whole model, the program's facts included (the solver
+    keeps them).  Returns (states, tau): states is a tuple of n+1
+    frozensets of rendered terms; tau maps each state to its time point
+    for MEL, else None.
     """
-    facts = meta.program.facts
     states = [set() for _ in range(meta.n + 1)]
     for rendered, probes in meta.shown:
         for state, probe in zip(states, probes):
-            if probe in atoms or probe in facts:
+            if probe in atoms:
                 state.add(rendered)
     tau = None
     if meta.semantics == "mel":
         tau = [None] * (meta.n + 1)
-        for a in chain(atoms, facts):
+        for a in atoms:
             if isinstance(a, Function) and a.name == "tau" and len(a.args) == 2:
                 t, v = a.args
                 if isinstance(t, Integer) and 0 <= t.value <= meta.n \

@@ -77,11 +77,17 @@ def tokenize(text: str) -> List[Token]:
 _CMP_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _GRAMMAR_FIELDS = {"subtypes", "occurrence", "expressions", "macros"}
 
+#: Bound on term and expression nesting, so that no later stage recurses
+#: too deep; argument lists, parentheses, unary minus and each chained
+#: binary operator count one level.
+MAX_NESTING = 100
+
 
 class Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
         self._anon_counter = 0
 
     # -- token plumbing -----------------------------------------------------
@@ -114,6 +120,16 @@ class Parser:
 
     def error(self, message):
         raise ParseError(message, self.tok.line, self.tok.column)
+
+    def enter(self):
+        """Go one nesting level down.  A ParseError ends the parse, so
+        the error paths need no leave()."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting deeper than %d" % MAX_NESTING)
+
+    def leave(self):
+        self.depth -= 1
 
     # -- entry points -------------------------------------------------------
 
@@ -343,10 +359,12 @@ class Parser:
             self.error("expected theory operator name")
         args = []
         if self.accept("("):
+            self.enter()
             args.append(self.parse_theory_argument())
             while self.accept(","):
                 args.append(self.parse_theory_argument())
             self.expect(")")
+            self.leave()
         return TheoryExpression(op.value, tuple(args))
 
     def parse_theory_argument(self):
@@ -364,24 +382,32 @@ class Parser:
         return left
 
     def parse_additive(self):
+        depth = self.depth
         left = self.parse_multiplicative()
         while self.tok.value in ("+", "-"):
             op = self.advance().value
+            self.enter()
             right = self.parse_multiplicative()
             left = BinOp(op, left, right)
+        self.depth = depth
         return left
 
     def parse_multiplicative(self):
+        depth = self.depth
         left = self.parse_unary()
         while self.tok.value in ("*", "/", "\\"):
             op = self.advance().value
+            self.enter()
             right = self.parse_unary()
             left = BinOp(op, left, right)
+        self.depth = depth
         return left
 
     def parse_unary(self):
         if self.accept("-"):
+            self.enter()
             arg = self.parse_unary()
+            self.leave()
             if isinstance(arg, Integer):
                 return Integer(-arg.value)
             return UnaryMinus(arg)
@@ -404,10 +430,12 @@ class Parser:
             if t.value == "_":
                 return Variable(self._fresh_anonymous())
             if self.accept("("):
+                self.enter()
                 args = [self.parse_term()]
                 while self.accept(","):
                     args.append(self.parse_term())
                 self.expect(")")
+                self.leave()
                 return Function(t.value, tuple(args))
             return Constant(t.value)
         if t.value == "#sup":
@@ -417,8 +445,10 @@ class Parser:
             self.advance()
             return INF
         if self.accept("("):
+            self.enter()
             inner = self.parse_term()
             self.expect(")")
+            self.leave()
             return inner
         self.error("unexpected token %r" % (t.value or "end of input"))
 

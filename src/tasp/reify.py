@@ -66,12 +66,11 @@ class ReifiedDB:
             out.append(Function("output", (sym, Integer(b))))
         return out
 
-    def facts(self, formulas=None):
+    def facts(self):
         """Every fact atom but the show facts: the core, then the
-        formulas (`formulas` in their place, e.g. their closure, when
-        given), then the externals."""
+        formulas, then the externals."""
         yield from self.core_facts()
-        for t, e in self.formulas if formulas is None else formulas:
+        for t, e in self.formulas:
             yield Function("formula", (Constant(t), e))
         for sym, b in self.externals:
             yield Function("external", (sym, Integer(b)))

@@ -3,8 +3,9 @@ and ``#show`` rewriting.
 
 These passes run on a typed program and produce a standard program whose
 grounding keeps nested theory expressions alive.  Body theory expressions
-get protecting externals (kind 1); atoms nested in head expressions get
-externals that put them into the instantiation domain (kind 2).
+get protecting externals (kind 1); atoms nested in head expressions, but
+not under ``&not``, get externals that put them into the instantiation
+domain (kind 2).
 """
 
 from __future__ import annotations
@@ -45,16 +46,6 @@ class SafetyReport:
         return not self.unsafe_variables
 
 
-def _spec_for(expr: TheoryExpression, g: TheoryGrammar):
-    tspec = g.types.get(expr.assigned_type)
-    if tspec is None:
-        return None
-    for e in tspec.expressions:
-        if e.operator == expr.operator and e.arity == len(expr.args):
-            return e
-    return None
-
-
 def safe_atoms_in(expr, g: TheoryGrammar):
     """Atoms reachable from expr through safe-declared argument positions."""
     if isinstance(expr, (Constant, Function)):
@@ -62,12 +53,21 @@ def safe_atoms_in(expr, g: TheoryGrammar):
         return
     if not isinstance(expr, TheoryExpression):
         return
-    spec = _spec_for(expr, g)
-    if spec is None:
+    found = g.find_spec(expr.assigned_type, expr.operator, len(expr.args))
+    if found is None:
         return
-    for arg, safety in zip(expr.args, spec.arg_safety):
+    for arg, safety in zip(expr.args, found[1].arg_safety):
         if safety == "safe":
             yield from safe_atoms_in(arg, g)
+
+
+def derivable_atoms_in(expr):
+    """Atoms a head expression can make true: those not under &not."""
+    if isinstance(expr, (Constant, Function)):
+        yield expr
+    elif isinstance(expr, TheoryExpression) and expr.operator != "not":
+        for arg in expr.args:
+            yield from derivable_atoms_in(arg)
 
 
 def _bind_comparisons(body, bound: Set[str]):
@@ -187,7 +187,7 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
                 extra = _condition_atoms(b) if isinstance(b, ConditionalLiteral) else ()
                 add(lit.payload, _dedupe(base_condition + extra))
 
-        # kind 2: ground every atom inside a non-negated head expression
+        # kind 2: ground every atom a head expression can derive
         for el in rule.head.elements:
             if not isinstance(el.atom, TheoryExpression):
                 continue
@@ -195,9 +195,7 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
                 a for c in el.condition if c.positive
                 and not isinstance(c.payload, Comparison)
                 for a in safe_atoms_in(c.payload, g))
-            for atom in safe_atoms_in(el.atom, g):
-                if isinstance(atom, TheoryExpression):
-                    continue
+            for atom in derivable_atoms_in(el.atom):
                 add(atom, _dedupe(base_condition + extra))
 
     return Program(program.statements + tuple(new_externals))

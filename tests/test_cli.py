@@ -4,6 +4,7 @@ import io
 import pytest
 
 from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX
+from test_parser import OVER_DEEP
 
 from tasp.cli import Pipeline, main, run_pipeline
 
@@ -201,6 +202,14 @@ def test_input_error_exit_65(tmp_path, monkeypatch):
                 out=io.StringIO()) == 65
 
 
+@pytest.mark.parametrize("shape", sorted(OVER_DEEP))
+def test_over_deep_input_exit_65(shape, monkeypatch, capsys):
+    code, _ = _run(["solve", "-c", "n=0"], stdin=OVER_DEEP[shape],
+                   monkeypatch=monkeypatch)
+    assert code == 65
+    assert "nesting deeper than 100" in capsys.readouterr().err
+
+
 def test_stdin_input(monkeypatch):
     code, out = _run(["solve", "-c", "n=0"], stdin="a.\n",
                      monkeypatch=monkeypatch)
@@ -234,3 +243,16 @@ def test_grammar_file_flag(tmp_path):
     f.write_text("a.\n")
     code, out = _run(["solve", str(f), "--grammar", str(g), "-c", "n=0"])
     assert code == 10
+
+
+def test_deep_subtype_chain_grammar_file(tmp_path):
+    # a 1,200-type subtype chain: the subtype searches do not recurse
+    g = tmp_path / "deep.lp"
+    g.write_text("".join("#type t%d { subtypes: t%d; }\n" % (i, i + 1)
+                         for i in range(1199))
+                 + "#type t1199 { subtypes: atom; }\n")
+    f = tmp_path / "a.lp"
+    f.write_text("a.\n")
+    code, out = _run(["solve", str(f), "--grammar", str(g), "-c", "n=0"])
+    assert code == 10
+    assert "a@0" in out

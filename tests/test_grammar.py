@@ -62,6 +62,34 @@ def test_cyclic_subtype_rejected():
         load_grammar("#type tel { subtypes: tel; }")
 
 
+def test_cycle_through_several_types_rejected():
+    with pytest.raises(GrammarError, match="cyclic subtypes involving 'b'"):
+        load_grammar("#type a { subtypes: b; }\n#type b { subtypes: c; }\n"
+                     "#type c { subtypes: b; }")
+
+
+def test_membership_path_is_the_first_shortest_path():
+    g = load_grammar("#type a { subtypes: b, c; }\n#type b { subtypes: d; }\n"
+                     "#type c { subtypes: atom; }\n#type d { subtypes: atom; }\n"
+                     "#type e { subtypes: b, c; }\n#type f { subtypes: e, d; }")
+    assert g.closure("a") == ("a", "b", "c", "d", "atom")
+    assert g.membership_path("a", "atom") == ("a", "c", "atom")
+    assert g.membership_path("f", "atom") == ("f", "d", "atom")
+    assert g.membership_path("f", "c") == ("f", "e", "c")
+    assert g.membership_path("b", "c") is None
+    assert g.membership_path("number", "number") == ("number",)
+
+
+def test_deep_subtype_chain():
+    g = load_grammar("".join("#type t%d { subtypes: t%d; }\n" % (i, i + 1)
+                             for i in range(1199))
+                     + "#type t1199 { subtypes: atom; }\n")
+    chain = tuple("t%d" % i for i in range(1200)) + ("atom",)
+    assert g.closure("t0") == chain
+    assert g.membership_path("t0", "atom") == chain
+    assert g.membership_path("t600", "t1199") == chain[600:1200]
+
+
 def test_union_duplicate_type_rejected():
     with pytest.raises(GrammarError):
         TEL.union(builtin_grammar("tel"))

@@ -1,13 +1,14 @@
 import hashlib
+from itertools import islice
 
 import pytest
 
 from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, oracle_traces
 
 from tasp.cli import Pipeline, distinct_traces
-from tasp.meta import (MetaError, build, default_max_time, fl_close)
+from tasp.meta import MetaError, build, default_max_time
 from tasp.reify import ReifiedDB
-from tasp.solver import solve
+from tasp.solver import models as models_of, solve
 from tasp.syntax import Constant, Function
 
 
@@ -72,14 +73,15 @@ def test_del_alternation_counts():
         == [4, 0, 16]
 
 
-# Digests of the meta programs: TEL and DEL as grounded before the
-# grounder became incremental, MEL as first grounded with the order-encoded
-# timing function.  Any change to rule order, fact order, externals or the
+# Digests of the meta programs: TEL as grounded before the grounder became
+# incremental, MEL as first grounded with the order-encoded timing function,
+# DEL as first grounded with the closure derived in DEL_SCHEMA (the same
+# rules, facts and atoms as before, the derived formula facts later).  Any change to rule order, fact order, externals or the
 # symbol table shows here.
 @pytest.mark.parametrize("text,n,semantics,rules,facts,atoms,digest", [
     (TELEX, 6, "tel", 198, 95, 241, "775eb52bab0081b7"),
     (MELEX_SCALED, 5, "mel", 726, 179, 535, "7aa9c2f772abd455"),
-    (DEL_ALTERNATION, 6, "del", 233, 94, 238, "91afd3ab25debd71"),
+    (DEL_ALTERNATION, 6, "del", 233, 94, 238, "034491078d148b6e"),
 ], ids=["tel", "mel", "del"])
 def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
     program = Pipeline(text, semantics).meta(n).program
@@ -87,6 +89,18 @@ def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
             len(program.symbol_table)) == (rules, facts, atoms)
     text = str(program) + "\n--\n" + "\n".join(map(str, program.symbol_table))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("text,n,semantics", [
+    (TELEX, 6, "tel"), (MELEX_SCALED, 5, "mel"), (DEL_ALTERNATION, 6, "del"),
+], ids=["tel", "mel", "del"])
+def test_meta_facts_are_in_every_model(text, n, semantics):
+    # extract_model reads facts such as conjunction(B,T) of a shown fact
+    # and tau(0,0) from the model alone
+    program = Pipeline(text, semantics).meta(n).program
+    models = list(islice(models_of(program), 3))
+    assert models
+    assert all(set(program.facts) <= m.atoms for m in models)
 
 
 def test_mel_meta_program_size_gate():
@@ -118,33 +132,61 @@ def test_horizon_constants_bound_in_schemas_only(text, semantics, max_time):
 
 
 # ---------------------------------------------------------------------------
-# Fischer-Ladner closure
+# Fischer-Ladner closure: the formula/2 facts that DEL_SCHEMA derives
 
 
 def _ev(path, f):
     return Function("eventually", (path, f))
 
 
-def test_fl_close_star_unfolds_once():
+def _al(path, f):
+    return Function("always", (path, f))
+
+
+def closure(*formulas):
+    """The formula/2 facts of the DEL meta program over the given ones."""
+    program = build(ReifiedDB(formulas=list(formulas)), 0, "del").program
+    return {(a.args[0].name, a.args[1]) for a in program.facts
+            if a.name == "formula"}
+
+
+@pytest.mark.parametrize("op", [_ev, _al], ids=["eventually", "always"])
+def test_closure_star_unfolds_once(op):
     p = Constant("step")
-    phi = _ev(Function("star", (p,)), Constant("f"))
-    closure = set(fl_close([("del", phi)]).formulas)
-    assert ("del", Constant("f")) in closure
-    assert ("del", _ev(p, phi)) in closure
+    phi = op(Function("star", (p,)), Constant("f"))
+    assert closure(("del", phi)) == {
+        ("del", phi), ("del", Constant("f")), ("del", op(p, phi))}
 
 
-def test_fl_close_idempotent():
+def test_closure_idempotent():
     phi = _ev(Function("seq", (Constant("step"),
                                Function("star", (Constant("step"),)))),
-              Constant("f"))
-    once = fl_close([("del", phi)])
-    twice = fl_close(once.formulas)
-    assert set(once.formulas) == set(twice.formulas)
+              _al(Function("choice", (Constant("step"),
+                                      Function("test", (Constant("g"),)))),
+                  Constant("f")))
+    once = closure(("del", phi))
+    assert closure(*once) == once
 
 
-def test_fl_close_monotone():
+def test_closure_monotone():
     phi = _ev(Constant("step"), Constant("f"))
-    psi = _ev(Function("star", (Constant("step"),)), Constant("g"))
-    small = set(fl_close([("del", phi)]).formulas)
-    big = set(fl_close([("del", phi), ("del", psi)]).formulas)
-    assert small <= big
+    psi = _al(Function("star", (Constant("step"),)), Constant("g"))
+    small = closure(("del", phi))
+    big = closure(("del", phi), ("del", psi))
+    assert small < big
+
+
+@pytest.mark.parametrize("op", [_ev, _al], ids=["eventually", "always"])
+def test_closure_unfolds_each_path(op):
+    # one formula per path shape, each unfolded by one step; the type
+    # argument is kept
+    step, f, g = Constant("step"), Constant("f"), Constant("g")
+    seq = op(Function("seq", (step, Function("test", (g,)))), f)
+    choice = op(Function("choice", (step, Function("test", (g,)))), f)
+    test = op(Function("test", (g,)), f)
+    assert closure(("k", seq)) == {
+        ("k", seq), ("k", op(step, op(Function("test", (g,)), f))),
+        ("k", op(Function("test", (g,)), f)), ("k", f), ("k", g)}
+    assert closure(("k", choice)) == {
+        ("k", choice), ("k", op(step, f)), ("k", test), ("k", f), ("k", g)}
+    assert closure(("k", test)) == {("k", test), ("k", f), ("k", g)}

@@ -117,6 +117,30 @@ def test_parse_error_garbage():
         parse_program("p(.")
 
 
+#: Over-deep inputs, one per shape: nested arguments, nested theory
+#: expressions, nested parentheses and a chain of binary operators.
+OVER_DEEP = {
+    "arguments": "p(%sa%s)." % ("f(" * 2000, ")" * 2000),
+    "expressions": "a :- %sb%s." % ("&next(" * 400, ")" * 400),
+    "parentheses": "p(%s1%s)." % ("(" * 300, ")" * 300),
+    "operators": "p(%s)." % "+".join(["1"] * 3000),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OVER_DEEP))
+def test_over_deep_input_is_a_parse_error(shape):
+    with pytest.raises(ParseError, match="nesting deeper than 100"):
+        parse_program(OVER_DEEP[shape])
+
+
+def test_nesting_bound_is_inclusive():
+    # p( and 99 f( make 100 levels
+    (rule,) = parse_program("p(%sa%s)." % ("f(" * 99, ")" * 99)).statements
+    assert str(rule).count("f(") == 99
+    with pytest.raises(ParseError):
+        parse_program("p(%sa%s)." % ("f(" * 100, ")" * 100))
+
+
 def test_empty_program():
     assert parse_program("").statements == ()
     assert parse_program("% only a comment\n").statements == ()

@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import TELEX, WAIT
+from conftest import TELEX, WAIT, oracle_traces
 
+from tasp.cli import Pipeline, distinct_traces
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.parser import parse_program
 from tasp.syntax import External, Show
@@ -101,3 +102,21 @@ def test_unsafe_operator_argument_rejected():
 def test_negated_expression_declared_external():
     prog, _ = _transformed("a :- not &next(b), b.")
     assert any("&next(b)" in str(e) for e in prog.directives(External))
+
+
+@pytest.mark.parametrize("text,n,count", [
+    ("{ b }. &always(b,a) :- &initial.", 1, 4),
+    ("{ b }. &always(b,b) :- &initial.", 2, 6),
+    ("{ b }. &eventually(&choice(&test(a),&test(a)),b) :- &initial.", 1, 2),
+], ids=["always-unsafe-formula", "always-unsafe-path", "path-test"])
+def test_head_atoms_in_unsafe_positions_reach_the_answer(text, n, count):
+    # every atom a head expression can derive gets a kind-2 external, not
+    # only those in safe argument positions
+    solved = set(distinct_traces(Pipeline(text, "del").meta(n)))
+    assert solved == oracle_traces(text, n)
+    assert len(solved) == count
+
+
+def test_atoms_under_not_in_heads_get_no_external():
+    prog, _ = _transformed("&next(&not(a)) :- b. b.")
+    assert not list(prog.directives(External))
