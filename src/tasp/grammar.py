@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import parser
@@ -110,21 +111,37 @@ class TheoryGrammar:
                     raise GrammarError(
                         "macro pattern in type %r has undeclared placeholders %s"
                         % (spec.name, sorted(pattern_names - declared)))
-        for name in self.types:
-            self.closure(name)  # raises on cycles through name
+        # one depth-first search over all types: an edge to a type still
+        # on the search path closes a cycle
+        on_path = {}  # visited type -> whether it is on the path
+        for root in self.types:
+            if root in on_path:
+                continue
+            on_path[root] = True
+            path = [(root, iter(self._subtypes(root)))]
+            while path:
+                t, subs = path[-1]
+                for sub in subs:
+                    if on_path.get(sub):
+                        raise GrammarError(
+                            "cyclic subtypes involving %r" % sub)
+                    if sub not in on_path:
+                        on_path[sub] = True
+                        path.append((sub, iter(self._subtypes(sub))))
+                        break
+                else:
+                    on_path[t] = False
+                    path.pop()
 
     # -- subtype closure -----------------------------------------------------
 
     def closure(self, name: str) -> Tuple[str, ...]:
-        """BFS order of name and all types reachable via subtype edges;
-        a subtype edge back to name is a cycle."""
+        """BFS order of name and all types reachable via subtype edges,
+        computed on first use."""
         if name not in self._closure:
             order, seen = [name], {name}
             for t in order:  # the list grows as the BFS queue
                 for sub in self._subtypes(t):
-                    if sub == name:
-                        raise GrammarError(
-                            "cyclic subtypes involving %r" % name)
                     if sub not in seen:
                         seen.add(sub)
                         order.append(sub)
@@ -473,5 +490,8 @@ BUILTIN_GRAMMARS = {
 }
 
 
+@lru_cache(maxsize=None)
 def builtin_grammar(name: str) -> TheoryGrammar:
+    """The builtin grammar of a logic, built on first use and then shared:
+    a TheoryGrammar is not changed once built."""
     return load_grammar(BUILTIN_GRAMMARS[name])

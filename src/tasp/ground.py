@@ -5,8 +5,9 @@ atoms and theory expressions are exempt from simplification; conditional
 literals are expanded over domain predicates; arithmetic terms and
 intervals are evaluated during instantiation.
 
-The same engine instantiates the internal meta-encodings against
-reified-fact databases.
+A program is compiled into a Plan, then grounded.  The same engine
+instantiates the internal meta-encodings, compiled once per process,
+against reified-fact databases seeded as facts.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, Infimum, Integer, Program, Show, String, Supremum,
-    TheoryExpression, UnaryMinus, Variable, map_payloads, substitute,
-    with_args,
+    External, Function, Infimum, Integer, Literal, Program, Show, String,
+    Supremum, TheoryExpression, UnaryMinus, Variable, map_payloads,
+    substitute, with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -170,13 +171,6 @@ def atom_key(a) -> tuple:
     raise GroundingError("not an atom: %s" % (a,))
 
 
-def read_keys(literals) -> tuple:
-    """Keys of the index lists a join over these literals reads."""
-    return tuple(dict.fromkeys(
-        atom_key(l.payload) for l in literals
-        if not isinstance(l.payload, Comparison)))
-
-
 def match(pattern, ground, subst) -> Optional[dict]:
     """Unify a (possibly partially bound) pattern against a ground atom."""
     if isinstance(pattern, Variable):
@@ -217,8 +211,7 @@ def match(pattern, ground, subst) -> Optional[dict]:
 # Ground program representation
 
 
-@dataclass(frozen=True)
-class GroundRule:
+class GroundRule(NamedTuple):
     head_kind: str  # "disjunction" or "choice"
     head: tuple     # ground atoms / expressions
     body: tuple     # of (positive: bool, atom)
@@ -253,9 +246,111 @@ class GroundProgram:
         lines += ["#external %s." % e for e in self.externals]
         return "\n".join(lines)
 
-
 # ---------------------------------------------------------------------------
-# Grounder
+# Compiled plans
+#
+# A join is compiled into steps, one per literal, in the order in which
+# the literals first become processable: the first literal, given the
+# variables bound so far, that is a bound comparison, an assignment
+# V = t, a bound atom, or a positive atom to scan.  Which literals are
+# processable depends only on the names of the bound variables, so the
+# order is fixed before any atom is seen.  Steps are tuples (op, x, y, z):
+#
+#   (CHECK, comparison, positive, None)   a bound comparison
+#   (ASSIGN, name, term, None)             name = each value of term
+#   (TEST, atom, positive, None)           a bound atom, recorded
+#   (SCAN, key, keyterms, rest)            a positive atom, recorded
+#   (STUCK, message, None, None)           nothing processable is left
+#
+# A scan reads one index list: the name/arity list of `key` when keyterms
+# is None, else the list of the shape `key` (see Plan.shapes) under the
+# values of keyterms; it matches the (position, pattern) pairs in rest.
+
+CHECK, ASSIGN, TEST, SCAN, STUCK = range(5)
+
+
+def _variables(t) -> set:
+    """The variable names in t, which is bound when they all are."""
+    if isinstance(t, Variable):
+        return {t.name}
+    if isinstance(t, (Function, TheoryExpression)):
+        return set().union(*map(_variables, t.args))
+    if isinstance(t, BinOp):
+        return _variables(t.left) | _variables(t.right)
+    if isinstance(t, UnaryMinus):
+        return _variables(t.arg)
+    return set()
+
+
+def _has_interval(t) -> bool:
+    """Whether expand_term(t) may give more than one value."""
+    if isinstance(t, BinOp):
+        return t.op == ".."
+    if isinstance(t, (Function, TheoryExpression)):
+        return any(map(_has_interval, t.args))
+    return False
+
+
+class _Condition(NamedTuple):
+    """A compiled condition of a conditional literal (with its literal)
+    or of a head element (literal None)."""
+    steps: tuple
+    negatives: tuple          # positions of negative literals' atoms
+    error: Optional[str]      # set if over a non-domain predicate
+    literal: Optional[Literal]
+
+
+class _External(NamedTuple):
+    target: object
+    steps: tuple
+    reads: tuple              # name/arity keys of the lists it reads
+
+
+class _Rule(NamedTuple):
+    steps: tuple
+    reads: tuple
+    body: tuple               # (positive, atom position) or _Condition
+    head: tuple               # (atom, has interval, _Condition or None)
+    kind: str                 # "choice" or "disjunction"
+
+
+def _non_domain(rules, externals) -> set:
+    """Predicates whose extension depends on choices, negation,
+    disjunction or a conditional body literal: every derivable atom of
+    the others is true."""
+    non_domain = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in rules:
+            tainted = (isinstance(r.head, Choice)
+                       or len(r.head.elements) > 1
+                       or any(el.condition for el in r.head.elements))
+            for b in r.body:
+                if isinstance(b, ConditionalLiteral):
+                    tainted = True
+                elif not isinstance(b.payload, Comparison):
+                    tainted |= (not b.positive
+                                or atom_key(b.payload) in non_domain)
+            if tainted:
+                for el in r.head.elements:
+                    key = atom_key(el.atom)
+                    if key not in non_domain:
+                        non_domain.add(key)
+                        changed = True
+        for e in externals:
+            key = atom_key(e.target)
+            if key not in non_domain:
+                non_domain.add(key)
+                changed = True
+    return non_domain
+
+
+def _read_keys(literals) -> tuple:
+    """Keys of the name/arity lists a join over these literals reads."""
+    return tuple(dict.fromkeys(
+        atom_key(l.payload) for l in literals
+        if not isinstance(l.payload, Comparison)))
 
 
 def bind_constants(statements, constants: dict) -> list:
@@ -280,20 +375,168 @@ def bind_constants(statements, constants: dict) -> list:
     return [map_payloads(s, payload) for s in statements]
 
 
-class Grounder:
+class Plan:
+    """A program compiled for grounding: for each external, rule and
+    condition, its join steps and the index lists they read.
+
+    The values of `constants`, over the program's ``#const`` definitions,
+    are bound into the statements.  The constants named in `params`
+    become variables of the same name instead, which each grounding binds
+    in the first substitution of every join, so one plan serves every
+    value of them.  Grounding does not change a plan."""
+
     def __init__(self, program: Program, constants: Optional[dict] = None,
-                 grammar=None):
+                 params=()):
         consts = {d.name: d.value for d in program.directives(ConstDef)}
         for name, value in (constants or {}).items():
             consts[name] = Integer(value) if isinstance(value, int) else value
-        self.rules = bind_constants(program.rules, consts)
-        self.externals = bind_constants(program.directives(External), consts)
+        consts.update((name, Variable(name)) for name in params)
+        self.params = tuple(params)
         self.show_signatures = tuple(
             s.signature for s in program.directives(Show)
             if s.signature is not None)
+        rules = bind_constants(program.rules, consts)
+        externals = bind_constants(program.directives(External), consts)
+        self._non_domain = _non_domain(rules, externals)
+        #: name/arity key -> the shapes its scans look up; a shape
+        #: (key, value positions, functor positions) indexes an atom by
+        #: its arguments at the value positions, if its argument at each
+        #: functor position has the given name/arity key.
+        self.shapes: Dict[tuple, tuple] = {}
+        bound = frozenset(params)
+        self.externals = tuple(self._external(e, bound) for e in externals)
+        self.rules = tuple(self._rule(r, bound) for r in rules)
+
+    def _external(self, e, bound) -> _External:
+        # a negative literal need only be bound, and is not recorded
+        steps, _, _ = self._steps([(i if l.positive else None, l)
+                                   for i, l in enumerate(e.condition)], bound)
+        return _External(e.target, steps,
+                         _read_keys(l for l in e.condition if l.positive))
+
+    def _rule(self, r, bound) -> _Rule:
+        # conditionals never bind outer variables; expanded per instance
+        steps, recorded, bound = self._steps(
+            [(i, b) for i, b in enumerate(r.body)
+             if not isinstance(b, ConditionalLiteral)], bound)
+        position = {i: j for j, i in enumerate(recorded)}
+        body = []
+        for i, b in enumerate(r.body):
+            if isinstance(b, ConditionalLiteral):
+                body.append(self._condition(b.condition, bound, b.literal))
+            elif i in position:  # atoms, not comparisons
+                body.append((b.positive, position[i]))
+        head = tuple(
+            (el.atom, _has_interval(el.atom),
+             self._condition(el.condition, bound) if el.condition else None)
+            for el in r.head.elements)
+        # a rule reads its positive body atoms and all its condition atoms
+        reads = _read_keys(chain(
+            (c for b in r.body for c in (
+                b.condition if isinstance(b, ConditionalLiteral)
+                else (b,) if b.positive else ())),
+            (c for el in r.head.elements for c in el.condition)))
+        kind = "choice" if isinstance(r.head, Choice) else "disjunction"
+        return _Rule(steps, reads, tuple(body), head, kind)
+
+    def _condition(self, condition, bound, literal=None) -> _Condition:
+        steps, recorded, _ = self._steps(list(enumerate(condition)), bound)
+        error = next((
+            "conditional literal condition over non-domain predicate %s/%d"
+            % atom_key(c.payload)[1:] for c in condition
+            if not isinstance(c.payload, Comparison)
+            and atom_key(c.payload) in self._non_domain), None)
+        return _Condition(
+            steps, tuple(j for j, i in enumerate(recorded)
+                         if not condition[i].positive), error, literal)
+
+    def _steps(self, literals, bound):
+        """The steps of a join over literals, a list of (i, literal) with
+        i None for a literal that need only be bound; the i of each
+        literal whose atom a step records, in step order; and the
+        variables bound at the end."""
+        pending, bound = list(literals), set(bound)
+        steps, recorded = [], []
+        while pending:
+            for k, (i, lit) in enumerate(pending):
+                p = lit.payload
+                if isinstance(p, Comparison):
+                    left = _variables(p.left) <= bound
+                    right = _variables(p.right) <= bound
+                    if left and right:
+                        steps.append((CHECK, p, lit.positive, None))
+                        break
+                    var, value = (p.right, p.left) if left \
+                        else (p.left, p.right)
+                    if lit.positive and p.op == "=" and (left or right) \
+                            and isinstance(var, Variable):
+                        steps.append((ASSIGN, var.name, value, None))
+                        bound.add(var.name)
+                        break
+                elif _variables(p) <= bound:
+                    if i is not None:
+                        steps.append((TEST, p, lit.positive, None))
+                        recorded.append(i)
+                    break
+                elif lit.positive:
+                    steps.append(self._scan(p, bound))
+                    recorded.append(i)
+                    bound |= _variables(p)
+                    break
+            else:
+                steps.append((STUCK, "cannot instantiate body: unbound %s"
+                              % "; ".join(str(l) for _, l in pending),
+                              None, None))
+                break
+            del pending[k]
+        return tuple(steps), recorded, bound
+
+    def _scan(self, pattern, bound) -> tuple:
+        """The scan step of a positive atom with unbound variables: bound
+        arguments are value positions of its shape, and partly bound
+        functions or expressions functor positions."""
+        key = atom_key(pattern)
+        values, functors, keyterms, rest = [], [], [], []
+        for pos, arg in enumerate(pattern.args):
+            if _variables(arg) <= bound:
+                values.append(pos)
+                keyterms.append(arg)
+                continue
+            if isinstance(arg, (Function, TheoryExpression)):
+                functors.append((pos, atom_key(arg)))
+            rest.append((pos, arg))
+        if not values and not functors:
+            return (SCAN, key, None, tuple(rest))
+        shape = (key, tuple(values), tuple(functors))
+        if shape not in self.shapes.get(key, ()):
+            self.shapes[key] = self.shapes.get(key, ()) + (shape,)
+        return (SCAN, shape, tuple(keyterms), tuple(rest))
+
+
+# ---------------------------------------------------------------------------
+# Grounder
+
+
+class Grounder:
+    def __init__(self, program, constants: Optional[dict] = None,
+                 grammar=None, facts=()):
+        """program is a Program, compiled here with the values of
+        constants, or a Plan, grounded with them as the values (ground
+        terms) of its parameters; a parameter without one stays a
+        symbolic constant.  facts are atoms true from the start, seeded
+        in order before any join."""
+        if isinstance(program, Plan):
+            self.plan = program
+            self.params = {name: (constants or {}).get(name, Constant(name))
+                           for name in program.params}
+        else:
+            self.plan, self.params = Plan(program, constants), {}
+        self.show_signatures = self.plan.show_signatures
         self.grammar = grammar
+        self.seeds = list(facts)
         self.derivable: Dict = {}
-        self._index: Dict[tuple, List] = {}
+        self._index: Dict[tuple, List] = {}      # name/arity key -> atoms
+        self._arg_index: Dict[tuple, List] = {}  # (shape, values) -> atoms
         self.counters = dict.fromkeys((  # logged by ground
             "rounds", "joins", "joins_skipped", "simplify_rounds",
             "rules_dropped"), 0)
@@ -309,67 +552,73 @@ class Grounder:
         if len(self.derivable) > MAX_ATOMS:
             raise GroundingError("derivable-atom bound exceeded")
         self.derivable[atom] = None
-        self._index.setdefault(atom_key(atom), []).append(atom)
+        key = atom_key(atom)
+        self._index.setdefault(key, []).append(atom)
+        # every list is append-only: a subsequence of the name/arity list
+        for shape in self.plan.shapes.get(key, ()):
+            _, values, functors = shape
+            args = atom.args
+            if all(isinstance(args[pos], (Function, TheoryExpression))
+                   and atom_key(args[pos]) == sig for pos, sig in functors):
+                self._arg_index.setdefault(
+                    (shape, tuple([args[pos] for pos in values])),
+                    []).append(atom)
         return True
-
-    def _candidates(self, pattern):
-        return self._index.get(atom_key(pattern), ())
 
     # -- body joins ------------------------------------------------------------
 
-    def _solve(self, pending, subst, found=()) -> Iterator[tuple]:
-        """Each substitution satisfying the positive part of pending, a
-        list of (index, literal) pairs, with the (index, ground atom) of
-        every atom literal: the candidate it matched, or its value once
-        bound.  A bound comparison is checked here, and only here.  A
-        literal with index None need only be bound."""
-        if not pending:
-            yield subst, found
-            return
-        # pick the first processable element
-        for k, (i, el) in enumerate(pending):
-            rest = pending[:k] + pending[k + 1:]
-            p = el.payload
-            if isinstance(p, Comparison):
-                left = term_is_bound(p.left, subst)
-                right = term_is_bound(p.right, subst)
-                if left and right:
-                    if self._comparison_holds(p, el.positive, subst):
-                        yield from self._solve(rest, subst, found)
-                    return
-                # assignment V = t, either way round
-                var, value = (p.right, p.left) if left else (p.left, p.right)
-                if el.positive and p.op == "=" and (left or right) \
-                        and isinstance(var, Variable):
-                    for v in self._expand_safe(value, subst):
-                        s2 = dict(subst)
-                        s2[var.name] = v
-                        yield from self._solve(rest, s2, found)
-                    return
+    def _join(self, steps, subst) -> Iterator[tuple]:
+        """Each extension of subst through steps, with the tuple of atoms
+        the steps recorded, depth first.  A step runs when the search
+        reaches it, so it sees every atom derived from the solutions
+        yielded before; a scan reads its list as it is at that moment."""
+        derivable = self.derivable
+        end = len(steps)
+        stack = [(0, subst, ())]
+        while stack:
+            k, s, found = stack.pop()
+            if k == end:
+                yield s, found
                 continue
-            if term_is_bound(p, subst):
-                if i is None:  # bound, but neither evaluated nor recorded
-                    yield from self._solve(rest, subst, found)
-                    return
+            op, x, y, z = steps[k]
+            k += 1
+            if op == SCAN:
+                if y is None:
+                    candidates = self._index.get(x, ())
+                elif not self._index.get(x[0]):
+                    continue  # keyterms are not evaluated without atoms
+                else:
+                    try:
+                        values = tuple([eval_term(t, s) for t in y])
+                    except DropInstance:
+                        continue
+                    candidates = self._arg_index.get((x, values), ())
+                for cand in reversed(candidates):  # popped in list order
+                    args, s2 = cand.args, s
+                    for pos, p in z:
+                        s2 = match(p, args[pos], s2)
+                        if s2 is None:
+                            break
+                    else:
+                        stack.append((k, s2, found + (cand,)))
+            elif op == TEST:
                 try:
-                    atom = eval_term(p, subst)
+                    atom = eval_term(x, s)
                 except DropInstance:
-                    return
-                # a negative literal is deferred until bound and does not
-                # filter here
-                if not el.positive or atom in self.derivable:
-                    yield from self._solve(rest, subst, found + ((i, atom),))
-                return
-            if not el.positive:
-                continue
-            for cand in list(self._candidates(p)):
-                s2 = match(p, cand, subst)
-                if s2 is not None:
-                    yield from self._solve(rest, s2, found + ((i, cand),))
-            return
-        raise GroundingError(
-            "cannot instantiate body: unbound %s" %
-            "; ".join(str(el) for _, el in pending))
+                    continue
+                # a negative literal is deferred and does not filter here
+                if not y or atom in derivable:
+                    stack.append((k, s, found + (atom,)))
+            elif op == CHECK:
+                if self._comparison_holds(x, y, s):
+                    stack.append((k, s, found))
+            elif op == ASSIGN:
+                for v in reversed(self._expand_safe(y, s)):
+                    s2 = dict(s)
+                    s2[x] = v
+                    stack.append((k, s2, found))
+            else:
+                raise GroundingError(x)
 
     def _expand_safe(self, t, subst):
         try:
@@ -379,101 +628,49 @@ class Grounder:
 
     # -- conditional expansion ---------------------------------------------------
 
-    def expand_condition(self, condition, subst) -> List[dict]:
-        """All extensions of subst satisfying a conditional's condition;
-        a bound negative literal drops the extensions where it is
-        derivable (the condition is over domain predicates only)."""
-        self._check_domain(condition)
-        return [s for s, found in self._solve(list(enumerate(condition)), subst)
-                if not any(atom in self.derivable for i, atom in found
-                           if not condition[i].positive)]
-
-    def _check_domain(self, condition):
-        for c in condition:
-            if isinstance(c.payload, Comparison):
-                continue
-            key = atom_key(c.payload)
-            if key in self._non_domain:
-                raise GroundingError(
-                    "conditional literal condition over non-domain predicate "
-                    "%s/%d" % (key[1], key[2]))
-
-    def _compute_non_domain(self):
-        """Predicates whose extension depends on choices, negation,
-        disjunction or a conditional body literal: every derivable atom
-        of the others is true."""
-        non_domain = set()
-        changed = True
-        while changed:
-            changed = False
-            for r in self.rules:
-                tainted = (isinstance(r.head, Choice)
-                           or len(r.head.elements) > 1
-                           or any(el.condition for el in r.head.elements))
-                for b in r.body:
-                    if isinstance(b, ConditionalLiteral):
-                        tainted = True
-                    elif not isinstance(b.payload, Comparison):
-                        tainted |= (not b.positive
-                                    or atom_key(b.payload) in non_domain)
-                if tainted:
-                    for el in r.head.elements:
-                        key = atom_key(el.atom)
-                        if key not in non_domain:
-                            non_domain.add(key)
-                            changed = True
-            for e in self.externals:
-                key = atom_key(e.target)
-                if key not in non_domain:
-                    non_domain.add(key)
-                    changed = True
-        self._non_domain = non_domain
+    def expand_condition(self, condition: _Condition, subst) -> List[dict]:
+        """All extensions of subst satisfying a compiled condition; a
+        bound negative literal drops the extensions where it is derivable
+        (the condition is over domain predicates only)."""
+        if condition.error:
+            raise GroundingError(condition.error)
+        return [s for s, found in self._join(condition.steps, subst)
+                if not any(found[j] in self.derivable
+                           for j in condition.negatives)]
 
     # -- main fixpoint -------------------------------------------------------------
 
     def ground(self) -> GroundProgram:
-        self._compute_non_domain()
+        for atom in self.seeds:
+            self._add_derivable(atom)
         # A join whose index lists kept the sizes they had when it last
         # started would yield the same instances again, so it is skipped;
         # one that grew its own input during its run is joined again.
-        # A negative literal filters in a condition only; in an
-        # external's condition it need only be bound.
-        reads = [read_keys(l for l in e.condition if l.positive)
-                 for e in self.externals]
-        joins = [[(i if l.positive else None, l)
-                  for i, l in enumerate(e.condition)] for e in self.externals]
-        for r in self.rules:
-            lits = [c for b in r.body for c in (
-                b.condition if isinstance(b, ConditionalLiteral)
-                else (b,) if b.positive else ())]
-            lits += [c for el in r.head.elements for c in el.condition]
-            reads.append(read_keys(lits))
-            # conditionals never bind outer variables; expanded per instance
-            joins.append([(i, b) for i, b in enumerate(r.body)
-                          if not isinstance(b, ConditionalLiteral)])
-        sizes: List[Optional[tuple]] = [None] * len(reads)
-        instances: List[list] = [[] for _ in self.rules]
+        # External instances join the domain first.
+        jobs = self.plan.externals + self.plan.rules
+        first_rule = len(self.plan.externals)
+        sizes: List[Optional[tuple]] = [None] * len(jobs)
+        instances: List[list] = [[] for _ in self.plan.rules]
         external_atoms: Dict = {}
         grew = True
         while grew:
             grew = False
             self.counters["rounds"] += 1
-            # external instances join the domain first
-            for i, job in enumerate(self.externals + self.rules):
-                now = tuple(len(self._index.get(k, ())) for k in reads[i])
+            for i, job in enumerate(jobs):
+                now = tuple(len(self._index.get(k, ())) for k in job.reads)
                 if now == sizes[i]:
                     self.counters["joins_skipped"] += 1
                     continue
                 sizes[i] = now
                 self.counters["joins"] += 1
-                if i < len(self.externals):
-                    for subst, _ in self._solve(joins[i], {}):
+                if i < first_rule:
+                    for subst, _ in self._join(job.steps, self.params):
                         for target in self._expand_safe(job.target, subst):
                             external_atoms.setdefault(target)
                             grew |= self._add_derivable(target)
                     continue
-                insts = instances[i - len(self.externals)] = []
-                for subst, found in self._solve(joins[i], {}):
+                insts = instances[i - first_rule] = []
+                for subst, found in self._join(job.steps, self.params):
                     for inst in self._build_instance(job, subst, found):
                         insts.append(inst)
                         for h in inst[1]:
@@ -485,32 +682,30 @@ class Grounder:
             for k, v in self.counters.items()))
         return program
 
-    def _build_instance(self, rule, subst, found):
+    def _build_instance(self, rule: _Rule, subst, found):
         """All ground instances of one rule under a solution of its join
         (head intervals expand conjunctively, i.e. into separate rules).
         The body is assembled in body order from the join's ground atoms;
         only conditional literals are expanded here."""
-        atoms = dict(found)
         body = []
         try:
-            for i, b in enumerate(rule.body):
-                if i in atoms:
-                    body.append((b.positive, atoms[i]))
-                elif isinstance(b, ConditionalLiteral):
-                    lit = b.literal
-                    for s2 in self.expand_condition(b.condition, subst):
-                        if not isinstance(lit.payload, Comparison):
-                            body.append(
-                                (lit.positive, eval_term(lit.payload, s2)))
-                        elif not self._comparison_holds(
-                                lit.payload, lit.positive, s2):
-                            return []
+            for entry in rule.body:
+                if not isinstance(entry, _Condition):
+                    body.append((entry[0], found[entry[1]]))
+                    continue
+                lit = entry.literal
+                for s2 in self.expand_condition(entry, subst):
+                    if not isinstance(lit.payload, Comparison):
+                        body.append(
+                            (lit.positive, eval_term(lit.payload, s2)))
+                    elif not self._comparison_holds(
+                            lit.payload, lit.positive, s2):
+                        return []
             heads = self._ground_head(rule.head, subst)
         except DropInstance:
             return []
-        kind = "choice" if isinstance(rule.head, Choice) else "disjunction"
         body = tuple(body)
-        return [(kind, head, body) for head in heads]
+        return [(rule.kind, head, body) for head in heads]
 
     def _comparison_holds(self, cmp, positive, subst) -> bool:
         """Whether a bound comparison holds; an interval on either side
@@ -529,27 +724,22 @@ class Grounder:
         """Alternative heads: conditioned elements expand disjunctively,
         interval pooling in bare elements expands conjunctively."""
         alternatives: List[list] = [[]]
-        for el in head.elements:
-            if el.condition:
+        for atom, pooled, condition in head:
+            if condition is not None:
                 atoms = []
-                for s2 in self.expand_condition(el.condition, subst):
-                    atoms.extend(expand_term(el.atom, s2))
+                for s2 in self.expand_condition(condition, subst):
+                    atoms.extend(expand_term(atom, s2))
                 alternatives = [alt + atoms for alt in alternatives]
+                continue
+            values = expand_term(atom, subst) if pooled \
+                else [eval_term(atom, subst)]
+            if len(values) == 1:
+                alternatives = [alt + values for alt in alternatives]
             else:
-                values = expand_term(el.atom, subst)
-                if len(values) == 1:
-                    alternatives = [alt + values for alt in alternatives]
-                else:
-                    alternatives = [alt + [v]
-                                    for alt in alternatives for v in values]
-        out = []
-        for alt in alternatives:
-            deduped = []
-            for a in alt:
-                if a not in deduped:
-                    deduped.append(a)
-            out.append(tuple(deduped))
-        return out
+                alternatives = [alt + [v]
+                                for alt in alternatives for v in values]
+        return [tuple(dict.fromkeys(alt)) for alt in alternatives]
+
 
     # -- simplification -----------------------------------------------------------
 
@@ -585,7 +775,9 @@ class Grounder:
         rules = list(dict.fromkeys(GroundRule(*inst) for inst in collected))
         externals = dict(external_atoms)
         occurs: Dict = {}   # atom -> indices of the rules mentioning it
-        support: Dict = {}  # atom -> number of rules with it in the head
+        # atom -> number of rules with it in the head; a seed counts as
+        # the head of a fact rule before all others
+        support: Dict = dict.fromkeys(self.seeds, 1)
         for i, r in enumerate(rules):
             for h in r.head:
                 support[h] = support.get(h, 0) + 1
@@ -598,15 +790,19 @@ class Grounder:
         # A round re-simplifies only the rules mentioning such an atom.
         facts: Dict = {}
         underivable = set()
+        seeded = self.seeds
         promoted = [i for i, r in enumerate(rules) if r.is_fact]
         lost = [a for a in occurs if a not in support and a not in externals]
         while True:
             underivable.update(lost)
             new_facts = dict.fromkeys(
-                h for h in (rules[i].head[0] for i in sorted(promoted))
+                h for h in chain(seeded, (rules[i].head[0]
+                                          for i in sorted(promoted)))
                 if h not in facts and h not in externals)
+            seeded = ()
             facts.update(new_facts)
-            work = {i for a in chain(lost, new_facts) for i in occurs[a]}
+            work = {i for a in chain(lost, new_facts)
+                    for i in occurs.get(a, ())}
             if not work:
                 break
             self.counters["simplify_rounds"] += 1

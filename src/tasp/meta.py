@@ -1,10 +1,10 @@
 """Timed meta-encoding and the per-logic semantic layers.
 
 The encodings live here as rule schemas in the toolkit's own surface
-language; they are instantiated against the reified database (turned back
-into facts) by the same grounder that handles user programs.  The result
-is one propositional program whose stable models correspond to the
-temporal equilibrium models of length n+1.
+language; they are compiled once and instantiated against the reified
+database (seeded as facts) by the same grounder that handles user
+programs.  The result is one propositional program whose stable models
+correspond to the temporal equilibrium models of length n+1.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import List, Optional, Tuple
 
-from .ground import GroundProgram, Grounder, bind_constants
+from .ground import GroundProgram, Grounder, Plan
 from .parser import parse_program
 from .reify import ReifiedDB
-from .syntax import (Disjunction, Function, HeadElement, Integer, Program,
-                     Rule)
+from .syntax import Function, Integer, Program
 
 
 class MetaError(Exception):
@@ -215,24 +214,21 @@ true(always(P,always(star(P),F)),T) :- formula(del,always(star(P),F)),
 # Schema instantiation
 
 
-def db_facts(db: ReifiedDB) -> List[Rule]:
-    """The reified database as fact rules."""
-    return [Rule(Disjunction((HeadElement(a),)), ()) for a in db.facts()]
+_TEL_SCHEMAS = (CORE_SCHEMA, BRIDGE_SCHEMA, BASIC_SCHEMA, TEL_SCHEMA)
+
+#: The schemas each logic grounds.
+SCHEMAS = {"tel": _TEL_SCHEMAS, "mel": _TEL_SCHEMAS + (MEL_SCHEMA,),
+           "del": _TEL_SCHEMAS + (DEL_SCHEMA,)}
 
 
 @lru_cache(maxsize=None)
-def _schema_statements(text) -> tuple:
-    """A schema's parsed statements; parsed on first use, then shared."""
-    return parse_program(text).statements
-
-
-def _instantiate(schema_texts, extra_facts, constants) -> GroundProgram:
-    """Ground the schemas, with constants bound in them only, over the
-    facts: a reified user symbol keeps any n or m it names."""
-    statements = list(extra_facts)
-    for text in schema_texts:
-        statements.extend(bind_constants(_schema_statements(text), constants))
-    return Grounder(Program(tuple(statements))).ground()
+def _schema_plan(semantics) -> Plan:
+    """The schemas of a semantics, compiled on first use with n and m as
+    parameters, then shared by every build: each grounding binds them in
+    the schemas only, so a reified user symbol keeps any n or m it names."""
+    return Plan(Program(tuple(s for text in SCHEMAS[semantics]
+                              for s in parse_program(text).statements)),
+                params=("n", "m"))
 
 
 def _check_outputs(db: ReifiedDB):
@@ -273,11 +269,10 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
     """Assemble the complete propositional meta program for horizon n."""
     if n < 0:
         raise MetaError("horizon must be non-negative")
-    if semantics not in ("tel", "mel", "del"):
+    if semantics not in SCHEMAS:
         raise MetaError("unknown semantics %r" % semantics)
     _check_outputs(db)
 
-    schemas = [CORE_SCHEMA, BRIDGE_SCHEMA, BASIC_SCHEMA, TEL_SCHEMA]
     constants = {"n": Integer(n)}
     if semantics == "mel":
         if max_time is None:
@@ -285,12 +280,10 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
         if max_time < n:
             raise MetaError("max-time %d below horizon %d (infeasible timing)"
                             % (max_time, n))
-        schemas.append(MEL_SCHEMA)
         constants["m"] = Integer(max_time)
-    elif semantics == "del":
-        schemas.append(DEL_SCHEMA)
 
-    program = _instantiate(schemas, db_facts(db), constants)
+    program = Grounder(_schema_plan(semantics), constants,
+                       facts=db.facts()).ground()
     return MetaProgram(program, db, n, semantics, max_time)
 
 

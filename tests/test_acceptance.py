@@ -153,20 +153,26 @@ def test_criterion_4_tel_oracle_equivalence():
             % (mismatches, elapsed))
 
 
-def test_criterion_4_ground_programs_digest():
-    # sha256 over the user and meta ground programs (text and symbol
-    # table) of criterion 4's programs, recorded before the grounder
-    # built each instance in its join
-    rng = random.Random(404)
+def _ground_programs_digest(runs):
+    """sha256 over the user and meta ground programs (text and symbol
+    table) of each (pipeline, n, max_time) run."""
     h = hashlib.sha256()
-    for trial in range(200):
-        text = _rand_tel_program(rng)
-        n = rng.choice((0, 1, 2))
-        p = Pipeline(text)
-        for gp in (p.ground, p.meta(n).program):
+    for p, n, max_time in runs:
+        for gp in (p.ground, p.meta(n, max_time).program):
             h.update(("%s\n%s\n" % (
                 gp, " ".join(map(str, gp.symbol_table)))).encode())
-    ok = h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_criterion_4_ground_programs_digest():
+    # criterion 4's programs, recorded before the grounder built each
+    # instance in its join
+    rng = random.Random(404)
+    runs = []
+    for trial in range(200):
+        text = _rand_tel_program(rng)
+        runs.append((Pipeline(text), rng.choice((0, 1, 2)), None))
+    ok = _ground_programs_digest(runs) == (
         "efc647e9f9c34bc03ea6608b81e5c00b04938ac230a092ab9ef3847b8ba210ad")
     _report(4, ok, "ground programs of the 200 random TEL programs "
             "unchanged")
@@ -235,6 +241,21 @@ def test_criterion_4_mel_oracle_equivalence():
     elapsed = time.time() - start
     _report(4, mismatches == 0, "200 random MEL programs, %d mismatches "
             "(%.1fs)" % (mismatches, elapsed))
+
+
+def test_criterion_4_mel_ground_programs_digest():
+    # the programs of the MEL equivalence test above, recorded before the
+    # schemas were compiled once with argument-indexed joins
+    rng = random.Random(414)
+    runs = []
+    for trial in range(200):
+        text = _rand_mel_program(rng)
+        n = rng.randint(0, 3)
+        runs.append((Pipeline(text, "mel"), n, n + rng.randint(0, 3)))
+    ok = _ground_programs_digest(runs) == (
+        "7aac28b85c5ce34fe4257327765eef8a4d98b13c47819072ea41961ee90e7317")
+    _report(4, ok, "ground programs of the 200 random MEL programs "
+            "unchanged")
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +379,21 @@ def test_criterion_7_path_closure_and_satisfaction():
             print("criterion 7 mismatch (n=%d): %s" % (n, rho))
     _report(7, ok, "50 random path expressions: closure idempotent, "
             "satisfaction matches eval_path")
+
+
+def test_criterion_7_ground_programs_digest():
+    # the programs of criterion 7, recorded before the schemas were
+    # compiled once with argument-indexed joins
+    rng = random.Random(707)
+    runs = []
+    for trial in range(50):
+        rho = _rand_path(rng, rng.randint(1, 3))
+        program = "{ a }. { b }.\nmarker :- &eventually(%s,&final).\n" % rho
+        runs.append((Pipeline(program, "del"), rng.choice((0, 1, 2)), None))
+    ok = _ground_programs_digest(runs) == (
+        "78ad69a8f84d7d02af110fa2999c5d337f0d08a95226d3063a3dd99df6e42f6d")
+    _report(7, ok, "ground programs of the 50 random DEL programs "
+            "unchanged")
 
 
 # ---------------------------------------------------------------------------

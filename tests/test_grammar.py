@@ -1,8 +1,10 @@
+import copy
+
 import pytest
 
-from tasp.grammar import (GrammarError, TypeError_, builtin_grammar,
-                          load_grammar, typecheck, typecheck_program,
-                          expand_macros)
+from tasp.grammar import (GrammarError, TheoryGrammar, TypeError_,
+                          builtin_grammar, load_grammar, typecheck,
+                          typecheck_program, expand_macros)
 from tasp.parser import parse_expression, parse_program
 from tasp.syntax import Integer, Supremum, TheoryExpression
 
@@ -80,14 +82,40 @@ def test_membership_path_is_the_first_shortest_path():
     assert g.membership_path("number", "number") == ("number",)
 
 
+CHAIN = ("".join("#type t%d { subtypes: t%d; }\n" % (i, i + 1)
+                 for i in range(1199)) + "#type t1199 { subtypes: atom; }\n")
+
+
 def test_deep_subtype_chain():
-    g = load_grammar("".join("#type t%d { subtypes: t%d; }\n" % (i, i + 1)
-                             for i in range(1199))
-                     + "#type t1199 { subtypes: atom; }\n")
+    g = load_grammar(CHAIN)
     chain = tuple("t%d" % i for i in range(1200)) + ("atom",)
     assert g.closure("t0") == chain
     assert g.membership_path("t0", "atom") == chain
     assert g.membership_path("t600", "t1199") == chain[600:1200]
+
+
+def test_validation_visits_each_subtype_edge_once(monkeypatch):
+    # the cycle check is one search over all types, not one per type
+    calls = []
+    subtypes = TheoryGrammar._subtypes
+    monkeypatch.setattr(TheoryGrammar, "_subtypes",
+                        lambda self, t: calls.append(t) or subtypes(self, t))
+    g = load_grammar(CHAIN)
+    assert len(calls) <= 1201  # the 1,200 types and atom
+    calls.clear()
+    g.union(load_grammar("#type u { subtypes: atom; }"))
+    assert len(calls) <= 2 * 1202  # u validated, then the union
+
+
+def test_builtin_grammar_built_once():
+    g = builtin_grammar("del")
+    assert builtin_grammar("del") is g
+    types = copy.deepcopy(g.types)
+    closures = {t: g.closure(t) for t in g.types}
+    merged = g.union(load_grammar("#type u { expressions: &w(safe del); }"))
+    assert merged.find_spec("u", "w", 1) is not None
+    assert "u" not in g.types and g.types == types
+    assert {t: g.closure(t) for t in g.types} == closures
 
 
 def test_union_duplicate_type_rejected():

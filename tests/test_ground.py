@@ -75,6 +75,21 @@ def test_const_directive():
     assert {str(f) for f in gp.facts} == {"p(3)"}
 
 
+def test_const_values_are_bound_into_the_program():
+    # a value is substituted before grounding: its arithmetic is evaluated
+    # and its interval expanded where it is used
+    gp = _ground("#const n = 3. #const m = n+1. p(m). q(X) :- p(X), X < n*2.")
+    assert [str(f) for f in gp.facts] == ["p(4)", "q(4)"]
+    gp = _ground("#const k = 1..2. p(k).")
+    assert [str(f) for f in gp.facts] == ["p(1)", "p(2)"]
+
+
+def test_scan_over_a_predicate_without_atoms_evaluates_nothing():
+    # r has no atoms, so X+1 is never evaluated for X = a
+    gp = _ground("p(a). q(X,Y) :- p(X), r(X+1,Y).")
+    assert [str(f) for f in gp.facts] == ["p(a)"] and gp.rules == []
+
+
 def test_negative_body_respected():
     gp = _ground("a. b :- not a.")
     assert "b" not in {str(f) for f in gp.facts}
@@ -249,6 +264,28 @@ def test_fact_chains_promote_one_layer_per_round():
 ])
 def test_join_listing(text, semantics, listing):
     assert _listing(_ground(text, semantics=semantics)) == listing
+
+
+def test_rule_growing_its_indexed_input_during_its_join():
+    # r and t derive atoms that later steps of their own join look up by
+    # a bound argument; recorded before the joins read argument indexes
+    gp = _ground("q(1,2). q(2,3). { q(3,1) }. r(0,1). "
+                 "r(Y,Z) :- r(X,Y), q(Y,Z). "
+                 "t(X,Y) :- q(X,Y). t(X,Z) :- t(X,Y), t(Y,Z).")
+    facts = ["q(1,2)", "q(2,3)", "r(0,1)", "r(1,2)", "t(1,2)", "t(2,3)",
+             "r(2,3)", "t(1,3)"]
+    assert _listing(gp) == (facts, [
+        "{ q(3,1) }.", "r(3,1) :- q(3,1).", "t(3,1) :- q(3,1).",
+        "t(1,1) :- t(2,1).", "t(2,1) :- t(3,1).", "t(2,2) :- t(3,2).",
+        "t(3,2) :- t(3,1).", "t(3,3) :- t(3,1).", "t(3,1) :- t(3,1); t(1,1).",
+        "t(1,1) :- t(3,1).", "t(2,2) :- t(2,1).", "t(2,1) :- t(2,1); t(1,1).",
+        "t(3,3) :- t(3,2).", "t(3,1) :- t(3,2); t(2,1).",
+        "t(3,2) :- t(3,2); t(2,2).", "t(3,1) :- t(3,3); t(3,1).",
+        "t(3,2) :- t(3,3); t(3,2).", "t(3,3) :- t(3,3); t(3,3).",
+        "t(1,1) :- t(1,1); t(1,1).", "t(2,1) :- t(2,2); t(2,1).",
+        "t(2,2) :- t(2,2); t(2,2)."], [], facts + [
+        "q(3,1)", "r(3,1)", "t(3,1)", "t(1,1)", "t(2,1)", "t(2,2)", "t(3,2)",
+        "t(3,3)"])
 
 
 def test_bound_interval_comparison_is_membership():

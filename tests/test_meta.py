@@ -1,10 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 from itertools import islice
 
 import pytest
 
 from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, oracle_traces
 
+import tasp
 from tasp.cli import Pipeline, distinct_traces
 from tasp.meta import MetaError, build, default_max_time
 from tasp.reify import ReifiedDB
@@ -87,7 +91,7 @@ def test_meta_program_golden(text, n, semantics, rules, facts, atoms, digest):
     program = Pipeline(text, semantics).meta(n).program
     assert (len(program.rules), len(program.facts),
             len(program.symbol_table)) == (rules, facts, atoms)
-    text = str(program) + "\n--\n" + "\n".join(map(str, program.symbol_table))
+    text = _meta_text(program)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
@@ -129,6 +133,39 @@ def test_horizon_constants_bound_in_schemas_only(text, semantics, max_time):
     solved = set(distinct_traces(Pipeline(text, semantics).meta(0, max_time)))
     assert solved == oracle_traces(text, 0, max_time=max_time)
     assert len(solved) == 4
+
+
+def _meta_text(program):
+    return str(program) + "\n--\n" + "\n".join(map(str, program.symbol_table))
+
+
+_FRESH_BUILD = """\
+import sys
+from tasp.cli import Pipeline
+text, semantics, n, max_time = sys.argv[1:]
+program = Pipeline(text, semantics).meta(
+    int(n), int(max_time) if max_time != "-" else None).program
+print(str(program) + "\\n--\\n" + "\\n".join(map(str, program.symbol_table)),
+      end="")
+"""
+
+
+def test_schema_plan_serves_every_horizon():
+    # one compiled plan per logic, reused with other n and m and in any
+    # order, grounds what a build in a fresh interpreter grounds
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for text, semantics, n, max_time in [
+            (TELEX, "tel", 2, None), (TELEX, "tel", 0, None),
+            (TELEX, "tel", 2, None), (MELEX_SCALED, "mel", 3, 6),
+            (MELEX_SCALED, "mel", 3, 9)]:
+        got = _meta_text(Pipeline(text, semantics).meta(n, max_time).program)
+        fresh = subprocess.run(
+            [sys.executable, "-c", _FRESH_BUILD, text, semantics, str(n),
+             "-" if max_time is None else str(max_time)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert got == fresh.stdout, (semantics, n, max_time)
 
 
 # ---------------------------------------------------------------------------
