@@ -9,7 +9,8 @@ Subcommands intercept the pipeline at different stages:
   oracle     print the brute-force reference models
 
 Exit status: 10 satisfiable, 20 unsatisfiable, 0 for non-solving
-subcommands, 1 usage error, 65 input error.
+subcommands, 1 usage error, 65 input error, 33 resource limit (solver
+steps, grounder atoms or term depth, oracle candidates).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .oracle import OracleError
 from .parser import ParseError, parse_program
 from .reify import ReifyError, emit_reified_text, reify
 from .solver import SolverError
-from .syntax import Constant, Integer
+from .syntax import Constant, Integer, ResourceLimit
 from .transform import UnsafeRuleError, transform_program
 
 log = logging.getLogger("tasp")
@@ -44,6 +45,7 @@ EXIT_UNSAT = 20
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 65
+EXIT_RESOURCE = 33
 
 INPUT_ERRORS = (ParseError, GrammarError, TypeError_, UnsafeRuleError,
                 GroundingError, ReifyError, MetaError, OracleError,
@@ -343,6 +345,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except ResourceLimit as exc:
+        print("resource limit: %s" % exc, file=sys.stderr)
+        return EXIT_RESOURCE
     except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

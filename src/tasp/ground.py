@@ -19,15 +19,19 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, Infimum, Integer, Literal, Program, Show, String,
-    Supremum, TheoryExpression, UnaryMinus, Variable, map_payloads,
-    substitute, with_args,
+    External, Function, Infimum, Integer, Literal, Program, ResourceLimit,
+    Show, String, Supremum, TheoryExpression, UnaryMinus, Variable,
+    map_payloads, substitute, with_args,
 )
 
 log = logging.getLogger(__name__)
 
 
 class GroundingError(Exception):
+    pass
+
+
+class GroundingLimitError(GroundingError, ResourceLimit):
     pass
 
 
@@ -547,10 +551,10 @@ class Grounder:
         if atom in self.derivable:
             return False
         if term_depth(atom) > MAX_TERM_DEPTH:
-            raise GroundingError(
+            raise GroundingLimitError(
                 "value-creation depth bound exceeded at %s" % (atom,))
         if len(self.derivable) > MAX_ATOMS:
-            raise GroundingError("derivable-atom bound exceeded")
+            raise GroundingLimitError("derivable-atom bound exceeded")
         self.derivable[atom] = None
         key = atom_key(atom)
         self._index.setdefault(key, []).append(atom)

@@ -62,16 +62,21 @@ true(not(F),T) :- formula(_,not(F)), time(T), not true(F,T).
 :- formula(_,not(F)), time(T), true(not(F),T), true(F,T).
 """
 
-#: Qualitative &next / &eventually (unary forms).
+#: Qualitative &next / &eventually (unary forms).  &eventually unfolds
+#: one state at a time, F or next &eventually F (as in telingo), so each
+#: formula grounds to O(n) rules and its witness disjunction has two heads.
 TEL_SCHEMA = """\
 true(F,T+1) :- formula(_,next(F)), time(T), T < n, true(next(F),T).
 true(next(F),T) :- formula(_,next(F)), time(T), T < n, true(F,T+1).
 :- formula(_,next(F)), time(T), T >= n, true(next(F),T).
 
-true(eventually(F),T) :-
-    formula(_,eventually(F)), time(T), time(J), J >= T, true(F,J).
-true(F,J) : time(J), J >= T :-
-    formula(_,eventually(F)), time(T), true(eventually(F),T).
+true(eventually(F),T) :- formula(_,eventually(F)), time(T), true(F,T).
+true(eventually(F),T) :- formula(_,eventually(F)), time(T), T < n,
+    true(eventually(F),T+1).
+true(F,T); true(eventually(F),T+1) :- formula(_,eventually(F)), time(T),
+    T < n, true(eventually(F),T).
+true(F,T) :- formula(_,eventually(F)), time(T), T >= n,
+    true(eventually(F),T).
 """
 
 #: Metric layer.  The timing function is order-encoded: tau_ge(T,V) says

@@ -15,12 +15,16 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, Constant, Disjunction,
-    Function, Integer, Literal, Program, Rule, Supremum, TheoryExpression,
-    UnaryMinus, Variable, walk_expression,
+    Function, Integer, Literal, Program, ResourceLimit, Rule, Supremum,
+    TheoryExpression, UnaryMinus, Variable, walk_expression,
 )
 
 
 class OracleError(Exception):
+    pass
+
+
+class OracleLimitError(OracleError, ResourceLimit):
     pass
 
 
@@ -474,7 +478,7 @@ def temporal_models(program: Program, n: int,
 
     count = (2 ** (len(free) * (n + 1))) * max(len(taus), 1)
     if count > MAX_CANDIDATES:
-        raise OracleError("state space too large: %d candidates" % count)
+        raise OracleLimitError("state space too large: %d candidates" % count)
 
     state_choices = list(itertools.chain.from_iterable(
         [itertools.combinations(free, k) for k in range(len(free) + 1)]))

@@ -22,11 +22,16 @@ from itertools import islice
 from typing import Dict, Iterator, List, Optional
 
 from .ground import GroundProgram
+from .syntax import ResourceLimit
 
 log = logging.getLogger(__name__)
 
 
 class SolverError(Exception):
+    pass
+
+
+class StepLimitError(SolverError, ResourceLimit):
     pass
 
 
@@ -97,7 +102,7 @@ class _Engine:
         self.natoms, self.rules, self.step_limit = natoms, rules, step_limit
         self.steps, self.counters = 0, dict.fromkeys((  # logged by solve
             "decisions", "conflicts", "learned", "loop_nogoods",
-            "unfounded_checks"), 0)
+            "unfounded_checks", "minimality_checks"), 0)
         succ = [[] for _ in range(natoms)]
         for _, heads, pos, _ in rules:
             for h in heads:
@@ -282,7 +287,7 @@ class _Engine:
             if conflict is None and self.dep:
                 conflict = self._unfounded()
             if self.steps > self.step_limit:
-                raise SolverError("step limit exceeded")
+                raise StepLimitError("step limit exceeded")
             if conflict is not None or self.qhead == len(self.trail):
                 return conflict
 
@@ -361,6 +366,7 @@ class _Engine:
         if not any(sum(h in inside for h in heads) > 1 and holds(pos, neg)
                    for heads, pos, neg in self.disjunctive):
             return None
+        self.counters["minimality_checks"] += 1
         reduct = [(True, (i,), (), ()) for i in range(len(model))]
         reduct.append((False, (), tuple(range(len(model))), ()))
         for choice, heads, pos, neg in self.rules:

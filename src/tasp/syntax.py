@@ -11,6 +11,12 @@ from operator import is_
 from typing import Optional, Union
 
 
+class ResourceLimit(Exception):
+    """Marker of the errors that report a bound on work reached (solver
+    steps, grounder atoms and term depth, oracle candidates), not a fault
+    in the input; each stage raises a subclass of its own error type."""
+
+
 # ---------------------------------------------------------------------------
 # Terms
 

@@ -10,6 +10,8 @@ import itertools
 import random
 import time
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import (DEL_ALTERNATION, MELEX, MELEX_SCALED, TELEX, WAIT,
                       oracle_traces, random_prop_program,
                       stable_models_bruteforce)
@@ -165,17 +167,82 @@ def _ground_programs_digest(runs):
 
 
 def test_criterion_4_ground_programs_digest():
-    # criterion 4's programs, recorded before the grounder built each
-    # instance in its join
+    # criterion 4's programs, recorded when &eventually was first unfolded
+    # one state at a time (the user ground programs and the traces of all
+    # 200 are the same as under the quadratic encoding before it)
     rng = random.Random(404)
     runs = []
     for trial in range(200):
         text = _rand_tel_program(rng)
         runs.append((Pipeline(text), rng.choice((0, 1, 2)), None))
     ok = _ground_programs_digest(runs) == (
-        "efc647e9f9c34bc03ea6608b81e5c00b04938ac230a092ab9ef3847b8ba210ad")
+        "87800d596899b0373e09206e04ad6efa97708647296a91cb08f2a08d506e6c74")
     _report(4, ok, "ground programs of the 200 random TEL programs "
             "unchanged")
+
+
+def _fuzz_formula(atoms, depth):
+    """TEL formulas over `atoms` nesting &next, &eventually and &not up to
+    `depth`."""
+    leaf = st.sampled_from(atoms + ("&initial", "&final"))
+    if depth == 0:
+        return leaf
+    sub = _fuzz_formula(atoms, depth - 1)
+    return st.one_of([leaf] + [sub.map(w.__mod__) for w in (
+        "&next(%s)", "&eventually(%s)", "&not(%s)")])
+
+
+def _fuzz_del_formula(atoms):
+    """A TEL formula under zero to two &eventually(&star(&step),_): the
+    DEL grammar types the arguments of the TEL operators as TEL."""
+    once = _fuzz_formula(atoms, 3).map("&eventually(&star(&step),%s)".__mod__)
+    return st.one_of(_fuzz_formula(atoms, 3), once,
+                     once.map("&eventually(&star(&step),%s)".__mod__))
+
+
+@st.composite
+def _fuzz_program(draw, paths=False):
+    """1-4 facts, choices, constraints and rules over two or three atoms,
+    with formulas in heads and in bodies, some of these under `not`."""
+    atoms = ("p", "q", "r")[:draw(st.integers(2, 3))]
+    formula = _fuzz_del_formula(atoms) if paths else _fuzz_formula(atoms, 3)
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("fact", "constraint", "rule")))
+        if kind == "fact":
+            lines.append(draw(st.sampled_from(("%s.", "{ %s }."))) % draw(
+                st.sampled_from(atoms)))
+            continue
+        body = ", ".join(("not " if neg else "") + f for neg, f in draw(
+            st.lists(st.tuples(st.booleans(), formula), min_size=1,
+                     max_size=2)))
+        head = "" if kind == "constraint" else draw(formula)
+        lines.append("%s :- %s." % (head, body))
+    return "\n".join(lines) + "\n"
+
+
+def _assert_oracle_traces(text, n, semantics):
+    solved = set(distinct_traces(Pipeline(text, semantics).meta(n)))
+    assert solved == oracle_traces(text, n), "n=%d:\n%s" % (n, text)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(_fuzz_program(), st.integers(0, 3))
+def test_criterion_4_tel_fuzz_against_oracle(text, n):
+    _assert_oracle_traces(text, n, "tel")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_fuzz_program(paths=True), st.integers(0, 3))
+def test_criterion_4_del_eventually_fuzz_against_oracle(text, n):
+    _assert_oracle_traces(text, n, "del")
+
+
+def test_eventually_chain_forces_no_earlier_witness():
+    text = "&eventually(p) :- &initial.\np :- q.\nq :- &final.\n"
+    ((states, tau),) = distinct_traces(Pipeline(text).meta(2))
+    assert [s & {"p"} for s in states] == [set(), set(), {"p"}]
+    assert {(states, tau)} == oracle_traces(text, 2)
 
 
 def _rand_window(rng):

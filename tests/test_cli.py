@@ -6,6 +6,7 @@ import pytest
 from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX
 from test_parser import OVER_DEEP
 
+from tasp import ground
 from tasp.cli import Pipeline, main, run_pipeline
 
 
@@ -208,6 +209,25 @@ def test_over_deep_input_exit_65(shape, monkeypatch, capsys):
                    monkeypatch=monkeypatch)
     assert code == 65
     assert "nesting deeper than 100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["solve"], "{ a(1..30) }.\n"),                  # solver step limit
+    (["solve"], "p(f(X)) :- p(X). p(a).\n"),         # grounder term depth
+    (["oracle", "-c", "n=4"], "{ a; b; c; d; e }.\n"),  # oracle candidates
+], ids=["steps", "depth", "candidates"])
+def test_resource_limit_exit_33(argv, text, monkeypatch, capsys):
+    code, _ = _run(argv, stdin=text, monkeypatch=monkeypatch)
+    assert code == 33
+    assert capsys.readouterr().err.startswith("resource limit: ")
+
+
+def test_atom_bound_exit_33(monkeypatch, capsys):
+    monkeypatch.setattr(ground, "MAX_ATOMS", 10)
+    code, _ = _run(["solve"], stdin="p(1..20).\n", monkeypatch=monkeypatch)
+    assert code == 33
+    assert capsys.readouterr().err == (
+        "resource limit: derivable-atom bound exceeded\n")
 
 
 def test_stdin_input(monkeypatch):

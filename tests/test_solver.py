@@ -2,10 +2,11 @@ import logging
 import random
 
 import pytest
-from conftest import TELEX, random_prop_program, stable_models_bruteforce
+from conftest import (TELEX, oracle_traces, random_prop_program,
+                      stable_models_bruteforce)
 
 from tasp import meta, oracle
-from tasp.cli import Pipeline
+from tasp.cli import Pipeline, distinct_traces
 from tasp.ground import Grounder
 from tasp.parser import parse_program
 from tasp.solver import (CONFLICT, DEFAULT_STEP_LIMIT, SolverError,
@@ -138,6 +139,13 @@ def test_solve_logs_search_counters(caplog):
     for counter in ("decisions", "conflicts", "learned", "loop nogoods",
                     "unfounded checks"):
         assert counter in line, line
+    # no rule has two true heads, so no model needs a minimality check
+    assert "0 minimality checks" in line, line
+    gp = Grounder(parse_program("a; b. a :- b. b :- a.")).ground()
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        assert len(solve(gp)) == 1
+    line = caplog.records[-1].getMessage()
+    assert "1 minimality checks" in line, line
 
 
 def test_full_enumeration_stops_at_step_limit():
@@ -153,16 +161,30 @@ def test_models_generator_is_lazy():
     assert [first] == solve(gp, limit=1)
 
 
-def test_telex_horizon_10_models_are_equilibrium_traces():
-    mp = Pipeline(TELEX).meta(10)
+@pytest.mark.parametrize("n", [3, 4])
+def test_telex_traces_equal_oracle(n):
+    assert set(distinct_traces(Pipeline(TELEX).meta(n))) \
+        == oracle_traces(TELEX, n)
+
+
+@pytest.mark.parametrize("n", [6, 10, 16])
+def test_telex_models_are_equilibrium_traces(n):
+    mp = Pipeline(TELEX).meta(n)
     traces = {meta.extract_model(mp, m.atoms)
               for m in solve(mp.program, step_limit=DEFAULT_STEP_LIMIT)}
-    assert len(traces) == 9
-    # each trace passes the oracle's own equilibrium test
+    # push at state 1, green at one state k >= 2, red at every other one
+    assert traces == {(tuple(
+        frozenset({"light(l1)", "green(l1)" if t == k else "red(l1)"}
+                  | ({"push(l1)"} if t == 1 else set()))
+        for t in range(n + 1)), None) for k in range(2, n + 1)}
+    # each trace passes the oracle's own equilibrium test, which tries
+    # every smaller here-trace: 2^(n+2) of them, 25 s per trace at n=16,
+    # so there the exact set above stands for it
+    if n > 10:
+        return
     rules = oracle.instantiate(parse_program(TELEX))
     facts = {r.head.elements[0].atom for r in rules if oracle._is_fact(r)}
     atoms = {str(a): a for a in oracle._vocabulary(rules)}
     for states, tau in traces:
-        assert len(states) == 11 and tau is None
         there = [frozenset(atoms[a] for a in s) for s in states]
         assert oracle._equilibrium(rules, there, tau, facts)
