@@ -14,7 +14,7 @@ from .meta import MetaProgram, build, default_max_time, extract_model
 from .oracle import Trace, eval_formula, eval_path, temporal_models
 from .parser import parse_expression, parse_program
 from .reify import ReifiedDB, emit_reified_text, isomorphic, parse_reified
-from .solver import Model, check_stable, solve
+from .solver import Model, solve
 from .transform import transform_program
 from .cli import main, run_pipeline
 
@@ -27,7 +27,7 @@ __all__ = [
     "Trace", "eval_formula", "eval_path", "temporal_models",
     "parse_expression", "parse_program",
     "ReifiedDB", "emit_reified_text", "isomorphic", "parse_reified",
-    "Model", "check_stable", "solve",
+    "Model", "solve",
     "transform_program", "main", "run_pipeline",
     "__version__",
 ]

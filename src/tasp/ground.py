@@ -237,6 +237,10 @@ class GroundRule(NamedTuple):
 
 @dataclass
 class GroundProgram:
+    """Facts, the rules left after simplification, and externals.  No rule
+    names a fact: simplification drops a rule whose body negates a fact
+    or whose disjunction holds one, and deletes a fact from a positive
+    body or a choice.  So the solver leaves facts out of its search."""
     rules: List[GroundRule] = field(default_factory=list)
     facts: Dict = field(default_factory=dict)      # ordered set of atoms
     externals: Dict = field(default_factory=dict)  # ordered set of atoms
@@ -712,17 +716,20 @@ class Grounder:
         return [(rule.kind, head, body) for head in heads]
 
     def _comparison_holds(self, cmp, positive, subst) -> bool:
-        """Whether a bound comparison holds; an interval on either side
-        of = gives membership, e.g. X = 1..N, and an empty side fails."""
-        lv = self._expand_safe(cmp.left, subst)
-        rv = self._expand_safe(cmp.right, subst)
-        if not lv or not rv:
+        """Whether a bound comparison holds.  = tests whether the sides
+        share a value, so an interval gives membership (X = 1..N) and an
+        empty one makes X = 3..1 false; other comparisons need one value
+        on each side.  Division by zero fails it, negated or not."""
+        try:
+            lv = expand_term(cmp.left, subst)
+            rv = expand_term(cmp.right, subst)
+        except DropInstance:
             return False
-        if len(lv) == 1 and len(rv) == 1:
-            return compare_terms(cmp.op, lv[0], rv[0]) == positive
         if cmp.op == "=":
-            return bool(set(lv) & set(rv)) == positive
-        raise GroundingError("interval with %r comparison" % cmp.op)
+            return (not set(lv).isdisjoint(rv)) == positive
+        if len(lv) != 1 or len(rv) != 1:
+            raise GroundingError("interval with %r comparison" % cmp.op)
+        return compare_terms(cmp.op, lv[0], rv[0]) == positive
 
     def _ground_head(self, head, subst) -> List[tuple]:
         """Alternative heads: conditioned elements expand disjunctively,

@@ -26,7 +26,9 @@ class MetaError(Exception):
 # ---------------------------------------------------------------------------
 # Rule schemas
 
-#: Timed core: duplicates rule satisfaction over states 0..n.
+#: Timed core: duplicates rule satisfaction over states 0..n.  A rule's
+#: head reads the conjunction of its body directly; the body/2 layer of
+#: clingo's reification format holds sum aggregates, never reified here.
 CORE_SCHEMA = """\
 time(0..n).
 
@@ -34,13 +36,11 @@ conjunction(B,T) :- literal_tuple(B), time(T),
     hold(L,T) : literal_tuple(B,L), L > 0;
     not hold(-L,T) : literal_tuple(B,L), L < 0.
 
-body(normal(B),T) :- rule(_,normal(B)), conjunction(B,T), time(T).
-
 hold(A,T) : atom_tuple(H,A) :-
-    rule(disjunction(H),normal(B)), time(T), body(normal(B),T).
+    rule(disjunction(H),normal(B)), time(T), conjunction(B,T).
 
 { hold(A,T) : atom_tuple(H,A) } :-
-    rule(choice(H),normal(B)), time(T), body(normal(B),T).
+    rule(choice(H),normal(B)), time(T), conjunction(B,T).
 """
 
 #: Bridge between numeric hold/2 and symbolic true/2; the fact case

@@ -2,14 +2,16 @@
 integrity constraints) by one conflict-driven engine over completion
 nogoods (Gebser, Kaufmann and Schaub, "Conflict-driven answer set solving:
 From theory to practice", AIJ 2012): each distinct rule body is a variable
-equivalent to its literals, a rule gives body -> heads, and an atom that is
-not a fact implies one of its bodies (Clark's completion).  A model of
-these clauses is stable iff no positive loop is unfounded (Lin and Zhao,
+equivalent to its literals, a rule gives body -> heads, and an atom
+implies one of its bodies (Clark's completion).  A model of these
+clauses is stable iff no positive loop is unfounded (Lin and Zhao,
 AIJ 2004), so source pointers track only the atoms on loops and each
 unfounded set yields a loop nogood.  The search learns first-UIP clauses
 over a trail with watched literals, backjumps and blocks the decisions of
 each model, without recursion.  A model with two true heads of one rule
 must also be a minimal model of its reduct, checked by a second engine.
+The program's facts stay outside both engines: no rule names one, so a
+model is the facts plus the atoms the search made true.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ class StepLimitError(SolverError, ResourceLimit):
     pass
 
 
-CONFLICT = "conflict"
-
 #: Default bound on search work: literals propagated plus clauses and
 #: unfounded-set candidates visited.
 DEFAULT_STEP_LIMIT = 10_000_000
@@ -48,19 +48,19 @@ class Model:
 
 
 def _translate(program: GroundProgram):
-    """Atoms in order of first occurrence, their index, and the rules as
-    (is_choice, heads, positive body, negative body) over atom indices."""
+    """The atoms of the rules in order of first occurrence, and the rules
+    as (is_choice, heads, positive body, negative body) over their
+    indices.  Facts get no atom: no rule of a ground program names one."""
     index: Dict = {}
 
     def ids(atoms):
         return tuple(index.setdefault(a, len(index)) for a in atoms)
 
-    rules = [(False, ids((f,)), (), ()) for f in program.facts]
-    for r in program.rules:
-        rules.append((r.head_kind == "choice", ids(r.head),
-                      ids(a for sign, a in r.body if sign),
-                      ids(a for sign, a in r.body if not sign)))
-    return list(index), index, rules
+    rules = [(r.head_kind == "choice", ids(r.head),
+              ids(a for sign, a in r.body if sign),
+              ids(a for sign, a in r.body if not sign))
+             for r in program.rules]
+    return list(index), rules
 
 
 def _loops(succ) -> List[int]:
@@ -397,17 +397,19 @@ class _Engine:
 def models(program: GroundProgram,
            step_limit: int = DEFAULT_STEP_LIMIT) -> Iterator[Model]:
     """Yield the stable models one at a time, in a deterministic order;
-    the search goes on only as far as the caller pulls."""
-    terms, _, rules = _translate(program)
+    the search goes on only as far as the caller pulls.  Each model is
+    the program's facts plus the atoms the search made true."""
+    terms, rules = _translate(program)
+    facts = frozenset(program.facts)
     engine = _Engine(len(terms), rules, step_limit)
     count = 0
     try:
         for model in engine.models():
             count += 1
-            yield Model(frozenset(terms[a] for a in model))
+            yield Model(facts.union(terms[a] for a in model))
     finally:
-        stats = dict(models=count, atoms=len(terms), steps=engine.steps,
-                     **engine.counters)
+        stats = dict(models=count, atoms=len(terms), facts=len(facts),
+                     steps=engine.steps, **engine.counters)
         log.debug("solve: %s", ", ".join(
             "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
 
@@ -424,31 +426,3 @@ def solve(program: GroundProgram, limit: int = 0,
     finally:
         found.close()
 
-
-def _fixed(program: GroundProgram, assignment: Dict, closed=False):
-    """The atoms and an engine with assignment fixed at level 0 and
-    propagated (None on conflict); closed makes the other atoms false."""
-    terms, index, rules = _translate(program)
-    if closed:
-        assignment = {**dict.fromkeys(terms, False), **assignment}
-    engine = _Engine(len(terms), rules, DEFAULT_STEP_LIMIT)
-    ok = engine.ok and all(
-        engine._enqueue(2 * index[a] + (not v), None) if a in index else not v
-        for a, v in assignment.items())
-    return terms, engine if ok and engine._fixpoint() is None else None
-
-
-def check_stable(program: GroundProgram, candidate) -> bool:
-    """True iff candidate (a set of ground atoms) is a stable model."""
-    terms, engine = _fixed(program, dict.fromkeys(candidate, True), True)
-    return engine is not None and engine.unstable(
-        [a for a in range(len(terms)) if engine.val[2 * a] > 0]) is None
-
-
-def propagate(program: GroundProgram, assignment: Dict) -> object:
-    """Extend a partial assignment {atom: bool}; returns the extended
-    mapping or the string "conflict"."""
-    terms, engine = _fixed(program, assignment)
-    return CONFLICT if engine is None else {
-        terms[a]: engine.val[2 * a] > 0 for a in range(len(terms))
-        if engine.val[2 * a]}

@@ -166,19 +166,35 @@ def _ground_programs_digest(runs):
     return h.hexdigest()
 
 
-def test_criterion_4_ground_programs_digest():
-    # criterion 4's programs, recorded when &eventually was first unfolded
-    # one state at a time (the user ground programs and the traces of all
-    # 200 are the same as under the quadratic encoding before it)
+def _criterion_4_runs():
+    """The pipelines of criterion 4's 200 programs, with their horizons."""
     rng = random.Random(404)
-    runs = []
-    for trial in range(200):
-        text = _rand_tel_program(rng)
-        runs.append((Pipeline(text), rng.choice((0, 1, 2)), None))
+    return [(Pipeline(_rand_tel_program(rng)), rng.choice((0, 1, 2)))
+            for trial in range(200)]
+
+
+def test_criterion_4_ground_programs_digest():
+    # criterion 4's programs, recorded when the body/2 layer of the meta
+    # encoding was deleted (the user ground programs and the traces of all
+    # 200 are the same as with it)
+    runs = [(p, n, None) for p, n in _criterion_4_runs()]
     ok = _ground_programs_digest(runs) == (
-        "87800d596899b0373e09206e04ad6efa97708647296a91cb08f2a08d506e6c74")
+        "2852a3c455d7ca3d3cbae4b5e52661d79366412a626816e03276c23c33ea180c")
     _report(4, ok, "ground programs of the 200 random TEL programs "
             "unchanged")
+
+
+def test_no_rule_names_a_fact():
+    # the solver leaves every fact out of its search and adds the facts
+    # to each model it finds, which is sound only if no rule names one
+    runs = _criterion_4_runs() + [
+        (Pipeline(TELEX), 6), (Pipeline(MELEX_SCALED, "mel"), 5),
+        (Pipeline(DEL_ALTERNATION, "del"), 6)]
+    for p, n in runs:
+        for gp in (p.ground, p.meta(n).program):
+            named = {a for r in gp.rules
+                     for a in itertools.chain(r.head, (a for _, a in r.body))}
+            assert named.isdisjoint(gp.facts), "n=%d:\n%s" % (n, p.text)
 
 
 def _fuzz_formula(atoms, depth):
@@ -311,8 +327,8 @@ def test_criterion_4_mel_oracle_equivalence():
 
 
 def test_criterion_4_mel_ground_programs_digest():
-    # the programs of the MEL equivalence test above, recorded before the
-    # schemas were compiled once with argument-indexed joins
+    # the programs of the MEL equivalence test above, recorded when the
+    # body/2 layer of the meta encoding was deleted
     rng = random.Random(414)
     runs = []
     for trial in range(200):
@@ -320,7 +336,7 @@ def test_criterion_4_mel_ground_programs_digest():
         n = rng.randint(0, 3)
         runs.append((Pipeline(text, "mel"), n, n + rng.randint(0, 3)))
     ok = _ground_programs_digest(runs) == (
-        "7aac28b85c5ce34fe4257327765eef8a4d98b13c47819072ea41961ee90e7317")
+        "59ad2ff23c9647a08dab9182c20e321b5d8b495205620d06023e43b0a8186fbf")
     _report(4, ok, "ground programs of the 200 random MEL programs "
             "unchanged")
 
@@ -449,8 +465,8 @@ def test_criterion_7_path_closure_and_satisfaction():
 
 
 def test_criterion_7_ground_programs_digest():
-    # the programs of criterion 7, recorded before the schemas were
-    # compiled once with argument-indexed joins
+    # the programs of criterion 7, recorded when the body/2 layer of the
+    # meta encoding was deleted
     rng = random.Random(707)
     runs = []
     for trial in range(50):
@@ -458,7 +474,7 @@ def test_criterion_7_ground_programs_digest():
         program = "{ a }. { b }.\nmarker :- &eventually(%s,&final).\n" % rho
         runs.append((Pipeline(program, "del"), rng.choice((0, 1, 2)), None))
     ok = _ground_programs_digest(runs) == (
-        "78ad69a8f84d7d02af110fa2999c5d337f0d08a95226d3063a3dd99df6e42f6d")
+        "fc38c2f54dc023d178903e14fe24f9e54748538db9117483241a677a6bb3e005")
     _report(7, ok, "ground programs of the 50 random DEL programs "
             "unchanged")
 

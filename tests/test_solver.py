@@ -9,9 +9,7 @@ from tasp import meta, oracle
 from tasp.cli import Pipeline, distinct_traces
 from tasp.ground import Grounder
 from tasp.parser import parse_program
-from tasp.solver import (CONFLICT, DEFAULT_STEP_LIMIT, SolverError,
-                         check_stable, models, propagate, solve)
-from tasp.syntax import Constant
+from tasp.solver import DEFAULT_STEP_LIMIT, SolverError, models, solve
 
 
 def _solve(text):
@@ -70,26 +68,6 @@ def test_model_limit():
     assert len(solve(gp, limit=0)) == 8
 
 
-def test_check_stable():
-    gp = Grounder(parse_program("a :- not b. b :- not a.")).ground()
-    assert check_stable(gp, {Constant("a")})
-    assert not check_stable(gp, {Constant("a"), Constant("b")})
-    assert not check_stable(gp, set())
-
-
-def test_propagate_extends():
-    gp = Grounder(parse_program("a :- not b. b :- not a. c :- a.")).ground()
-    result = propagate(gp, {Constant("b"): False})
-    assert result is not CONFLICT
-    assert result[Constant("a")] is True
-    assert result[Constant("c")] is True
-
-
-def test_propagate_conflict():
-    gp = Grounder(parse_program("a. :- a, b. b.")).ground()
-    assert propagate(gp, {}) is CONFLICT
-
-
 def test_random_agreement_with_bruteforce():
     rng = random.Random(20240817)
     for _ in range(25):
@@ -132,10 +110,12 @@ def test_positive_loops_agree_with_bruteforce():
 
 
 def test_solve_logs_search_counters(caplog):
-    gp = Grounder(parse_program("a :- b. b :- a. { c }. a :- c.")).ground()
+    gp = Grounder(parse_program("a :- b. b :- a. { c }. a :- c. d.")).ground()
     with caplog.at_level(logging.DEBUG, logger="tasp"):
         assert len(solve(gp)) == 2
     line = caplog.records[-1].getMessage()
+    # the fact d stays out of the search
+    assert "3 atoms, 1 facts" in line, line
     for counter in ("decisions", "conflicts", "learned", "loop nogoods",
                     "unfounded checks"):
         assert counter in line, line
@@ -146,6 +126,13 @@ def test_solve_logs_search_counters(caplog):
         assert len(solve(gp)) == 1
     line = caplog.records[-1].getMessage()
     assert "1 minimality checks" in line, line
+    # the search decides only the open atoms of TELEX's meta program
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        assert len(solve(Pipeline(TELEX).meta(6).program)) == 5
+    line = caplog.records[-1].getMessage()
+    for part in ("124 atoms, 89 facts", "13 decisions",
+                 "7 minimality checks"):
+        assert part in line, line
 
 
 def test_full_enumeration_stops_at_step_limit():
