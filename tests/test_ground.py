@@ -288,18 +288,30 @@ def test_rule_growing_its_indexed_input_during_its_join():
         "t(3,3)"])
 
 
+def test_bound_interval_comparison_is_membership():
+    gp = _ground("q(1). q(5). p(X) :- q(X), X = 1..3.")
+    assert [str(f) for f in gp.facts] == ["q(1)", "q(5)", "p(1)"]
+    gp = _ground("q(1). q(5). p(X) :- q(X), not X = 1..3.")
+    assert [str(f) for f in gp.facts] == ["q(1)", "q(5)", "p(5)"]
+
+
 @pytest.mark.parametrize("text,ground", [
-    ("q(1). q(5). p(X) :- q(X), X = 1..3.", "q(1).\nq(5).\np(1)."),
-    ("q(1). q(5). p(X) :- q(X), not X = 1..3.", "q(1).\nq(5).\np(5)."),
     # no value is in 3..1, so X = 3..1 is false and not X = 3..1 true
     ("q(1). q(5). p(X) :- q(X), X = 3..1.", "q(1).\nq(5)."),
     ("q(1). q(5). p(X) :- q(X), not X = 3..1.", "q(1).\nq(5).\np(1).\np(5)."),
-    # s is underivable, so each instance of p needs it and is dropped
-    ("q(1). q(5). p(X) :- q(X), s : not X = 3..1.", "q(1).\nq(5)."),
     ("q(1). p :- not X = 3..1 : q(X).", "q(1).\np."),
 ])
-def test_bound_interval_comparison_is_membership(text, ground):
+def test_empty_interval_comparison(text, ground):
     assert str(_ground(text)) == ground
+
+
+def test_empty_interval_comparison_fails_in_a_conditional():
+    # q(1) holds, so the condition needs 1 = 3..1, which is false
+    gp = _ground("q(1). p :- X = 3..1 : q(X).")
+    assert [str(f) for f in gp.facts] == ["q(1)"] and gp.rules == []
+    # not X = 3..1 holds, so each instance of p needs the underivable s
+    gp = _ground("q(1). q(5). p(X) :- q(X), s : not X = 3..1.")
+    assert str(gp) == "q(1).\nq(5)."
 
 
 @pytest.mark.parametrize("lit", ["X < 3..1", "not X != 3..1", "X <= 1..3"])
