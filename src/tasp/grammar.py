@@ -278,6 +278,8 @@ def typecheck(e, expected: str, g: TheoryGrammar, _depth: int = 0):
                 return typecheck(expansion, expected, g, _depth + 1)
             raise
 
+    if e.memberships and e.memberships[0] == expected:
+        return e  # typed against this type already, as a macro argument
     found = g.find_spec(expected, e.operator, len(e.args))
     if found is not None:
         match_type, spec = found
@@ -304,14 +306,17 @@ def _try_macros(e, expected: str, g: TheoryGrammar):
 
 
 def _match_macro(pattern, e, macro: MacroSpec, g: TheoryGrammar):
-    """Structural match; returns a placeholder binding or None."""
+    """Structural match; returns a placeholder binding or None.  Each
+    placeholder is bound to its value typed against the placeholder's
+    type, which typecheck then takes as it is."""
     if isinstance(pattern, Variable):
         ptype = macro.placeholder_type(pattern.name)
         if ptype is None:
             return None
-        if not _admissible(e, ptype, g):
+        try:
+            return {pattern.name: typecheck(e, ptype, g)}
+        except TypeError_:
             return None
-        return {pattern.name: e}
     if isinstance(pattern, TheoryExpression):
         if (not isinstance(e, TheoryExpression)
                 or e.operator != pattern.operator
@@ -328,14 +333,6 @@ def _match_macro(pattern, e, macro: MacroSpec, g: TheoryGrammar):
                 binding[k] = v
         return binding
     return {} if pattern == e else None
-
-
-def _admissible(e, expected: str, g: TheoryGrammar) -> bool:
-    try:
-        typecheck(e, expected, g)
-        return True
-    except TypeError_:
-        return False
 
 
 def expand_macros(e, g: TheoryGrammar, expected: Optional[str] = None):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import chain
+from math import prod
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .syntax import (
@@ -35,7 +36,8 @@ class GroundingLimitError(GroundingError, ResourceLimit):
     pass
 
 
-#: Function nesting bound for invented values.
+#: Function nesting bound for invented values: a derived atom may nest
+#: this many levels deeper than the deepest atom grounding starts from.
 MAX_TERM_DEPTH = 16
 
 #: Hard cap on derivable atoms, guards non-terminating value invention.
@@ -47,9 +49,10 @@ MAX_ATOMS = 1_000_000
 
 
 def term_depth(t) -> int:
-    if isinstance(t, (Function, TheoryExpression)):
-        return 1 + max((term_depth(a) for a in t.args), default=0)
-    return 0
+    if not isinstance(t, (Function, TheoryExpression)):
+        return 0
+    return 1 + max([term_depth(a) for a in t.args
+                    if isinstance(a, (Function, TheoryExpression))], default=0)
 
 
 def _order_key(t):
@@ -73,8 +76,6 @@ def _order_key(t):
 
 def compare_terms(op: str, a, b) -> bool:
     ka, kb = _order_key(a), _order_key(b)
-    if op == "=":
-        return ka == kb
     if op == "!=":
         return ka != kb
     if op == "<":
@@ -132,14 +133,19 @@ def eval_term(t, subst):
     return t
 
 
+def _interval(t, subst) -> range:
+    """The integers of an interval L..U."""
+    lo = eval_term(t.left, subst)
+    hi = eval_term(t.right, subst)
+    if not isinstance(lo, Integer) or not isinstance(hi, Integer):
+        raise GroundingError("interval bounds must be integers")
+    return range(lo.value, hi.value + 1)
+
+
 def expand_term(t, subst) -> List:
     """Like eval_term but expands intervals into all their values."""
     if isinstance(t, BinOp) and t.op == "..":
-        lo = eval_term(t.left, subst)
-        hi = eval_term(t.right, subst)
-        if not isinstance(lo, Integer) or not isinstance(hi, Integer):
-            raise GroundingError("interval bounds must be integers")
-        return [Integer(v) for v in range(lo.value, hi.value + 1)]
+        return [Integer(v) for v in _interval(t, subst)]
     if isinstance(t, (Function, TheoryExpression)):
         out = [()]
         for a in t.args:
@@ -147,6 +153,39 @@ def expand_term(t, subst) -> List:
             out = [prefix + (v,) for prefix in out for v in vals]
         return [with_args(t, args) for args in out]
     return [eval_term(t, subst)]
+
+
+def _expansion_size(t, subst) -> int:
+    """How many values expand_term(t, subst) gives, from the interval
+    bounds alone."""
+    if isinstance(t, BinOp) and t.op == "..":
+        return len(_interval(t, subst))
+    if isinstance(t, (Function, TheoryExpression)):
+        return prod(_expansion_size(a, subst) for a in t.args)
+    return 1
+
+
+def _expand_atom(atom, subst) -> List:
+    """The atoms a head atom or #external target expands to.  An atom
+    whose interval bounds give more than MAX_ATOMS of them hits the atom
+    bound before any is built."""
+    if _expansion_size(atom, subst) > MAX_ATOMS:
+        raise GroundingLimitError("derivable-atom bound exceeded")
+    return expand_term(atom, subst)
+
+
+def _share_value(left, right, subst) -> bool:
+    """Whether two bound terms have a value in common.  An interval side
+    is tested by its bounds, without building its values."""
+    lv, rv = [_interval(t, subst) if isinstance(t, BinOp) and t.op == ".."
+              else expand_term(t, subst) for t in (left, right)]
+    if isinstance(lv, range) and isinstance(rv, range):
+        return max(lv.start, rv.start) < min(lv.stop, rv.stop)
+    if isinstance(lv, range):
+        lv, rv = rv, lv
+    if isinstance(rv, range):
+        return any(isinstance(v, Integer) and v.value in rv for v in lv)
+    return not set(lv).isdisjoint(rv)
 
 
 def term_is_bound(t, subst) -> bool:
@@ -354,6 +393,18 @@ def _non_domain(rules, externals) -> set:
     return non_domain
 
 
+def _payloads(s):
+    """The atoms and comparisons of a rule or #external."""
+    if isinstance(s, External):
+        return chain((s.target,), (l.payload for l in s.condition))
+    return chain(
+        (el.atom for el in s.head.elements),
+        (l.payload for el in s.head.elements for l in el.condition),
+        (l.payload for b in s.body for l in (
+            (b.literal,) + b.condition if isinstance(b, ConditionalLiteral)
+            else (b,))))
+
+
 def _read_keys(literals) -> tuple:
     """Keys of the name/arity lists a join over these literals reads."""
     return tuple(dict.fromkeys(
@@ -405,6 +456,9 @@ class Plan:
             if s.signature is not None)
         rules = bind_constants(program.rules, consts)
         externals = bind_constants(program.directives(External), consts)
+        #: the nesting depth of the program's deepest atom
+        self.depth = max((term_depth(p) for s in chain(rules, externals)
+                          for p in _payloads(s)), default=0)
         self._non_domain = _non_domain(rules, externals)
         #: name/arity key -> the shapes its scans look up; a shape
         #: (key, value positions, functor positions) indexes an atom by
@@ -554,9 +608,13 @@ class Grounder:
     def _add_derivable(self, atom) -> bool:
         if atom in self.derivable:
             return False
-        if term_depth(atom) > MAX_TERM_DEPTH:
+        if term_depth(atom) > self.max_depth:
             raise GroundingLimitError(
                 "value-creation depth bound exceeded at %s" % (atom,))
+        self._insert(atom)
+        return True
+
+    def _insert(self, atom):
         if len(self.derivable) > MAX_ATOMS:
             raise GroundingLimitError("derivable-atom bound exceeded")
         self.derivable[atom] = None
@@ -571,7 +629,6 @@ class Grounder:
                 self._arg_index.setdefault(
                     (shape, tuple([args[pos] for pos in values])),
                     []).append(atom)
-        return True
 
     # -- body joins ------------------------------------------------------------
 
@@ -621,18 +678,16 @@ class Grounder:
                 if self._comparison_holds(x, y, s):
                     stack.append((k, s, found))
             elif op == ASSIGN:
-                for v in reversed(self._expand_safe(y, s)):
+                try:
+                    values = expand_term(y, s)
+                except DropInstance:
+                    continue
+                for v in reversed(values):
                     s2 = dict(s)
                     s2[x] = v
                     stack.append((k, s2, found))
             else:
                 raise GroundingError(x)
-
-    def _expand_safe(self, t, subst):
-        try:
-            return expand_term(t, subst)
-        except DropInstance:
-            return []
 
     # -- conditional expansion ---------------------------------------------------
 
@@ -649,8 +704,14 @@ class Grounder:
     # -- main fixpoint -------------------------------------------------------------
 
     def ground(self) -> GroundProgram:
+        # a derived atom may nest MAX_TERM_DEPTH levels deeper than the
+        # deepest seed or program atom
+        deepest = self.plan.depth
         for atom in self.seeds:
-            self._add_derivable(atom)
+            if atom not in self.derivable:
+                deepest = max(deepest, term_depth(atom))
+                self._insert(atom)
+        self.max_depth = MAX_TERM_DEPTH + deepest
         # A join whose index lists kept the sizes they had when it last
         # started would yield the same instances again, so it is skipped;
         # one that grew its own input during its run is joined again.
@@ -673,7 +734,11 @@ class Grounder:
                 self.counters["joins"] += 1
                 if i < first_rule:
                     for subst, _ in self._join(job.steps, self.params):
-                        for target in self._expand_safe(job.target, subst):
+                        try:
+                            targets = _expand_atom(job.target, subst)
+                        except DropInstance:
+                            continue
+                        for target in targets:
                             external_atoms.setdefault(target)
                             grew |= self._add_derivable(target)
                     continue
@@ -721,12 +786,12 @@ class Grounder:
         empty one makes X = 3..1 false; other comparisons need one value
         on each side.  Division by zero fails it, negated or not."""
         try:
+            if cmp.op == "=":
+                return _share_value(cmp.left, cmp.right, subst) == positive
             lv = expand_term(cmp.left, subst)
             rv = expand_term(cmp.right, subst)
         except DropInstance:
             return False
-        if cmp.op == "=":
-            return (not set(lv).isdisjoint(rv)) == positive
         if len(lv) != 1 or len(rv) != 1:
             raise GroundingError("interval with %r comparison" % cmp.op)
         return compare_terms(cmp.op, lv[0], rv[0]) == positive
@@ -739,10 +804,11 @@ class Grounder:
             if condition is not None:
                 atoms = []
                 for s2 in self.expand_condition(condition, subst):
-                    atoms.extend(expand_term(atom, s2))
+                    atoms.extend(_expand_atom(atom, s2) if pooled
+                                 else [eval_term(atom, s2)])
                 alternatives = [alt + atoms for alt in alternatives]
                 continue
-            values = expand_term(atom, subst) if pooled \
+            values = _expand_atom(atom, subst) if pooled \
                 else [eval_term(atom, subst)]
             if len(values) == 1:
                 alternatives = [alt + values for alt in alternatives]

@@ -127,23 +127,46 @@ true(F,J) :- wit(eventually(i(L,U),F),T,J).
 :- wit(eventually(i(L,U),F),T,J), dist_ge(T,J,U).
 """
 
-#: Path operators.  The first twelve rules close formula/2 under one-step
-#: unfolding of each path (the Fischer-Ladner closure); the rest give the
-#: truth conditions of the unfolded formulas.
+#: Path operators.  An unfolding table states each law of one-step path
+#: unfolding once, for the path formulas present: eq(X,Y) says X is
+#: equivalent to Y, dis(X,Y,Z) to Y or Z, and con(X,Y,Z) to Y and Z.
+#: Projecting its rows closes formula/2 under unfolding (the
+#: Fischer-Ladner closure), with the type argument kept; three more
+#: closure rules add the F of every modal formula and the G of [G?]F.
+#: Eight generic rules read the table as truth conditions.  Only <step>F
+#: and [step]F, which need the next state, and [G?]F, which needs
+#: negation, have truth rules of their own.
 DEL_SCHEMA = """\
+eq(eventually(seq(P,Q),F),eventually(P,eventually(Q,F))) :-
+    formula(_,eventually(seq(P,Q),F)).
+eq(always(seq(P,Q),F),always(P,always(Q,F))) :- formula(_,always(seq(P,Q),F)).
+dis(eventually(choice(P,Q),F),eventually(P,F),eventually(Q,F)) :-
+    formula(_,eventually(choice(P,Q),F)).
+dis(eventually(star(P),F),F,eventually(P,eventually(star(P),F))) :-
+    formula(_,eventually(star(P),F)).
+con(eventually(test(G),F),G,F) :- formula(_,eventually(test(G),F)).
+con(always(choice(P,Q),F),always(P,F),always(Q,F)) :-
+    formula(_,always(choice(P,Q),F)).
+con(always(star(P),F),F,always(P,always(star(P),F))) :-
+    formula(_,always(star(P),F)).
+
 formula(K,F) :- formula(K,eventually(P,F)).
-formula(K,G) :- formula(K,eventually(test(G),F)).
-formula(K,eventually(P,eventually(Q,F))) :- formula(K,eventually(seq(P,Q),F)).
-formula(K,eventually(P,F)) :- formula(K,eventually(choice(P,Q),F)).
-formula(K,eventually(Q,F)) :- formula(K,eventually(choice(P,Q),F)).
-formula(K,eventually(P,eventually(star(P),F))) :-
-    formula(K,eventually(star(P),F)).
 formula(K,F) :- formula(K,always(P,F)).
 formula(K,G) :- formula(K,always(test(G),F)).
-formula(K,always(P,always(Q,F))) :- formula(K,always(seq(P,Q),F)).
-formula(K,always(P,F)) :- formula(K,always(choice(P,Q),F)).
-formula(K,always(Q,F)) :- formula(K,always(choice(P,Q),F)).
-formula(K,always(P,always(star(P),F))) :- formula(K,always(star(P),F)).
+formula(K,Y) :- formula(K,X), eq(X,Y).
+formula(K,Y) :- formula(K,X), dis(X,Y,Z).
+formula(K,Z) :- formula(K,X), dis(X,Y,Z).
+formula(K,Y) :- formula(K,X), con(X,Y,Z).
+formula(K,Z) :- formula(K,X), con(X,Y,Z).
+
+true(X,T) :- eq(X,Y), time(T), true(Y,T).
+true(Y,T) :- eq(X,Y), time(T), true(X,T).
+true(X,T) :- dis(X,Y,Z), time(T), true(Y,T).
+true(X,T) :- dis(X,Y,Z), time(T), true(Z,T).
+true(Y,T); true(Z,T) :- dis(X,Y,Z), time(T), true(X,T).
+true(X,T) :- con(X,Y,Z), time(T), true(Y,T), true(Z,T).
+true(Y,T) :- con(X,Y,Z), time(T), true(X,T).
+true(Z,T) :- con(X,Y,Z), time(T), true(X,T).
 
 true(eventually(step,F),T) :- formula(del,eventually(step,F)),
     time(T), T < n, true(F,T+1).
@@ -151,35 +174,6 @@ true(F,T+1) :- formula(del,eventually(step,F)),
     time(T), T < n, true(eventually(step,F),T).
 :- formula(del,eventually(step,F)), time(T), T >= n,
     true(eventually(step,F),T).
-
-true(eventually(test(G),F),T) :- formula(del,eventually(test(G),F)),
-    time(T), true(G,T), true(F,T).
-true(G,T) :- formula(del,eventually(test(G),F)), time(T),
-    true(eventually(test(G),F),T).
-true(F,T) :- formula(del,eventually(test(G),F)), time(T),
-    true(eventually(test(G),F),T).
-
-true(eventually(seq(P,Q),F),T) :- formula(del,eventually(seq(P,Q),F)),
-    time(T), true(eventually(P,eventually(Q,F)),T).
-true(eventually(P,eventually(Q,F)),T) :-
-    formula(del,eventually(seq(P,Q),F)), time(T),
-    true(eventually(seq(P,Q),F),T).
-
-true(eventually(choice(P,Q),F),T) :- formula(del,eventually(choice(P,Q),F)),
-    time(T), true(eventually(P,F),T).
-true(eventually(choice(P,Q),F),T) :- formula(del,eventually(choice(P,Q),F)),
-    time(T), true(eventually(Q,F),T).
-true(eventually(P,F),T); true(eventually(Q,F),T) :-
-    formula(del,eventually(choice(P,Q),F)), time(T),
-    true(eventually(choice(P,Q),F),T).
-
-true(eventually(star(P),F),T) :- formula(del,eventually(star(P),F)),
-    time(T), true(F,T).
-true(eventually(star(P),F),T) :- formula(del,eventually(star(P),F)),
-    time(T), true(eventually(P,eventually(star(P),F)),T).
-true(F,T); true(eventually(P,eventually(star(P),F)),T) :-
-    formula(del,eventually(star(P),F)), time(T),
-    true(eventually(star(P),F),T).
 
 true(always(step,F),T) :- formula(del,always(step,F)), time(T), T >= n.
 true(always(step,F),T) :- formula(del,always(step,F)), time(T), T < n,
@@ -193,25 +187,6 @@ true(always(test(G),F),T) :- formula(del,always(test(G),F)), time(T),
     true(F,T).
 true(F,T) :- formula(del,always(test(G),F)), time(T),
     true(always(test(G),F),T), true(G,T).
-
-true(always(seq(P,Q),F),T) :- formula(del,always(seq(P,Q),F)), time(T),
-    true(always(P,always(Q,F)),T).
-true(always(P,always(Q,F)),T) :- formula(del,always(seq(P,Q),F)), time(T),
-    true(always(seq(P,Q),F),T).
-
-true(always(choice(P,Q),F),T) :- formula(del,always(choice(P,Q),F)),
-    time(T), true(always(P,F),T), true(always(Q,F),T).
-true(always(P,F),T) :- formula(del,always(choice(P,Q),F)), time(T),
-    true(always(choice(P,Q),F),T).
-true(always(Q,F),T) :- formula(del,always(choice(P,Q),F)), time(T),
-    true(always(choice(P,Q),F),T).
-
-true(always(star(P),F),T) :- formula(del,always(star(P),F)), time(T),
-    true(F,T), true(always(P,always(star(P),F)),T).
-true(F,T) :- formula(del,always(star(P),F)), time(T),
-    true(always(star(P),F),T).
-true(always(P,always(star(P),F)),T) :- formula(del,always(star(P),F)),
-    time(T), true(always(star(P),F),T).
 """
 
 

@@ -1,6 +1,13 @@
 """Shared fixtures: reconstructed example programs and reference
 helpers (brute-force stable models, oracle traces, random programs)."""
 
+import os
+import subprocess
+import sys
+
+from hypothesis import strategies as st
+
+import tasp
 from tasp import oracle as oracle_mod
 from tasp.parser import parse_program
 
@@ -127,3 +134,72 @@ def oracle_traces(text, n, max_time=None):
                                         max_time=max_time)
     return {(tuple(frozenset(map(str, s)) for s in m.states), m.tau)
             for m in models}
+
+
+def _fuzz_formula(atoms, depth):
+    """TEL formulas over `atoms` nesting &next, &eventually and &not up to
+    `depth`."""
+    leaf = st.sampled_from(atoms + ("&initial", "&final"))
+    if depth == 0:
+        return leaf
+    sub = _fuzz_formula(atoms, depth - 1)
+    return st.one_of([leaf] + [sub.map(w.__mod__) for w in (
+        "&next(%s)", "&eventually(%s)", "&not(%s)")])
+
+
+def _fuzz_del_formula(atoms):
+    """A TEL formula under zero to two &eventually(&star(&step),_): the
+    DEL grammar types the arguments of the TEL operators as TEL."""
+    once = _fuzz_formula(atoms, 3).map("&eventually(&star(&step),%s)".__mod__)
+    return st.one_of(_fuzz_formula(atoms, 3), once,
+                     once.map("&eventually(&star(&step),%s)".__mod__))
+
+
+@st.composite
+def fuzz_program(draw, paths=False):
+    """1-4 facts, choices, constraints and rules over two or three atoms,
+    with formulas in heads and in bodies, some of these under `not`."""
+    atoms = ("p", "q", "r")[:draw(st.integers(2, 3))]
+    formula = _fuzz_del_formula(atoms) if paths else _fuzz_formula(atoms, 3)
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("fact", "constraint", "rule")))
+        if kind == "fact":
+            lines.append(draw(st.sampled_from(("%s.", "{ %s }."))) % draw(
+                st.sampled_from(atoms)))
+            continue
+        body = ", ".join(("not " if neg else "") + f for neg, f in draw(
+            st.lists(st.tuples(st.booleans(), formula), min_size=1,
+                     max_size=2)))
+        head = "" if kind == "constraint" else draw(formula)
+        lines.append("%s :- %s." % (head, body))
+    return "\n".join(lines) + "\n"
+
+
+_TIMED_MAIN = """\
+import io, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tasp.cli import main
+sys.stdin = io.StringIO(sys.argv[1])
+start = time.perf_counter()
+code = main(sys.argv[2:], out=io.StringIO())
+print(code, time.perf_counter() - start)
+"""
+
+
+def timed_main(argv, stdin, timeout=60):
+    """(exit status, seconds) of `tasp` argv on stdin, run in a fresh
+    interpreter whose address space is capped at 1 GiB and which is
+    stopped after `timeout` seconds: for inputs that exhaust time or
+    memory when a bound fails.  A run that is stopped or dies reports
+    (None, None)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", _TIMED_MAIN, stdin] + list(argv),
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=timeout)
+        code, seconds = done.stdout.split()
+    except (subprocess.TimeoutExpired, ValueError):
+        return None, None
+    return int(code), float(seconds)

@@ -13,7 +13,7 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from conftest import (DEL_ALTERNATION, MELEX, MELEX_SCALED, TELEX, WAIT,
-                      oracle_traces, random_prop_program,
+                      fuzz_program, oracle_traces, random_prop_program,
                       stable_models_bruteforce)
 from test_meta import closure
 from test_reify import FIXTURE, GOLDEN_15
@@ -197,59 +197,19 @@ def test_no_rule_names_a_fact():
             assert named.isdisjoint(gp.facts), "n=%d:\n%s" % (n, p.text)
 
 
-def _fuzz_formula(atoms, depth):
-    """TEL formulas over `atoms` nesting &next, &eventually and &not up to
-    `depth`."""
-    leaf = st.sampled_from(atoms + ("&initial", "&final"))
-    if depth == 0:
-        return leaf
-    sub = _fuzz_formula(atoms, depth - 1)
-    return st.one_of([leaf] + [sub.map(w.__mod__) for w in (
-        "&next(%s)", "&eventually(%s)", "&not(%s)")])
-
-
-def _fuzz_del_formula(atoms):
-    """A TEL formula under zero to two &eventually(&star(&step),_): the
-    DEL grammar types the arguments of the TEL operators as TEL."""
-    once = _fuzz_formula(atoms, 3).map("&eventually(&star(&step),%s)".__mod__)
-    return st.one_of(_fuzz_formula(atoms, 3), once,
-                     once.map("&eventually(&star(&step),%s)".__mod__))
-
-
-@st.composite
-def _fuzz_program(draw, paths=False):
-    """1-4 facts, choices, constraints and rules over two or three atoms,
-    with formulas in heads and in bodies, some of these under `not`."""
-    atoms = ("p", "q", "r")[:draw(st.integers(2, 3))]
-    formula = _fuzz_del_formula(atoms) if paths else _fuzz_formula(atoms, 3)
-    lines = []
-    for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(("fact", "constraint", "rule")))
-        if kind == "fact":
-            lines.append(draw(st.sampled_from(("%s.", "{ %s }."))) % draw(
-                st.sampled_from(atoms)))
-            continue
-        body = ", ".join(("not " if neg else "") + f for neg, f in draw(
-            st.lists(st.tuples(st.booleans(), formula), min_size=1,
-                     max_size=2)))
-        head = "" if kind == "constraint" else draw(formula)
-        lines.append("%s :- %s." % (head, body))
-    return "\n".join(lines) + "\n"
-
-
 def _assert_oracle_traces(text, n, semantics):
     solved = set(distinct_traces(Pipeline(text, semantics).meta(n)))
     assert solved == oracle_traces(text, n), "n=%d:\n%s" % (n, text)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
-@given(_fuzz_program(), st.integers(0, 3))
+@given(fuzz_program(), st.integers(0, 3))
 def test_criterion_4_tel_fuzz_against_oracle(text, n):
     _assert_oracle_traces(text, n, "tel")
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(_fuzz_program(paths=True), st.integers(0, 3))
+@given(fuzz_program(paths=True), st.integers(0, 3))
 def test_criterion_4_del_eventually_fuzz_against_oracle(text, n):
     _assert_oracle_traces(text, n, "del")
 
@@ -465,8 +425,9 @@ def test_criterion_7_path_closure_and_satisfaction():
 
 
 def test_criterion_7_ground_programs_digest():
-    # the programs of criterion 7, recorded when the body/2 layer of the
-    # meta encoding was deleted
+    # the programs of criterion 7, recorded when DEL_SCHEMA's unfolding
+    # table replaced its closure and path rules (the same sorted rules,
+    # with the table's eq/dis/con facts added)
     rng = random.Random(707)
     runs = []
     for trial in range(50):
@@ -474,7 +435,7 @@ def test_criterion_7_ground_programs_digest():
         program = "{ a }. { b }.\nmarker :- &eventually(%s,&final).\n" % rho
         runs.append((Pipeline(program, "del"), rng.choice((0, 1, 2)), None))
     ok = _ground_programs_digest(runs) == (
-        "fc38c2f54dc023d178903e14fe24f9e54748538db9117483241a677a6bb3e005")
+        "0a38d1727457613a6d31c40dc97ebedbfe95f9b32dc69d8e4a655f28cbc84ed8")
     _report(7, ok, "ground programs of the 50 random DEL programs "
             "unchanged")
 

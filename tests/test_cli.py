@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX
+from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, timed_main
 from test_parser import OVER_DEEP
 
 from tasp import ground
@@ -276,3 +276,37 @@ def test_deep_subtype_chain_grammar_file(tmp_path):
     code, out = _run(["solve", str(f), "--grammar", str(g), "-c", "n=0"])
     assert code == 10
     assert "a@0" in out
+
+
+@pytest.mark.parametrize("text,n,code", [
+    # nesting the user wrote is not invented: the bound counts from it
+    ("p(%sa%s).\n" % ("f(" * 15, ")" * 15), 0, 10),
+    ("{ p }. a :- %sp%s.\n" % ("&next(" * 16, ")" * 16), 20, 10),
+    # invented nesting still meets the bound
+    ("p(a). p(f(X)) :- p(X).\n", 0, 33),
+], ids=["written-term", "written-expression", "invented"])
+def test_term_depth_bound_counts_from_the_input(text, n, code, monkeypatch):
+    assert _run(["solve", "-c", "n=%d" % n, "--models", "1"], stdin=text,
+                monkeypatch=monkeypatch)[0] == code
+
+
+@pytest.mark.parametrize("text,code", [
+    # a bound = against an interval reads its two bounds
+    ("q(5). p(X) :- q(X), X = 1..1000000000.\n", 10),
+    # a head interval past MAX_ATOMS meets the atom bound before expanding
+    ("p(1..1000000000).\n", 33),
+    ("#external p(1..1000000000).\n", 33),
+], ids=["comparison", "head", "external"])
+def test_huge_intervals_are_not_built(text, code):
+    status, seconds = timed_main(["solve", "-c", "n=0", "--models", "1"],
+                                 text, timeout=20)
+    assert status == code and seconds < 1
+
+
+@pytest.mark.parametrize("op", ["next", "eventually"])
+def test_mel_macro_typechecks_in_linear_time(op):
+    # each level of &next(F) := &next(&i(0,#sup),F) checked F twice
+    text = "a :- %sp%s.\n" % (("&%s(" % op) * 100, ")" * 100)
+    status, seconds = timed_main(["transform", "--semantics", "mel"], text,
+                                 timeout=20)
+    assert status == 0 and seconds < 1

@@ -1,10 +1,12 @@
 import copy
+import logging
 
 import pytest
 
+from tasp.cli import Pipeline
 from tasp.grammar import (GrammarError, TheoryGrammar, TypeError_,
-                          builtin_grammar, load_grammar, typecheck,
-                          typecheck_program, expand_macros)
+                          builtin_grammar, check_occurrence, load_grammar,
+                          typecheck, typecheck_program, expand_macros)
 from tasp.parser import parse_expression, parse_program
 from tasp.syntax import Integer, Supremum, TheoryExpression
 
@@ -147,3 +149,18 @@ def test_typecheck_program_types_all_expressions():
 def test_macro_expansion_idempotent():
     e = typecheck(parse_expression("&final"), "tel", TEL)
     assert expand_macros(e, TEL, "tel") == e
+
+
+def test_occurrence_diagnostics(caplog):
+    g = load_grammar("#type h { occurrence: head; expressions: &h; }\n"
+                     "#type arg { expressions: &arg; }")
+    text = "&h :- &h.\n#external &h.\na :- &arg.\n"
+    typed = typecheck_program(parse_program(text), g)
+    assert check_occurrence(typed, g) == [
+        "1:1: expression &h of type 'h' not allowed in body position",
+        "2:1: expression &h of type 'h' not allowed in directive position",
+        "3:1: expression &arg of type 'arg' may only occur as an argument"]
+    with caplog.at_level(logging.WARNING, logger="tasp"):
+        Pipeline(text, grammar=g).typed
+    assert [r.getMessage() for r in caplog.records] \
+        == check_occurrence(typed, g)

@@ -388,3 +388,32 @@ def test_function_hash_not_pickled_across_hash_seeds():
     assert dumped.returncode == 0, dumped.stderr
     loaded = run("load", "2", dumped.stdout)
     assert loaded.returncode == 0, loaded.stderr
+
+
+def test_not_equal_comparison():
+    gp = _ground("q(1). q(2). q(a). p(X) :- q(X), X != 1.")
+    assert [str(f) for f in gp.facts] == ["q(1)", "q(2)", "q(a)", "p(2)",
+                                          "p(a)"]
+
+
+def test_variable_repeated_in_an_atom():
+    gp = _ground("q(1,1). q(1,2). { q(2,2) }. p(X) :- q(X,X).")
+    assert _listing(gp) == (
+        ["q(1,1)", "q(1,2)", "p(1)"], ["{ q(2,2) }.", "p(2) :- q(2,2)."], [],
+        ["q(1,1)", "q(1,2)", "p(1)", "q(2,2)", "p(2)"])
+
+
+@pytest.mark.parametrize("text,facts", [
+    ("p :- 1..3 = 3..5.", ["p"]),
+    ("p :- 1..2 = 3..4.", []),
+    ("p :- 1..3 = f(2).", []),
+    ("p :- 2 = 1..3. q :- not 1..3 = 4.", ["p", "q"]),
+])
+def test_interval_equality_reads_bounds(text, facts):
+    assert [str(f) for f in _ground(text).facts] == facts
+
+
+def test_rule_bound_only_by_a_nested_expression():
+    text = "q(1). q(2). { p(1) }. a(X) :- &next(&next(q(X))).\n"
+    traces = set(distinct_traces(Pipeline(text).meta(2)))
+    assert traces == oracle_traces(text, 2) and len(traces) == 8

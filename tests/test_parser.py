@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tasp.parser import ParseError, parse_expression, parse_program
-from tasp.syntax import (Choice, Comparison, ConstDef, Constant, Disjunction,
-                         External, Function, Integer, Literal, Rule, Show,
-                         Supremum, TheoryExpression, Variable, substitute,
-                         walk_expression)
+from tasp.syntax import (BinOp, Choice, Comparison, ConditionalLiteral,
+                         ConstDef, Constant, Disjunction, External, Function,
+                         HeadElement, Infimum, Integer, Literal, Program, Rule,
+                         Show, String, Supremum, TheoryExpression, UnaryMinus,
+                         Variable, substitute, walk_expression)
 
 
 def test_fact():
@@ -194,3 +195,64 @@ def test_rule_round_trip(payloads):
                 tuple(Literal(True, p) for p in payloads))
     (reparsed,) = parse_program(str(rule)).rules
     assert reparsed == rule
+
+
+def _arithmetic(sub):
+    return st.one_of(
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "\\", ".."]), sub,
+                  sub).map(lambda t: BinOp(*t)),
+        st.one_of(st.sampled_from(["X", "Y"]).map(Variable),
+                  st.builds(BinOp, st.just("+"), sub, sub)).map(UnaryMinus))
+
+
+#: Every kind of term: constants, numbers, strings, #sup, #inf,
+#: variables, functions, arithmetic, intervals and unary minus.
+_all_terms = st.recursive(
+    st.one_of(_terms(0), st.sampled_from(['"s"', 'a\\"b', "c\\\\d"]).map(
+        lambda s: String(s.replace('\\"', '"').replace("\\\\", "\\"))),
+        st.just(Supremum()), st.just(Infimum())),
+    lambda sub: st.one_of(
+        _arithmetic(sub),
+        st.tuples(_names, st.lists(sub, min_size=1, max_size=2)).map(
+            lambda t: Function(t[0], tuple(t[1])))),
+    max_leaves=4)
+
+_comparisons = st.builds(
+    Comparison, st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+    _all_terms, _all_terms)
+
+_literals = st.builds(Literal, st.booleans(),
+                      st.one_of(_expressions(1), _comparisons))
+
+_conditions = st.lists(_literals, max_size=2).map(tuple)
+
+_head_elements = st.builds(HeadElement, _expressions(1), _conditions)
+
+
+@st.composite
+def _rules(draw):
+    body = tuple(draw(st.lists(st.one_of(
+        _literals, st.builds(ConditionalLiteral, _literals, st.lists(
+            _literals, min_size=1, max_size=2).map(tuple))),
+        max_size=3)))
+    kind = draw(st.sampled_from([Disjunction, Choice]))
+    elements = tuple(draw(st.lists(
+        _head_elements, min_size=0 if body and kind is Disjunction else 1,
+        max_size=2)))
+    return Rule(kind(elements), body)
+
+
+_statements = st.one_of(
+    _rules(),
+    st.builds(External, _expressions(1), _conditions),
+    st.builds(Show, _all_terms, _conditions),
+    st.builds(Show, signature=st.tuples(_names, st.integers(0, 3))),
+    st.builds(ConstDef, _names, _all_terms))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(_statements, max_size=4))
+def test_program_round_trip(statements):
+    # printing a program and parsing it again gives the same AST
+    program = Program(tuple(statements))
+    assert parse_program(str(program)) == program

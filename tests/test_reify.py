@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
-from conftest import TELEX
+from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, WAIT, fuzz_program
 
 from tasp.cli import Pipeline
 from tasp.reify import (ReifyError, emit_reified_text, isomorphic,
@@ -43,6 +44,26 @@ def test_emit_parse_round_trip():
     again = parse_reified(emit_reified_text(db))
     assert isomorphic(db, again)
     assert emit_reified_text(again) == emit_reified_text(db)
+
+
+_SHOWS_AND_EXTERNALS = ("{ g }.\n#show s : g.\n#show g/0.\n#external h.\n"
+                        "a :- h, not &next(g).\n")
+
+
+@pytest.mark.parametrize("text,semantics", [
+    (MELEX_SCALED, "mel"), (DEL_ALTERNATION, "del"), (WAIT, "tel"),
+    (_SHOWS_AND_EXTERNALS, "tel"),
+], ids=["mel", "del", "wait", "shows-and-externals"])
+def test_emit_parse_round_trip_per_logic(text, semantics):
+    db = _db(text, semantics)
+    assert isomorphic(parse_reified(emit_reified_text(db)), db)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(fuzz_program(paths=True))
+def test_emit_parse_round_trip_fuzzed(text):
+    db = _db(text, "del")
+    assert isomorphic(parse_reified(emit_reified_text(db)), db)
 
 
 def test_non_isomorphic_detected():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
-from conftest import TELEX, WAIT, oracle_traces
+from conftest import (DEL_ALTERNATION, MELEX_SCALED, TELEX, WAIT,
+                      fuzz_program, oracle_traces)
 
 from tasp.cli import Pipeline, distinct_traces
 from tasp.grammar import builtin_grammar, typecheck_program
@@ -120,3 +122,49 @@ def test_head_atoms_in_unsafe_positions_reach_the_answer(text, n, count):
 def test_atoms_under_not_in_heads_get_no_external():
     prog, _ = _transformed("&next(&not(a)) :- b. b.")
     assert not list(prog.directives(External))
+
+
+def test_assignment_and_conditional_literals_through_the_pipeline():
+    # Y = X + 1 binds Y; a conditional's local X is bound by its condition
+    text = ("q(1). q(2). r(Y) :- q(X), Y = X + 1.\n"
+            "a :- r(X) : q(X), X > 1.\nb :- r(X) : q(X).\n")
+    assert [str(f) for f in Pipeline(text).ground.facts] == [
+        "q(1)", "q(2)", "r(2)", "r(3)", "a"]
+
+
+@pytest.mark.parametrize("text,unsafe", [
+    ("a :- r(X) : q(Y).", {"X"}),
+    ("p(Y) :- q(X), Y = Z + X.", {"Y", "Z"}),
+])
+def test_unbound_conditional_and_assignment_rejected(text, unsafe):
+    with pytest.raises(UnsafeRuleError) as info:
+        _transformed(text)
+    assert info.value.variables == unsafe
+
+
+def test_show_term_with_an_open_condition():
+    # the marker rule stays a rule, so the term shows where g holds
+    text = "{ g }.\n#show s : g.\n"
+    traces = set(distinct_traces(Pipeline(text).meta(1)))
+    assert traces == {
+        ((frozenset(x), frozenset(y)), None)
+        for x in ((), ("s",)) for y in ((), ("s",))}
+
+
+@pytest.mark.parametrize("text,semantics", [
+    (TELEX, "tel"), (WAIT, "tel"), (MELEX_SCALED, "mel"),
+    (DEL_ALTERNATION, "del"),
+    ("{ g }.\n#show s : g.\n#external h.\na :- h, p(X) : q(X).\n", "tel"),
+], ids=["telex", "wait", "mel", "del", "shows-and-externals"])
+def test_transform_idempotent(text, semantics):
+    g = builtin_grammar(semantics)
+    once, _ = _transformed(text, g)
+    assert transform_program(once, g)[0] == once
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(fuzz_program(paths=True))
+def test_transform_idempotent_fuzzed(text):
+    g = builtin_grammar("del")
+    once, _ = _transformed(text, g)
+    assert transform_program(once, g)[0] == once
