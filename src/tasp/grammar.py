@@ -251,7 +251,7 @@ def _check_term(term, expected: str, g: TheoryGrammar):
         # variables may stand for any term; typed at instantiation
         return (expected,)
     else:
-        raise TypeError_("term %s cannot be typed" % term)
+        raise TypeError_("term %s cannot be typed" % (term,))
     path = g.membership_path(expected, goal)
     if path is None:
         raise TypeError_("term %s is not of type %r" % (term, expected))

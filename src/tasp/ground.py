@@ -75,7 +75,10 @@ def _order_key(t):
 
 
 def compare_terms(op: str, a, b) -> bool:
-    ka, kb = _order_key(a), _order_key(b)
+    if isinstance(a, Integer) and isinstance(b, Integer):
+        ka, kb = a, b  # ints in C, without order keys
+    else:
+        ka, kb = _order_key(a), _order_key(b)
     if op == "!=":
         return ka != kb
     if op == "<":
@@ -288,9 +291,9 @@ class GroundProgram:
     show_signatures: Tuple = ()
 
     def __str__(self):
-        lines = ["%s." % f for f in self.facts]
+        lines = ["%s." % (f,) for f in self.facts]
         lines += [str(r) for r in self.rules]
-        lines += ["#external %s." % e for e in self.externals]
+        lines += ["#external %s." % (e,) for e in self.externals]
         return "\n".join(lines)
 
 # ---------------------------------------------------------------------------
@@ -784,17 +787,19 @@ class Grounder:
         """Whether a bound comparison holds.  = tests whether the sides
         share a value, so an interval gives membership (X = 1..N) and an
         empty one makes X = 3..1 false; other comparisons need one value
-        on each side.  Division by zero fails it, negated or not."""
+        on each side, which the interval bounds tell before any value is
+        built.  Division by zero fails it, negated or not."""
+        left, right = cmp.left, cmp.right
         try:
             if cmp.op == "=":
-                return _share_value(cmp.left, cmp.right, subst) == positive
-            lv = expand_term(cmp.left, subst)
-            rv = expand_term(cmp.right, subst)
+                return _share_value(left, right, subst) == positive
+            if _expansion_size(left, subst) != 1 \
+                    or _expansion_size(right, subst) != 1:
+                raise GroundingError("interval with %r comparison" % cmp.op)
+            a, b = expand_term(left, subst)[0], expand_term(right, subst)[0]
         except DropInstance:
             return False
-        if len(lv) != 1 or len(rv) != 1:
-            raise GroundingError("interval with %r comparison" % cmp.op)
-        return compare_terms(cmp.op, lv[0], rv[0]) == positive
+        return compare_terms(cmp.op, a, b) == positive
 
     def _ground_head(self, head, subst) -> List[tuple]:
         """Alternative heads: conditioned elements expand disjunctively,

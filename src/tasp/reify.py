@@ -222,7 +222,7 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
 
 
 def emit_reified_text(db: ReifiedDB) -> str:
-    lines = ["%s." % a for a in db.facts()]
+    lines = ["%s." % (a,) for a in db.facts()]
     lines.extend("%s(%s,%d)." % show for show in db.shows)
     return "\n".join(lines)
 

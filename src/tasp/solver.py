@@ -357,16 +357,17 @@ class _Engine:
         """For the total assignment `model`, a clause false under it if a
         proper subset satisfies the reduct, else None.  Only a rule with a
         true body and two true heads can allow that."""
-        inside = {a: i for i, a in enumerate(model)}
+        val = self.val
 
         def holds(pos, neg):
-            return all(p in inside for p in pos) \
-                and not any(q in inside for q in neg)
+            return all(val[2 * p] > 0 for p in pos) \
+                and not any(val[2 * q] > 0 for q in neg)
 
-        if not any(sum(h in inside for h in heads) > 1 and holds(pos, neg)
+        if not any(sum(val[2 * h] > 0 for h in heads) > 1 and holds(pos, neg)
                    for heads, pos, neg in self.disjunctive):
             return None
         self.counters["minimality_checks"] += 1
+        inside = {a: i for i, a in enumerate(model)}
         reduct = [(True, (i,), (), ()) for i in range(len(model))]
         reduct.append((False, (), tuple(range(len(model))), ()))
         for choice, heads, pos, neg in self.rules:

@@ -7,7 +7,7 @@ are carried in compare-excluded fields so structural equality ignores them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
+from operator import is_, itemgetter
 from typing import Optional, Union
 
 
@@ -21,20 +21,31 @@ class ResourceLimit(Exception):
 # Terms
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str
-
-    def __str__(self):
-        return self.name
+# Constant, Integer and Function are the terms every stage after parsing
+# keys dicts and sets on, so each is a builtin value (a str, an int, the
+# tuple (name, args)) whose hash and equality run in C.  A term equals
+# the plain value it wraps; values of different term classes never equal.
 
 
-@dataclass(frozen=True)
-class Integer:
-    value: int
+class Constant(str):
+    """A symbolic constant: its name, as a str."""
 
-    def __str__(self):
-        return str(self.value)
+    __slots__ = ()
+    name = property(str.__str__)
+
+    def __repr__(self):
+        return "Constant(%s)" % str.__repr__(self)
+
+
+class Integer(int):
+    """An integer term, as an int."""
+
+    __slots__ = ()
+    value = property(int)
+    __str__ = int.__repr__
+
+    def __repr__(self):
+        return "Integer(%d)" % self
 
 
 @dataclass(frozen=True)
@@ -53,27 +64,24 @@ class Variable:
         return self.name
 
 
-@dataclass(frozen=True)
-class Function:
-    name: str
-    args: tuple
+class Function(tuple):
+    """name(args...), as the tuple (name, args)."""
 
-    #: Hash computed on first use; not a field, so equality ignores it.
-    _hash = None
+    __slots__ = ()
+    name = property(itemgetter(0))
+    args = property(itemgetter(1))
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.name, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, name, args):
+        return tuple.__new__(cls, (name, args))
 
-    def __reduce__(self):
-        # string hashes differ between interpreters: never pickle the cache
-        return Function, (self.name, self.args)
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __str__(self):
-        return "%s(%s)" % (self.name, ",".join(str(a) for a in self.args))
+        return "%s(%s)" % (self[0], ",".join(map(str, self[1])))
+
+    def __repr__(self):
+        return "Function(%r, %r)" % tuple(self)
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ class UnaryMinus:
     arg: "Term"
 
     def __str__(self):
-        return "-%s" % self.arg
+        return "-%s" % (self.arg,)
 
 
 Term = Union[Constant, Integer, String, Variable, Function, Supremum,
@@ -161,7 +169,7 @@ class Literal:
     def __str__(self):
         if self.positive:
             return str(self.payload)
-        return "not %s" % self.payload
+        return "not %s" % (self.payload,)
 
 
 @dataclass(frozen=True)
@@ -242,7 +250,7 @@ class External:
         if self.condition:
             return "#external %s : %s." % (
                 self.target, ", ".join(str(c) for c in self.condition))
-        return "#external %s." % self.target
+        return "#external %s." % (self.target,)
 
 
 @dataclass(frozen=True)
@@ -260,7 +268,7 @@ class Show:
         if self.condition:
             return "#show %s : %s." % (
                 self.term, ", ".join(str(c) for c in self.condition))
-        return "#show %s." % self.term
+        return "#show %s." % (self.term,)
 
 
 @dataclass(frozen=True)

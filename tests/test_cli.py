@@ -156,7 +156,7 @@ def test_reify_output_is_what_meta_grounds(tmp_path, text, semantics):
     printed = [line for line in out.splitlines()
                if not line.startswith("show_")]
     assert printed
-    facts = {"%s." % a
+    facts = {"%s." % (a,)
              for a in Pipeline(text, semantics).meta(2).program.facts}
     assert [line for line in printed if line not in facts] == []
 
@@ -296,7 +296,9 @@ def test_term_depth_bound_counts_from_the_input(text, n, code, monkeypatch):
     # a head interval past MAX_ATOMS meets the atom bound before expanding
     ("p(1..1000000000).\n", 33),
     ("#external p(1..1000000000).\n", 33),
-], ids=["comparison", "head", "external"])
+    # an interval in an order comparison is rejected from its bounds
+    ("q(1). p :- q(X), X < 1..1000000000.\n", 65),
+], ids=["comparison", "head", "external", "order-comparison"])
 def test_huge_intervals_are_not_built(text, code):
     status, seconds = timed_main(["solve", "-c", "n=0", "--models", "1"],
                                  text, timeout=20)

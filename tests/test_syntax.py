@@ -1,0 +1,94 @@
+import copy
+import pickle
+
+import pytest
+
+from tasp.ground import Grounder, compare_terms
+from tasp.parser import parse_program
+from tasp.syntax import (
+    INF, SUP, Constant, Function, Integer, Literal, String, TheoryExpression,
+    UnaryMinus,
+)
+
+NESTED = Function("p", (Constant("a"), Function("q", (Integer(-1), String("s"))),
+                        Function("r", ()), Integer(0)))
+
+
+def _facts(text):
+    return [str(f) for f in Grounder(parse_program(text)).ground().facts]
+
+
+def test_terms_of_different_classes_differ():
+    terms = [Integer(1), Constant("1"), String("1"), Function("1", ()),
+             TheoryExpression("1"), Constant("a"), Function("a", ()),
+             TheoryExpression("a"), Function("f", (Integer(1),)),
+             TheoryExpression("f", (Integer(1),))]
+    for i, a in enumerate(terms):
+        for j, b in enumerate(terms):
+            assert (a == b) == (i == j), (a, b)
+            assert (a != b) == (i != j), (a, b)
+    assert len(set(terms)) == len(terms)
+    assert len(dict.fromkeys(terms)) == len(terms)
+
+
+def test_equal_terms_hash_alike():
+    again = Function("p", (Constant("a"), Function("q", (Integer(-1), String("s"))),
+                           Function("r", ()), Integer(0)))
+    assert again == NESTED and hash(again) == hash(NESTED)
+    assert {NESTED: 1}[again] == 1
+    assert hash(Integer(7)) == hash(Integer(7))
+    assert hash(Constant("x")) == hash(Constant("x"))
+
+
+def test_a_term_equals_the_plain_value_it_wraps():
+    assert Integer(3) == 3 and Constant("a") == "a"
+    assert Function("p", (Integer(1),)) == ("p", (1,))
+
+
+def test_accessors_give_plain_values():
+    assert type(Integer(5).value) is int and Integer(5).value == 5
+    assert type(Constant("a").name) is str and Constant("a").name == "a"
+    assert NESTED.name == "p" and NESTED.args[1].args[0] == Integer(-1)
+
+
+def test_str_and_repr_of_nested_terms():
+    assert str(NESTED) == 'p(a,q(-1,"s"),r(),0)'
+    assert repr(Integer(-1)) == "Integer(-1)"
+    assert repr(Constant("a")) == "Constant('a')"
+    assert repr(Function("q", (Integer(1), Constant("b")))) == \
+        "Function('q', (Integer(1), Constant('b')))"
+    assert eval(repr(NESTED)) == NESTED
+    # a function is a tuple: %-formatting must wrap it
+    assert "%s." % (NESTED,) == 'p(a,q(-1,"s"),r(),0).'
+    assert str(Literal(False, NESTED)) == 'not p(a,q(-1,"s"),r(),0)'
+    assert str(UnaryMinus(Function("f", (Integer(2),)))) == "-f(2)"
+
+
+def test_copy_and_pickle_keep_nested_functions():
+    for twin in (copy.copy(NESTED), copy.deepcopy(NESTED),
+                 pickle.loads(pickle.dumps(NESTED)),
+                 pickle.loads(pickle.dumps(NESTED, 0))):
+        assert twin == NESTED and hash(twin) == hash(NESTED)
+        assert type(twin.args[1]) is Function
+        assert type(twin.args[3]) is Integer
+        assert str(twin) == str(NESTED)
+
+
+@pytest.mark.parametrize("text,facts", [
+    ("p(0). q(X,Y) :- p(X), p(Y), X = Y.", ["p(0)", "q(0,0)"]),
+    ("p(X) :- X = 0..1.", ["p(0)", "p(1)"]),
+    ("p(0). q(X) :- p(X), X < 1.", ["p(0)", "q(0)"]),
+])
+def test_zero_is_a_value(text, facts):
+    assert _facts(text) == facts
+
+
+def test_integers_compare_as_ints_and_before_other_terms():
+    assert compare_terms("<", Integer(-2), Integer(1))
+    assert compare_terms(">=", Integer(1), Integer(1))
+    assert not compare_terms("!=", Integer(0), Integer(0))
+    order = [INF, Integer(-5), Integer(10), Constant("a"), String("a"),
+             Function("f", (Integer(1),)), SUP]
+    for i, a in enumerate(order):
+        for b in order[i + 1:]:
+            assert compare_terms("<", a, b) and compare_terms(">", b, a)
