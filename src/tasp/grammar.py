@@ -17,7 +17,7 @@ from . import parser
 from .syntax import (
     ConditionalLiteral, Constant, External, Function, Infimum, Integer,
     Program, Rule, String, Supremum, TheoryExpression, TypeBlock, Variable,
-    expression_variables, map_payloads, substitute,
+    map_payloads, substitute, variables,
 )
 
 
@@ -100,8 +100,8 @@ class TheoryGrammar:
                 seen.add(key)
             for m in spec.macros:
                 declared = {n for n, _ in m.placeholders}
-                used = expression_variables(m.expansion)
-                pattern_names = expression_variables(m.pattern)
+                used = variables(m.expansion)
+                pattern_names = variables(m.pattern)
                 if not used <= pattern_names:
                     raise GrammarError(
                         "macro expansion in type %r uses placeholders %s "
@@ -151,9 +151,6 @@ class TheoryGrammar:
     def _subtypes(self, name: str) -> Tuple[str, ...]:
         spec = self.types.get(name)
         return spec.subtypes if spec is not None else ()
-
-    def is_subtype(self, sub: str, sup: str) -> bool:
-        return sub in self.closure(sup)
 
     def membership_path(self, start: str, goal: str) -> Optional[Tuple[str, ...]]:
         """Shortest subtype path from start down to goal, inclusive: the
@@ -333,22 +330,6 @@ def _match_macro(pattern, e, macro: MacroSpec, g: TheoryGrammar):
                 binding[k] = v
         return binding
     return {} if pattern == e else None
-
-
-def expand_macros(e, g: TheoryGrammar, expected: Optional[str] = None):
-    """Fully expand macros in e; typing is a by-product and is kept.
-
-    When expected is omitted, root types are tried in declaration order.
-    """
-    if expected is not None:
-        return typecheck(e, expected, g)
-    errors = []
-    for t in g.root_types():
-        try:
-            return typecheck(e, t, g)
-        except TypeError_ as exc:
-            errors.append(str(exc))
-    raise TypeError_("; ".join(errors) or "no root types declared")
 
 
 # ---------------------------------------------------------------------------

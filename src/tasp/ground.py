@@ -22,7 +22,7 @@ from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
     External, Function, Infimum, Integer, Literal, Program, ResourceLimit,
     Show, String, Supremum, TheoryExpression, UnaryMinus, Variable,
-    map_payloads, substitute, with_args,
+    map_payloads, substitute, variables, walk, with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -191,18 +191,6 @@ def _share_value(left, right, subst) -> bool:
     return not set(lv).isdisjoint(rv)
 
 
-def term_is_bound(t, subst) -> bool:
-    if isinstance(t, Variable):
-        return t.name in subst
-    if isinstance(t, (Function, TheoryExpression)):
-        return all(term_is_bound(a, subst) for a in t.args)
-    if isinstance(t, BinOp):
-        return term_is_bound(t.left, subst) and term_is_bound(t.right, subst)
-    if isinstance(t, UnaryMinus):
-        return term_is_bound(t.arg, subst)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Matching
 
@@ -227,7 +215,7 @@ def match(pattern, ground, subst) -> Optional[dict]:
             return out
         return subst if bound == ground else None
     if isinstance(pattern, (UnaryMinus, BinOp)):
-        if not term_is_bound(pattern, subst):
+        if not variables(pattern) <= subst.keys():
             raise GroundingError(
                 "arithmetic %s cannot be matched while unbound" % (pattern,))
         try:
@@ -319,28 +307,6 @@ class GroundProgram:
 CHECK, ASSIGN, TEST, SCAN, STUCK = range(5)
 
 
-def _variables(t) -> set:
-    """The variable names in t, which is bound when they all are."""
-    if isinstance(t, Variable):
-        return {t.name}
-    if isinstance(t, (Function, TheoryExpression)):
-        return set().union(*map(_variables, t.args))
-    if isinstance(t, BinOp):
-        return _variables(t.left) | _variables(t.right)
-    if isinstance(t, UnaryMinus):
-        return _variables(t.arg)
-    return set()
-
-
-def _has_interval(t) -> bool:
-    """Whether expand_term(t) may give more than one value."""
-    if isinstance(t, BinOp):
-        return t.op == ".."
-    if isinstance(t, (Function, TheoryExpression)):
-        return any(map(_has_interval, t.args))
-    return False
-
-
 class _Condition(NamedTuple):
     """A compiled condition of a conditional literal (with its literal)
     or of a head element (literal None)."""
@@ -350,18 +316,19 @@ class _Condition(NamedTuple):
     literal: Optional[Literal]
 
 
-class _External(NamedTuple):
-    target: object
+class _Rule(NamedTuple):
+    """A compiled rule, or an #external as the rule of kind "external"
+    with its target as the one head atom and no body."""
     steps: tuple
     reads: tuple              # name/arity keys of the lists it reads
-
-
-class _Rule(NamedTuple):
-    steps: tuple
-    reads: tuple
     body: tuple               # (positive, atom position) or _Condition
     head: tuple               # (atom, has interval, _Condition or None)
-    kind: str                 # "choice" or "disjunction"
+    kind: str                 # "choice", "disjunction" or "external"
+
+
+def _pooled(atom) -> bool:
+    """Whether an interval in atom may expand it into more than one."""
+    return any(isinstance(x, BinOp) and x.op == ".." for x in walk(atom))
 
 
 def _non_domain(rules, externals) -> set:
@@ -438,7 +405,7 @@ def bind_constants(statements, constants: dict) -> list:
 
 
 class Plan:
-    """A program compiled for grounding: for each external, rule and
+    """A program compiled for grounding: for each rule, external and
     condition, its join steps and the index lists they read.
 
     The values of `constants`, over the program's ``#const`` definitions,
@@ -469,15 +436,17 @@ class Plan:
         #: functor position has the given name/arity key.
         self.shapes: Dict[tuple, tuple] = {}
         bound = frozenset(params)
-        self.externals = tuple(self._external(e, bound) for e in externals)
-        self.rules = tuple(self._rule(r, bound) for r in rules)
+        #: the compiled externals, then the rules; externals join first
+        self.rules = tuple(chain(
+            (self._external(e, bound) for e in externals),
+            (self._rule(r, bound) for r in rules)))
 
-    def _external(self, e, bound) -> _External:
+    def _external(self, e, bound) -> _Rule:
         # a negative literal need only be bound, and is not recorded
         steps, _, _ = self._steps([(i if l.positive else None, l)
                                    for i, l in enumerate(e.condition)], bound)
-        return _External(e.target, steps,
-                         _read_keys(l for l in e.condition if l.positive))
+        return _Rule(steps, _read_keys(l for l in e.condition if l.positive),
+                     (), ((e.target, _pooled(e.target), None),), "external")
 
     def _rule(self, r, bound) -> _Rule:
         # conditionals never bind outer variables; expanded per instance
@@ -492,7 +461,7 @@ class Plan:
             elif i in position:  # atoms, not comparisons
                 body.append((b.positive, position[i]))
         head = tuple(
-            (el.atom, _has_interval(el.atom),
+            (el.atom, _pooled(el.atom),
              self._condition(el.condition, bound) if el.condition else None)
             for el in r.head.elements)
         # a rule reads its positive body atoms and all its condition atoms
@@ -520,14 +489,18 @@ class Plan:
         i None for a literal that need only be bound; the i of each
         literal whose atom a step records, in step order; and the
         variables bound at the end."""
-        pending, bound = list(literals), set(bound)
+        # the variables of each literal's atom, or of each side of its
+        # comparison, found once
+        pending = [(i, lit, (variables(p.left), variables(p.right))
+                    if isinstance(p, Comparison) else variables(p))
+                   for i, lit in literals for p in (lit.payload,)]
+        bound = set(bound)
         steps, recorded = [], []
         while pending:
-            for k, (i, lit) in enumerate(pending):
+            for k, (i, lit, names) in enumerate(pending):
                 p = lit.payload
                 if isinstance(p, Comparison):
-                    left = _variables(p.left) <= bound
-                    right = _variables(p.right) <= bound
+                    left, right = names[0] <= bound, names[1] <= bound
                     if left and right:
                         steps.append((CHECK, p, lit.positive, None))
                         break
@@ -538,7 +511,7 @@ class Plan:
                         steps.append((ASSIGN, var.name, value, None))
                         bound.add(var.name)
                         break
-                elif _variables(p) <= bound:
+                elif names <= bound:
                     if i is not None:
                         steps.append((TEST, p, lit.positive, None))
                         recorded.append(i)
@@ -546,11 +519,11 @@ class Plan:
                 elif lit.positive:
                     steps.append(self._scan(p, bound))
                     recorded.append(i)
-                    bound |= _variables(p)
+                    bound |= names
                     break
             else:
                 steps.append((STUCK, "cannot instantiate body: unbound %s"
-                              % "; ".join(str(l) for _, l in pending),
+                              % "; ".join(str(l) for _, l, _ in pending),
                               None, None))
                 break
             del pending[k]
@@ -563,7 +536,7 @@ class Plan:
         key = atom_key(pattern)
         values, functors, keyterms, rest = [], [], [], []
         for pos, arg in enumerate(pattern.args):
-            if _variables(arg) <= bound:
+            if variables(arg) <= bound:
                 values.append(pos)
                 keyterms.append(arg)
                 continue
@@ -718,11 +691,10 @@ class Grounder:
         # A join whose index lists kept the sizes they had when it last
         # started would yield the same instances again, so it is skipped;
         # one that grew its own input during its run is joined again.
-        # External instances join the domain first.
-        jobs = self.plan.externals + self.plan.rules
-        first_rule = len(self.plan.externals)
+        # An external's targets keep the place they were first seen in.
+        jobs = self.plan.rules
         sizes: List[Optional[tuple]] = [None] * len(jobs)
-        instances: List[list] = [[] for _ in self.plan.rules]
+        instances: List[list] = [[] for _ in jobs]
         external_atoms: Dict = {}
         grew = True
         while grew:
@@ -735,20 +707,13 @@ class Grounder:
                     continue
                 sizes[i] = now
                 self.counters["joins"] += 1
-                if i < first_rule:
-                    for subst, _ in self._join(job.steps, self.params):
-                        try:
-                            targets = _expand_atom(job.target, subst)
-                        except DropInstance:
-                            continue
-                        for target in targets:
-                            external_atoms.setdefault(target)
-                            grew |= self._add_derivable(target)
-                    continue
-                insts = instances[i - first_rule] = []
+                insts = instances[i] = []
                 for subst, found in self._join(job.steps, self.params):
                     for inst in self._build_instance(job, subst, found):
-                        insts.append(inst)
+                        if job.kind == "external":
+                            external_atoms.setdefault(inst[1][0])
+                        else:
+                            insts.append(inst)
                         for h in inst[1]:
                             grew |= self._add_derivable(h)
         program = self._finalize(

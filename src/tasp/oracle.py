@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, Constant, Disjunction,
     Function, Integer, Literal, Program, ResourceLimit, Rule, Supremum,
-    TheoryExpression, UnaryMinus, Variable, walk_expression,
+    TheoryExpression, UnaryMinus, Variable, walk,
 )
 
 
@@ -105,26 +105,16 @@ def _comparison_true(c: Comparison) -> bool:
 
 
 def _rule_variables(rule: Rule) -> List[str]:
-    names: Dict[str, None] = {}
-
-    def collect(node):
-        for x in walk_expression(node):
-            if isinstance(x, Variable):
-                names[x.name] = None
-
-    for el in rule.head.elements:
-        collect(el.atom)
-        for c in el.condition:
-            raise OracleError("conditional heads unsupported by the oracle")
-    for b in rule.body:
-        if isinstance(b, ConditionalLiteral):
-            raise OracleError("conditional literals unsupported by the oracle")
-        if isinstance(b.payload, Comparison):
-            collect(b.payload.left)
-            collect(b.payload.right)
-        else:
-            collect(b.payload)
-    return list(names)
+    """The rule's variable names, in the order they first occur."""
+    if any(el.condition for el in rule.head.elements):
+        raise OracleError("conditional heads unsupported by the oracle")
+    if any(isinstance(b, ConditionalLiteral) for b in rule.body):
+        raise OracleError("conditional literals unsupported by the oracle")
+    nodes = itertools.chain((el.atom for el in rule.head.elements),
+                            (b.payload for b in rule.body))
+    return list(dict.fromkeys(
+        x.name for node in nodes for x in walk(node)
+        if isinstance(x, Variable)))
 
 
 def _herbrand_constants(program: Program) -> List:
@@ -418,7 +408,7 @@ def _uses_metric(rules) -> bool:
             b.payload for b in r.body
             if not isinstance(b.payload, Comparison)]
         for node in nodes:
-            for x in walk_expression(node):
+            for x in walk(node):
                 if isinstance(x, TheoryExpression) and x.operator == "i":
                     return True
     return False

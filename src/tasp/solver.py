@@ -395,14 +395,14 @@ class _Engine:
         return clause
 
 
-def models(program: GroundProgram,
-           step_limit: int = DEFAULT_STEP_LIMIT) -> Iterator[Model]:
+def models(program: GroundProgram) -> Iterator[Model]:
     """Yield the stable models one at a time, in a deterministic order;
-    the search goes on only as far as the caller pulls.  Each model is
-    the program's facts plus the atoms the search made true."""
+    the search goes on only as far as the caller pulls, and at most
+    DEFAULT_STEP_LIMIT steps.  Each model is the program's facts plus the
+    atoms the search made true."""
     terms, rules = _translate(program)
     facts = frozenset(program.facts)
-    engine = _Engine(len(terms), rules, step_limit)
+    engine = _Engine(len(terms), rules, DEFAULT_STEP_LIMIT)
     count = 0
     try:
         for model in engine.models():
@@ -415,13 +415,12 @@ def models(program: GroundProgram,
             "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
 
 
-def solve(program: GroundProgram, limit: int = 0,
-          step_limit: int = DEFAULT_STEP_LIMIT) -> List[Model]:
+def solve(program: GroundProgram, limit: int = 0) -> List[Model]:
     """Enumerate stable models in a deterministic order.
 
     limit = 0 returns all models; otherwise at most `limit`.
     """
-    found = models(program, step_limit)
+    found = models(program)
     try:
         return list(islice(found, limit or None))
     finally:

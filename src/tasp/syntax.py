@@ -235,10 +235,6 @@ class Rule:
             return "%s :- %s." % (head, body)
         return ":- %s." % body
 
-    @property
-    def is_constraint(self) -> bool:
-        return isinstance(self.head, Disjunction) and not self.head.elements
-
 
 @dataclass(frozen=True)
 class External:
@@ -316,49 +312,26 @@ class Program:
 # Traversal helpers
 
 
-def walk_terms(t):
-    """Yield t and all its subterms (not descending into expressions)."""
-    yield t
-    if isinstance(t, Function):
-        for a in t.args:
-            yield from walk_terms(a)
-    elif isinstance(t, BinOp):
-        yield from walk_terms(t.left)
-        yield from walk_terms(t.right)
-    elif isinstance(t, UnaryMinus):
-        yield from walk_terms(t.arg)
+def walk(node):
+    """Yield node and every node under it, pre-order: the arguments of
+    functions and theory expressions, the operands of arithmetic and both
+    sides of a comparison."""
+    stack = [node]
+    while stack:
+        x = stack.pop()
+        yield x
+        if isinstance(x, (Function, TheoryExpression)):
+            stack.extend(reversed(x.args))
+        elif isinstance(x, (BinOp, Comparison)):
+            stack += x.right, x.left
+        elif isinstance(x, UnaryMinus):
+            stack.append(x.arg)
 
 
-def walk_expression(e):
-    """Yield e and every nested expression/term node, depth first."""
-    if isinstance(e, TheoryExpression):
-        yield e
-        for a in e.args:
-            yield from walk_expression(a)
-    else:
-        yield from walk_terms(e)
-
-
-def term_variables(t) -> set:
-    return {x.name for x in walk_terms(t) if isinstance(x, Variable)}
-
-
-def expression_variables(e) -> set:
-    out = set()
-    for node in walk_expression(e):
-        if isinstance(node, Variable):
-            out.add(node.name)
-    return out
-
-
-def payload_variables(p) -> set:
-    if isinstance(p, Comparison):
-        return term_variables(p.left) | term_variables(p.right)
-    return expression_variables(p)
-
-
-def literal_variables(lit: Literal) -> set:
-    return payload_variables(lit.payload)
+def variables(node) -> set:
+    """The names of the variables in node, which is bound when they all
+    are."""
+    return {x.name for x in walk(node) if isinstance(x, Variable)}
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from .grammar import TheoryGrammar
 from .syntax import (
     Comparison, ConditionalLiteral, Constant, Disjunction, External,
     Function, HeadElement, Literal, Program, Rule, Show, TheoryExpression,
-    Variable, expression_variables, literal_variables, payload_variables,
-    substitute, term_variables,
+    Variable, substitute, variables,
 )
 
 #: Head marker predicate for rewritten ``#show t : C.`` directives.
@@ -38,7 +37,6 @@ class UnsafeRuleError(Exception):
 @dataclass
 class SafetyReport:
     safe_occurrences: Tuple  # atoms, in body order
-    bound: Set[str]
     unsafe_variables: Set[str]
 
     @property
@@ -83,7 +81,7 @@ def _bind_comparisons(body, bound: Set[str]):
                 for var_side, other in ((p.left, p.right), (p.right, p.left)):
                     if (isinstance(var_side, Variable)
                             and var_side.name not in bound
-                            and term_variables(other) <= bound):
+                            and variables(other) <= bound):
                         bound.add(var_side.name)
                         changed = True
 
@@ -105,18 +103,18 @@ def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
 
     bound = set()
     for atom in safe_occurrences:
-        bound |= expression_variables(atom)
+        bound |= variables(atom)
     _bind_comparisons(rule.body, bound)
 
     # global variables: everything outside conditional elements
     global_vars: Set[str] = set()
     for el in rule.head.elements:
         if not el.condition:
-            global_vars |= payload_variables(el.atom)
+            global_vars |= variables(el.atom)
     for b in rule.body:
         if isinstance(b, ConditionalLiteral):
             continue
-        global_vars |= literal_variables(b)
+        global_vars |= variables(b.payload)
 
     unsafe = global_vars - bound
 
@@ -126,18 +124,18 @@ def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
         for c in condition:
             if c.positive and not isinstance(c.payload, Comparison):
                 for atom in safe_atoms_in(c.payload, g):
-                    local_bound |= expression_variables(atom)
+                    local_bound |= variables(atom)
         for missing in main_vars - local_bound:
             unsafe.add(missing)
 
     for el in rule.head.elements:
         if el.condition:
-            check_conditional(payload_variables(el.atom), el.condition)
+            check_conditional(variables(el.atom), el.condition)
     for b in rule.body:
         if isinstance(b, ConditionalLiteral):
-            check_conditional(literal_variables(b.literal), b.condition)
+            check_conditional(variables(b.literal.payload), b.condition)
 
-    return SafetyReport(tuple(safe_occurrences), bound, unsafe)
+    return SafetyReport(tuple(safe_occurrences), unsafe)
 
 
 def _canonical(target, condition):

@@ -327,6 +327,18 @@ def test_external_negative_condition_literal_is_not_evaluated():
         _ground("#external a(X) : q(X), not r(Y). q(1).")
 
 
+def test_external_targets_keep_their_first_seen_order_across_rounds():
+    # each external is joined again as its condition grows; a target
+    # keeps its place, and the new ones follow, round by round
+    gp = _ground("q(1). q(X+1) :- q(X), X < 3. "
+                 "#external e(X) : q(X). #external f(X) : q(X).")
+    assert _listing(gp) == (
+        ["q(1)", "q(2)", "q(3)"], [],
+        ["e(1)", "e(2)", "f(1)", "f(2)", "e(3)", "f(3)"],
+        ["q(1)", "q(2)", "q(3)", "e(1)", "e(2)", "f(1)", "f(2)", "e(3)",
+         "f(3)"])
+
+
 @pytest.mark.parametrize("text", [
     # a conditional body: p(2) is underivable, so a is false
     "q(1). q(2). p(1). a :- p(X) : q(X). { b(1..2) }. "

@@ -6,7 +6,7 @@ from tasp.syntax import (BinOp, Choice, Comparison, ConditionalLiteral,
                          ConstDef, Constant, Disjunction, External, Function,
                          HeadElement, Infimum, Integer, Literal, Program, Rule,
                          Show, String, Supremum, TheoryExpression, UnaryMinus,
-                         Variable, substitute, walk_expression)
+                         Variable, substitute, walk)
 
 
 def test_fact():
@@ -26,7 +26,7 @@ def test_rule_with_negation():
 
 def test_constraint():
     (rule,) = parse_program(":- a, not b.").rules
-    assert rule.is_constraint
+    assert isinstance(rule.head, Disjunction) and not rule.head.elements
 
 
 def test_choice_rule():
@@ -101,10 +101,16 @@ def test_substitute_keeps_unchanged_nodes():
 
 def test_walk_expression_visits_each_node_once():
     e = parse_expression("&next(p(a,(X+1)))")
-    assert [str(x) for x in walk_expression(e)] == [
+    assert [str(x) for x in walk(e)] == [
         "&next(p(a,(X+1)))", "p(a,(X+1))", "a", "(X+1)", "X", "1"]
-    assert [str(x) for x in walk_expression(e.args[0])] == [
+    assert [str(x) for x in walk(e.args[0])] == [
         "p(a,(X+1))", "a", "(X+1)", "X", "1"]
+
+
+def test_walk_visits_both_sides_of_a_comparison():
+    (rule,) = parse_program("p :- q(X), X < -Y*2.").rules
+    assert [str(x) for x in walk(rule.body[1].payload)] == [
+        "X < (-Y*2)", "X", "(-Y*2)", "-Y", "Y", "2"]
 
 
 def test_parse_error_reports_location():

@@ -9,7 +9,7 @@ from tasp import meta, oracle
 from tasp.cli import Pipeline, distinct_traces
 from tasp.ground import Grounder
 from tasp.parser import parse_program
-from tasp.solver import DEFAULT_STEP_LIMIT, SolverError, models, solve
+from tasp.solver import SolverError, models, solve
 
 
 def _solve(text):
@@ -158,7 +158,7 @@ def test_telex_traces_equal_oracle(n):
 def test_telex_models_are_equilibrium_traces(n):
     mp = Pipeline(TELEX).meta(n)
     traces = {meta.extract_model(mp, m.atoms)
-              for m in solve(mp.program, step_limit=DEFAULT_STEP_LIMIT)}
+              for m in solve(mp.program)}
     # push at state 1, green at one state k >= 2, red at every other one
     assert traces == {(tuple(
         frozenset({"light(l1)", "green(l1)" if t == k else "red(l1)"}
