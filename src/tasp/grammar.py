@@ -446,6 +446,9 @@ DEL_GRAMMAR = TEL_GRAMMAR + """\
   subtypes: tel;
   occurrence: any;
   expressions:
+    &not(unsafe del);
+    &next(safe del);
+    &eventually(safe del);
     &eventually(unsafe path, safe del);
     &always(unsafe path, unsafe del);
 }

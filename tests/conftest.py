@@ -136,23 +136,19 @@ def oracle_traces(text, n, max_time=None):
             for m in models}
 
 
-def _fuzz_formula(atoms, depth):
-    """TEL formulas over `atoms` nesting &next, &eventually and &not up to
-    `depth`."""
+TEL_OPERATORS = ("&next(%s)", "&eventually(%s)", "&not(%s)")
+#: the DEL grammar types the arguments of the TEL operators as DEL, so
+#: a path formula may nest under any of them
+DEL_OPERATORS = TEL_OPERATORS + ("&eventually(&star(&step),%s)",)
+
+
+def _fuzz_formula(atoms, depth, operators=TEL_OPERATORS):
+    """Formulas over `atoms` nesting `operators` up to `depth`."""
     leaf = st.sampled_from(atoms + ("&initial", "&final"))
     if depth == 0:
         return leaf
-    sub = _fuzz_formula(atoms, depth - 1)
-    return st.one_of([leaf] + [sub.map(w.__mod__) for w in (
-        "&next(%s)", "&eventually(%s)", "&not(%s)")])
-
-
-def _fuzz_del_formula(atoms):
-    """A TEL formula under zero to two &eventually(&star(&step),_): the
-    DEL grammar types the arguments of the TEL operators as TEL."""
-    once = _fuzz_formula(atoms, 3).map("&eventually(&star(&step),%s)".__mod__)
-    return st.one_of(_fuzz_formula(atoms, 3), once,
-                     once.map("&eventually(&star(&step),%s)".__mod__))
+    sub = _fuzz_formula(atoms, depth - 1, operators)
+    return st.one_of([leaf] + [sub.map(w.__mod__) for w in operators])
 
 
 @st.composite
@@ -160,7 +156,8 @@ def fuzz_program(draw, paths=False):
     """1-4 facts, choices, constraints and rules over two or three atoms,
     with formulas in heads and in bodies, some of these under `not`."""
     atoms = ("p", "q", "r")[:draw(st.integers(2, 3))]
-    formula = _fuzz_del_formula(atoms) if paths else _fuzz_formula(atoms, 3)
+    formula = _fuzz_formula(atoms, 3,
+                            DEL_OPERATORS if paths else TEL_OPERATORS)
     lines = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(("fact", "constraint", "rule")))

@@ -10,6 +10,7 @@ import itertools
 import random
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (DEL_ALTERNATION, MELEX, MELEX_SCALED, TELEX, WAIT,
@@ -212,6 +213,17 @@ def test_criterion_4_tel_fuzz_against_oracle(text, n):
 @given(fuzz_program(paths=True), st.integers(0, 3))
 def test_criterion_4_del_eventually_fuzz_against_oracle(text, n):
     _assert_oracle_traces(text, n, "del")
+
+
+@pytest.mark.parametrize("text,n", [
+    ("{ p }. :- &next(&next(&eventually(&star(&step),p))).", 2),
+    ("{ p }. a :- &not(&eventually(&star(&step),p)).", 1),
+])
+def test_path_formula_under_a_tel_operator(text, n):
+    # the DEL grammar types the arguments of &next, &not and unary
+    # &eventually as del, so a path formula may stand there
+    _assert_oracle_traces(text, n, "del")
+    assert len(oracle_traces(text, n)) == 4
 
 
 def test_eventually_chain_forces_no_earlier_witness():
@@ -427,7 +439,9 @@ def test_criterion_7_path_closure_and_satisfaction():
 def test_criterion_7_ground_programs_digest():
     # the programs of criterion 7, recorded when DEL_SCHEMA's unfolding
     # table replaced its closure and path rules (the same sorted rules,
-    # with the table's eq/dis/con facts added)
+    # with the table's eq/dis/con facts added), and again when the DEL
+    # grammar typed the arguments of &not, &next and unary &eventually as
+    # del (only formula/2 types changed; the same traces)
     rng = random.Random(707)
     runs = []
     for trial in range(50):
@@ -435,7 +449,7 @@ def test_criterion_7_ground_programs_digest():
         program = "{ a }. { b }.\nmarker :- &eventually(%s,&final).\n" % rho
         runs.append((Pipeline(program, "del"), rng.choice((0, 1, 2)), None))
     ok = _ground_programs_digest(runs) == (
-        "0a38d1727457613a6d31c40dc97ebedbfe95f9b32dc69d8e4a655f28cbc84ed8")
+        "fbd512df1a6489ccc60af322dc77a96885cf2e08dedc83196d4e876a2e48ccac")
     _report(7, ok, "ground programs of the 50 random DEL programs "
             "unchanged")
 
