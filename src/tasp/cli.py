@@ -355,7 +355,3 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    sys.exit(main())

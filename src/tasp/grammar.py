@@ -258,8 +258,8 @@ def _check_term(term, expected: str, g: TheoryGrammar):
 def typecheck(e, expected: str, g: TheoryGrammar, _depth: int = 0):
     """Assign types to e against the expected type, expanding macros.
 
-    Returns a new node with ``assigned_type`` and ``memberships`` filled on
-    every TheoryExpression; raises TypeError_ when no spec or macro applies.
+    Returns a new node with ``memberships`` filled on every
+    TheoryExpression; raises TypeError_ when no spec or macro applies.
     """
     if _depth > MACRO_DEPTH:
         raise TypeError_("macro expansion exceeds depth bound %d" % MACRO_DEPTH)
@@ -282,9 +282,8 @@ def typecheck(e, expected: str, g: TheoryGrammar, _depth: int = 0):
         match_type, spec = found
         args = tuple(
             typecheck(a, t, g, _depth) for a, t in zip(e.args, spec.arg_types))
-        path = g.membership_path(expected, match_type)
         return TheoryExpression(e.operator, args,
-                                assigned_type=match_type, memberships=path)
+                                g.membership_path(expected, match_type))
 
     expansion = _try_macros(e, expected, g)
     if expansion is not None:
@@ -368,7 +367,7 @@ def check_occurrence(program: Program, g: TheoryGrammar):
     def check(expr, position, location):
         if not isinstance(expr, TheoryExpression):
             return
-        root = expr.memberships[0] if expr.memberships else expr.assigned_type
+        root = expr.memberships[0] if expr.memberships else None
         spec = g.types.get(root)
         occurrence = spec.occurrence if spec is not None else "any"
         ok = (occurrence == "any"

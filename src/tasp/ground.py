@@ -1,9 +1,10 @@
 """Bottom-up grounder with clingo-style simplifications.
 
-Instantiates a transformed program over its Herbrand domain.  External
-atoms and theory expressions are exempt from simplification; conditional
-literals are expanded over domain predicates; arithmetic terms and
-intervals are evaluated during instantiation.
+Instantiates a transformed program over its Herbrand domain.  Theory
+expressions are function terms here, with the & in their name.  External
+atoms are exempt from simplification; conditional literals are expanded
+over domain predicates; arithmetic terms and intervals are evaluated
+during instantiation.
 
 A program is compiled into a Plan, then grounded.  The same engine
 instantiates the internal meta-encodings, compiled once per process,
@@ -16,13 +17,13 @@ import logging
 from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
     External, Function, Infimum, Integer, Literal, Program, ResourceLimit,
-    Show, String, Supremum, TheoryExpression, UnaryMinus, Variable,
-    map_payloads, substitute, variables, walk, with_args,
+    String, Supremum, UnaryMinus, Variable, map_payloads, substitute,
+    variables, walk, with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -49,10 +50,10 @@ MAX_ATOMS = 1_000_000
 
 
 def term_depth(t) -> int:
-    if not isinstance(t, (Function, TheoryExpression)):
+    if not isinstance(t, Function):
         return 0
     return 1 + max([term_depth(a) for a in t.args
-                    if isinstance(a, (Function, TheoryExpression))], default=0)
+                    if isinstance(a, Function)], default=0)
 
 
 def _order_key(t):
@@ -67,10 +68,8 @@ def _order_key(t):
         return (3, t.value)
     if isinstance(t, Function):
         return (4, t.name, len(t.args), tuple(_order_key(a) for a in t.args))
-    if isinstance(t, TheoryExpression):
-        return (5, t.operator, len(t.args), tuple(_order_key(a) for a in t.args))
     if isinstance(t, Supremum):
-        return (6,)
+        return (5,)
     raise GroundingError("cannot order non-ground term %s" % (t,))
 
 
@@ -105,7 +104,7 @@ def eval_term(t, subst):
         if t.name not in subst:
             raise GroundingError("unbound variable %s" % t.name)
         return subst[t.name]
-    if isinstance(t, (Function, TheoryExpression)):
+    if isinstance(t, Function):
         return with_args(t, tuple(eval_term(a, subst) for a in t.args))
     if isinstance(t, UnaryMinus):
         v = eval_term(t.arg, subst)
@@ -149,7 +148,7 @@ def expand_term(t, subst) -> List:
     """Like eval_term but expands intervals into all their values."""
     if isinstance(t, BinOp) and t.op == "..":
         return [Integer(v) for v in _interval(t, subst)]
-    if isinstance(t, (Function, TheoryExpression)):
+    if isinstance(t, Function):
         out = [()]
         for a in t.args:
             vals = expand_term(a, subst)
@@ -163,18 +162,18 @@ def _expansion_size(t, subst) -> int:
     bounds alone."""
     if isinstance(t, BinOp) and t.op == "..":
         return len(_interval(t, subst))
-    if isinstance(t, (Function, TheoryExpression)):
+    if isinstance(t, Function):
         return prod(_expansion_size(a, subst) for a in t.args)
     return 1
 
 
-def _expand_atom(atom, subst) -> List:
-    """The atoms a head atom or #external target expands to.  An atom
-    whose interval bounds give more than MAX_ATOMS of them hits the atom
-    bound before any is built."""
-    if _expansion_size(atom, subst) > MAX_ATOMS:
+def _expand_bounded(t, subst) -> List:
+    """expand_term for a head atom, #external target or assigned term:
+    one whose interval bounds give more than MAX_ATOMS values hits the
+    atom bound before any is built."""
+    if _expansion_size(t, subst) > MAX_ATOMS:
         raise GroundingLimitError("derivable-atom bound exceeded")
-    return expand_term(atom, subst)
+    return expand_term(t, subst)
 
 
 def _share_value(left, right, subst) -> bool:
@@ -196,12 +195,11 @@ def _share_value(left, right, subst) -> bool:
 
 
 def atom_key(a) -> tuple:
-    if isinstance(a, TheoryExpression):
-        return ("e", a.operator, len(a.args))
+    """name/arity of an atom; a theory expression's name keeps its &."""
     if isinstance(a, Function):
-        return ("a", a.name, len(a.args))
+        return a.name, len(a.args)
     if isinstance(a, Constant):
-        return ("a", a.name, 0)
+        return a.name, 0
     raise GroundingError("not an atom: %s" % (a,))
 
 
@@ -223,15 +221,10 @@ def match(pattern, ground, subst) -> Optional[dict]:
         except DropInstance:
             return None
         return subst if value == ground else None
-    if isinstance(pattern, Function):
-        if not isinstance(ground, Function) or pattern.name != ground.name:
-            return None
-    elif isinstance(pattern, TheoryExpression):
-        if not isinstance(ground, TheoryExpression) \
-                or pattern.operator != ground.operator:
-            return None
-    else:
+    if not isinstance(pattern, Function):
         return subst if pattern == ground else None
+    if not isinstance(ground, Function) or pattern.name != ground.name:
+        return None
     if len(pattern.args) != len(ground.args):
         return None
     for p, g in zip(pattern.args, ground.args):
@@ -247,7 +240,7 @@ def match(pattern, ground, subst) -> Optional[dict]:
 
 class GroundRule(NamedTuple):
     head_kind: str  # "disjunction" or "choice"
-    head: tuple     # ground atoms / expressions
+    head: tuple     # ground atoms
     body: tuple     # of (positive: bool, atom)
 
     def __str__(self):
@@ -276,7 +269,6 @@ class GroundProgram:
     externals: Dict = field(default_factory=dict)  # ordered set of atoms
     symbol_table: Dict = field(default_factory=dict)
     grammar: Optional[object] = None
-    show_signatures: Tuple = ()
 
     def __str__(self):
         lines = ["%s." % (f,) for f in self.facts]
@@ -421,9 +413,6 @@ class Plan:
             consts[name] = Integer(value) if isinstance(value, int) else value
         consts.update((name, Variable(name)) for name in params)
         self.params = tuple(params)
-        self.show_signatures = tuple(
-            s.signature for s in program.directives(Show)
-            if s.signature is not None)
         rules = bind_constants(program.rules, consts)
         externals = bind_constants(program.directives(External), consts)
         #: the nesting depth of the program's deepest atom
@@ -477,7 +466,7 @@ class Plan:
         steps, recorded, _ = self._steps(list(enumerate(condition)), bound)
         error = next((
             "conditional literal condition over non-domain predicate %s/%d"
-            % atom_key(c.payload)[1:] for c in condition
+            % atom_key(c.payload) for c in condition
             if not isinstance(c.payload, Comparison)
             and atom_key(c.payload) in self._non_domain), None)
         return _Condition(
@@ -532,7 +521,7 @@ class Plan:
     def _scan(self, pattern, bound) -> tuple:
         """The scan step of a positive atom with unbound variables: bound
         arguments are value positions of its shape, and partly bound
-        functions or expressions functor positions."""
+        functions functor positions."""
         key = atom_key(pattern)
         values, functors, keyterms, rest = [], [], [], []
         for pos, arg in enumerate(pattern.args):
@@ -540,7 +529,7 @@ class Plan:
                 values.append(pos)
                 keyterms.append(arg)
                 continue
-            if isinstance(arg, (Function, TheoryExpression)):
+            if isinstance(arg, Function):
                 functors.append((pos, atom_key(arg)))
             rest.append((pos, arg))
         if not values and not functors:
@@ -569,7 +558,6 @@ class Grounder:
                            for name in program.params}
         else:
             self.plan, self.params = Plan(program, constants), {}
-        self.show_signatures = self.plan.show_signatures
         self.grammar = grammar
         self.seeds = list(facts)
         self.derivable: Dict = {}
@@ -600,7 +588,7 @@ class Grounder:
         for shape in self.plan.shapes.get(key, ()):
             _, values, functors = shape
             args = atom.args
-            if all(isinstance(args[pos], (Function, TheoryExpression))
+            if all(isinstance(args[pos], Function)
                    and atom_key(args[pos]) == sig for pos, sig in functors):
                 self._arg_index.setdefault(
                     (shape, tuple([args[pos] for pos in values])),
@@ -655,7 +643,7 @@ class Grounder:
                     stack.append((k, s, found))
             elif op == ASSIGN:
                 try:
-                    values = expand_term(y, s)
+                    values = _expand_bounded(y, s)
                 except DropInstance:
                     continue
                 for v in reversed(values):
@@ -774,11 +762,11 @@ class Grounder:
             if condition is not None:
                 atoms = []
                 for s2 in self.expand_condition(condition, subst):
-                    atoms.extend(_expand_atom(atom, s2) if pooled
+                    atoms.extend(_expand_bounded(atom, s2) if pooled
                                  else [eval_term(atom, s2)])
                 alternatives = [alt + atoms for alt in alternatives]
                 continue
-            values = _expand_atom(atom, subst) if pooled \
+            values = _expand_bounded(atom, subst) if pooled \
                 else [eval_term(atom, subst)]
             if len(values) == 1:
                 alternatives = [alt + values for alt in alternatives]
@@ -891,5 +879,4 @@ class Grounder:
 
         return GroundProgram(
             rules=out_rules, facts=facts, externals=externals,
-            symbol_table=symbol_table, grammar=self.grammar,
-            show_signatures=self.show_signatures)
+            symbol_table=symbol_table, grammar=self.grammar)

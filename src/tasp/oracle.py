@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, Constant, Disjunction,
     Function, Integer, Literal, Program, ResourceLimit, Rule, Supremum,
-    TheoryExpression, UnaryMinus, Variable, walk,
+    TheoryExpression, UnaryMinus, Variable, walk, with_args,
 )
 
 
@@ -54,11 +54,7 @@ def _subst(node, binding):
             raise OracleError("unbound variable %s" % node.name)
         return binding[node.name]
     if isinstance(node, Function):
-        return Function(node.name, tuple(_subst(a, binding) for a in node.args))
-    if isinstance(node, TheoryExpression):
-        return TheoryExpression(
-            node.operator, tuple(_subst(a, binding) for a in node.args),
-            assigned_type=node.assigned_type, memberships=node.memberships)
+        return with_args(node, tuple(_subst(a, binding) for a in node.args))
     if isinstance(node, BinOp):
         return BinOp(node.op, _subst(node.left, binding),
                      _subst(node.right, binding))
@@ -84,11 +80,7 @@ def _arith(t):
                 return Integer(ops[t.op]())
         raise OracleError("unsupported arithmetic %s" % (t,))
     if isinstance(t, Function):
-        return Function(t.name, tuple(_arith(a) for a in t.args))
-    if isinstance(t, TheoryExpression):
-        return TheoryExpression(
-            t.operator, tuple(_arith(a) for a in t.args),
-            assigned_type=t.assigned_type, memberships=t.memberships)
+        return with_args(t, tuple(_arith(a) for a in t.args))
     return t
 
 

@@ -153,18 +153,9 @@ class _Reifier:
         for sym in gp.externals:
             db.externals.append((encode(sym), singleton[sym]))
 
-        sigs = set(gp.show_signatures)
         if self.show_all:
             for sym in self.atom_ids:
                 if not isinstance(sym, TheoryExpression):
-                    db.shows.append(("show_atom", encode(sym), singleton[sym]))
-        else:
-            for sym in self.atom_ids:
-                if isinstance(sym, TheoryExpression):
-                    continue
-                if isinstance(sym, Function) and (sym.name, len(sym.args)) in sigs:
-                    db.shows.append(("show_atom", encode(sym), singleton[sym]))
-                elif isinstance(sym, Constant) and (sym.name, 0) in sigs:
                     db.shows.append(("show_atom", encode(sym), singleton[sym]))
         for term, body in marker_shows:
             b = self._literal_tuple(body)

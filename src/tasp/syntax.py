@@ -1,7 +1,7 @@
 """AST for temporal logic programs with typed theory expressions.
 
-All nodes are immutable; type annotations produced by the grammar module
-are carried in compare-excluded fields so structural equality ignores them.
+All nodes are immutable; the type annotations produced by the grammar
+module are left out of equality and hashing.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ class ResourceLimit(Exception):
 # Terms
 
 
-# Constant, Integer and Function are the terms every stage after parsing
-# keys dicts and sets on, so each is a builtin value (a str, an int, the
-# tuple (name, args)) whose hash and equality run in C.  A term equals
-# the plain value it wraps; values of different term classes never equal.
+# Constant, Integer and Function (TheoryExpression is one) are the terms
+# every stage after parsing keys dicts and sets on, so each is a builtin
+# value (a str, an int, the tuple (name, args)) whose hash and equality
+# run in C.  A term equals the plain value it wraps; values of different
+# term classes never equal.
 
 
 class Constant(str):
@@ -126,21 +127,26 @@ INF = Infimum()
 # Theory expressions
 
 
-@dataclass(frozen=True)
-class TheoryExpression:
-    """An ``&op(...)`` expression; args are terms or nested expressions."""
+class TheoryExpression(Function):
+    """``&operator(args...)`` as the tuple ("&" + operator, args), so never
+    equal to an atom.  memberships, its grammar types from the most general
+    (set by typecheck), is left out of == and hash."""
 
-    operator: str
-    args: tuple = ()
-    assigned_type: Optional[str] = field(default=None, compare=False)
-    #: All grammar types this node belongs to (subtype chain), most
-    #: general first.  Filled by typecheck; empty until then.
-    memberships: tuple = field(default=(), compare=False)
+    operator = property(lambda self: self[0][1:])
+
+    def __new__(cls, operator, args=(), memberships=()):
+        self = tuple.__new__(cls, ("&" + operator, args))
+        self.memberships = memberships
+        return self
+
+    def __getnewargs__(self):
+        return self.operator, self[1]
 
     def __str__(self):
-        if not self.args:
-            return "&%s" % self.operator
-        return "&%s(%s)" % (self.operator, ",".join(str(a) for a in self.args))
+        return Function.__str__(self) if self[1] else self[0]
+
+    def __repr__(self):
+        return "TheoryExpression(%r, %r)" % (self.operator, self[1])
 
 
 #: Things that may stand where an atom stands.
@@ -320,7 +326,7 @@ def walk(node):
     while stack:
         x = stack.pop()
         yield x
-        if isinstance(x, (Function, TheoryExpression)):
+        if isinstance(x, Function):
             stack.extend(reversed(x.args))
         elif isinstance(x, (BinOp, Comparison)):
             stack += x.right, x.left
@@ -339,16 +345,17 @@ def variables(node) -> set:
 
 
 def with_args(node, args):
-    """node, a Function or TheoryExpression, with args (types kept)."""
-    return Function(node.name, args) if isinstance(node, Function) else \
-        TheoryExpression(node.operator, args, node.assigned_type, node.memberships)
+    """node, a Function or TheoryExpression, with args (memberships kept)."""
+    if isinstance(node, TheoryExpression):
+        return TheoryExpression(node.operator, args, node.memberships)
+    return Function(node[0], args)
 
 
 def substitute(node, leaf):
     """node with each leaf x (a term without subterms) replaced by leaf(x),
-    unless that is None.  Rebuilds through functions, expressions (types
-    kept) and arithmetic; returns node itself when nothing changed."""
-    if isinstance(node, (Function, TheoryExpression)):
+    unless that is None.  Rebuilds through functions, expressions (see
+    with_args) and arithmetic; returns node itself when nothing changed."""
+    if isinstance(node, Function):
         args = tuple(substitute(a, leaf) for a in node.args)
         if all(map(is_, args, node.args)):
             return node

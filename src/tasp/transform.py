@@ -46,26 +46,25 @@ class SafetyReport:
 
 def safe_atoms_in(expr, g: TheoryGrammar):
     """Atoms reachable from expr through safe-declared argument positions."""
-    if isinstance(expr, (Constant, Function)):
+    if isinstance(expr, TheoryExpression):
+        found = expr.memberships and g.find_spec(
+            expr.memberships[-1], expr.operator, len(expr.args))
+        safety = found[1].arg_safety if found else ()
+        for arg, safe in zip(expr.args, safety):
+            if safe == "safe":
+                yield from safe_atoms_in(arg, g)
+    elif isinstance(expr, (Constant, Function)):
         yield expr
-        return
-    if not isinstance(expr, TheoryExpression):
-        return
-    found = g.find_spec(expr.assigned_type, expr.operator, len(expr.args))
-    if found is None:
-        return
-    for arg, safety in zip(expr.args, found[1].arg_safety):
-        if safety == "safe":
-            yield from safe_atoms_in(arg, g)
 
 
 def derivable_atoms_in(expr):
     """Atoms a head expression can make true: those not under &not."""
-    if isinstance(expr, (Constant, Function)):
+    if isinstance(expr, TheoryExpression):
+        if expr.operator != "not":
+            for arg in expr.args:
+                yield from derivable_atoms_in(arg)
+    elif isinstance(expr, (Constant, Function)):
         yield expr
-    elif isinstance(expr, TheoryExpression) and expr.operator != "not":
-        for arg in expr.args:
-            yield from derivable_atoms_in(arg)
 
 
 def _bind_comparisons(body, bound: Set[str]):
@@ -213,27 +212,32 @@ def _dedupe(atoms):
 
 
 def rewrite_shows(program: Program):
-    """Replace ``#show`` directives by internal marker rules.
+    """Replace ``#show`` directives by internal marker rules, from which
+    reification derives show_atom/2 and show_term/2 facts.
 
-    Returns (program', show_all).  Signature shows (``#show p/1.``) stay as
-    directives; term shows become ``__show_term(t) :- C.`` marker rules from
-    which reification derives show_term/2 facts.
+    Returns (program', show_all).  ``#show t : C.`` becomes
+    ``__show_term(t) :- C.`` in its place, and ``#show p/2.`` becomes
+    ``__show_term(p(X0,X1)) :- p(X0,X1).`` after every other statement,
+    which keeps the order in which the ground program names user atoms.
     """
-    statements: List = []
+    statements, signatures = [], []
     show_all = True
     for s in program.statements:
         if not isinstance(s, Show):
             statements.append(s)
             continue
         show_all = False
+        term, condition, into = s.term, s.condition, statements
         if s.signature is not None:
-            statements.append(s)
-        elif s.term is not None:
-            marker = Function(SHOW_TERM_MARKER, (s.term,))
-            statements.append(Rule(Disjunction((HeadElement(marker),)),
-                                   tuple(s.condition), location=s.location))
-        # bare "#show." just switches off show-all
-    return Program(tuple(statements)), show_all
+            name, arity = s.signature
+            args = tuple(Variable("X%d" % i) for i in range(arity))
+            term = Function(name, args) if args else Constant(name)
+            condition, into = (Literal(True, term),), signatures
+        if term is not None:  # a bare "#show." only switches off show-all
+            marker = Function(SHOW_TERM_MARKER, (term,))
+            into.append(Rule(Disjunction((HeadElement(marker),)),
+                             tuple(condition), location=s.location))
+    return Program(tuple(statements + signatures)), show_all
 
 
 def transform_program(program: Program, g: TheoryGrammar):

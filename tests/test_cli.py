@@ -1,11 +1,15 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
 from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, timed_main
 from test_parser import OVER_DEEP
 
+import tasp
 from tasp import ground
 from tasp.cli import Pipeline, main, run_pipeline
 
@@ -239,6 +243,16 @@ def test_stdin_input(monkeypatch):
     assert "a@0" in out
 
 
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "tasp", "solve", "-c", "n=0"], input="a.\n",
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 10
+    assert "a@0" in done.stdout
+
+
 def test_config_file(tmp_path, telex_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults\nsemantics = tel\nprinter = temporal\nn = 2\n")
@@ -300,7 +314,12 @@ def test_term_depth_bound_counts_from_the_input(text, n, code, monkeypatch):
     ("#external p(1..1000000000).\n", 33),
     # an interval in an order comparison is rejected from its bounds
     ("q(1). p :- q(X), X < 1..1000000000.\n", 65),
-], ids=["comparison", "head", "external", "order-comparison"])
+    # an assignment past MAX_ATOMS values meets the atom bound before
+    # expanding, alone or after a scan
+    ("p(X) :- X = 1..1000000000.\n", 33),
+    ("q(1). p(X,Y) :- q(X), Y = 1..1000000000.\n", 33),
+], ids=["comparison", "head", "external", "order-comparison", "assignment",
+        "assignment-after-scan"])
 def test_huge_intervals_are_not_built(text, code):
     status, seconds = timed_main(["solve", "-c", "n=0", "--models", "1"],
                                  text, timeout=20)

@@ -91,10 +91,10 @@ def test_substitute_keeps_unchanged_nodes():
     e = parse_expression("&next(p(X,f(1),(X+1),-Y))")
     assert substitute(e, lambda x: None) is e
     y_to_z = lambda x: Variable("Z") if x == Variable("Y") else None
-    typed = TheoryExpression("next", e.args, "tel", ("tel",))
+    typed = TheoryExpression("next", e.args, ("tel",))
     out = substitute(typed, y_to_z)
     assert str(out) == "&next(p(X,f(1),(X+1),-Z))"
-    assert (out.assigned_type, out.memberships) == ("tel", ("tel",))
+    assert out.memberships == ("tel",)
     assert all(a is b for a, b in zip(out.args[0].args[:3],
                                       e.args[0].args[:3]))
 

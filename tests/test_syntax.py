@@ -7,7 +7,7 @@ from tasp.ground import Grounder, compare_terms
 from tasp.parser import parse_program
 from tasp.syntax import (
     INF, SUP, Constant, Function, Integer, Literal, String, TheoryExpression,
-    UnaryMinus,
+    UnaryMinus, Variable, substitute, with_args,
 )
 
 NESTED = Function("p", (Constant("a"), Function("q", (Integer(-1), String("s"))),
@@ -72,6 +72,54 @@ def test_copy_and_pickle_keep_nested_functions():
         assert type(twin.args[1]) is Function
         assert type(twin.args[3]) is Integer
         assert str(twin) == str(NESTED)
+
+
+TYPED = TheoryExpression("next", (
+    TheoryExpression("eventually", (Function("p", (Variable("X"),)),),
+                     ("tel",)),), ("tel",))
+
+
+def test_a_theory_expression_is_a_function_hashed_in_c():
+    assert TheoryExpression.__hash__ is tuple.__hash__
+    assert TheoryExpression.__eq__ is tuple.__eq__
+    assert isinstance(TYPED, Function) and TYPED.name == "&next"
+    assert TYPED.operator == "next"
+
+
+def test_memberships_are_ignored_by_equality_and_hash():
+    untyped = TheoryExpression("next", (TheoryExpression(
+        "eventually", (Function("p", (Variable("X"),)),)),))
+    assert untyped.memberships == () and TYPED.memberships == ("tel",)
+    assert untyped == TYPED and hash(untyped) == hash(TYPED)
+    assert {untyped: 1}[TYPED] == 1
+
+
+def test_rebuilding_keeps_the_class_and_memberships():
+    bound = substitute(TYPED, lambda x: Constant("a")
+                       if isinstance(x, Variable) else None)
+    rebuilt = with_args(TYPED, (Constant("b"),))
+    for twin in (bound, rebuilt, copy.copy(TYPED), copy.deepcopy(TYPED),
+                 pickle.loads(pickle.dumps(TYPED)),
+                 pickle.loads(pickle.dumps(TYPED, 0))):
+        assert type(twin) is TheoryExpression
+        assert twin.memberships == ("tel",)
+    assert str(bound) == "&next(&eventually(p(a)))"
+    assert bound.args[0].memberships == ("tel",)
+    assert str(rebuilt) == "&next(b)"
+    assert copy.deepcopy(TYPED) == TYPED
+    assert pickle.loads(pickle.dumps(TYPED)).args[0].memberships == ("tel",)
+
+
+def test_str_and_repr_of_theory_expressions():
+    assert str(TheoryExpression("initial")) == "&initial"
+    assert str(TYPED) == "&next(&eventually(p(X)))"
+    assert str(TheoryExpression("always", (
+        TheoryExpression("star", (TheoryExpression("step"),)),
+        TheoryExpression("final")))) == "&always(&star(&step),&final)"
+    assert "%s." % (TYPED,) == "&next(&eventually(p(X)))."
+    assert repr(TheoryExpression("initial")) == \
+        "TheoryExpression('initial', ())"
+    assert eval(repr(TYPED)) == TYPED
 
 
 @pytest.mark.parametrize("text,facts", [

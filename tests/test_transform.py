@@ -74,6 +74,26 @@ def test_show_all_default_and_signature_filtering():
     assert not show_all
 
 
+def test_signature_show_becomes_marker_rule():
+    prog, show_all = _transformed(TELEX + "#show green/1.\n#show light/0.\n")
+    assert not show_all and not prog.directives(Show)
+    # after every other statement, externals included
+    assert str(prog).splitlines()[-2:] == [
+        "__show_term(green(X0)) :- green(X0).",
+        "__show_term(light) :- light."]
+
+
+def test_signature_show_gives_the_traces_of_its_term_show():
+    by_signature, by_term = (
+        set(distinct_traces(Pipeline(TELEX + show).meta(4)))
+        for show in ("#show green/1.\n", "#show green(L) : green(L).\n"))
+    assert by_signature == by_term
+    # green(l1) in exactly one of the states 2 to 4
+    assert {states for states, _ in by_signature} == {
+        tuple(frozenset({"green(l1)"} if t == k else ()) for t in range(5))
+        for k in range(2, 5)}
+
+
 def test_conditional_show_becomes_marker_rule():
     typed = typecheck_program(
         parse_program("green(l1).\n#show state(L) : green(L).\n"), TEL)
