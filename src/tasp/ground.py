@@ -176,18 +176,31 @@ def _expand_bounded(t, subst) -> List:
     return expand_term(t, subst)
 
 
+def _member(value, t, subst) -> bool:
+    """Whether a ground value is one of the values of term t, tested
+    argument by argument without building them: a function needs the
+    same name and arity, and each argument must fall in its interval or
+    equal its term."""
+    if isinstance(t, BinOp) and t.op == "..":
+        return isinstance(value, Integer) \
+            and value.value in _interval(t, subst)
+    if isinstance(t, Function):
+        return isinstance(value, Function) and value.name == t.name \
+            and len(value.args) == len(t.args) \
+            and all(_member(v, a, subst) for v, a in zip(value.args, t.args))
+    return eval_term(t, subst) == value
+
+
 def _share_value(left, right, subst) -> bool:
-    """Whether two bound terms have a value in common.  An interval side
-    is tested by its bounds, without building its values."""
-    lv, rv = [_interval(t, subst) if isinstance(t, BinOp) and t.op == ".."
-              else expand_term(t, subst) for t in (left, right)]
-    if isinstance(lv, range) and isinstance(rv, range):
+    """Whether two bound terms have a value in common.  Two intervals
+    are compared by their bounds; otherwise each value of the side with
+    fewer values is tested against the other side, so intervals are
+    expanded, within the atom bound, only when both sides hold them."""
+    small, big = sorted((left, right), key=lambda t: _expansion_size(t, subst))
+    if all(isinstance(t, BinOp) and t.op == ".." for t in (small, big)):
+        lv, rv = _interval(small, subst), _interval(big, subst)
         return max(lv.start, rv.start) < min(lv.stop, rv.stop)
-    if isinstance(lv, range):
-        lv, rv = rv, lv
-    if isinstance(rv, range):
-        return any(isinstance(v, Integer) and v.value in rv for v in lv)
-    return not set(lv).isdisjoint(rv)
+    return any(_member(v, big, subst) for v in _expand_bounded(small, subst))
 
 
 # ---------------------------------------------------------------------------

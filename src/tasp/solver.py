@@ -9,9 +9,12 @@ AIJ 2004), so source pointers track only the atoms on loops and each
 unfounded set yields a loop nogood.  The search learns first-UIP clauses
 over a trail with watched literals, backjumps and blocks the decisions of
 each model, without recursion.  A model with two true heads of one rule
-must also be a minimal model of its reduct, checked by a second engine.
-The program's facts stay outside both engines: no rule names one, so a
-model is the facts plus the atoms the search made true.
+must also hold no unfounded set by the disjunctive definition (Leone,
+Rullo and Scarcello, Inf. Comput. 1997).  One tester per search, a
+second instance of the engine built on the first such model, finds one
+under the model as assumptions (Gebser, Kaufmann and Schaub, IJCAI
+2013).  The program's facts stay outside both engines: no rule names one,
+so a model is the facts plus the atoms the search made true.
 """
 
 from __future__ import annotations
@@ -102,7 +105,8 @@ class _Engine:
         self.natoms, self.rules, self.step_limit = natoms, rules, step_limit
         self.steps, self.counters = 0, dict.fromkeys((  # logged by solve
             "decisions", "conflicts", "learned", "loop_nogoods",
-            "unfounded_checks", "minimality_checks"), 0)
+            "unfounded_checks", "minimality_checks", "tester_atoms",
+            "tester_steps"), 0)
         succ = [[] for _ in range(natoms)]
         for _, heads, pos, _ in rules:
             for h in heads:
@@ -118,8 +122,10 @@ class _Engine:
             for h in heads:
                 if b not in supports[h]:
                     supports[h].append(b)
-        self.disjunctive = [(heads, pos, neg) for choice, heads, pos, neg
-                            in rules if not choice and len(heads) > 1]
+        self.disjunctive = [(set(heads), b) for (choice, heads, _, _), b
+                            in zip(rules, self.rule_body)
+                            if not choice and len(set(heads)) > 1]
+        self.tester = None  # built by unstable on the first real check
         nv = natoms + len(keys)
         self.val = [0] * (2 * nv)  # per literal: 1 true, -1 false, 0 open
         self.level, self.reason = [0] * nv, [None] * nv
@@ -291,12 +297,14 @@ class _Engine:
             if conflict is not None or self.qhead == len(self.trail):
                 return conflict
 
-    def _learn(self, conflict) -> bool:
+    def _learn(self, conflict, floor) -> bool:
         """Learn a first-UIP clause from a clause false under the assignment,
-        backjump and assert it; False if that clause is false at level 0."""
+        backjump and assert it; False if that clause is false at level
+        `floor` or below, and then the engine is spent if at level 0."""
         level, trail = self.level, self.trail
         top = max((level[lit >> 1] for lit in conflict), default=0)
-        if top == 0:
+        if top <= floor:
+            self.ok = top > 0
             return False
         self._cancel(top)
         seen, learnt, open_, i, lits = set(), [], 0, len(trail) - 1, conflict
@@ -328,13 +336,23 @@ class _Engine:
         self._enqueue(c[0], c if len(c) > 1 else None)
         return True
 
-    def models(self):
-        """Yield the true atoms of every stable model, deterministically."""
+    def models(self, assumptions=()):
+        """Yield the true atoms of every stable model, deterministically;
+        under assumptions (literals, all on decision level 1) only the
+        first, as a clause blocking it would outlive the query.  Learnt
+        clauses follow from the engine's own, so every query keeps them."""
+        self._cancel(0)
+        floor = 1 if assumptions else 0
         while self.ok:
             conflict = self._fixpoint()
             if conflict is not None:
                 self.counters["conflicts"] += 1
-                if not self._learn(conflict):
+                if not self._learn(conflict, floor):
+                    return
+                continue
+            if len(self.lim) < floor:  # again after a learnt unit
+                self.lim.append(len(self.trail))
+                if not all(self._enqueue(lit, None) for lit in assumptions):
                     return
                 continue
             while self.heap and self.val[2 * self.heap[0][1]]:
@@ -346,53 +364,87 @@ class _Engine:
                 self._enqueue(2 * v + self.phase[v], None)
                 continue
             model = [a for a in range(self.natoms) if self.val[2 * a] > 0]
-            nogood = self.unstable(model)
+            nogood = self.unstable()
             if nogood is None:
                 yield model
+                if assumptions:
+                    return
                 nogood = [self.trail[k] ^ 1 for k in self.lim]
-            if not self._learn(nogood):
+            if not self._learn(nogood, floor):
                 return
 
-    def unstable(self, model) -> Optional[list]:
-        """For the total assignment `model`, a clause false under it if a
-        proper subset satisfies the reduct, else None.  Only a rule with a
-        true body and two true heads can allow that."""
-        val = self.val
-
-        def holds(pos, neg):
-            return all(val[2 * p] > 0 for p in pos) \
-                and not any(val[2 * q] > 0 for q in neg)
-
-        if not any(sum(val[2 * h] > 0 for h in heads) > 1 and holds(pos, neg)
-                   for heads, pos, neg in self.disjunctive):
+    def unstable(self) -> Optional[list]:
+        """For a total assignment, a clause false under it if a non-empty
+        set of its true atoms is unfounded, else None.  The loop nogoods
+        leave such a set only where a rule has a true body and two true
+        heads; the tester looks for one under the assignment."""
+        val, na = self.val, self.natoms
+        if not any(val[2 * (na + b)] > 0 and sum(val[2 * h] > 0 for h in heads)
+                   > 1 for heads, b in self.disjunctive):
             return None
         self.counters["minimality_checks"] += 1
-        inside = {a: i for i, a in enumerate(model)}
-        reduct = [(True, (i,), (), ()) for i in range(len(model))]
-        reduct.append((False, (), tuple(range(len(model))), ()))
-        for choice, heads, pos, neg in self.rules:
-            if holds(pos, neg):
-                ins = tuple(inside[h] for h in heads if h in inside)
-                local = tuple(inside[p] for p in pos)
-                reduct += [(False, (), local, g)
-                           for g in ([(h,) for h in ins] if choice else [ins])]
-        sub = _Engine(len(model), reduct, self.step_limit - self.steps)
-        found = next(sub.models(), None)
-        self.steps += sub.steps
+        if self.tester is None:
+            self._build_tester()
+        tester, n = self.tester, len(self.tested)
+        tester._cancel(0)  # which saves the phases that the next line resets
+        tester.phase[:n] = [0] * n  # each atom in U unless refuted
+        before = tester.steps
+        tester.step_limit = before + self.step_limit - self.steps
+        found = next(tester.models(
+            [2 * x + (val[2 * v] < 0) for v, x in self.context]), None)
+        self.counters["tester_steps"] += tester.steps - before
+        self.steps += tester.steps - before
         if found is None:
             return None
-        # the rest of the model is unfounded: its first atom is false, or a
-        # rule supports it from outside (true body, outside heads false)
-        rest = sorted(set(model) - {model[i] for i in found})
+        # U is unfounded: its first atom is false, or a rule supports it
+        # from outside (true body, outside heads false)
+        rest = [self.tested[x] for x in found if x < n]
         inside, clause = set(rest), [2 * rest[0] + 1]
-        for (_, heads, pos, _), b in zip(self.rules, self.rule_body):
+        for _, heads, pos, b in self.defining:
             if not inside.isdisjoint(heads) and inside.isdisjoint(pos):
-                body = 2 * (self.natoms + b)
-                clause.append(body if self.val[body] < 0 else 1 + 2 * next(
-                    h for h in heads
-                    if h not in inside and self.val[2 * h] > 0))
+                body = 2 * (na + b)
+                clause.append(body if val[body] < 0 else 1 + 2 * next(
+                    h for h in heads if h not in inside and val[2 * h] > 0))
         self.counters["loop_nogoods"] += 1
         return clause
+
+    def _build_tester(self):
+        """The engine whose models are the non-empty unfounded sets U of
+        the assignment given as assumptions (one rule of the definition of
+        Leone, Rullo and Scarcello per rule head), within the atoms of the
+        positive components that hold a head of a disjunctive rule: a
+        check per component is complete (Koch, Leone and Pfeifer, AIJ
+        2003).  Its atoms: one per atom in that set, true if it is in U;
+        one per main variable the rules read, fixed by the assumptions;
+        one per other head in that set, true if it is true outside U."""
+        comp = [a if c < 0 else c for a, c in enumerate(self.scc)]
+        hit = {comp[h] for heads, _ in self.disjunctive for h in heads}
+        self.tested = [a for a, c in enumerate(comp) if c in hit]
+        u = {a: x for x, a in enumerate(self.tested)}
+        self.defining = [(choice, heads, pos, b) for (choice, heads, pos, _), b
+                         in zip(self.rules, self.rule_body)
+                         if not u.keys().isdisjoint(heads)]
+        ids: Dict = {}  # ("m", main variable) or ("y", head) -> atom
+
+        def atom(kind, v):
+            return ids.setdefault((kind, v), len(u) + len(ids))
+
+        rules = [(False, (), (), tuple(u.values()))]
+        rules += [(False, (), (u[a],), (atom("m", a),)) for a in u]
+        for choice, heads, pos, b in self.defining:
+            for a in dict.fromkeys(h for h in heads if h in u):
+                other = () if choice else tuple(
+                    atom("y", h) if h in u else atom("m", h)
+                    for h in dict.fromkeys(heads) if h != a)
+                rules.append((False, (), (u[a], atom("m", self.natoms + b)),
+                              tuple(u[p] for p in pos if p in u) + other))
+        rules += [c for (kind, h), y in ids.items() if kind == "y" for c in (
+            (False, (), (y,), (ids["m", h],)), (False, (), (y, u[h]), ()))]
+        size = len(u) + len(ids)
+        self.context = [(v, x) for (kind, v), x in ids.items() if kind == "m"]
+        self.tester = _Engine(size, [(True, tuple(range(size)), (), ())]
+                              + rules, 0)
+        self.counters["tester_atoms"] = size
 
 
 def models(program: GroundProgram) -> Iterator[Model]:

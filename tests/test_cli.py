@@ -318,8 +318,12 @@ def test_term_depth_bound_counts_from_the_input(text, n, code, monkeypatch):
     # expanding, alone or after a scan
     ("p(X) :- X = 1..1000000000.\n", 33),
     ("q(1). p(X,Y) :- q(X), Y = 1..1000000000.\n", 33),
+    # a bound = against a function with an interval argument is tested
+    # argument by argument: no match, and a match that the answer needs
+    ("q(1). p :- q(X), X = f(1..1000000000).\n", 10),
+    ("q(f(2)). p :- q(X), X = f(1..1000000000). :- not p.\n", 10),
 ], ids=["comparison", "head", "external", "order-comparison", "assignment",
-        "assignment-after-scan"])
+        "assignment-after-scan", "nested-comparison", "nested-member"])
 def test_huge_intervals_are_not_built(text, code):
     status, seconds = timed_main(["solve", "-c", "n=0", "--models", "1"],
                                  text, timeout=20)

@@ -5,7 +5,7 @@ import pytest
 from conftest import (TELEX, oracle_traces, random_prop_program,
                       stable_models_bruteforce)
 
-from tasp import meta, oracle
+from tasp import meta, oracle, solver
 from tasp.cli import Pipeline, distinct_traces
 from tasp.ground import Grounder
 from tasp.parser import parse_program
@@ -84,14 +84,14 @@ def test_large_choice_first_model_without_recursion():
     assert len(solve(gp, limit=1)) == 1
 
 
-def _with_positive_cycles(rng, text, atoms=7):
-    """Append one to three positive cycles aI :- aJ. aJ :- aI., some
-    with a disjunctive head, so that unfounded sets and head cycles
-    occur in most programs."""
+def _with_positive_cycles(rng, text, atoms=7, disjunctive=0.3):
+    """Append one to three positive cycles aI :- aJ. aJ :- aI., with a
+    disjunctive head at the given rate, so that unfounded sets and head
+    cycles occur in most programs."""
     lines = []
     for _ in range(rng.randint(1, 3)):
         i, j = rng.randint(1, atoms), rng.randint(1, atoms)
-        if rng.random() < 0.3:
+        if rng.random() < disjunctive:
             lines.append("a%d; a%d :- a%d." % (i, rng.randint(1, atoms), j))
         else:
             lines.append("a%d :- a%d." % (i, j))
@@ -107,6 +107,70 @@ def test_positive_loops_agree_with_bruteforce():
         got = _solve(text)
         want = stable_models_bruteforce(text)
         assert got == want, "program:\n%s\ngot %r\nwant %r" % (text, got, want)
+
+
+@pytest.mark.parametrize("text", [
+    # the heads of the disjunction sit in singleton components
+    "a; b. c :- a. c :- b.",
+    # two separate head-cycle components
+    "{ e }. a; b :- e. a :- b. b :- a. c; d :- not e. c :- d. d :- c.",
+    "a; b. a :- b. b :- a. c; d :- a. c :- d. d :- c. e :- c, not d.",
+    # a choice rule inside a head cycle
+    "a; b. { a } :- b. b :- a.",
+    "a; b; c. { a; c } :- b. b :- a. b :- c. :- a, c.",
+], ids=["singletons", "two-components", "chained-components",
+        "choice-in-cycle", "choice-heads-in-cycle"])
+def test_minimality_tester_agrees_with_bruteforce(text):
+    assert _solve(text) == stable_models_bruteforce(text)
+
+
+def test_head_cycles_agree_with_bruteforce():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        text = _with_positive_cycles(
+            rng, random_prop_program(rng, max_atoms=7, max_rules=7),
+            disjunctive=0.7)
+        got = _solve(text)
+        want = stable_models_bruteforce(text)
+        assert got == want, "program:\n%s\ngot %r\nwant %r" % (text, got, want)
+
+
+def _engines(monkeypatch):
+    """A list that records every engine a search constructs."""
+    built, init = [], solver._Engine.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        built.append(self)
+    monkeypatch.setattr(solver._Engine, "__init__", record)
+    return built
+
+
+def test_one_tester_per_search(monkeypatch, caplog):
+    built = _engines(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        assert len(solve(Pipeline(TELEX).meta(6).program)) == 5
+    # the main engine and one tester for its 7 minimality checks
+    assert len(built) == 2
+    line = caplog.records[-1].getMessage()
+    assert "%d tester atoms" % built[1].natoms in line, line
+    assert "%d tester steps" % built[1].steps in line, line
+    assert built[1].steps > 0
+    del built[:]
+    # no disjunctive rule: no candidate needs a check, no tester is built
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        assert len(solve(Grounder(parse_program(
+            "{ c }. a :- b. b :- a.")).ground())) == 2
+    assert len(built) == 1
+    line = caplog.records[-1].getMessage()
+    assert "0 tester atoms, 0 tester steps" in line, line
+
+
+def test_telex_first_model_step_cost(monkeypatch):
+    # 339,586 steps, with the tester's queries, at least 2x under the limit
+    built = _engines(monkeypatch)
+    assert len(solve(Pipeline(TELEX).meta(80).program, limit=1)) == 1
+    assert 2 * built[0].steps < solver.DEFAULT_STEP_LIMIT
 
 
 def test_solve_logs_search_counters(caplog):
