@@ -157,17 +157,18 @@ PRINTERS = {"default": format_model_default,
 
 
 def _print_models(traces, printer, limit: int, start: float, out) -> int:
-    """Print the first `limit` (states, tau) traces (all when 0) and the
-    footer.  A search stopped at the limit prints its count as "K+", as
-    clingo does."""
-    models = list(islice(traces, limit or None))
-    for i, (states, tau) in enumerate(models, 1):
-        print(printer(i, states, tau), file=out)
-    more = "+" if 0 < limit == len(models) else ""
-    print("%s\n" % ("SATISFIABLE" if models else "UNSATISFIABLE"), file=out)
-    print("Models : %d%s" % (len(models), more), file=out)
+    """Print each of the first `limit` (states, tau) traces (all when 0)
+    as it is found, then the footer.  A search stopped at the limit
+    prints its count as "K+", as clingo does.  A resource limit raised
+    by the search leaves the traces printed so far and no footer."""
+    count = 0
+    for count, (states, tau) in enumerate(islice(traces, limit or None), 1):
+        print(printer(count, states, tau), file=out, flush=True)
+    more = "+" if 0 < limit == count else ""
+    print("%s\n" % ("SATISFIABLE" if count else "UNSATISFIABLE"), file=out)
+    print("Models : %d%s" % (count, more), file=out)
     print("Time   : %.3fs" % (time.time() - start), file=out)
-    return EXIT_SAT if models else EXIT_UNSAT
+    return EXIT_SAT if count else EXIT_UNSAT
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,10 @@ def atom_key(a) -> tuple:
     raise GroundingError("not an atom: %s" % (a,))
 
 
-def match(pattern, ground, subst) -> Optional[dict]:
-    """Unify a (possibly partially bound) pattern against a ground atom."""
+def match(pattern, ground, subst, waiting=None) -> Optional[dict]:
+    """Unify a (possibly partially bound) pattern against a ground atom.
+    An arithmetic part with an unbound variable is put on `waiting`, if
+    given, to be matched after the parts that bind it."""
     if isinstance(pattern, Variable):
         bound = subst.get(pattern.name)
         if bound is None:
@@ -227,6 +229,9 @@ def match(pattern, ground, subst) -> Optional[dict]:
         return subst if bound == ground else None
     if isinstance(pattern, (UnaryMinus, BinOp)):
         if not variables(pattern) <= subst.keys():
+            if waiting is not None:
+                waiting.append((pattern, ground))
+                return subst
             raise GroundingError(
                 "arithmetic %s cannot be matched while unbound" % (pattern,))
         try:
@@ -241,6 +246,22 @@ def match(pattern, ground, subst) -> Optional[dict]:
     if len(pattern.args) != len(ground.args):
         return None
     for p, g in zip(pattern.args, ground.args):
+        subst = match(p, g, subst, waiting)
+        if subst is None:
+            return None
+    return subst
+
+
+def _match_args(rest, args, subst) -> Optional[dict]:
+    """Match each (position, pattern) pair of a scan against the atom's
+    args; arithmetic parts are matched last, once the others have bound
+    their variables, as in q(X+1,X)."""
+    waiting = []
+    for pos, p in rest:
+        subst = match(p, args[pos], subst, waiting)
+        if subst is None:
+            return None
+    for p, g in waiting:
         subst = match(p, g, subst)
         if subst is None:
             return None
@@ -636,12 +657,8 @@ class Grounder:
                         continue
                     candidates = self._arg_index.get((x, values), ())
                 for cand in reversed(candidates):  # popped in list order
-                    args, s2 = cand.args, s
-                    for pos, p in z:
-                        s2 = match(p, args[pos], s2)
-                        if s2 is None:
-                            break
-                    else:
+                    s2 = _match_args(z, cand.args, s)
+                    if s2 is not None:
                         stack.append((k, s2, found + (cand,)))
             elif op == TEST:
                 try:

@@ -26,21 +26,20 @@ class MetaError(Exception):
 # ---------------------------------------------------------------------------
 # Rule schemas
 
-#: Timed core: duplicates rule satisfaction over states 0..n.  A rule's
-#: head reads the conjunction of its body directly; the body/2 layer of
-#: clingo's reification format holds sum aggregates, never reified here.
+#: Timed core: duplicates rule satisfaction over states 0..n.  Heads read
+#: their body's literal tuple directly; the solver names each body once.
 CORE_SCHEMA = """\
 time(0..n).
 
-conjunction(B,T) :- literal_tuple(B), time(T),
+hold(A,T) : atom_tuple(H,A) :-
+    rule(disjunction(H),normal(B)), time(T),
     hold(L,T) : literal_tuple(B,L), L > 0;
     not hold(-L,T) : literal_tuple(B,L), L < 0.
 
-hold(A,T) : atom_tuple(H,A) :-
-    rule(disjunction(H),normal(B)), time(T), conjunction(B,T).
-
 { hold(A,T) : atom_tuple(H,A) } :-
-    rule(choice(H),normal(B)), time(T), conjunction(B,T).
+    rule(choice(H),normal(B)), time(T),
+    hold(L,T) : literal_tuple(B,L), L > 0;
+    not hold(-L,T) : literal_tuple(B,L), L < 0.
 """
 
 #: Bridge between numeric hold/2 and symbolic true/2; the fact case
@@ -232,11 +231,13 @@ class MetaProgram:
     max_time: Optional[int] = None
 
     @cached_property
-    def shown(self) -> List[Tuple[str, List[Function]]]:
-        """Each shown term rendered, with its conjunction(B,T) probe for
-        every state T; built once, read by every extract_model call."""
-        return [(str(term), [Function("conjunction", (Integer(b), Integer(t)))
-                             for t in range(self.n + 1)])
+    def shown(self) -> List[Tuple[str, list]]:
+        """Each shown term rendered, with a (hold(|L|,T), L > 0) pair per
+        literal L of its tuple for every state T; built once."""
+        return [(str(term),
+                 [[(Function("hold", (Integer(abs(l)), Integer(t))), l > 0)
+                   for l in self.db.literal_tuples.get(b, ())]
+                  for t in range(self.n + 1)])
                 for _, term, b in self.db.shows]
 
 
@@ -275,14 +276,18 @@ def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
     """Project a stable model of the meta program onto shown states.
 
     `atoms` is the whole model, the program's facts included (the solver
-    keeps them).  Returns (states, tau): states is a tuple of n+1
-    frozensets of rendered terms; tau maps each state to its time point
-    for MEL, else None.
+    keeps them).  A term is shown at T when `atoms` has hold(L,T) for
+    each positive literal L of its tuple and hold(-L,T) for no negative
+    one.  Returns (states, tau): states is a tuple of n+1 frozensets of
+    rendered terms; tau maps each state to its time point for MEL, else None.
     """
     states = [set() for _ in range(meta.n + 1)]
     for rendered, probes in meta.shown:
         for state, probe in zip(states, probes):
-            if probe in atoms:
+            for a, positive in probe:
+                if (a in atoms) != positive:
+                    break
+            else:
                 state.add(rendered)
     tau = None
     if meta.semantics == "mel":

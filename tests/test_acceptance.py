@@ -175,12 +175,12 @@ def _criterion_4_runs():
 
 
 def test_criterion_4_ground_programs_digest():
-    # criterion 4's programs, recorded when the body/2 layer of the meta
-    # encoding was deleted (the user ground programs and the traces of all
-    # 200 are the same as with it)
+    # criterion 4's programs, recorded when the conjunction/2 layer of the
+    # meta encoding was deleted (the user ground programs and the traces
+    # of all 200 are the same as with it)
     runs = [(p, n, None) for p, n in _criterion_4_runs()]
     ok = _ground_programs_digest(runs) == (
-        "2852a3c455d7ca3d3cbae4b5e52661d79366412a626816e03276c23c33ea180c")
+        "4a5cbabb857927a7f480bb7d74b76f3ef4a68e58f6940d02c1b2226762008753")
     _report(4, ok, "ground programs of the 200 random TEL programs "
             "unchanged")
 
@@ -300,7 +300,8 @@ def test_criterion_4_mel_oracle_equivalence():
 
 def test_criterion_4_mel_ground_programs_digest():
     # the programs of the MEL equivalence test above, recorded when the
-    # body/2 layer of the meta encoding was deleted
+    # conjunction/2 layer of the meta encoding was deleted (the same user
+    # ground programs)
     rng = random.Random(414)
     runs = []
     for trial in range(200):
@@ -308,7 +309,7 @@ def test_criterion_4_mel_ground_programs_digest():
         n = rng.randint(0, 3)
         runs.append((Pipeline(text, "mel"), n, n + rng.randint(0, 3)))
     ok = _ground_programs_digest(runs) == (
-        "59ad2ff23c9647a08dab9182c20e321b5d8b495205620d06023e43b0a8186fbf")
+        "4795cdd63a56c10ef302bc8296d4127b17493510548918297112e75c19d4a811")
     _report(4, ok, "ground programs of the 200 random MEL programs "
             "unchanged")
 
@@ -441,7 +442,9 @@ def test_criterion_7_ground_programs_digest():
     # table replaced its closure and path rules (the same sorted rules,
     # with the table's eq/dis/con facts added), and again when the DEL
     # grammar typed the arguments of &not, &next and unary &eventually as
-    # del (only formula/2 types changed; the same traces)
+    # del (only formula/2 types changed; the same traces), and when the
+    # conjunction/2 layer of the meta encoding was deleted (the same user
+    # ground programs)
     rng = random.Random(707)
     runs = []
     for trial in range(50):
@@ -449,7 +452,7 @@ def test_criterion_7_ground_programs_digest():
         program = "{ a }. { b }.\nmarker :- &eventually(%s,&final).\n" % rho
         runs.append((Pipeline(program, "del"), rng.choice((0, 1, 2)), None))
     ok = _ground_programs_digest(runs) == (
-        "fbd512df1a6489ccc60af322dc77a96885cf2e08dedc83196d4e876a2e48ccac")
+        "a0c74efc151b630343165e1cfd19587f989c477cbf77b0a8ba00d015347688a6")
     _report(7, ok, "ground programs of the 50 random DEL programs "
             "unchanged")
 

@@ -10,7 +10,7 @@ from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, timed_main
 from test_parser import OVER_DEEP
 
 import tasp
-from tasp import ground
+from tasp import ground, solver
 from tasp.cli import Pipeline, main, run_pipeline
 
 
@@ -193,6 +193,44 @@ def test_mel_printer_includes_tau(tmp_path):
                       "--models", "1"])
     assert code == 10
     assert "tau=0" in out
+
+
+MEL_SMALL = "{ a }.\nb :- &next(&i(1,3),a).\n"
+
+
+def test_mel_default_printer_includes_tau(monkeypatch):
+    code, out = _run(["solve", "--semantics", "mel", "-c", "n=1",
+                      "--models", "1"], stdin=MEL_SMALL,
+                     monkeypatch=monkeypatch)
+    assert code == 10
+    assert out.splitlines()[2].startswith("tau: 0 ")
+
+
+def test_mel_oracle_takes_the_default_max_time(monkeypatch):
+    def answers(argv):
+        code, out = _run(argv + ["--semantics", "mel", "-c", "n=1"],
+                         stdin=MEL_SMALL, monkeypatch=monkeypatch)
+        assert code == 10
+        return {tuple(l for l in block.splitlines()
+                      if l.startswith(("State", "  ")))
+                for block in out.split("Answer: ")[1:]}
+    oracle = answers(["oracle"])
+    assert oracle == answers(["solve", "--printer", "temporal"])
+    assert len(oracle) == 32  # tau(1) takes each of 1..8
+
+
+def test_models_print_as_found_until_a_resource_limit(monkeypatch, capsys):
+    # 5,000 steps find some of DEL_ALTERNATION's 256 models at n=6; those
+    # stay printed, with no verdict or footer after them
+    monkeypatch.setattr(solver, "DEFAULT_STEP_LIMIT", 5_000)
+    code, out = _run(["solve", "--semantics", "del", "-c", "n=6",
+                      "--models", "0"], stdin=DEL_ALTERNATION,
+                     monkeypatch=monkeypatch)
+    assert code == 33
+    found = out.count("Answer:")
+    assert 0 < found < 256 and "Answer: %d\n" % found in out
+    assert "SATISFIABLE" not in out and "Models" not in out
+    assert capsys.readouterr().err.startswith("resource limit: ")
 
 
 def test_usage_error_exit_1():

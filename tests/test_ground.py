@@ -1,3 +1,4 @@
+import io
 import logging
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from conftest import oracle_traces
 
 import tasp
-from tasp.cli import Pipeline, distinct_traces
+from tasp.cli import Pipeline, distinct_traces, main
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.ground import Grounder, GroundingError, expand_term
 from tasp.parser import parse_program
@@ -429,3 +430,22 @@ def test_rule_bound_only_by_a_nested_expression():
     text = "q(1). q(2). { p(1) }. a(X) :- &next(&next(q(X))).\n"
     traces = set(distinct_traces(Pipeline(text).meta(2)))
     assert traces == oracle_traces(text, 2) and len(traces) == 8
+
+
+@pytest.mark.parametrize("text", [
+    "q(2,1). p(X) :- q(X+1,X).",
+    "q(f(2),1). p(X) :- q(f(X+1),X).",
+    "q(f(2,1)). p(X) :- q(f(X+1,X)).",
+], ids=["argument", "nested", "inside-one-function"])
+def test_arithmetic_is_matched_after_the_parts_that_bind_it(text,
+                                                            monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    out = io.StringIO()
+    assert main(["solve", "-c", "n=0"], out=out) == 10
+    assert "p(1)@0" in out.getvalue().split()
+
+
+def test_arithmetic_no_part_binds_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("q(2). p(X) :- q(X+1)."))
+    assert main(["solve", "-c", "n=0"], out=io.StringIO()) == 65
+    assert "(X+1)" in capsys.readouterr().err

@@ -1,10 +1,12 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import (DEL_ALTERNATION, MELEX_SCALED, TELEX, WAIT,
                       fuzz_program, oracle_traces)
 
-from tasp.cli import Pipeline, distinct_traces
+from tasp.cli import Pipeline, distinct_traces, main
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.parser import parse_program
 from tasp.syntax import External, Show
@@ -160,6 +162,23 @@ def test_unbound_conditional_and_assignment_rejected(text, unsafe):
     with pytest.raises(UnsafeRuleError) as info:
         _transformed(text)
     assert info.value.variables == unsafe
+
+
+def test_unsafe_head_element_exits_65(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("q(1). { p(X,Y) : q(X) }."))
+    assert main(["solve"], out=io.StringIO()) == 65
+    assert "variables Y not bound" in capsys.readouterr().err
+
+
+def test_expression_in_a_conditional_body_literal_gets_an_external():
+    text = "q(1). { p(1) }. a :- &next(p(X)) : q(X).\n"
+    prog, _ = _transformed(text)
+    assert str(prog).splitlines()[-1] == "#external &next(p(X)) : q(X)."
+    # the oracle does not read conditional literals
+    traces = set(distinct_traces(Pipeline(text).meta(1)))
+    assert len(traces) == 4
+    assert all(("a" in states[0]) == ("p(1)" in states[1])
+               for states, _ in traces)
 
 
 def test_show_term_with_an_open_condition():
