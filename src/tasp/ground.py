@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import chain
 from math import prod
 from typing import Dict, Iterator, List, NamedTuple, Optional
@@ -357,36 +358,63 @@ def _pooled(atom) -> bool:
     return any(isinstance(x, BinOp) and x.op == ".." for x in walk(atom))
 
 
-def _non_domain(rules, externals) -> set:
-    """Predicates whose extension depends on choices, negation,
-    disjunction or a conditional body literal: every derivable atom of
-    the others is true."""
-    non_domain = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in rules:
-            tainted = (isinstance(r.head, Choice)
-                       or len(r.head.elements) > 1
-                       or any(el.condition for el in r.head.elements))
-            for b in r.body:
-                if isinstance(b, ConditionalLiteral):
-                    tainted = True
-                elif not isinstance(b.payload, Comparison):
-                    tainted |= (not b.positive
-                                or atom_key(b.payload) in non_domain)
-            if tainted:
-                for el in r.head.elements:
-                    key = atom_key(el.atom)
-                    if key not in non_domain:
-                        non_domain.add(key)
-                        changed = True
-        for e in externals:
-            key = atom_key(e.target)
-            if key not in non_domain:
-                non_domain.add(key)
-                changed = True
-    return non_domain
+def _tainted(s) -> bool:
+    """Whether a rule or #external may leave a derivable head atom false,
+    as an external, choice, disjunction, condition or negation does."""
+    return isinstance(s, External) or isinstance(s.head, Choice) \
+        or len(s.head.elements) > 1 \
+        or any(el.condition for el in s.head.elements) \
+        or any(isinstance(b, ConditionalLiteral) or not b.positive
+               and not isinstance(b.payload, Comparison) for b in s.body)
+
+
+def _components(deps) -> list:
+    """The strongly connected components of the graph in which job j
+    depends on the jobs deps[j], by Tarjan's algorithm without recursion,
+    each as (its jobs in order, whether it depends on itself).  Of the
+    components whose dependencies are done, the earliest job's is next."""
+    index, low, comp_of, stack, comps = {}, {}, {}, [], []
+    edges = [iter(d) for d in deps]
+    for root in range(len(deps)):
+        work = [] if root in index else [root]
+        while work:
+            v = work[-1]
+            if v not in index:  # entered
+                index[v] = low[v] = len(index)
+                stack.append(v)
+            for w in edges[v]:
+                if w not in index:
+                    work.append(w)
+                    break
+                if w not in comp_of and index[w] < low[v]:  # on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    comp_of.update(dict.fromkeys(comp, len(comps)))
+                    comps.append(sorted(comp))
+    users, waiting, ready = [[] for _ in comps], [0] * len(comps), []
+    for c, comp in enumerate(comps):
+        for d in {comp_of[x] for j in comp for x in deps[j]} - {c}:
+            users[d].append(c)
+            waiting[c] += 1
+        if not waiting[c]:
+            heappush(ready, (comp[0], c))
+    order = []
+    while ready:
+        c = heappop(ready)[1]
+        comp = comps[c]
+        order.append((tuple(comp), len(comp) > 1 or comp[0] in deps[comp[0]]))
+        for u in users[c]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                heappush(ready, (comps[u][0], u))
+    return order
 
 
 def _payloads(s):
@@ -401,8 +429,15 @@ def _payloads(s):
             else (b,))))
 
 
-def _read_keys(literals) -> tuple:
-    """Keys of the name/arity lists a join over these literals reads."""
+def _read_keys(s) -> tuple:
+    """Keys of the name/arity lists the joins of a rule read, those of its
+    positive body atoms and condition atoms (an external's: positive)."""
+    literals = (l for l in s.condition if l.positive) \
+        if isinstance(s, External) else chain(
+            (c for b in s.body for c in (
+                b.condition if isinstance(b, ConditionalLiteral)
+                else (b,) if b.positive else ())),
+            (c for el in s.head.elements for c in el.condition))
     return tuple(dict.fromkeys(
         atom_key(l.payload) for l in literals
         if not isinstance(l.payload, Comparison)))
@@ -452,26 +487,43 @@ class Plan:
         #: the nesting depth of the program's deepest atom
         self.depth = max((term_depth(p) for s in chain(rules, externals)
                           for p in _payloads(s)), default=0)
-        self._non_domain = _non_domain(rules, externals)
+        jobs = externals + rules
+        reads = [_read_keys(s) for s in jobs]
+        heads = [{atom_key(s.target)} if isinstance(s, External) else
+                 {atom_key(el.atom) for el in s.head.elements} for s in jobs]
+        writers: Dict[tuple, list] = {}  # key -> the jobs with it in a head
+        for j, key in ((j, k) for j, keys in enumerate(heads) for k in keys):
+            writers.setdefault(key, []).append(j)
+        #: the jobs' strongly connected components in dependency order,
+        #: each (its job indices, whether it reads its own heads)
+        self.components = _components(
+            [[d for k in keys for d in writers.get(k, ())] for keys in reads])
+        # a component's head keys are non-domain if one of its jobs is
+        # tainted or reads one; a derivable domain atom is true
+        self._non_domain = set()
+        for comp, _ in self.components:
+            if any(_tainted(jobs[j])
+                   or not self._non_domain.isdisjoint(reads[j]) for j in comp):
+                self._non_domain.update(k for j in comp for k in heads[j])
         #: name/arity key -> the shapes its scans look up; a shape
         #: (key, value positions, functor positions) indexes an atom by
         #: its arguments at the value positions, if its argument at each
         #: functor position has the given name/arity key.
         self.shapes: Dict[tuple, tuple] = {}
         bound = frozenset(params)
-        #: the compiled externals, then the rules; externals join first
-        self.rules = tuple(chain(
-            (self._external(e, bound) for e in externals),
-            (self._rule(r, bound) for r in rules)))
+        #: the compiled jobs: the externals, then the rules
+        self.rules = tuple(
+            (self._external if isinstance(s, External) else self._rule)(
+                s, bound, keys) for s, keys in zip(jobs, reads))
 
-    def _external(self, e, bound) -> _Rule:
+    def _external(self, e, bound, reads) -> _Rule:
         # a negative literal need only be bound, and is not recorded
         steps, _, _ = self._steps([(i if l.positive else None, l)
                                    for i, l in enumerate(e.condition)], bound)
-        return _Rule(steps, _read_keys(l for l in e.condition if l.positive),
-                     (), ((e.target, _pooled(e.target), None),), "external")
+        return _Rule(steps, reads, (),
+                     ((e.target, _pooled(e.target), None),), "external")
 
-    def _rule(self, r, bound) -> _Rule:
+    def _rule(self, r, bound, reads) -> _Rule:
         # conditionals never bind outer variables; expanded per instance
         steps, recorded, bound = self._steps(
             [(i, b) for i, b in enumerate(r.body)
@@ -487,12 +539,6 @@ class Plan:
             (el.atom, _pooled(el.atom),
              self._condition(el.condition, bound) if el.condition else None)
             for el in r.head.elements)
-        # a rule reads its positive body atoms and all its condition atoms
-        reads = _read_keys(chain(
-            (c for b in r.body for c in (
-                b.condition if isinstance(b, ConditionalLiteral)
-                else (b,) if b.positive else ())),
-            (c for el in r.head.elements for c in el.condition)))
         kind = "choice" if isinstance(r.head, Choice) else "disjunction"
         return _Rule(steps, reads, tuple(body), head, kind)
 
@@ -598,8 +644,8 @@ class Grounder:
         self._index: Dict[tuple, List] = {}      # name/arity key -> atoms
         self._arg_index: Dict[tuple, List] = {}  # (shape, values) -> atoms
         self.counters = dict.fromkeys((  # logged by ground
-            "rounds", "joins", "joins_skipped", "simplify_rounds",
-            "rules_dropped"), 0)
+            "components", "rounds", "joins", "joins_skipped", "instances",
+            "simplify_rounds", "rules_dropped"), 0)
 
     # -- derivable index -------------------------------------------------------
 
@@ -706,34 +752,38 @@ class Grounder:
                 deepest = max(deepest, term_depth(atom))
                 self._insert(atom)
         self.max_depth = MAX_TERM_DEPTH + deepest
-        # A join whose index lists kept the sizes they had when it last
-        # started would yield the same instances again, so it is skipped;
-        # one that grew its own input during its run is joined again.
-        # An external's targets keep the place they were first seen in.
+        # Components are joined in dependency order, each once unless it
+        # reads its own heads: then in rounds while its lists grow, skipping
+        # a join whose lists kept their sizes since it last started.
         jobs = self.plan.rules
-        sizes: List[Optional[tuple]] = [None] * len(jobs)
-        instances: List[list] = [[] for _ in jobs]
+        sizes, instances = [None] * len(jobs), [[] for _ in jobs]
         external_atoms: Dict = {}
-        grew = True
-        while grew:
-            grew = False
-            self.counters["rounds"] += 1
-            for i, job in enumerate(jobs):
-                now = tuple(len(self._index.get(k, ())) for k in job.reads)
-                if now == sizes[i]:
-                    self.counters["joins_skipped"] += 1
-                    continue
-                sizes[i] = now
-                self.counters["joins"] += 1
-                insts = instances[i] = []
-                for subst, found in self._join(job.steps, self.params):
-                    for inst in self._build_instance(job, subst, found):
-                        if job.kind == "external":
-                            external_atoms.setdefault(inst[1][0])
-                        else:
-                            insts.append(inst)
-                        for h in inst[1]:
-                            grew |= self._add_derivable(h)
+        self.counters["components"] = len(self.plan.components)
+        for component, recursive in self.plan.components:
+            grew = True
+            while grew:
+                grew = False
+                self.counters["rounds"] += 1
+                for i in component:
+                    job = jobs[i]
+                    now = recursive and tuple(  # else joined once
+                        len(self._index.get(k, ())) for k in job.reads)
+                    if now == sizes[i]:
+                        self.counters["joins_skipped"] += 1
+                        continue
+                    sizes[i] = now
+                    self.counters["joins"] += 1
+                    insts = instances[i] = []
+                    for subst, found in self._join(job.steps, self.params):
+                        for inst in self._build_instance(job, subst, found):
+                            if job.kind == "external":  # first seen first
+                                external_atoms.setdefault(inst[1][0])
+                            else:
+                                insts.append(inst)
+                            for h in inst[1]:
+                                grew |= self._add_derivable(h)
+                    self.counters["instances"] += len(insts)
+                grew &= recursive
         program = self._finalize(
             (inst for insts in instances for inst in insts), external_atoms)
         log.debug("ground: %s", ", ".join(

@@ -29,7 +29,7 @@ class UnsafeRuleError(Exception):
         loc = "%d:%d" % rule.location if rule.location else "?"
         super().__init__(
             "unsafe rule at %s: variables %s not bound by safe body atoms"
-            % (loc, ", ".join(sorted(variables))))
+            " in %s" % (loc, ", ".join(sorted(variables)), rule))
         self.rule = rule
         self.variables = variables
 
@@ -67,6 +67,19 @@ def derivable_atoms_in(expr):
         yield expr
 
 
+def _binding_variables(atom) -> Set[str]:
+    """The variables a safe atom occurrence binds: those outside
+    arithmetic, which is matched only after the parts that bind it."""
+    found, stack = set(), [atom]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Variable):
+            found.add(x.name)
+        elif isinstance(x, Function):
+            stack.extend(x.args)
+    return found
+
+
 def _bind_comparisons(body, bound: Set[str]):
     """Extend bound variables via positive ``V = expr`` literals."""
     changed = True
@@ -90,7 +103,8 @@ def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
 
     An occurrence is safe iff it is not under default negation and every
     argument position on the path from the body literal to the atom is
-    declared safe in the grammar.
+    declared safe in the grammar.  It binds its variables outside
+    arithmetic, in a condition too, so p(X) :- q(X+1). is unsafe.
     """
     safe_occurrences: List = []
     for b in rule.body:
@@ -102,7 +116,7 @@ def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
 
     bound = set()
     for atom in safe_occurrences:
-        bound |= variables(atom)
+        bound |= _binding_variables(atom)
     _bind_comparisons(rule.body, bound)
 
     # global variables: everything outside conditional elements
@@ -123,7 +137,7 @@ def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
         for c in condition:
             if c.positive and not isinstance(c.payload, Comparison):
                 for atom in safe_atoms_in(c.payload, g):
-                    local_bound |= variables(atom)
+                    local_bound |= _binding_variables(atom)
         for missing in main_vars - local_bound:
             unsafe.add(missing)
 

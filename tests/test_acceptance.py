@@ -175,12 +175,13 @@ def _criterion_4_runs():
 
 
 def test_criterion_4_ground_programs_digest():
-    # criterion 4's programs, recorded when the conjunction/2 layer of the
-    # meta encoding was deleted (the user ground programs and the traces
-    # of all 200 are the same as with it)
+    # criterion 4's programs, recorded when rules began to ground in
+    # dependency order: some user ground programs list their rules in
+    # another order, so reify numbers their atoms differently (the rule
+    # sets and the traces of all 200 are the same as before)
     runs = [(p, n, None) for p, n in _criterion_4_runs()]
     ok = _ground_programs_digest(runs) == (
-        "4a5cbabb857927a7f480bb7d74b76f3ef4a68e58f6940d02c1b2226762008753")
+        "078097766170a55bdef235cb775788aeadef97b6244eba2e472620d3dd368921")
     _report(4, ok, "ground programs of the 200 random TEL programs "
             "unchanged")
 
@@ -299,9 +300,9 @@ def test_criterion_4_mel_oracle_equivalence():
 
 
 def test_criterion_4_mel_ground_programs_digest():
-    # the programs of the MEL equivalence test above, recorded when the
-    # conjunction/2 layer of the meta encoding was deleted (the same user
-    # ground programs)
+    # the programs of the MEL equivalence test above, recorded when rules
+    # began to ground in dependency order (the same user ground rule sets,
+    # some in another order)
     rng = random.Random(414)
     runs = []
     for trial in range(200):
@@ -309,7 +310,7 @@ def test_criterion_4_mel_ground_programs_digest():
         n = rng.randint(0, 3)
         runs.append((Pipeline(text, "mel"), n, n + rng.randint(0, 3)))
     ok = _ground_programs_digest(runs) == (
-        "4795cdd63a56c10ef302bc8296d4127b17493510548918297112e75c19d4a811")
+        "c8cde1e616a4ef352d089a7e290a11da3b6ba6ad63725725ee00d3dd5f3fbc4b")
     _report(4, ok, "ground programs of the 200 random MEL programs "
             "unchanged")
 

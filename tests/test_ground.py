@@ -7,12 +7,12 @@ import types
 
 import pytest
 
-from conftest import oracle_traces
+from conftest import DEL_ALTERNATION, oracle_traces
 
 import tasp
 from tasp.cli import Pipeline, distinct_traces, main
 from tasp.grammar import builtin_grammar, typecheck_program
-from tasp.ground import Grounder, GroundingError, expand_term
+from tasp.ground import Grounder, GroundingError, _components, expand_term
 from tasp.parser import parse_program
 from tasp.syntax import Constant, Function, Integer
 from tasp.transform import transform_program
@@ -329,14 +329,14 @@ def test_external_negative_condition_literal_is_not_evaluated():
 
 
 def test_external_targets_keep_their_first_seen_order_across_rounds():
-    # each external is joined again as its condition grows; a target
-    # keeps its place, and the new ones follow, round by round
+    # each external is joined once q is complete, in program order; a
+    # target keeps the place it was first seen in
     gp = _ground("q(1). q(X+1) :- q(X), X < 3. "
                  "#external e(X) : q(X). #external f(X) : q(X).")
     assert _listing(gp) == (
         ["q(1)", "q(2)", "q(3)"], [],
-        ["e(1)", "e(2)", "f(1)", "f(2)", "e(3)", "f(3)"],
-        ["q(1)", "q(2)", "q(3)", "e(1)", "e(2)", "f(1)", "f(2)", "e(3)",
+        ["e(1)", "e(2)", "e(3)", "f(1)", "f(2)", "f(3)"],
+        ["q(1)", "q(2)", "q(3)", "e(1)", "e(2)", "e(3)", "f(1)", "f(2)",
          "f(3)"])
 
 
@@ -368,9 +368,52 @@ def test_ground_logs_counters(caplog):
     with caplog.at_level(logging.DEBUG, logger="tasp"):
         _ground("p(1..3). q(X) :- p(X). r(X) :- q(X), not s(X).")
     line = caplog.records[-1].getMessage()
-    for counter in ("rounds", "joins", "joins skipped", "simplify rounds",
-                    "rules dropped"):
+    for counter in ("3 components", "rounds", "3 joins", "joins skipped",
+                    "9 instances", "simplify rounds", "rules dropped"):
         assert counter in line, line
+
+
+def test_rules_join_in_dependency_order():
+    # r reads q and q reads p, both defined later: each rule is joined
+    # once, after the rules it reads
+    g = Grounder(parse_program("r(X) :- q(X). q(X) :- p(X). p(1..3)."))
+    assert [str(f) for f in g.ground().facts] == [
+        "p(1)", "p(2)", "p(3)", "q(1)", "q(2)", "q(3)", "r(1)", "r(2)",
+        "r(3)"]
+    assert g.counters["joins"] == 3 and g.counters["joins_skipped"] == 0
+
+
+def test_components_come_in_dependency_order_earliest_job_first():
+    # job 0 reads job 2's head, 3 and 4 read each other and 3 reads 0,
+    # 5 reads itself; of the ready components the earliest job's is next
+    deps = [[2], [], [], [0, 4], [3], [5]]
+    assert _components(deps) == [
+        ((1,), False), ((2,), False), ((0,), False), ((3, 4), True),
+        ((5,), True)]
+
+
+def test_reverse_chain_grounds_in_one_join_per_rule():
+    # each link reads the next rule's head; components are found and
+    # ordered without recursion, at the default recursion limit
+    n = 1500
+    text = "{ p0 }. " + " ".join(
+        "p%d :- p%d." % (i, i - 1) for i in range(n, 0, -1))
+    assert sys.getrecursionlimit() <= 1000
+    g = Grounder(parse_program(text))
+    assert len(g.ground().rules) == n + 1
+    assert g.counters["components"] == g.counters["joins"] == n + 1
+    assert g.counters["joins_skipped"] == 0
+
+
+def test_del_meta_grounding_builds_each_instance_about_once(caplog):
+    # DEL_ALTERNATION n=6 keeps 270 instances; DEL_SCHEMA's closure is
+    # recursive, so its rules are joined in rounds and build some again.
+    # 1,082 were built when every rule whose inputs grew was joined again
+    # in each round of the whole program.
+    with caplog.at_level(logging.DEBUG, logger="tasp.ground"):
+        Pipeline(DEL_ALTERNATION, "del").meta(6)
+    line = caplog.records[-1].getMessage()
+    assert "565 instances" in line, line
 
 
 _PICKLE_CHECK = """\

@@ -167,7 +167,7 @@ def test_one_tester_per_search(monkeypatch, caplog):
 
 
 def test_telex_first_model_step_cost(monkeypatch):
-    # 339,586 steps, with the tester's queries, at least 2x under the limit
+    # 300,199 steps, with the tester's queries, at least 2x under the limit
     built = _engines(monkeypatch)
     assert len(solve(Pipeline(TELEX).meta(80).program, limit=1)) == 1
     assert 2 * built[0].steps < solver.DEFAULT_STEP_LIMIT

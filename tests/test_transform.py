@@ -164,6 +164,18 @@ def test_unbound_conditional_and_assignment_rejected(text, unsafe):
     assert info.value.variables == unsafe
 
 
+@pytest.mark.parametrize("text", [
+    "p(X) :- q(X+1).",
+    "q(2,b). p(X) :- q(X+1,a).",
+    "q(2). { r(1) }. a :- r(X) : q(X+1).",
+], ids=["no-atom", "no-candidate", "condition"])
+def test_variable_only_in_arithmetic_is_unsafe(text, monkeypatch, capsys):
+    # arithmetic binds nothing, whatever atoms there are to match
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["solve", "-c", "n=0"], out=io.StringIO()) == 65
+    assert "variables X not bound" in capsys.readouterr().err
+
+
 def test_unsafe_head_element_exits_65(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("q(1). { p(X,Y) : q(X) }."))
     assert main(["solve"], out=io.StringIO()) == 65
