@@ -7,14 +7,16 @@ implies one of its bodies (Clark's completion).  A model of these
 clauses is stable iff no positive loop is unfounded (Lin and Zhao,
 AIJ 2004), so source pointers track only the atoms on loops and each
 unfounded set yields a loop nogood.  The search learns first-UIP clauses
-over a trail with watched literals, backjumps and blocks the decisions of
-each model, without recursion.  A model with two true heads of one rule
-must also hold no unfounded set by the disjunctive definition (Leone,
-Rullo and Scarcello, Inf. Comput. 1997).  One tester per search, a
-second instance of the engine built on the first such model, finds one
-under the model as assumptions (Gebser, Kaufmann and Schaub, IJCAI
-2013).  The program's facts stay outside both engines: no rule names one,
-so a model is the facts plus the atoms the search made true.
+over a trail with watched literals, backjumps and flips the last decision
+after each model, without recursion and with no clause per model
+(Gebser, Kaufmann, Neumann and Schaub, LPNMR 2007).  A model with two
+true heads of one rule must also hold no unfounded set by the
+disjunctive definition (Leone, Rullo and Scarcello, Inf. Comput. 1997).
+One tester per search, a second instance of the engine built on the
+first such model, finds one under the model as assumptions (Gebser,
+Kaufmann and Schaub, IJCAI 2013).  The program's facts stay outside both
+engines: no rule names one, so a model is the facts, shared by all
+models, plus the atoms the search made true.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, compress, islice
 from typing import Dict, Iterator, List, Optional
 
 from .ground import GroundProgram
@@ -41,19 +44,47 @@ class StepLimitError(SolverError, ResourceLimit):
 
 
 #: Default bound on search work: literals propagated plus clauses and
-#: unfounded-set candidates visited.
+#: unfounded-set candidates visited, and the atoms of each model listed.
 DEFAULT_STEP_LIMIT = 10_000_000
+
+
+class Atoms(Set):
+    """The atoms of a model as a read-only set: the program's facts, and
+    per atom of the search a byte, 1 if the model makes it true.  The
+    facts, the atom index and its terms are shared by all models."""
+
+    __slots__ = ("facts", "index", "terms", "true")
+
+    def __init__(self, facts: frozenset, index: dict, terms: list, true):
+        self.facts, self.index, self.terms, self.true = facts, index, \
+            terms, true
+
+    def __contains__(self, atom):
+        i = self.index.get(atom)
+        return atom in self.facts if i is None else self.true[i] == 1
+
+    def __iter__(self):
+        return chain(self.facts, compress(self.terms, self.true))
+
+    def __len__(self):
+        return len(self.facts) + self.true.count(1)
+
+    def __hash__(self):
+        return hash(frozenset(self))
+
+    def __repr__(self):
+        return "Atoms(%r)" % set(self)
 
 
 @dataclass(frozen=True)
 class Model:
-    atoms: frozenset
+    atoms: Atoms
 
 
 def _translate(program: GroundProgram):
-    """The atoms of the rules in order of first occurrence, and the rules
-    as (is_choice, heads, positive body, negative body) over their
-    indices.  Facts get no atom: no rule of a ground program names one."""
+    """The atoms of the rules, indexed in order of first occurrence, and
+    the rules as (is_choice, heads, positive body, negative body) over
+    the indices.  Facts get no atom: no rule of a ground program names one."""
     index: Dict = {}
 
     def ids(atoms):
@@ -63,7 +94,7 @@ def _translate(program: GroundProgram):
               ids(a for sign, a in r.body if sign),
               ids(a for sign, a in r.body if not sign))
              for r in program.rules]
-    return list(index), rules
+    return index, rules
 
 
 def _loops(succ) -> List[int]:
@@ -133,7 +164,8 @@ class _Engine:
         self.imp = [[] for _ in range(2 * nv)]
         self.watches = [[] for _ in range(2 * nv)]
         self.activity, self.inc, self.phase = [0.0] * nv, 1.0, [1] * nv
-        self.heap = [(0.0, a) for a in range(natoms)]  # decisions on atoms
+        self.decide = [True] * natoms + [False] * len(keys)  # heap if open
+        self.heap = [(0.0, a) for a in range(natoms)]
         lit = list(range(2 * nv))  # clauses share one int object per literal
         clauses = []
         for (pos, neg), b in keys.items():
@@ -191,7 +223,7 @@ class _Engine:
             v = lit >> 1
             val[lit] = val[lit ^ 1] = 0
             self.phase[v] = lit & 1
-            if v < self.natoms:
+            if self.decide[v]:
                 heapq.heappush(heap, (-self.activity[v], v))
         del self.trail[start:], self.lim[lvl:]
         self.qhead, self.ufs_head = start, min(self.ufs_head, start)
@@ -297,15 +329,10 @@ class _Engine:
             if conflict is not None or self.qhead == len(self.trail):
                 return conflict
 
-    def _learn(self, conflict, floor) -> bool:
-        """Learn a first-UIP clause from a clause false under the assignment,
-        backjump and assert it; False if that clause is false at level
-        `floor` or below, and then the engine is spent if at level 0."""
+    def _learn(self, conflict, top, bl):
+        """Learn a first-UIP clause from a clause false under the assignment
+        with top level `top`, backjump no lower than `bl` and assert it."""
         level, trail = self.level, self.trail
-        top = max((level[lit >> 1] for lit in conflict), default=0)
-        if top <= floor:
-            self.ok = top > 0
-            return False
         self._cancel(top)
         seen, learnt, open_, i, lits = set(), [], 0, len(trail) - 1, conflict
         while True:
@@ -326,7 +353,7 @@ class _Engine:
             lits = self.reason[uip >> 1]
             lits = (lits,) if type(lits) is int else lits
         learnt.sort(key=lambda lit: -level[lit >> 1])
-        self._cancel(level[learnt[0] >> 1] if learnt else 0)
+        self._cancel(max(level[learnt[0] >> 1] if learnt else 0, bl))
         self.inc = min(self.inc / 0.95, 1e100)  # decay, bounded below inf
         c = [uip ^ 1] + learnt
         if len(c) > 1:
@@ -334,44 +361,62 @@ class _Engine:
             self.watches[c[1]].append(c)
         self.counters["learned"] += 1
         self._enqueue(c[0], c if len(c) > 1 else None)
-        return True
 
     def models(self, assumptions=()):
-        """Yield the true atoms of every stable model, deterministically;
-        under assumptions (literals, all on decision level 1) only the
-        first, as a clause blocking it would outlive the query.  Learnt
-        clauses follow from the engine's own, so every query keeps them."""
+        """Yield every stable model, deterministically, as one byte per
+        atom, 1 if it is true; under assumptions (literals, all on
+        decision level 1) only the first.  No clause is added per model:
+        a model at level L flips L's decision (see _flip), and a conflict
+        at or below the backtrack level bl flips the decision of its top
+        level; first-UIP learning backjumps no lower than bl (Gebser,
+        Kaufmann, Neumann and Schaub, LPNMR 2007).  Learnt clauses follow
+        from the engine's own, so queries under assumptions share them; a
+        query without them may flip onto level 0, whose literals learning
+        takes as given, so it is the engine's last."""
         self._cancel(0)
-        floor = 1 if assumptions else 0
+        floor, bl = (1 if assumptions else 0), 0
         while self.ok:
             conflict = self._fixpoint()
-            if conflict is not None:
+            if conflict is None:
+                if len(self.lim) < floor:  # again after a learnt unit
+                    self.lim.append(len(self.trail))
+                    if not all(self._enqueue(x, None) for x in assumptions):
+                        return
+                    continue
+                while self.heap and self.val[2 * self.heap[0][1]]:
+                    heapq.heappop(self.heap)
+                if self.heap:
+                    self.counters["decisions"] += 1
+                    v = heapq.heappop(self.heap)[1]
+                    self.lim.append(len(self.trail))
+                    self._enqueue(2 * v + self.phase[v], None)
+                    continue
+                conflict = self.unstable()
+                if conflict is None:
+                    yield bytes([x > 0 for x in self.val[:2 * self.natoms:2]])
+                    if assumptions or not self.lim:
+                        return
+                    self.steps += self.natoms  # the listing, to bound time
+                    bl = self._flip(len(self.lim))
+                    continue
+            else:
                 self.counters["conflicts"] += 1
-                if not self._learn(conflict, floor):
-                    return
-                continue
-            if len(self.lim) < floor:  # again after a learnt unit
-                self.lim.append(len(self.trail))
-                if not all(self._enqueue(lit, None) for lit in assumptions):
-                    return
-                continue
-            while self.heap and self.val[2 * self.heap[0][1]]:
-                heapq.heappop(self.heap)
-            if self.heap:
-                self.counters["decisions"] += 1
-                v = heapq.heappop(self.heap)[1]
-                self.lim.append(len(self.trail))
-                self._enqueue(2 * v + self.phase[v], None)
-                continue
-            model = [a for a in range(self.natoms) if self.val[2 * a] > 0]
-            nogood = self.unstable()
-            if nogood is None:
-                yield model
-                if assumptions:
-                    return
-                nogood = [self.trail[k] ^ 1 for k in self.lim]
-            if not self._learn(nogood, floor):
+            top = max((self.level[x >> 1] for x in conflict), default=0)
+            if top <= floor:
+                self.ok = top > 0  # spent if false at level 0
                 return
+            if top <= bl:
+                bl = self._flip(top)
+            else:
+                self._learn(conflict, top, bl)
+
+    def _flip(self, top) -> int:
+        """Undo level top and assert the negation of its decision on the
+        level below with no reason; that level is the backtrack level."""
+        decision = self.trail[self.lim[top - 1]]
+        self._cancel(top - 1)
+        self._enqueue(decision ^ 1, None)
+        return top - 1
 
     def unstable(self) -> Optional[list]:
         """For a total assignment, a clause false under it if a non-empty
@@ -398,7 +443,7 @@ class _Engine:
             return None
         # U is unfounded: its first atom is false, or a rule supports it
         # from outside (true body, outside heads false)
-        rest = [self.tested[x] for x in found if x < n]
+        rest = list(compress(self.tested, found))
         inside, clause = set(rest), [2 * rest[0] + 1]
         for _, heads, pos, b in self.defining:
             if not inside.isdisjoint(heads) and inside.isdisjoint(pos):
@@ -442,24 +487,28 @@ class _Engine:
             (False, (), (y,), (ids["m", h],)), (False, (), (y, u[h]), ()))]
         size = len(u) + len(ids)
         self.context = [(v, x) for (kind, v), x in ids.items() if kind == "m"]
-        self.tester = _Engine(size, [(True, tuple(range(size)), (), ())]
-                              + rules, 0)
+        tester = self.tester = _Engine(
+            size, [(True, tuple(range(size)), (), ())] + rules, 0)
+        for _, x in self.context:  # the assumptions assign them
+            tester.decide[x] = False
+        tester.heap = [(0.0, a) for a in range(size) if tester.decide[a]]
         self.counters["tester_atoms"] = size
 
 
 def models(program: GroundProgram) -> Iterator[Model]:
     """Yield the stable models one at a time, in a deterministic order;
     the search goes on only as far as the caller pulls, and at most
-    DEFAULT_STEP_LIMIT steps.  Each model is the program's facts plus the
-    atoms the search made true."""
-    terms, rules = _translate(program)
-    facts = frozenset(program.facts)
+    DEFAULT_STEP_LIMIT steps.  Each model's atoms are a set view of the
+    program's facts, shared by all models, and the atoms the search made
+    true."""
+    index, rules = _translate(program)
+    terms, facts = list(index), frozenset(program.facts)
     engine = _Engine(len(terms), rules, DEFAULT_STEP_LIMIT)
     count = 0
     try:
         for model in engine.models():
             count += 1
-            yield Model(facts.union(terms[a] for a in model))
+            yield Model(Atoms(facts, index, terms, model))
     finally:
         stats = dict(models=count, atoms=len(terms), facts=len(facts),
                      steps=engine.steps, **engine.counters)

@@ -2,19 +2,24 @@ import logging
 import random
 
 import pytest
-from conftest import (TELEX, oracle_traces, random_prop_program,
-                      stable_models_bruteforce)
+from conftest import (DEL_ALTERNATION, TELEX, oracle_traces,
+                      random_prop_program, stable_models_bruteforce)
 
 from tasp import meta, oracle, solver
 from tasp.cli import Pipeline, distinct_traces
 from tasp.ground import Grounder
 from tasp.parser import parse_program
 from tasp.solver import SolverError, models, solve
+from tasp.syntax import Constant
 
 
 def _solve(text):
+    """The stable models as sets of atom strings; no model may come twice,
+    which the set alone would hide from the brute-force comparisons."""
     gp = Grounder(parse_program(text)).ground()
-    return {frozenset(str(a) for a in m.atoms) for m in solve(gp)}
+    found = [frozenset(str(a) for a in m.atoms) for m in solve(gp)]
+    assert len(found) == len(set(found)), found
+    return set(found)
 
 
 def test_facts_only():
@@ -60,6 +65,23 @@ def test_cycle_disjunction_unique_model():
 def test_head_cycle_free_shifting_case():
     assert _solve("a; b :- c. c.") == {
         frozenset({"a", "c"}), frozenset({"b", "c"})}
+
+
+def test_model_atoms_are_a_set():
+    gp = Grounder(parse_program("f. { a }. b :- a. c :- not a.")).ground()
+    without, with_a = solve(gp)
+    f, a, b, c = map(Constant, "fabc")
+    atoms = with_a.atoms
+    assert f in atoms and a in atoms and b in atoms  # a fact, true atoms
+    assert c not in atoms and a not in without.atoms  # false atoms
+    assert Constant("unknown") not in atoms
+    assert sorted(atoms) == ["a", "b", "f"] and len(atoms) == 3
+    assert atoms == frozenset({f, a, b}) and frozenset({f, a, b}) == atoms
+    assert hash(atoms) == hash(frozenset({f, a, b}))
+    assert without.atoms == {f, c} and without.atoms != atoms
+    assert set(gp.facts) <= atoms and set(gp.facts) <= without.atoms
+    # the program's facts are shared, not copied per model
+    assert with_a.atoms.facts is without.atoms.facts
 
 
 def test_model_limit():
@@ -197,6 +219,29 @@ def test_solve_logs_search_counters(caplog):
     for part in ("79 atoms, 78 facts", "13 decisions",
                  "7 minimality checks"):
         assert part in line, line
+
+
+def test_del_enumeration_adds_no_clause_per_model(caplog):
+    with caplog.at_level(logging.DEBUG, logger="tasp"):
+        assert len(solve(Pipeline(DEL_ALTERNATION, "del").meta(6).program)) \
+            == 256
+    line = caplog.records[-1].getMessage()
+    # a clause per conflict only: 261 learned when each model added one
+    for part in ("256 models", "6 conflicts", "6 learned"):
+        assert part in line, line
+
+
+def test_del_enumeration_steps_per_model_stay_flat(monkeypatch):
+    # 156 steps per model at n=8 and 219 at n=12; with a clause per model
+    # they were 120 and 2,471, and n=12 stopped at the step limit
+    built, per_model = _engines(monkeypatch), {}
+    for n in (8, 12):
+        mp = Pipeline(DEL_ALTERNATION, "del").meta(n)
+        found = solve(mp.program)
+        traces = {meta.extract_model(mp, m.atoms) for m in found}
+        assert len(found) == len(traces) == 2 ** (n + 2)
+        per_model[n] = built[-1].steps / len(found)
+    assert per_model[12] <= 2 * per_model[8], per_model
 
 
 def test_full_enumeration_stops_at_step_limit():
