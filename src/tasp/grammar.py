@@ -17,7 +17,7 @@ from . import parser
 from .syntax import (
     ConditionalLiteral, Constant, External, Function, Infimum, Integer,
     Program, Rule, String, Supremum, TheoryExpression, TypeBlock, Variable,
-    map_payloads, substitute, variables,
+    components, map_payloads, substitute, variables,
 )
 
 
@@ -111,27 +111,13 @@ class TheoryGrammar:
                     raise GrammarError(
                         "macro pattern in type %r has undeclared placeholders %s"
                         % (spec.name, sorted(pattern_names - declared)))
-        # one depth-first search over all types: an edge to a type still
-        # on the search path closes a cycle
-        on_path = {}  # visited type -> whether it is on the path
-        for root in self.types:
-            if root in on_path:
-                continue
-            on_path[root] = True
-            path = [(root, iter(self._subtypes(root)))]
-            while path:
-                t, subs = path[-1]
-                for sub in subs:
-                    if on_path.get(sub):
-                        raise GrammarError(
-                            "cyclic subtypes involving %r" % sub)
-                    if sub not in on_path:
-                        on_path[sub] = True
-                        path.append((sub, iter(self._subtypes(sub))))
-                        break
-                else:
-                    on_path[t] = False
-                    path.pop()
+        names = list(self.types)  # a predefined type has no subtypes
+        number = {t: i for i, t in enumerate(names)}
+        for nodes, cyclic in components([[number[s] for s in self._subtypes(t)
+                                          if s in number] for t in names]):
+            if cyclic:
+                raise GrammarError(
+                    "cyclic subtypes involving %r" % names[nodes[0]])
 
     # -- subtype closure -----------------------------------------------------
 

@@ -23,8 +23,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
     External, Function, Infimum, Integer, Literal, Program, ResourceLimit,
-    String, Supremum, UnaryMinus, Variable, map_payloads, substitute,
-    variables, walk, with_args,
+    String, Supremum, UnaryMinus, Variable, components, map_payloads,
+    substitute, variables, walk, with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -370,36 +370,13 @@ def _tainted(s) -> bool:
 
 def _components(deps) -> list:
     """The strongly connected components of the graph in which job j
-    depends on the jobs deps[j], by Tarjan's algorithm without recursion,
-    each as (its jobs in order, whether it depends on itself).  Of the
-    components whose dependencies are done, the earliest job's is next."""
-    index, low, comp_of, stack, comps = {}, {}, {}, [], []
-    edges = [iter(d) for d in deps]
-    for root in range(len(deps)):
-        work = [] if root in index else [root]
-        while work:
-            v = work[-1]
-            if v not in index:  # entered
-                index[v] = low[v] = len(index)
-                stack.append(v)
-            for w in edges[v]:
-                if w not in index:
-                    work.append(w)
-                    break
-                if w not in comp_of and index[w] < low[v]:  # on the stack
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1]]:
-                    low[work[-1]] = low[v]
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    comp_of.update(dict.fromkeys(comp, len(comps)))
-                    comps.append(sorted(comp))
+    depends on the jobs deps[j] (see syntax.components), each as (its
+    jobs in order, whether it depends on itself).  Of the components
+    whose dependencies are done, the earliest job's is next."""
+    comps = components(deps)
+    comp_of = {j: c for c, (comp, _) in enumerate(comps) for j in comp}
     users, waiting, ready = [[] for _ in comps], [0] * len(comps), []
-    for c, comp in enumerate(comps):
+    for c, (comp, _) in enumerate(comps):
         for d in {comp_of[x] for j in comp for x in deps[j]} - {c}:
             users[d].append(c)
             waiting[c] += 1
@@ -408,12 +385,11 @@ def _components(deps) -> list:
     order = []
     while ready:
         c = heappop(ready)[1]
-        comp = comps[c]
-        order.append((tuple(comp), len(comp) > 1 or comp[0] in deps[comp[0]]))
+        order.append((tuple(comps[c][0]), comps[c][1]))
         for u in users[c]:
             waiting[u] -= 1
             if not waiting[u]:
-                heappush(ready, (comps[u][0], u))
+                heappush(ready, (comps[u][0][0], u))
     return order
 
 

@@ -218,17 +218,12 @@ class Parser:
             elif field.value == "occurrence":
                 occurrence = self.advance().value
                 self.expect(";")
-            elif field.value == "expressions":
+            else:  # expressions or macros, up to the next field or "}"
+                items, parse = (expressions, self.parse_expression_spec) \
+                    if field.value == "expressions" \
+                    else (macros, self.parse_macro_spec)
                 while True:
-                    expressions.append(self.parse_expression_spec())
-                    self.expect(";")
-                    if self.check("}") or (self.tok.kind == "NAME"
-                                           and self.tok.value in _GRAMMAR_FIELDS
-                                           and self.peek().value == ":"):
-                        break
-            else:  # macros
-                while True:
-                    macros.append(self.parse_macro_spec())
+                    items.append(parse())
                     self.expect(";")
                     if self.check("}") or (self.tok.kind == "NAME"
                                            and self.tok.value in _GRAMMAR_FIELDS

@@ -30,7 +30,7 @@ from itertools import chain, compress, islice
 from typing import Dict, Iterator, List, Optional
 
 from .ground import GroundProgram
-from .syntax import ResourceLimit
+from .syntax import ResourceLimit, components
 
 log = logging.getLogger(__name__)
 
@@ -99,32 +99,11 @@ def _translate(program: GroundProgram):
 
 def _loops(succ) -> List[int]:
     """Per node of a graph given by successor lists, the first node of its
-    component if that has a cycle, else -1 (iterative Tarjan)."""
-    n, count = len(succ), 0
-    index, low, comp, stack, work = [-1] * n, [0] * n, [-1] * n, [], []
-    for root in range(n):
-        work = [(root, iter(succ[root]))] if index[root] < 0 else []
-        while work:
-            v, edges = work[-1]
-            if index[v] < 0:
-                count = index[v] = low[v] = count + 1
-                stack.append(v)
-            w = next(edges, None)
-            if w is None:
-                work.pop()
-                if work:
-                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                if low[v] == index[v]:
-                    members = [stack.pop()]
-                    while members[-1] != v:
-                        members.append(stack.pop())
-                    for u in members:
-                        index[u] = n + 1  # finished: lowers no other node
-                        comp[u] = v if len(members) > 1 or v in succ[v] else -1
-            elif index[w] < 0:
-                work.append((w, iter(succ[w])))
-            else:
-                low[v] = min(low[v], index[w])
+    component if that is cyclic, else -1 (see syntax.components)."""
+    comp = [-1] * len(succ)
+    for nodes, cyclic in components(succ):
+        for v in nodes if cyclic else ():
+            comp[v] = nodes[0]
     return comp
 
 

@@ -340,6 +340,41 @@ def variables(node) -> set:
     return {x.name for x in walk(node) if isinstance(x, Variable)}
 
 
+def components(succ) -> list:
+    """The strongly connected components of the graph in which node v <
+    len(succ) has the successors succ[v], as Tarjan's algorithm (SIAM J.
+    Comput. 1972, here without recursion) completes them, each after all
+    the components it reaches: (its nodes in ascending order, whether it
+    is cyclic: more nodes than one, or a self-loop)."""
+    n, count = len(succ), 0
+    index, low, stack, comps = [-1] * n, [0] * n, [], []
+    for root in range(n):
+        work = [(root, iter(succ[root]))] if index[root] < 0 else []
+        while work:
+            v, edges = work[-1]
+            if index[v] < 0:  # entered
+                count = index[v] = low[v] = count + 1
+                stack.append(v)
+            for w in edges:
+                if index[w] < 0:
+                    work.append((w, iter(succ[w])))
+                    break
+                if index[w] < low[v]:  # on the stack: finished nodes have n+1
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for u in comp:
+                        index[u] = n + 1
+                    comps.append((sorted(comp), len(comp) > 1 or v in succ[v]))
+    return comps
+
+
 # ---------------------------------------------------------------------------
 # Rebuilding
 

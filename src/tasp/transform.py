@@ -10,8 +10,7 @@ domain (kind 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Set
 
 from .grammar import TheoryGrammar
 from .syntax import (
@@ -32,16 +31,6 @@ class UnsafeRuleError(Exception):
             " in %s" % (loc, ", ".join(sorted(variables)), rule))
         self.rule = rule
         self.variables = variables
-
-
-@dataclass
-class SafetyReport:
-    safe_occurrences: Tuple  # atoms, in body order
-    unsafe_variables: Set[str]
-
-    @property
-    def safe(self) -> bool:
-        return not self.unsafe_variables
 
 
 def safe_atoms_in(expr, g: TheoryGrammar):
@@ -98,8 +87,9 @@ def _bind_comparisons(body, bound: Set[str]):
                         changed = True
 
 
-def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
-    """Spot safe body atom occurrences and check all variables are bound.
+def classify_safety(rule: Rule, g: TheoryGrammar) -> tuple:
+    """Spot safe body atom occurrences and check all variables are bound:
+    (the safe occurrences in body order, the set of unbound variables).
 
     An occurrence is safe iff it is not under default negation and every
     argument position on the path from the body literal to the atom is
@@ -148,7 +138,7 @@ def classify_safety(rule: Rule, g: TheoryGrammar) -> SafetyReport:
         if isinstance(b, ConditionalLiteral):
             check_conditional(variables(b.literal.payload), b.condition)
 
-    return SafetyReport(tuple(safe_occurrences), unsafe)
+    return tuple(safe_occurrences), unsafe
 
 
 def _canonical(target, condition):
@@ -178,7 +168,7 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
     new_externals: List[External] = []
 
     def add(target, condition):
-        condition = tuple(Literal(True, a) for a in condition)
+        condition = tuple(Literal(True, a) for a in dict.fromkeys(condition))
         key = _canonical(target, condition)
         if key in seen:
             return
@@ -186,17 +176,16 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
         new_externals.append(External(target, condition))
 
     for rule in program.rules:
-        report = classify_safety(rule, g)
-        if not report.safe:
-            raise UnsafeRuleError(rule, report.unsafe_variables)
-        base_condition = _dedupe(report.safe_occurrences)
+        occurrences, unsafe = classify_safety(rule, g)
+        if unsafe:
+            raise UnsafeRuleError(rule, unsafe)
 
         # kind 1: protect every theory expression occurring in the body
         for b in rule.body:
             lit = b.literal if isinstance(b, ConditionalLiteral) else b
             if isinstance(lit.payload, TheoryExpression):
                 extra = _condition_atoms(b) if isinstance(b, ConditionalLiteral) else ()
-                add(lit.payload, _dedupe(base_condition + extra))
+                add(lit.payload, occurrences + extra)
 
         # kind 2: ground every atom a head expression can derive
         for el in rule.head.elements:
@@ -207,7 +196,7 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
                 and not isinstance(c.payload, Comparison)
                 for a in safe_atoms_in(c.payload, g))
             for atom in derivable_atoms_in(el.atom):
-                add(atom, _dedupe(base_condition + extra))
+                add(atom, occurrences + extra)
 
     return Program(program.statements + tuple(new_externals))
 
@@ -215,14 +204,6 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
 def _condition_atoms(b: ConditionalLiteral):
     return tuple(c.payload for c in b.condition
                  if c.positive and not isinstance(c.payload, Comparison))
-
-
-def _dedupe(atoms):
-    out = []
-    for a in atoms:
-        if a not in out:
-            out.append(a)
-    return tuple(out)
 
 
 def rewrite_shows(program: Program):

@@ -7,7 +7,7 @@ from tasp.ground import Grounder, compare_terms
 from tasp.parser import parse_program
 from tasp.syntax import (
     INF, SUP, Constant, Function, Integer, Literal, String, TheoryExpression,
-    UnaryMinus, Variable, substitute, with_args,
+    UnaryMinus, Variable, components, substitute, with_args,
 )
 
 NESTED = Function("p", (Constant("a"), Function("q", (Integer(-1), String("s"))),
@@ -140,3 +140,20 @@ def test_integers_compare_as_ints_and_before_other_terms():
     for i, a in enumerate(order):
         for b in order[i + 1:]:
             assert compare_terms("<", a, b) and compare_terms(">", b, a)
+
+
+def test_components_complete_after_what_they_reach():
+    # 0 -> 1 <-> 2 -> 3, 3 loops on itself, 4 -> 0 alone
+    succ = [[1], [2], [3, 1], [3], [0]]
+    assert components(succ) == [
+        ([3], True), ([1, 2], True), ([0], False), ([4], False)]
+    assert components([]) == []
+
+
+def test_components_of_a_long_cycle_without_recursion():
+    # one cycle through 5,000 nodes, numbered against the search order
+    n = 5000
+    succ = [[(v - 1) % n] for v in range(n)]
+    assert components(succ) == [(list(range(n)), True)]
+    assert components([[v + 1] for v in range(n - 1)] + [[]]) == [
+        ([v], False) for v in reversed(range(n))]
