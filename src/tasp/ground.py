@@ -3,10 +3,11 @@
 Instantiates a transformed program over its Herbrand domain.  Theory
 expressions are function terms here, with the & in their name.  External
 atoms are exempt from simplification; conditional literals are expanded
-over domain predicates; arithmetic terms and intervals are evaluated
-during instantiation.
+over domain predicates; an instance whose arithmetic is undefined is
+dropped.
 
-A program is compiled into a Plan, then grounded.  The same engine
+A program is compiled into a Plan, its terms and comparisons into
+closures, then grounded.  The same engine
 instantiates the internal meta-encodings, compiled once per process,
 against reified-fact databases seeded as facts.
 """
@@ -15,16 +16,20 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import reduce
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, product
 from math import prod
+from operator import (
+    add, floordiv, ge, getitem, gt, itemgetter, le, lt, mod, mul, ne, sub,
+)
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, Infimum, Integer, Literal, Program, ResourceLimit,
-    String, Supremum, UnaryMinus, Variable, components, map_payloads,
-    substitute, variables, walk, with_args,
+    External, Function, Infimum, Integer, Program, ResourceLimit, String,
+    Supremum, TheoryExpression, UnaryMinus, Variable, components,
+    map_payloads, substitute, variables, walk, with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -47,7 +52,7 @@ MAX_ATOMS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# Term evaluation
+# Terms
 
 
 def term_depth(t) -> int:
@@ -93,119 +98,8 @@ def compare_terms(op: str, a, b) -> bool:
 
 
 class DropInstance(Exception):
-    """Raised when arithmetic makes a rule instance vacuous (e.g. x/0)."""
-
-
-def eval_term(t, subst):
-    """Substitute and fold arithmetic; returns a ground term.
-
-    Intervals are not allowed here; use expand_term where they may occur.
-    """
-    if isinstance(t, Variable):
-        if t.name not in subst:
-            raise GroundingError("unbound variable %s" % t.name)
-        return subst[t.name]
-    if isinstance(t, Function):
-        return with_args(t, tuple(eval_term(a, subst) for a in t.args))
-    if isinstance(t, UnaryMinus):
-        v = eval_term(t.arg, subst)
-        if not isinstance(v, Integer):
-            raise GroundingError("cannot negate %s" % (v,))
-        return Integer(-v.value)
-    if isinstance(t, BinOp):
-        if t.op == "..":
-            raise GroundingError("interval in non-expandable position")
-        a = eval_term(t.left, subst)
-        b = eval_term(t.right, subst)
-        if not isinstance(a, Integer) or not isinstance(b, Integer):
-            raise GroundingError("arithmetic on non-integers: %s %s %s" % (a, t.op, b))
-        if t.op == "+":
-            return Integer(a.value + b.value)
-        if t.op == "-":
-            return Integer(a.value - b.value)
-        if t.op == "*":
-            return Integer(a.value * b.value)
-        if t.op in ("/", "\\"):
-            if b.value == 0:
-                log.warning("division by zero, dropping instance")
-                raise DropInstance()
-            if t.op == "/":
-                return Integer(a.value // b.value)
-            return Integer(a.value % b.value)
-        raise GroundingError("unknown operator %r" % t.op)
-    return t
-
-
-def _interval(t, subst) -> range:
-    """The integers of an interval L..U."""
-    lo = eval_term(t.left, subst)
-    hi = eval_term(t.right, subst)
-    if not isinstance(lo, Integer) or not isinstance(hi, Integer):
-        raise GroundingError("interval bounds must be integers")
-    return range(lo.value, hi.value + 1)
-
-
-def expand_term(t, subst) -> List:
-    """Like eval_term but expands intervals into all their values."""
-    if isinstance(t, BinOp) and t.op == "..":
-        return [Integer(v) for v in _interval(t, subst)]
-    if isinstance(t, Function):
-        out = [()]
-        for a in t.args:
-            vals = expand_term(a, subst)
-            out = [prefix + (v,) for prefix in out for v in vals]
-        return [with_args(t, args) for args in out]
-    return [eval_term(t, subst)]
-
-
-def _expansion_size(t, subst) -> int:
-    """How many values expand_term(t, subst) gives, from the interval
-    bounds alone."""
-    if isinstance(t, BinOp) and t.op == "..":
-        return len(_interval(t, subst))
-    if isinstance(t, Function):
-        return prod(_expansion_size(a, subst) for a in t.args)
-    return 1
-
-
-def _expand_bounded(t, subst) -> List:
-    """expand_term for a head atom, #external target or assigned term:
-    one whose interval bounds give more than MAX_ATOMS values hits the
-    atom bound before any is built."""
-    if _expansion_size(t, subst) > MAX_ATOMS:
-        raise GroundingLimitError("derivable-atom bound exceeded")
-    return expand_term(t, subst)
-
-
-def _member(value, t, subst) -> bool:
-    """Whether a ground value is one of the values of term t, tested
-    argument by argument without building them: a function needs the
-    same name and arity, and each argument must fall in its interval or
-    equal its term."""
-    if isinstance(t, BinOp) and t.op == "..":
-        return isinstance(value, Integer) \
-            and value.value in _interval(t, subst)
-    if isinstance(t, Function):
-        return isinstance(value, Function) and value.name == t.name \
-            and len(value.args) == len(t.args) \
-            and all(_member(v, a, subst) for v, a in zip(value.args, t.args))
-    return eval_term(t, subst) == value
-
-
-def _share_value(left, right, subst) -> bool:
-    """Whether two bound terms have a value in common.  Two intervals
-    are compared by their bounds; otherwise each value of the side with
-    fewer values is tested against the other side, so intervals are
-    expanded, within the atom bound, only when both sides hold them."""
-    small, big = sorted((left, right), key=lambda t: _expansion_size(t, subst))
-    if all(isinstance(t, BinOp) and t.op == ".." for t in (small, big)):
-        lv, rv = _interval(small, subst), _interval(big, subst)
-        return max(lv.start, rv.start) < min(lv.stop, rv.stop)
-    return any(_member(v, big, subst) for v in _expand_bounded(small, subst))
-
-
-# ---------------------------------------------------------------------------
-# Matching
+    """Raised when undefined arithmetic makes a rule instance vacuous: an
+    operand that is not an integer, or division by zero (as gringo)."""
 
 
 def atom_key(a) -> tuple:
@@ -217,56 +111,324 @@ def atom_key(a) -> tuple:
     raise GroundingError("not an atom: %s" % (a,))
 
 
-def match(pattern, ground, subst, waiting=None) -> Optional[dict]:
-    """Unify a (possibly partially bound) pattern against a ground atom.
-    An arithmetic part with an unbound variable is put on `waiting`, if
-    given, to be matched after the parts that bind it."""
-    if isinstance(pattern, Variable):
-        bound = subst.get(pattern.name)
-        if bound is None:
-            out = dict(subst)
-            out[pattern.name] = ground
-            return out
-        return subst if bound == ground else None
-    if isinstance(pattern, (UnaryMinus, BinOp)):
-        if not variables(pattern) <= subst.keys():
-            if waiting is not None:
-                waiting.append((pattern, ground))
-                return subst
-            raise GroundingError(
-                "arithmetic %s cannot be matched while unbound" % (pattern,))
+# ---------------------------------------------------------------------------
+# Term compilation
+#
+# Every term a join or an instance evaluates is compiled, when its plan
+# is built, into a closure over the substitution s, a dict from variable
+# names to ground terms.  `bound` holds the names that s binds whenever
+# the closure runs; a variable outside it is an error when it runs.  The
+# type dispatch happens here, once per term: a ground subterm is returned
+# as it is, a variable is one dict lookup, and a function builds its
+# tuple directly.  Undefined arithmetic raises DropInstance.
+
+_new = tuple.__new__  # builds a Function without calling Function.__new__
+
+_ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": floordiv, "\\": mod}
+_ORDER = {"!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
+def _is_ground(t) -> bool:
+    """Whether t is a value: no variable and nothing to evaluate."""
+    if isinstance(t, Function):
+        return all(map(_is_ground, t[1]))
+    return not isinstance(t, (Variable, BinOp, UnaryMinus))
+
+
+def _is_interval(t) -> bool:
+    return isinstance(t, BinOp) and t.op == ".."
+
+
+def _pooled(t) -> bool:
+    """Whether an interval in t may expand it into more than one value."""
+    if isinstance(t, Function):
+        return any(map(_pooled, t[1]))
+    if isinstance(t, BinOp):
+        return t.op == ".." or _pooled(t.left) or _pooled(t.right)
+    return isinstance(t, UnaryMinus) and _pooled(t.arg)
+
+
+def _fail(message):
+    """A closure that raises GroundingError(message) when it runs."""
+    def fail(*_):
+        raise GroundingError(message)
+    return fail
+
+
+def _value(t, bound):
+    """s -> the value of t; an interval in t is an error when it runs
+    (see _expand)."""
+    if _is_ground(t):
+        return lambda s: t
+    if isinstance(t, Variable):
+        if t.name in bound:
+            return itemgetter(t.name)
+        return _fail("unbound variable %s" % t.name)
+    if isinstance(t, Function):
+        args = _tuple(t.args, bound)
+        if isinstance(t, TheoryExpression):
+            op, memberships = t.operator, t.memberships
+            return lambda s: TheoryExpression(op, args(s), memberships)
+        name = t[0]
+        return lambda s: _new(Function, (name, args(s)))
+    if isinstance(t, UnaryMinus):
+        arg = _value(t.arg, bound)
+
+        def negate(s):
+            v = arg(s)
+            if type(v) is not Integer:
+                raise GroundingError("cannot negate %s" % (v,))
+            return Integer(-v)
+        return negate
+    if t.op == "..":
+        return _fail("interval in non-expandable position")
+    left, right = _value(t.left, bound), _value(t.right, bound)
+    op = _ARITHMETIC[t.op]
+
+    def arithmetic(s):
+        a, b = left(s), right(s)
+        if type(a) is Integer and type(b) is Integer:
+            try:
+                return Integer(op(a, b))
+            except ZeroDivisionError:
+                log.warning("division by zero, dropping instance")
+        else:
+            log.warning("operation undefined: %s%s%s, dropping instance",
+                        a, t.op, b)
+        raise DropInstance()
+    return arithmetic
+
+
+def _tuple(terms, bound):
+    """s -> the tuple of the values of terms."""
+    if all(map(_is_ground, terms)):
+        values = tuple(terms)
+        return lambda s: values
+    names = [t.name for t in terms if isinstance(t, Variable)]
+    if len(terms) > 1 and len(names) == len(terms) \
+            and bound.issuperset(names):
+        return itemgetter(*names)
+    parts = [_value(t, bound) for t in terms]
+    if len(parts) == 1:
+        (f,) = parts
+        return lambda s: (f(s),)
+    if len(parts) == 2:
+        f, g = parts
+        return lambda s: (f(s), g(s))
+    return lambda s: tuple([f(s) for f in parts])
+
+
+def _interval(t, bound):
+    """s -> the integers of an interval L..U, as a range."""
+    lo, hi = _value(t.left, bound), _value(t.right, bound)
+
+    def interval(s):
+        a, b = lo(s), hi(s)
+        if type(a) is not Integer or type(b) is not Integer:
+            raise GroundingError("interval bounds must be integers")
+        return range(a, b + 1)
+    return interval
+
+
+def _size(t, bound):
+    """s -> how many values _expand(t, bound) gives, from the interval
+    bounds alone."""
+    if _is_interval(t):
+        interval = _interval(t, bound)
+        return lambda s: len(interval(s))
+    if isinstance(t, Function) and _pooled(t):
+        sizes = [_size(a, bound) for a in t.args]
+        return lambda s: prod([size(s) for size in sizes])
+    return lambda s: 1
+
+
+def _expand(t, bound):
+    """s -> the values of t, with each interval that is not under
+    arithmetic expanded into all its values."""
+    if _is_interval(t):
+        interval = _interval(t, bound)
+        return lambda s: list(map(Integer, interval(s)))
+    if isinstance(t, Function) and _pooled(t):
+        args = [_expand(a, bound) for a in t.args]
+        return lambda s: [with_args(t, values)
+                          for values in product(*[e(s) for e in args])]
+    value = _value(t, bound)
+    return lambda s: [value(s)]
+
+
+def _values(t, bound):
+    """s -> the values of a head atom, #external target or assigned term
+    t: one whose interval bounds give more than MAX_ATOMS values hits the
+    atom bound before any is built."""
+    expand = _expand(t, bound)
+    if not _pooled(t):
+        return expand
+    size = _size(t, bound)
+
+    def values(s):
+        if size(s) > MAX_ATOMS:
+            raise GroundingLimitError("derivable-atom bound exceeded")
+        return expand(s)
+    return values
+
+
+def _member(t, bound):
+    """(v, s) -> whether a ground value v is one of the values of term t,
+    tested argument by argument without building them: a function needs
+    the same name and arity, and each argument must fall in its interval
+    or equal its term."""
+    if _is_interval(t):
+        interval = _interval(t, bound)
+        return lambda v, s: type(v) is Integer and v in interval(s)
+    if isinstance(t, Function) and not _is_ground(t):
+        name, arity = t[0], len(t.args)
+        args = [_member(a, bound) for a in t.args]
+
+        def member(v, s):
+            if not isinstance(v, Function) or v[0] != name \
+                    or len(v[1]) != arity:
+                return False
+            for m, x in zip(args, v[1]):
+                if not m(x, s):
+                    return False
+            return True
+        return member
+    value = _value(t, bound)
+    return lambda v, s: value(s) == v
+
+
+def _shared(left, right, bound):
+    """s -> whether two bound terms have a value in common.  Two
+    intervals are compared by their bounds; otherwise each value of the
+    side with fewer values is tested against the other side, so intervals
+    are expanded, within the atom bound, only when both sides hold them."""
+    if _is_interval(left) and _is_interval(right):
+        lo, hi = _interval(left, bound), _interval(right, bound)
+
+        def overlap(s):
+            a, b = lo(s), hi(s)
+            return max(a.start, b.start) < min(a.stop, b.stop)
+        return overlap
+    if not (_pooled(left) or _pooled(right)):
+        value, member = _value(left, bound), _member(right, bound)
+        return lambda s: member(value(s), s)
+    sizes = _size(left, bound), _size(right, bound)
+    values = _values(left, bound), _values(right, bound)
+    members = _member(left, bound), _member(right, bound)
+
+    def shared(s):
+        left_size = sizes[0](s)
+        small = 1 if sizes[1](s) < left_size else 0
+        return any(members[1 - small](v, s) for v in values[small](s))
+    return shared
+
+
+def _comparison(cmp, positive, bound):
+    """s -> whether the bound comparison cmp holds, if positive, or fails.
+    = tests whether the sides share a value, so an interval gives
+    membership (X = 1..N) and an empty one makes X = 3..1 false; other
+    comparisons need one value on each side, which the interval bounds
+    tell before any value is built.  Undefined arithmetic fails it,
+    negated or not."""
+    op, left, right = cmp.op, cmp.left, cmp.right
+    if op == "=":
+        holds = _shared(left, right, bound)
+    elif _pooled(left) or _pooled(right):
+        sizes = _size(left, bound), _size(right, bound)
+        sides = _expand(left, bound), _expand(right, bound)
+
+        def holds(s):
+            if any(size(s) != 1 for size in sizes):
+                raise GroundingError("interval with %r comparison" % op)
+            return compare_terms(op, sides[0](s)[0], sides[1](s)[0])
+    else:
+        a, b, test = _value(left, bound), _value(right, bound), _ORDER[op]
+
+        def holds(s):
+            x, y = a(s), b(s)
+            if type(x) is Integer and type(y) is Integer:
+                return test(x, y)
+            return compare_terms(op, x, y)
+
+    def check(s):
         try:
-            value = eval_term(pattern, subst)
+            return holds(s) == positive
         except DropInstance:
-            return None
-        return subst if value == ground else None
-    if not isinstance(pattern, Function):
-        return subst if pattern == ground else None
-    if not isinstance(ground, Function) or pattern.name != ground.name:
-        return None
-    if len(pattern.args) != len(ground.args):
-        return None
-    for p, g in zip(pattern.args, ground.args):
-        subst = match(p, g, subst, waiting)
-        if subst is None:
-            return None
-    return subst
+            return False
+    return check
 
 
-def _match_args(rest, args, subst) -> Optional[dict]:
-    """Match each (position, pattern) pair of a scan against the atom's
-    args; arithmetic parts are matched last, once the others have bound
-    their variables, as in q(X+1,X)."""
-    waiting = []
-    for pos, p in rest:
-        subst = match(p, args[pos], subst, waiting)
-        if subst is None:
-            return None
-    for p, g in waiting:
-        subst = match(p, g, subst)
-        if subst is None:
-            return None
-    return subst
+def _matcher(rest, bound):
+    """(args, s) -> s extended so that the pattern of each (position,
+    pattern) pair in rest matches an atom's argument at that position, or
+    None.  A variable's first occurrence binds it and a later one tests
+    it; an arithmetic part is matched last if it needs a variable that
+    only a later part binds, as in q(X+1,X)."""
+    bound = set(bound)
+    waiting = []  # (path to an arithmetic part, the part)
+
+    def part(p, path):
+        """(g, out) -> whether ground term g matches pattern p, setting in
+        out the variables that p binds first."""
+        if _is_ground(p):
+            return lambda g, out: p == g
+        if isinstance(p, Variable):
+            name = p.name
+            if name in bound:
+                return lambda g, out: out[name] == g
+            bound.add(name)
+
+            def bind(g, out):
+                out[name] = g
+                return True
+            return bind
+        if isinstance(p, Function):
+            name, arity = p[0], len(p.args)
+            args = [part(a, path + (1, i)) for i, a in enumerate(p.args)]
+
+            def function(g, out):
+                if not isinstance(g, Function) or g[0] != name \
+                        or len(g[1]) != arity:
+                    return False
+                for m, x in zip(args, g[1]):
+                    if not m(x, out):
+                        return False
+                return True
+            return function
+        if variables(p) <= bound:
+            return _equal(p, bound)
+        waiting.append((path, p))
+        return lambda g, out: True
+
+    parts = [(pos, part(p, (pos,))) for pos, p in rest]
+    late = [(lambda args, path=path: reduce(getitem, path, args),
+             _equal(p, bound) if variables(p) <= bound else _fail(
+                 "arithmetic %s cannot be matched while unbound" % (p,)))
+            for path, p in waiting]
+
+    def match(args, s):
+        out = dict(s)
+        for pos, m in parts:
+            if not m(args[pos], out):
+                return None
+        for get, m in late:
+            if not m(get(args), out):
+                return None
+        return out
+    return match
+
+
+def _equal(t, bound):
+    """(g, out) -> whether ground term g is the value of bound arithmetic
+    t; not if the arithmetic is undefined."""
+    value = _value(t, bound)
+
+    def equal(g, out):
+        try:
+            return value(out) == g
+        except DropInstance:
+            return False
+    return equal
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +481,19 @@ class GroundProgram:
 # variables bound so far, that is a bound comparison, an assignment
 # V = t, a bound atom, or a positive atom to scan.  Which literals are
 # processable depends only on the names of the bound variables, so the
-# order is fixed before any atom is seen.  Steps are tuples (op, x, y, z):
+# order is fixed before any atom is seen, and so is what each step
+# evaluates, compiled as in "Term compilation".  Steps are tuples
+# (op, x, y, z):
 #
-#   (CHECK, comparison, positive, None)   a bound comparison
-#   (ASSIGN, name, term, None)             name = each value of term
-#   (TEST, atom, positive, None)           a bound atom, recorded
-#   (SCAN, key, keyterms, rest)            a positive atom, recorded
-#   (STUCK, message, None, None)           nothing processable is left
+#   (CHECK, check, None, None)         a bound comparison, check(s)
+#   (ASSIGN, name, values, None)       name = each of values(s)
+#   (TEST, atom, positive, None)       the atom atom(s), recorded
+#   (SCAN, key, keys, match)           a positive atom, recorded
+#   (STUCK, message, None, None)       nothing processable is left
 #
-# A scan reads one index list: the name/arity list of `key` when keyterms
-# is None, else the list of the shape `key` (see Plan.shapes) under the
-# values of keyterms; it matches the (position, pattern) pairs in rest.
+# A scan reads one index list: the name/arity list of `key` when keys is
+# None, else the list of the shape `key` (see Plan.shapes) under the
+# values keys(s); match(args, s) extends s by each atom of it.
 
 CHECK, ASSIGN, TEST, SCAN, STUCK = range(5)
 
@@ -340,7 +504,8 @@ class _Condition(NamedTuple):
     steps: tuple
     negatives: tuple          # positions of negative literals' atoms
     error: Optional[str]      # set if over a non-domain predicate
-    literal: Optional[Literal]
+    # (positive, atom closure), or (None, check) for a comparison
+    literal: Optional[tuple]
 
 
 class _Rule(NamedTuple):
@@ -349,13 +514,9 @@ class _Rule(NamedTuple):
     steps: tuple
     reads: tuple              # name/arity keys of the lists it reads
     body: tuple               # (positive, atom position) or _Condition
-    head: tuple               # (atom, has interval, _Condition or None)
+    head: tuple               # (values closure, _Condition or None)
+    atom: Optional[object]    # the closure of a lone bare head atom
     kind: str                 # "choice", "disjunction" or "external"
-
-
-def _pooled(atom) -> bool:
-    """Whether an interval in atom may expand it into more than one."""
-    return any(isinstance(x, BinOp) and x.op == ".." for x in walk(atom))
 
 
 def _tainted(s) -> bool:
@@ -441,6 +602,12 @@ def bind_constants(statements, constants: dict) -> list:
     return [map_payloads(s, payload) for s in statements]
 
 
+def _lone(atom, bound):
+    """The closure of a head atom that is the only one of its head and has
+    no condition, if it has no interval: its head is (atom(s),)."""
+    return None if _pooled(atom) else _value(atom, bound)
+
+
 class Plan:
     """A program compiled for grounding: for each rule, external and
     condition, its join steps and the index lists they read.
@@ -494,10 +661,11 @@ class Plan:
 
     def _external(self, e, bound, reads) -> _Rule:
         # a negative literal need only be bound, and is not recorded
-        steps, _, _ = self._steps([(i if l.positive else None, l)
-                                   for i, l in enumerate(e.condition)], bound)
-        return _Rule(steps, reads, (),
-                     ((e.target, _pooled(e.target), None),), "external")
+        steps, _, bound = self._steps([(i if l.positive else None, l)
+                                       for i, l in enumerate(e.condition)],
+                                      bound)
+        return _Rule(steps, reads, (), ((_values(e.target, bound), None),),
+                     _lone(e.target, bound), "external")
 
     def _rule(self, r, bound, reads) -> _Rule:
         # conditionals never bind outer variables; expanded per instance
@@ -508,26 +676,40 @@ class Plan:
         body = []
         for i, b in enumerate(r.body):
             if isinstance(b, ConditionalLiteral):
-                body.append(self._condition(b.condition, bound, b.literal))
+                body.append(self._condition(b.condition, bound, b.literal)[0])
             elif i in position:  # atoms, not comparisons
                 body.append((b.positive, position[i]))
-        head = tuple(
-            (el.atom, _pooled(el.atom),
-             self._condition(el.condition, bound) if el.condition else None)
-            for el in r.head.elements)
+        head = []
+        for el in r.head.elements:
+            condition, inner = self._condition(el.condition, bound) \
+                if el.condition else (None, bound)
+            head.append((_values(el.atom, inner), condition))
+        lone = len(head) == 1 and head[0][1] is None
+        atom = _lone(r.head.elements[0].atom, bound) if lone else None
         kind = "choice" if isinstance(r.head, Choice) else "disjunction"
-        return _Rule(steps, reads, tuple(body), head, kind)
+        return _Rule(steps, reads, tuple(body), tuple(head), atom, kind)
 
-    def _condition(self, condition, bound, literal=None) -> _Condition:
-        steps, recorded, _ = self._steps(list(enumerate(condition)), bound)
+    def _condition(self, condition, bound, literal=None):
+        """The compiled condition, with its literal if given, and the
+        variables bound at its end."""
+        steps, recorded, bound = self._steps(list(enumerate(condition)),
+                                             bound)
         error = next((
             "conditional literal condition over non-domain predicate %s/%d"
             % atom_key(c.payload) for c in condition
             if not isinstance(c.payload, Comparison)
             and atom_key(c.payload) in self._non_domain), None)
+        if literal is None:
+            compiled = None
+        elif isinstance(literal.payload, Comparison):
+            compiled = (None, _comparison(literal.payload, literal.positive,
+                                          bound))
+        else:
+            compiled = (literal.positive, _value(literal.payload, bound))
         return _Condition(
             steps, tuple(j for j, i in enumerate(recorded)
-                         if not condition[i].positive), error, literal)
+                         if not condition[i].positive), error,
+            compiled), bound
 
     def _steps(self, literals, bound):
         """The steps of a join over literals, a list of (i, literal) with
@@ -547,18 +729,21 @@ class Plan:
                 if isinstance(p, Comparison):
                     left, right = names[0] <= bound, names[1] <= bound
                     if left and right:
-                        steps.append((CHECK, p, lit.positive, None))
+                        steps.append((CHECK, _comparison(p, lit.positive,
+                                                         bound), None, None))
                         break
                     var, value = (p.right, p.left) if left \
                         else (p.left, p.right)
                     if lit.positive and p.op == "=" and (left or right) \
                             and isinstance(var, Variable):
-                        steps.append((ASSIGN, var.name, value, None))
+                        steps.append((ASSIGN, var.name,
+                                      _values(value, bound), None))
                         bound.add(var.name)
                         break
                 elif names <= bound:
                     if i is not None:
-                        steps.append((TEST, p, lit.positive, None))
+                        steps.append((TEST, _value(p, bound),
+                                      lit.positive, None))
                         recorded.append(i)
                     break
                 elif lit.positive:
@@ -589,11 +774,11 @@ class Plan:
                 functors.append((pos, atom_key(arg)))
             rest.append((pos, arg))
         if not values and not functors:
-            return (SCAN, key, None, tuple(rest))
+            return (SCAN, key, None, _matcher(rest, bound))
         shape = (key, tuple(values), tuple(functors))
         if shape not in self.shapes.get(key, ()):
             self.shapes[key] = self.shapes.get(key, ()) + (shape,)
-        return (SCAN, shape, tuple(keyterms), tuple(rest))
+        return (SCAN, shape, _tuple(keyterms, bound), _matcher(rest, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -671,31 +856,31 @@ class Grounder:
                 if y is None:
                     candidates = self._index.get(x, ())
                 elif not self._index.get(x[0]):
-                    continue  # keyterms are not evaluated without atoms
+                    continue  # keys are not evaluated without atoms
                 else:
                     try:
-                        values = tuple([eval_term(t, s) for t in y])
+                        values = y(s)
                     except DropInstance:
                         continue
                     candidates = self._arg_index.get((x, values), ())
                 for cand in reversed(candidates):  # popped in list order
-                    s2 = _match_args(z, cand.args, s)
+                    s2 = z(cand[1], s)
                     if s2 is not None:
                         stack.append((k, s2, found + (cand,)))
             elif op == TEST:
                 try:
-                    atom = eval_term(x, s)
+                    atom = x(s)
                 except DropInstance:
                     continue
                 # a negative literal is deferred and does not filter here
                 if not y or atom in derivable:
                     stack.append((k, s, found + (atom,)))
             elif op == CHECK:
-                if self._comparison_holds(x, y, s):
+                if x(s):
                     stack.append((k, s, found))
             elif op == ASSIGN:
                 try:
-                    values = _expand_bounded(y, s)
+                    values = y(s)
                 except DropInstance:
                     continue
                 for v in reversed(values):
@@ -778,52 +963,31 @@ class Grounder:
                 if not isinstance(entry, _Condition):
                     body.append((entry[0], found[entry[1]]))
                     continue
-                lit = entry.literal
+                positive, term = entry.literal
                 for s2 in self.expand_condition(entry, subst):
-                    if not isinstance(lit.payload, Comparison):
-                        body.append(
-                            (lit.positive, eval_term(lit.payload, s2)))
-                    elif not self._comparison_holds(
-                            lit.payload, lit.positive, s2):
+                    if positive is not None:
+                        body.append((positive, term(s2)))
+                    elif not term(s2):  # a comparison
                         return []
-            heads = self._ground_head(rule.head, subst)
+            heads = [(rule.atom(subst),)] if rule.atom is not None \
+                else self._ground_head(rule.head, subst)
         except DropInstance:
             return []
         body = tuple(body)
         return [(rule.kind, head, body) for head in heads]
 
-    def _comparison_holds(self, cmp, positive, subst) -> bool:
-        """Whether a bound comparison holds.  = tests whether the sides
-        share a value, so an interval gives membership (X = 1..N) and an
-        empty one makes X = 3..1 false; other comparisons need one value
-        on each side, which the interval bounds tell before any value is
-        built.  Division by zero fails it, negated or not."""
-        left, right = cmp.left, cmp.right
-        try:
-            if cmp.op == "=":
-                return _share_value(left, right, subst) == positive
-            if _expansion_size(left, subst) != 1 \
-                    or _expansion_size(right, subst) != 1:
-                raise GroundingError("interval with %r comparison" % cmp.op)
-            a, b = expand_term(left, subst)[0], expand_term(right, subst)[0]
-        except DropInstance:
-            return False
-        return compare_terms(cmp.op, a, b) == positive
-
     def _ground_head(self, head, subst) -> List[tuple]:
         """Alternative heads: conditioned elements expand disjunctively,
         interval pooling in bare elements expands conjunctively."""
         alternatives: List[list] = [[]]
-        for atom, pooled, condition in head:
+        for atom_values, condition in head:
             if condition is not None:
                 atoms = []
                 for s2 in self.expand_condition(condition, subst):
-                    atoms.extend(_expand_bounded(atom, s2) if pooled
-                                 else [eval_term(atom, s2)])
+                    atoms.extend(atom_values(s2))
                 alternatives = [alt + atoms for alt in alternatives]
                 continue
-            values = _expand_bounded(atom, subst) if pooled \
-                else [eval_term(atom, subst)]
+            values = atom_values(subst)
             if len(values) == 1:
                 alternatives = [alt + values for alt in alternatives]
             else:

@@ -15,8 +15,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, Constant, Disjunction,
-    Function, Integer, Literal, Program, ResourceLimit, Rule, Supremum,
-    TheoryExpression, UnaryMinus, Variable, walk, with_args,
+    Function, Infimum, Integer, Literal, Program, ResourceLimit, Rule,
+    String, Supremum, TheoryExpression, UnaryMinus, Variable, walk,
+    with_args,
 )
 
 
@@ -39,10 +40,6 @@ class Trace:
     states: tuple  # of frozenset of ground atoms
     tau: Optional[tuple] = None
 
-    @property
-    def horizon(self) -> int:
-        return len(self.states) - 1
-
 
 # ---------------------------------------------------------------------------
 # Naive instantiation
@@ -63,6 +60,11 @@ def _subst(node, binding):
     return node
 
 
+class _Undefined(Exception):
+    """Arithmetic on a term that is not an integer: as in gringo, the
+    instance that holds it is dropped."""
+
+
 def _arith(t):
     """Fold ground arithmetic; comparisons in instances must be decidable."""
     if isinstance(t, UnaryMinus):
@@ -72,28 +74,41 @@ def _arith(t):
         raise OracleError("cannot negate %s" % (v,))
     if isinstance(t, BinOp):
         a, b = _arith(t.left), _arith(t.right)
-        if isinstance(a, Integer) and isinstance(b, Integer):
-            ops = {"+": lambda: a.value + b.value,
-                   "-": lambda: a.value - b.value,
-                   "*": lambda: a.value * b.value}
-            if t.op in ops:
-                return Integer(ops[t.op]())
-        raise OracleError("unsupported arithmetic %s" % (t,))
+        if t.op not in ("+", "-", "*"):
+            raise OracleError("unsupported arithmetic %s" % (t,))
+        if not (isinstance(a, Integer) and isinstance(b, Integer)):
+            raise _Undefined()
+        return Integer(a.value + b.value if t.op == "+" else
+                       a.value - b.value if t.op == "-" else
+                       a.value * b.value)
     if isinstance(t, Function):
         return with_args(t, tuple(_arith(a) for a in t.args))
     return t
 
 
+def _order_key(t):
+    """gringo's total order of ground terms: #inf < integers < constants
+    < strings < functions < #sup, functions by name, arity, then
+    arguments."""
+    if isinstance(t, Infimum):
+        return (0,)
+    if isinstance(t, Integer):
+        return (1, t.value)
+    if isinstance(t, Constant):
+        return (2, t.name)
+    if isinstance(t, String):
+        return (3, t.value)
+    if isinstance(t, Function):
+        return (4, t.name, len(t.args), tuple(map(_order_key, t.args)))
+    if isinstance(t, Supremum):
+        return (5,)
+    raise OracleError("cannot order %s" % (t,))
+
+
 def _comparison_true(c: Comparison) -> bool:
-    a, b = _arith(c.left), _arith(c.right)
-    if isinstance(a, Integer) and isinstance(b, Integer):
-        av, bv = a.value, b.value
-    else:
-        av, bv = str(a), str(b)
-        if c.op not in ("=", "!="):
-            raise OracleError("cannot order %s %s %s" % (a, c.op, b))
-    return {"=": av == bv, "!=": av != bv, "<": av < bv,
-            "<=": av <= bv, ">": av > bv, ">=": av >= bv}[c.op]
+    a, b = _order_key(_arith(c.left)), _order_key(_arith(c.right))
+    return {"=": a == b, "!=": a != b, "<": a < b,
+            "<=": a <= b, ">": a > b, ">=": a >= b}[c.op]
 
 
 def _rule_variables(rule: Rule) -> List[str]:
@@ -144,6 +159,23 @@ def _herbrand_constants(program: Program) -> List:
     return list(consts) or [Constant("c0")]
 
 
+def _instance(rule: Rule, binding) -> Optional[Rule]:
+    """The instance of rule under binding, None if one of its comparisons
+    fails; raises _Undefined if it holds undefined arithmetic."""
+    body = []
+    for b in rule.body:
+        if isinstance(b.payload, Comparison):
+            c = Comparison(b.payload.op, _subst(b.payload.left, binding),
+                           _subst(b.payload.right, binding))
+            if _comparison_true(c) != b.positive:
+                return None
+            continue
+        body.append(Literal(b.positive, _arith(_subst(b.payload, binding))))
+    head_elements = tuple(type(el)(_arith(_subst(el.atom, binding)))
+                          for el in rule.head.elements)
+    return Rule(type(rule.head)(head_elements), tuple(body))
+
+
 def instantiate(program: Program) -> List[Rule]:
     """All ground instances over the Herbrand constants; comparisons are
     evaluated away."""
@@ -152,26 +184,12 @@ def instantiate(program: Program) -> List[Rule]:
     for rule in program.rules:
         variables = _rule_variables(rule)
         for values in itertools.product(consts, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-            body = []
-            keep = True
-            for b in rule.body:
-                if isinstance(b.payload, Comparison):
-                    c = Comparison(b.payload.op,
-                                   _subst(b.payload.left, binding),
-                                   _subst(b.payload.right, binding))
-                    if _comparison_true(c) != b.positive:
-                        keep = False
-                        break
-                    continue
-                body.append(Literal(b.positive,
-                                    _arith(_subst(b.payload, binding))))
-            if not keep:
+            try:
+                instance = _instance(rule, dict(zip(variables, values)))
+            except _Undefined:
                 continue
-            head_elements = tuple(
-                type(el)(_arith(_subst(el.atom, binding)))
-                for el in rule.head.elements)
-            out.append(Rule(type(rule.head)(head_elements), tuple(body)))
+            if instance is not None:
+                out.append(instance)
     # deduplicate, preserving order
     seen, rules = set(), []
     for r in out:

@@ -12,9 +12,9 @@ from conftest import DEL_ALTERNATION, oracle_traces
 import tasp
 from tasp.cli import Pipeline, distinct_traces, main
 from tasp.grammar import builtin_grammar, typecheck_program
-from tasp.ground import Grounder, GroundingError, _components, expand_term
+from tasp.ground import Grounder, GroundingError, _components, _values
 from tasp.parser import parse_program
-from tasp.syntax import Constant, Function, Integer
+from tasp.syntax import Constant, Function, Integer, TheoryExpression, walk
 from tasp.transform import transform_program
 
 
@@ -147,9 +147,8 @@ def test_expression_body_literal_joins_ground_expressions():
 
 
 def test_expand_term_interval():
-    assert [t.value for t in expand_term(
-        parse_program("p(1..3).").rules[0].head.elements[0].atom.args[0], {})
-    ] == [1, 2, 3]
+    term = parse_program("p(1..3).").rules[0].head.elements[0].atom.args[0]
+    assert [t.value for t in _values(term, frozenset())({})] == [1, 2, 3]
 
 
 def test_stage_names_are_modules():
@@ -262,9 +261,75 @@ def test_fact_chains_promote_one_layer_per_round():
       ["green(l1)", "light(l1)", "light(l2)", "&eventually(green(l1))",
        "&eventually(green(l2))", "&next(green(l1))", "wait(l1)", "wait(l2)",
        "go(l1)"])),
+    # nested expressions, each built with its grammar types
+    ("green(l1). light(l1). light(l2). "
+     "go(L) :- &next(&eventually(green(L))), light(L). "
+     "stay(L) :- light(L), not &eventually(&next(green(L))).", "tel",
+     (["green(l1)", "light(l1)", "light(l2)"],
+      ["go(l1) :- &next(&eventually(green(l1))).",
+       "stay(l1) :- not &eventually(&next(green(l1))).",
+       "stay(l2) :- not &eventually(&next(green(l2)))."],
+      ["&next(&eventually(green(l1)))", "&eventually(&next(green(l1)))",
+       "&eventually(&next(green(l2)))"],
+      ["green(l1)", "light(l1)", "light(l2)",
+       "&next(&eventually(green(l1)))", "&eventually(&next(green(l1)))",
+       "&eventually(&next(green(l2)))", "go(l1)", "stay(l1)", "stay(l2)"])),
+    # * and \; modulo by zero drops the instance, in a head and in a
+    # negative literal
+    ("p(0..2). q(X*3,7\\X) :- p(X). { r(0..2) }. s(X) :- p(X), not r(5\\X).",
+     None,
+     (["p(0)", "p(1)", "p(2)", "q(3,0)", "q(6,1)"],
+      ["{ r(0) }.", "{ r(1) }.", "{ r(2) }.", "s(1) :- not r(0).",
+       "s(2) :- not r(1)."], [],
+      ["p(0)", "p(1)", "p(2)", "q(3,0)", "q(6,1)", "r(0)", "r(1)", "r(2)",
+       "s(1)", "s(2)"])),
+    # unary minus in a head, a comparison and a negative literal
+    ("p(1..2). q(-X) :- p(X). r(X) :- p(X), -X < -1. { s(-2) }. "
+     "t(X) :- p(X), not s(-X).", None,
+     (["p(1)", "p(2)", "q(-1)", "q(-2)", "r(2)", "t(1)"],
+      ["{ s(-2) }.", "t(2) :- not s(-2)."], [],
+      ["p(1)", "p(2)", "q(-1)", "q(-2)", "r(2)", "t(1)", "s(-2)", "t(2)"])),
+    # nested functions with arithmetic: built, tested and matched
+    ("p(1..2). q(f(g(X+1))) :- p(X). r(X) :- p(X), q(f(g(X+1))). "
+     "s(Y) :- q(f(g(Y))).", None,
+     (["p(1)", "p(2)", "q(f(g(2)))", "q(f(g(3)))", "r(1)", "r(2)", "s(2)",
+       "s(3)"], [], [],
+      ["p(1)", "p(2)", "q(f(g(2)))", "q(f(g(3)))", "r(1)", "r(2)", "s(2)",
+       "s(3)"])),
+    # = against an interval, on either side and inside a function
+    ("p(1..4). q(X) :- p(X), X = 2..3. r(X) :- p(X), 3..9 = X. "
+     "s(X) :- p(X), f(X) = f(1..2). { t(1..4) }. "
+     "u(X) :- p(X), not t(X), X = 1..2.", None,
+     (["p(1)", "p(2)", "p(3)", "p(4)", "q(2)", "q(3)", "r(3)", "r(4)",
+       "s(1)", "s(2)"],
+      ["{ t(1) }.", "{ t(2) }.", "{ t(3) }.", "{ t(4) }.",
+       "u(1) :- not t(1).", "u(2) :- not t(2)."], [],
+      ["p(1)", "p(2)", "p(3)", "p(4)", "q(2)", "q(3)", "r(3)", "r(4)",
+       "s(1)", "s(2)", "t(1)", "t(2)", "t(3)", "t(4)", "u(1)", "u(2)"])),
 ])
 def test_join_listing(text, semantics, listing):
-    assert _listing(_ground(text, semantics=semantics)) == listing
+    gp = _ground(text, semantics=semantics)
+    assert _listing(gp) == listing
+    # reify reads the grammar types of every expression it meets
+    assert all(x.memberships for a in gp.symbol_table for x in walk(a)
+               if isinstance(x, TheoryExpression))
+
+
+@pytest.mark.parametrize("text,facts", [
+    ("p(a). p(1). q(X+1) :- p(X).", ["p(a)", "p(1)", "q(2)"]),
+    ("p(a). p(1). q(X) :- p(X), X+1 > 1.", ["p(a)", "p(1)", "q(1)"]),
+])
+def test_undefined_arithmetic_drops_the_instance(text, facts, caplog):
+    # as in gringo, a+1 is undefined, like a division by zero
+    with caplog.at_level(logging.WARNING, logger="tasp.ground"):
+        assert [str(f) for f in _ground(text).facts] == facts
+    assert [r.getMessage() for r in caplog.records] == [
+        "operation undefined: a+1, dropping instance"]
+
+
+def test_negating_a_symbol_is_an_error():
+    with pytest.raises(GroundingError, match="cannot negate a"):
+        _ground("p(a). q(-X) :- p(X).")
 
 
 def test_rule_growing_its_indexed_input_during_its_join():
