@@ -35,7 +35,7 @@ from .oracle import OracleError
 from .parser import ParseError, parse_program
 from .reify import ReifyError, emit_reified_text, reify
 from .solver import SolverError
-from .syntax import Constant, Integer, ResourceLimit
+from .syntax import ConstDef, Constant, Integer, Program, ResourceLimit
 from .transform import UnsafeRuleError, transform_program
 
 log = logging.getLogger("tasp")
@@ -325,8 +325,11 @@ def _cmd_oracle(args, out) -> int:
     max_time = args.max_time
     if max_time is None and p.semantics == "mel":
         max_time = meta.default_max_time(n)
+    # the -c values come last, so they win as in solve
+    program = Program(p.typed.statements + tuple(
+        ConstDef(name, value) for name, value in p.constants.items()))
     traces = ((tuple(frozenset(map(str, s)) for s in m.states), m.tau)
-              for m in oracle_mod.temporal_models(p.typed, n,
+              for m in oracle_mod.temporal_models(program, n,
                                                   max_time=max_time))
     return _print_models(traces, format_model_temporal, limit, start, out)
 

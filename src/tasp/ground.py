@@ -50,6 +50,10 @@ MAX_TERM_DEPTH = 16
 #: Hard cap on derivable atoms, guards non-terminating value invention.
 MAX_ATOMS = 1_000_000
 
+#: Bound on the magnitude of an integer that arithmetic computes, the
+#: largest signed 64-bit one: it stops squaring without end.
+MAX_INTEGER = 2 ** 63 - 1
+
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -79,22 +83,13 @@ def _order_key(t):
     raise GroundingError("cannot order non-ground term %s" % (t,))
 
 
+_ORDER = {"!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
 def compare_terms(op: str, a, b) -> bool:
-    if isinstance(a, Integer) and isinstance(b, Integer):
-        ka, kb = a, b  # ints in C, without order keys
-    else:
-        ka, kb = _order_key(a), _order_key(b)
-    if op == "!=":
-        return ka != kb
-    if op == "<":
-        return ka < kb
-    if op == "<=":
-        return ka <= kb
-    if op == ">":
-        return ka > kb
-    if op == ">=":
-        return ka >= kb
-    raise GroundingError("unknown comparison %r" % op)
+    if not (isinstance(a, Integer) and isinstance(b, Integer)):
+        a, b = _order_key(a), _order_key(b)  # ints compare as they are
+    return _ORDER[op](a, b)
 
 
 class DropInstance(Exception):
@@ -125,7 +120,6 @@ def atom_key(a) -> tuple:
 _new = tuple.__new__  # builds a Function without calling Function.__new__
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": floordiv, "\\": mod}
-_ORDER = {"!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def _is_ground(t) -> bool:
@@ -157,7 +151,7 @@ def _fail(message):
 
 def _value(t, bound):
     """s -> the value of t; an interval in t is an error when it runs
-    (see _expand)."""
+    (see _pool)."""
     if _is_ground(t):
         return lambda s: t
     if isinstance(t, Variable):
@@ -189,9 +183,14 @@ def _value(t, bound):
         a, b = left(s), right(s)
         if type(a) is Integer and type(b) is Integer:
             try:
-                return Integer(op(a, b))
+                v = op(a, b)
             except ZeroDivisionError:
                 log.warning("division by zero, dropping instance")
+            else:
+                if -MAX_INTEGER <= v <= MAX_INTEGER:
+                    return Integer(v)
+                raise GroundingLimitError(
+                    "integer bound exceeded by %s%s%s" % (a, t.op, b))
         else:
             log.warning("operation undefined: %s%s%s, dropping instance",
                         a, t.op, b)
@@ -230,46 +229,52 @@ def _interval(t, bound):
     return interval
 
 
-def _size(t, bound):
-    """s -> how many values _expand(t, bound) gives, from the interval
-    bounds alone."""
+def _pool(t, bound):
+    """(size, expand): s -> how many values t has, from the interval
+    bounds alone, and s -> the values of t, with each interval that is
+    not under arithmetic expanded into all its values."""
     if _is_interval(t):
         interval = _interval(t, bound)
-        return lambda s: len(interval(s))
+        return (lambda s: len(interval(s)),
+                lambda s: list(map(Integer, interval(s))))
     if isinstance(t, Function) and _pooled(t):
-        sizes = [_size(a, bound) for a in t.args]
-        return lambda s: prod([size(s) for size in sizes])
-    return lambda s: 1
-
-
-def _expand(t, bound):
-    """s -> the values of t, with each interval that is not under
-    arithmetic expanded into all its values."""
-    if _is_interval(t):
-        interval = _interval(t, bound)
-        return lambda s: list(map(Integer, interval(s)))
-    if isinstance(t, Function) and _pooled(t):
-        args = [_expand(a, bound) for a in t.args]
-        return lambda s: [with_args(t, values)
-                          for values in product(*[e(s) for e in args])]
+        sizes, args = zip(*[_pool(a, bound) for a in t.args])
+        return (lambda s: prod([size(s) for size in sizes]),
+                lambda s: [with_args(t, values)
+                           for values in product(*[e(s) for e in args])])
     value = _value(t, bound)
-    return lambda s: [value(s)]
+    return lambda s: 1, lambda s: [value(s)]
 
 
 def _values(t, bound):
     """s -> the values of a head atom, #external target or assigned term
     t: one whose interval bounds give more than MAX_ATOMS values hits the
     atom bound before any is built."""
-    expand = _expand(t, bound)
+    size, expand = _pool(t, bound)
     if not _pooled(t):
         return expand
-    size = _size(t, bound)
 
     def values(s):
         if size(s) > MAX_ATOMS:
             raise GroundingLimitError("derivable-atom bound exceeded")
         return expand(s)
     return values
+
+
+def _function(t, args):
+    """(v, s) -> whether ground value v is a function with the name and
+    arity of function t whose arguments pass the tests args, each
+    (x, s) -> bool, in order."""
+    name, arity = t[0], len(t.args)
+
+    def function(v, s):
+        if not isinstance(v, Function) or v[0] != name or len(v[1]) != arity:
+            return False
+        for m, x in zip(args, v[1]):
+            if not m(x, s):
+                return False
+        return True
+    return function
 
 
 def _member(t, bound):
@@ -281,18 +286,7 @@ def _member(t, bound):
         interval = _interval(t, bound)
         return lambda v, s: type(v) is Integer and v in interval(s)
     if isinstance(t, Function) and not _is_ground(t):
-        name, arity = t[0], len(t.args)
-        args = [_member(a, bound) for a in t.args]
-
-        def member(v, s):
-            if not isinstance(v, Function) or v[0] != name \
-                    or len(v[1]) != arity:
-                return False
-            for m, x in zip(args, v[1]):
-                if not m(x, s):
-                    return False
-            return True
-        return member
+        return _function(t, [_member(a, bound) for a in t.args])
     value = _value(t, bound)
     return lambda v, s: value(s) == v
 
@@ -312,7 +306,7 @@ def _shared(left, right, bound):
     if not (_pooled(left) or _pooled(right)):
         value, member = _value(left, bound), _member(right, bound)
         return lambda s: member(value(s), s)
-    sizes = _size(left, bound), _size(right, bound)
+    sizes = _pool(left, bound)[0], _pool(right, bound)[0]
     values = _values(left, bound), _values(right, bound)
     members = _member(left, bound), _member(right, bound)
 
@@ -334,13 +328,12 @@ def _comparison(cmp, positive, bound):
     if op == "=":
         holds = _shared(left, right, bound)
     elif _pooled(left) or _pooled(right):
-        sizes = _size(left, bound), _size(right, bound)
-        sides = _expand(left, bound), _expand(right, bound)
+        pools = _pool(left, bound), _pool(right, bound)
 
         def holds(s):
-            if any(size(s) != 1 for size in sizes):
+            if any(size(s) != 1 for size, _ in pools):
                 raise GroundingError("interval with %r comparison" % op)
-            return compare_terms(op, sides[0](s)[0], sides[1](s)[0])
+            return compare_terms(op, pools[0][1](s)[0], pools[1][1](s)[0])
     else:
         a, b, test = _value(left, bound), _value(right, bound), _ORDER[op]
 
@@ -383,18 +376,8 @@ def _matcher(rest, bound):
                 return True
             return bind
         if isinstance(p, Function):
-            name, arity = p[0], len(p.args)
-            args = [part(a, path + (1, i)) for i, a in enumerate(p.args)]
-
-            def function(g, out):
-                if not isinstance(g, Function) or g[0] != name \
-                        or len(g[1]) != arity:
-                    return False
-                for m, x in zip(args, g[1]):
-                    if not m(x, out):
-                        return False
-                return True
-            return function
+            return _function(p, [part(a, path + (1, i))
+                                 for i, a in enumerate(p.args)])
         if variables(p) <= bound:
             return _equal(p, bound)
         waiting.append((path, p))
@@ -464,8 +447,15 @@ class GroundProgram:
     rules: List[GroundRule] = field(default_factory=list)
     facts: Dict = field(default_factory=dict)      # ordered set of atoms
     externals: Dict = field(default_factory=dict)  # ordered set of atoms
-    symbol_table: Dict = field(default_factory=dict)
     grammar: Optional[object] = None
+
+    @property
+    def symbol_table(self) -> Dict:
+        """Every atom, as an ordered set: the facts, the externals, then
+        each rule's head and body atoms in rule order."""
+        return dict.fromkeys(chain(self.facts, self.externals, (
+            a for r in self.rules
+            for a in chain(r.head, (b for _, b in r.body)))))
 
     def __str__(self):
         lines = ["%s." % (f,) for f in self.facts]
@@ -489,13 +479,14 @@ class GroundProgram:
 #   (ASSIGN, name, values, None)       name = each of values(s)
 #   (TEST, atom, positive, None)       the atom atom(s), recorded
 #   (SCAN, key, keys, match)           a positive atom, recorded
-#   (STUCK, message, None, None)       nothing processable is left
 #
-# A scan reads one index list: the name/arity list of `key` when keys is
-# None, else the list of the shape `key` (see Plan.shapes) under the
-# values keys(s); match(args, s) extends s by each atom of it.
+# When no literal is processable, the last step is a CHECK whose check
+# raises the error that names the unbound literals.  A scan reads one
+# index list: the name/arity list of `key` when keys is None, else the
+# list of the shape `key` (see Plan.shapes) under the values keys(s);
+# match(args, s) extends s by each atom of it.
 
-CHECK, ASSIGN, TEST, SCAN, STUCK = range(5)
+CHECK, ASSIGN, TEST, SCAN = range(4)
 
 
 class _Condition(NamedTuple):
@@ -582,11 +573,14 @@ def _read_keys(s) -> tuple:
 
 def bind_constants(statements, constants: dict) -> list:
     """statements (rules and externals) with every constant named in
-    constants replaced by its value, which may name other constants; a
-    constant in predicate position stays."""
-    consts = dict(constants)
-    if not consts:
+    constants replaced by its value, which may name other constants in
+    any order; a constant in predicate position stays.  A value that
+    needs its own constant is an input error."""
+    names = list(constants)
+    if not names:
         return list(statements)
+    at = {name: j for j, name in enumerate(names)}
+    consts = {}  # name -> value, each after the values it names
 
     def leaf(x):
         return consts.get(x.name) if isinstance(x, Constant) else None
@@ -597,8 +591,12 @@ def bind_constants(statements, constants: dict) -> list:
                               substitute(p.right, leaf))
         return p if isinstance(p, Constant) else substitute(p, leaf)
 
-    for name in list(consts):
-        consts[name] = substitute(consts[name], leaf)
+    for (j, *_), cyclic in components([
+            [at[x.name] for x in walk(constants[name])
+             if isinstance(x, Constant) and x.name in at] for name in names]):
+        if cyclic:
+            raise GroundingError("#const %s is defined by itself" % names[j])
+        consts[names[j]] = substitute(constants[names[j]], leaf)
     return [map_payloads(s, payload) for s in statements]
 
 
@@ -625,12 +623,11 @@ class Plan:
             consts[name] = Integer(value) if isinstance(value, int) else value
         consts.update((name, Variable(name)) for name in params)
         self.params = tuple(params)
-        rules = bind_constants(program.rules, consts)
-        externals = bind_constants(program.directives(External), consts)
+        jobs = bind_constants(program.directives(External) + program.rules,
+                              consts)
         #: the nesting depth of the program's deepest atom
-        self.depth = max((term_depth(p) for s in chain(rules, externals)
-                          for p in _payloads(s)), default=0)
-        jobs = externals + rules
+        self.depth = max((term_depth(p) for s in jobs for p in _payloads(s)),
+                         default=0)
         reads = [_read_keys(s) for s in jobs]
         heads = [{atom_key(s.target)} if isinstance(s, External) else
                  {atom_key(el.atom) for el in s.head.elements} for s in jobs]
@@ -649,9 +646,8 @@ class Plan:
                    or not self._non_domain.isdisjoint(reads[j]) for j in comp):
                 self._non_domain.update(k for j in comp for k in heads[j])
         #: name/arity key -> the shapes its scans look up; a shape
-        #: (key, value positions, functor positions) indexes an atom by
-        #: its arguments at the value positions, if its argument at each
-        #: functor position has the given name/arity key.
+        #: (key, value positions) indexes an atom by its arguments at the
+        #: value positions.
         self.shapes: Dict[tuple, tuple] = {}
         bound = frozenset(params)
         #: the compiled jobs: the externals, then the rules
@@ -752,33 +748,28 @@ class Plan:
                     bound |= names
                     break
             else:
-                steps.append((STUCK, "cannot instantiate body: unbound %s"
-                              % "; ".join(str(l) for _, l, _ in pending),
-                              None, None))
+                steps.append((CHECK, _fail(
+                    "cannot instantiate body: unbound %s"
+                    % "; ".join(str(l) for _, l, _ in pending)), None, None))
                 break
             del pending[k]
         return tuple(steps), recorded, bound
 
     def _scan(self, pattern, bound) -> tuple:
         """The scan step of a positive atom with unbound variables: bound
-        arguments are value positions of its shape, and partly bound
-        functions functor positions."""
-        key = atom_key(pattern)
-        values, functors, keyterms, rest = [], [], [], []
-        for pos, arg in enumerate(pattern.args):
-            if variables(arg) <= bound:
-                values.append(pos)
-                keyterms.append(arg)
-                continue
-            if isinstance(arg, Function):
-                functors.append((pos, atom_key(arg)))
-            rest.append((pos, arg))
-        if not values and not functors:
-            return (SCAN, key, None, _matcher(rest, bound))
-        shape = (key, tuple(values), tuple(functors))
+        arguments are the value positions of its shape."""
+        key, args = atom_key(pattern), pattern.args
+        values = tuple(pos for pos, arg in enumerate(args)
+                       if variables(arg) <= bound)
+        match = _matcher([(pos, arg) for pos, arg in enumerate(args)
+                          if pos not in values], bound)
+        if not values:
+            return (SCAN, key, None, match)
+        shape = (key, values)
         if shape not in self.shapes.get(key, ()):
             self.shapes[key] = self.shapes.get(key, ()) + (shape,)
-        return (SCAN, shape, _tuple(keyterms, bound), _matcher(rest, bound))
+        return (SCAN, shape, _tuple([args[pos] for pos in values], bound),
+                match)
 
 
 # ---------------------------------------------------------------------------
@@ -827,13 +818,10 @@ class Grounder:
         self._index.setdefault(key, []).append(atom)
         # every list is append-only: a subsequence of the name/arity list
         for shape in self.plan.shapes.get(key, ()):
-            _, values, functors = shape
             args = atom.args
-            if all(isinstance(args[pos], Function)
-                   and atom_key(args[pos]) == sig for pos, sig in functors):
-                self._arg_index.setdefault(
-                    (shape, tuple([args[pos] for pos in values])),
-                    []).append(atom)
+            self._arg_index.setdefault(
+                (shape, tuple([args[pos] for pos in shape[1]])),
+                []).append(atom)
 
     # -- body joins ------------------------------------------------------------
 
@@ -878,7 +866,7 @@ class Grounder:
             elif op == CHECK:
                 if x(s):
                     stack.append((k, s, found))
-            elif op == ASSIGN:
+            else:  # ASSIGN
                 try:
                     values = y(s)
                 except DropInstance:
@@ -887,8 +875,6 @@ class Grounder:
                     s2 = dict(s)
                     s2[x] = v
                     stack.append((k, s2, found))
-            else:
-                raise GroundingError(x)
 
     # -- conditional expansion ---------------------------------------------------
 
@@ -995,7 +981,6 @@ class Grounder:
                                 for alt in alternatives for v in values]
         return [tuple(dict.fromkeys(alt)) for alt in alternatives]
 
-
     # -- simplification -----------------------------------------------------------
 
     @staticmethod
@@ -1086,17 +1071,5 @@ class Grounder:
             r for r in rules
             if r is not None and not (r.is_fact and r.head[0] in facts)))
 
-        symbol_table: Dict = {}
-        for f in facts:
-            symbol_table[f] = None
-        for e in externals:
-            symbol_table[e] = None
-        for r in out_rules:
-            for h in r.head:
-                symbol_table[h] = None
-            for _, a in r.body:
-                symbol_table[a] = None
-
-        return GroundProgram(
-            rules=out_rules, facts=facts, externals=externals,
-            symbol_table=symbol_table, grammar=self.grammar)
+        return GroundProgram(rules=out_rules, facts=facts,
+                             externals=externals, grammar=self.grammar)

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .syntax import (
-    BinOp, Choice, Comparison, ConditionalLiteral, Constant, Disjunction,
-    Function, Infimum, Integer, Literal, Program, ResourceLimit, Rule,
-    String, Supremum, TheoryExpression, UnaryMinus, Variable, walk,
-    with_args,
+    BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
+    Disjunction, Function, Infimum, Integer, Literal, Program, ResourceLimit,
+    Rule, String, Supremum, TheoryExpression, UnaryMinus, Variable,
+    map_payloads, substitute, walk, with_args,
 )
 
 
@@ -124,7 +124,7 @@ def _rule_variables(rule: Rule) -> List[str]:
         if isinstance(x, Variable)))
 
 
-def _herbrand_constants(program: Program) -> List:
+def _herbrand_constants(rules) -> List:
     consts: Dict = {}
 
     def collect(node):
@@ -144,7 +144,7 @@ def _herbrand_constants(program: Program) -> List:
         elif isinstance(node, (Constant, Integer)):
             consts[node] = None
 
-    for r in program.rules:
+    for r in rules:
         for el in r.head.elements:
             collect(el.atom)
         for b in r.body:
@@ -157,6 +157,31 @@ def _herbrand_constants(program: Program) -> List:
             else:
                 collect(payload)
     return list(consts) or [Constant("c0")]
+
+
+def _bind_constants(program: Program) -> List[Rule]:
+    """The program's rules with each #const value substituted, resolved
+    through the constants it names; the last definition of a name wins,
+    and a constant in predicate position stays."""
+    consts = {d.name: d.value for d in program.directives(ConstDef)}
+
+    def leaf(x):
+        return consts.get(x.name) if isinstance(x, Constant) else None
+
+    for _ in range(len(consts)):  # a chain of k names resolves in k rounds
+        consts = {name: substitute(v, leaf) for name, v in consts.items()}
+    for name, value in consts.items():
+        if any(isinstance(x, Constant) and x.name in consts
+               for x in walk(value)):
+            raise OracleError("#const %s does not resolve: its definitions "
+                              "form a cycle" % name)
+
+    def payload(p):
+        if isinstance(p, Comparison):
+            return Comparison(p.op, substitute(p.left, leaf),
+                              substitute(p.right, leaf))
+        return p if isinstance(p, Constant) else substitute(p, leaf)
+    return [map_payloads(r, payload) for r in program.rules]
 
 
 def _instance(rule: Rule, binding) -> Optional[Rule]:
@@ -177,11 +202,12 @@ def _instance(rule: Rule, binding) -> Optional[Rule]:
 
 
 def instantiate(program: Program) -> List[Rule]:
-    """All ground instances over the Herbrand constants; comparisons are
-    evaluated away."""
-    consts = _herbrand_constants(program)
+    """All ground instances, over the Herbrand constants, of the rules
+    with the #const values bound; comparisons are evaluated away."""
+    rules = _bind_constants(program)
+    consts = _herbrand_constants(rules)
     out = []
-    for rule in program.rules:
+    for rule in rules:
         variables = _rule_variables(rule)
         for values in itertools.product(consts, repeat=len(variables)):
             try:

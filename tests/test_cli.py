@@ -368,6 +368,48 @@ def test_huge_intervals_are_not_built(text, code):
     assert status == code and seconds < 1
 
 
+def test_integer_growth_stops_at_the_integer_bound():
+    # X*X passes 2^63 in the sixth round: a resource limit, where the
+    # integers used to grow until memory ran out
+    status, _ = timed_main(["solve", "-c", "n=0"],
+                           "p(2). { p(X*X) } :- p(X).\n", timeout=20)
+    assert status == 33
+
+
+@pytest.mark.parametrize("text,argv,atoms", [
+    ("#const a=b. #const b=c. #const c=1. { p(a); q }. r(k) :- q.\n",
+     ["-c", "k=2"], {"p(1)", "q", "r(2)"}),
+    ("#const c=1. #const b=c. #const a=b. { p(a); q }. r(k) :- q.\n",
+     ["-c", "k=2"], {"p(1)", "q", "r(2)"}),
+    ("#const a=1. p(a). q(k).\n", ["-c", "k=2"], {"p(1)", "q(2)"}),
+    # -c overrides #const, also within a chain
+    ("#const a=b. #const b=c. #const c=1. p(a).\n", ["-c", "c=3"],
+     {"p(3)"}),
+], ids=["chain", "reversed-chain", "option", "option-in-chain"])
+def test_constants_resolve_alike_under_solve_and_oracle(text, argv, atoms,
+                                                       monkeypatch):
+    def traces(command):
+        code, out = _run(command + ["-c", "n=1"] + argv, stdin=text,
+                         monkeypatch=monkeypatch)
+        assert code == 10
+        return {tuple(l for l in block.splitlines()
+                      if l.startswith(("State", "  ")))
+                for block in out.split("Answer: ")[1:]}
+    solved = traces(["solve", "--printer", "temporal"])
+    assert solved == traces(["oracle"])
+    assert {l.strip() for trace in solved for l in trace} - {
+        "State 0:", "State 1:"} == atoms
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_cyclic_constants_are_an_input_error(command, monkeypatch, capsys):
+    code, _ = _run([command, "-c", "n=0"],
+                   stdin="#const a=b. #const b=a. p(a).\n",
+                   monkeypatch=monkeypatch)
+    assert code == 65
+    assert capsys.readouterr().err.startswith("error: #const a ")
+
+
 @pytest.mark.parametrize("op", ["next", "eventually"])
 def test_mel_macro_typechecks_in_linear_time(op):
     # each level of &next(F) := &next(&i(0,#sup),F) checked F twice

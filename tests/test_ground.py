@@ -12,7 +12,8 @@ from conftest import DEL_ALTERNATION, oracle_traces
 import tasp
 from tasp.cli import Pipeline, distinct_traces, main
 from tasp.grammar import builtin_grammar, typecheck_program
-from tasp.ground import Grounder, GroundingError, _components, _values
+from tasp.ground import (
+    Grounder, GroundingError, GroundingLimitError, _components, _values)
 from tasp.parser import parse_program
 from tasp.syntax import Constant, Function, Integer, TheoryExpression, walk
 from tasp.transform import transform_program
@@ -306,6 +307,14 @@ def test_fact_chains_promote_one_layer_per_round():
        "u(1) :- not t(1).", "u(2) :- not t(2)."], [],
       ["p(1)", "p(2)", "p(3)", "p(4)", "q(2)", "q(3)", "r(3)", "r(4)",
        "s(1)", "s(2)", "t(1)", "t(2)", "t(3)", "t(4)", "u(1)", "u(2)"])),
+    # a scan whose only bound part is the functor of an argument
+    ("q(f(1),a). q(g(1),b). q(f(2),c). p(Z,Y) :- q(f(Z),Y).", None,
+     (["q(f(1),a)", "q(g(1),b)", "q(f(2),c)", "p(1,a)", "p(2,c)"], [], [],
+      ["q(f(1),a)", "q(g(1),b)", "q(f(2),c)", "p(1,a)", "p(2,c)"])),
+    # a scan with a bound argument and the functor of another
+    ("r(1). q(1,f(2),a). q(1,g(2),b). p(Y) :- r(X), q(X,f(Z),Y).", None,
+     (["r(1)", "q(1,f(2),a)", "q(1,g(2),b)", "p(a)"], [], [],
+      ["r(1)", "q(1,f(2),a)", "q(1,g(2),b)", "p(a)"])),
 ])
 def test_join_listing(text, semantics, listing):
     gp = _ground(text, semantics=semantics)
@@ -325,6 +334,17 @@ def test_undefined_arithmetic_drops_the_instance(text, facts, caplog):
         assert [str(f) for f in _ground(text).facts] == facts
     assert [r.getMessage() for r in caplog.records] == [
         "operation undefined: a+1, dropping instance"]
+
+
+def test_integer_bound():
+    # 2^63-1 is the largest integer arithmetic may compute
+    gp = _ground("p(4611686018427387903). q(X*2+1) :- p(X).")
+    assert "q(9223372036854775807)" in [str(f) for f in gp.facts]
+    for text in ("p(9223372036854775807). q(X+1) :- p(X).",
+                 "p(-9223372036854775807). q(X-1) :- p(X).",
+                 "p(2). { p(X*X) } :- p(X)."):
+        with pytest.raises(GroundingLimitError, match="integer bound"):
+            _ground(text)
 
 
 def test_negating_a_symbol_is_an_error():
@@ -471,8 +491,9 @@ def test_reverse_chain_grounds_in_one_join_per_rule():
 
 
 def test_del_meta_grounding_builds_each_instance_about_once(caplog):
-    # DEL_ALTERNATION n=6 keeps 270 instances; DEL_SCHEMA's closure is
-    # recursive, so its rules are joined in rounds and build some again.
+    # DEL_ALTERNATION n=6 keeps 195 rules and 84 facts; DEL_SCHEMA's
+    # closure is recursive, so its rules are joined in rounds and build
+    # some again.
     # 1,082 were built when every rule whose inputs grew was joined again
     # in each round of the whole program.
     with caplog.at_level(logging.DEBUG, logger="tasp.ground"):

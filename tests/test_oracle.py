@@ -102,6 +102,15 @@ def test_instantiate_substitutes_constants():
     assert "q(l1) :- p(l1)." in rendered
 
 
+def test_instantiate_binds_const_definitions():
+    # a value names a constant defined after it; the last b wins
+    rules = instantiate(parse_program(
+        "#const a=b. #const b=2. #const b=1. p(a). q(X) :- p(X), X < a+1."))
+    assert [str(r) for r in rules] == ["p(1).", "q(1) :- p(1)."]
+    with pytest.raises(OracleError, match="cycle"):
+        instantiate(parse_program("#const a=f(b). #const b=a. p(a)."))
+
+
 def test_temporal_models_traffic_light():
     assert len(oracle_traces(TELEX, 0)) == 0
     assert len(oracle_traces(TELEX, 1)) == 0
