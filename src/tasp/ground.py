@@ -26,10 +26,11 @@ from operator import (
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .syntax import (
-    BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    External, Function, Infimum, Integer, Program, ResourceLimit, String,
-    Supremum, TheoryExpression, UnaryMinus, Variable, components,
-    map_payloads, substitute, variables, walk, with_args,
+    ASSIGN, CHECK, SCAN, TEST, BinOp, Choice, Comparison, ConditionalLiteral,
+    ConstDef, Constant, External, Function, Infimum, Integer, Literal, Program,
+    ResourceLimit, String, Supremum, TheoryExpression, UnaryMinus, Variable,
+    components, map_payloads, schedule, substitute, variables, walk,
+    with_args,
 )
 
 log = logging.getLogger(__name__)
@@ -322,8 +323,8 @@ def _comparison(cmp, positive, bound):
     = tests whether the sides share a value, so an interval gives
     membership (X = 1..N) and an empty one makes X = 3..1 false; other
     comparisons need one value on each side, which the interval bounds
-    tell before any value is built.  Undefined arithmetic fails it,
-    negated or not."""
+    tell before any value is built.  Undefined arithmetic raises
+    DropInstance, negated or not."""
     op, left, right = cmp.op, cmp.left, cmp.right
     if op == "=":
         holds = _shared(left, right, bound)
@@ -342,13 +343,7 @@ def _comparison(cmp, positive, bound):
             if type(x) is Integer and type(y) is Integer:
                 return test(x, y)
             return compare_terms(op, x, y)
-
-    def check(s):
-        try:
-            return holds(s) == positive
-        except DropInstance:
-            return False
-    return check
+    return holds if positive else lambda s: not holds(s)
 
 
 def _matcher(rest, bound):
@@ -356,7 +351,7 @@ def _matcher(rest, bound):
     pattern) pair in rest matches an atom's argument at that position, or
     None.  A variable's first occurrence binds it and a later one tests
     it; an arithmetic part is matched last if it needs a variable that
-    only a later part binds, as in q(X+1,X)."""
+    only a later part binds, as in q(X+1,X); see syntax.schedule."""
     bound = set(bound)
     waiting = []  # (path to an arithmetic part, the part)
 
@@ -385,9 +380,7 @@ def _matcher(rest, bound):
 
     parts = [(pos, part(p, (pos,))) for pos, p in rest]
     late = [(lambda args, path=path: reduce(getitem, path, args),
-             _equal(p, bound) if variables(p) <= bound else _fail(
-                 "arithmetic %s cannot be matched while unbound" % (p,)))
-            for path, p in waiting]
+             _equal(p, bound)) for path, p in waiting]
 
     def match(args, s):
         out = dict(s)
@@ -466,14 +459,11 @@ class GroundProgram:
 # ---------------------------------------------------------------------------
 # Compiled plans
 #
-# A join is compiled into steps, one per literal, in the order in which
-# the literals first become processable: the first literal, given the
-# variables bound so far, that is a bound comparison, an assignment
-# V = t, a bound atom, or a positive atom to scan.  Which literals are
-# processable depends only on the names of the bound variables, so the
-# order is fixed before any atom is seen, and so is what each step
+# A join is compiled into steps, one per literal, in the order that
+# syntax.schedule gives from the names of the bound variables alone, so
+# it is fixed before any atom is seen, and so is what each step
 # evaluates, compiled as in "Term compilation".  Steps are tuples
-# (op, x, y, z):
+# (op, x, y, z), op a schedule kind:
 #
 #   (CHECK, check, None, None)         a bound comparison, check(s)
 #   (ASSIGN, name, values, None)       name = each of values(s)
@@ -485,8 +475,6 @@ class GroundProgram:
 # index list: the name/arity list of `key` when keys is None, else the
 # list of the shape `key` (see Plan.shapes) under the values keys(s);
 # match(args, s) extends s by each atom of it.
-
-CHECK, ASSIGN, TEST, SCAN = range(4)
 
 
 class _Condition(NamedTuple):
@@ -585,19 +573,14 @@ def bind_constants(statements, constants: dict) -> list:
     def leaf(x):
         return consts.get(x.name) if isinstance(x, Constant) else None
 
-    def payload(p):
-        if isinstance(p, Comparison):
-            return Comparison(p.op, substitute(p.left, leaf),
-                              substitute(p.right, leaf))
-        return p if isinstance(p, Constant) else substitute(p, leaf)
-
     for (j, *_), cyclic in components([
             [at[x.name] for x in walk(constants[name])
              if isinstance(x, Constant) and x.name in at] for name in names]):
         if cyclic:
             raise GroundingError("#const %s is defined by itself" % names[j])
         consts[names[j]] = substitute(constants[names[j]], leaf)
-    return [map_payloads(s, payload) for s in statements]
+    return [map_payloads(s, lambda p: p if isinstance(p, Constant)
+                         else substitute(p, leaf)) for s in statements]
 
 
 def _lone(atom, bound):
@@ -657,16 +640,16 @@ class Plan:
 
     def _external(self, e, bound, reads) -> _Rule:
         # a negative literal need only be bound, and is not recorded
-        steps, _, bound = self._steps([(i if l.positive else None, l)
-                                       for i, l in enumerate(e.condition)],
-                                      bound)
+        steps, _, bound = self._steps([
+            (i if l.positive else None, l.positive, l.payload)
+            for i, l in enumerate(e.condition)], bound)
         return _Rule(steps, reads, (), ((_values(e.target, bound), None),),
                      _lone(e.target, bound), "external")
 
     def _rule(self, r, bound, reads) -> _Rule:
         # conditionals never bind outer variables; expanded per instance
         steps, recorded, bound = self._steps(
-            [(i, b) for i, b in enumerate(r.body)
+            [(i, b.positive, b.payload) for i, b in enumerate(r.body)
              if not isinstance(b, ConditionalLiteral)], bound)
         position = {i: j for j, i in enumerate(recorded)}
         body = []
@@ -688,8 +671,9 @@ class Plan:
     def _condition(self, condition, bound, literal=None):
         """The compiled condition, with its literal if given, and the
         variables bound at its end."""
-        steps, recorded, bound = self._steps(list(enumerate(condition)),
-                                             bound)
+        steps, recorded, bound = self._steps(
+            [(i, c.positive, c.payload) for i, c in enumerate(condition)],
+            bound)
         error = next((
             "conditional literal condition over non-domain predicate %s/%d"
             % atom_key(c.payload) for c in condition
@@ -707,53 +691,28 @@ class Plan:
                          if not condition[i].positive), error,
             compiled), bound
 
-    def _steps(self, literals, bound):
-        """The steps of a join over literals, a list of (i, literal) with
-        i None for a literal that need only be bound; the i of each
-        literal whose atom a step records, in step order; and the
-        variables bound at the end."""
-        # the variables of each literal's atom, or of each side of its
-        # comparison, found once
-        pending = [(i, lit, (variables(p.left), variables(p.right))
-                    if isinstance(p, Comparison) else variables(p))
-                   for i, lit in literals for p in (lit.payload,)]
-        bound = set(bound)
+    def _steps(self, pending, bound):
+        """The steps of a join over pending, literals for syntax.schedule
+        with i None if they need only be bound; the i of each literal whose
+        atom a step records, in step order; the variables bound at the end."""
         steps, recorded = [], []
-        while pending:
-            for k, (i, lit, names) in enumerate(pending):
-                p = lit.payload
-                if isinstance(p, Comparison):
-                    left, right = names[0] <= bound, names[1] <= bound
-                    if left and right:
-                        steps.append((CHECK, _comparison(p, lit.positive,
-                                                         bound), None, None))
-                        break
-                    var, value = (p.right, p.left) if left \
-                        else (p.left, p.right)
-                    if lit.positive and p.op == "=" and (left or right) \
-                            and isinstance(var, Variable):
-                        steps.append((ASSIGN, var.name,
-                                      _values(value, bound), None))
-                        bound.add(var.name)
-                        break
-                elif names <= bound:
-                    if i is not None:
-                        steps.append((TEST, _value(p, bound),
-                                      lit.positive, None))
-                        recorded.append(i)
-                    break
-                elif lit.positive:
-                    steps.append(self._scan(p, bound))
-                    recorded.append(i)
-                    bound |= names
-                    break
-            else:
-                steps.append((CHECK, _fail(
-                    "cannot instantiate body: unbound %s"
-                    % "; ".join(str(l) for _, l, _ in pending)), None, None))
-                break
-            del pending[k]
-        return tuple(steps), recorded, bound
+        order, end = schedule(pending, bound)
+        for kind, i, positive, p, assigned, bound in order:
+            if kind == CHECK:
+                steps.append((CHECK, _comparison(p, positive, bound),
+                              None, None))
+            elif kind == ASSIGN:
+                steps.append((ASSIGN, assigned[0],
+                              _values(assigned[1], bound), None))
+            elif kind == SCAN or i is not None:
+                steps.append(self._scan(p, bound) if kind == SCAN else
+                             (TEST, _value(p, bound), positive, None))
+                recorded.append(i)
+        if pending:
+            steps.append((CHECK, _fail(
+                "cannot instantiate body: unbound %s" % "; ".join(
+                    str(Literal(*lit[1:])) for lit in pending)), None, None))
+        return tuple(steps), recorded, end
 
     def _scan(self, pattern, bound) -> tuple:
         """The scan step of a positive atom with unbound variables: bound
@@ -840,41 +799,33 @@ class Grounder:
                 continue
             op, x, y, z = steps[k]
             k += 1
-            if op == SCAN:
-                if y is None:
-                    candidates = self._index.get(x, ())
-                elif not self._index.get(x[0]):
-                    continue  # keys are not evaluated without atoms
-                else:
-                    try:
-                        values = y(s)
-                    except DropInstance:
-                        continue
-                    candidates = self._arg_index.get((x, values), ())
-                for cand in reversed(candidates):  # popped in list order
-                    s2 = z(cand[1], s)
-                    if s2 is not None:
-                        stack.append((k, s2, found + (cand,)))
-            elif op == TEST:
-                try:
+            try:  # undefined arithmetic drops the partial instance
+                if op == SCAN:
+                    if y is None:
+                        candidates = self._index.get(x, ())
+                    elif not self._index.get(x[0]):
+                        continue  # keys are not evaluated without atoms
+                    else:
+                        candidates = self._arg_index.get((x, y(s)), ())
+                    for cand in reversed(candidates):  # popped in order
+                        s2 = z(cand[1], s)
+                        if s2 is not None:
+                            stack.append((k, s2, found + (cand,)))
+                elif op == TEST:
                     atom = x(s)
-                except DropInstance:
-                    continue
-                # a negative literal is deferred and does not filter here
-                if not y or atom in derivable:
-                    stack.append((k, s, found + (atom,)))
-            elif op == CHECK:
-                if x(s):
-                    stack.append((k, s, found))
-            else:  # ASSIGN
-                try:
-                    values = y(s)
-                except DropInstance:
-                    continue
-                for v in reversed(values):
-                    s2 = dict(s)
-                    s2[x] = v
-                    stack.append((k, s2, found))
+                    # a negative literal is deferred and does not filter
+                    if not y or atom in derivable:
+                        stack.append((k, s, found + (atom,)))
+                elif op == CHECK:
+                    if x(s):
+                        stack.append((k, s, found))
+                else:  # ASSIGN
+                    for v in reversed(y(s)):
+                        s2 = dict(s)
+                        s2[x] = v
+                        stack.append((k, s2, found))
+            except DropInstance:
+                pass
 
     # -- conditional expansion ---------------------------------------------------
 

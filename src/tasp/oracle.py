@@ -10,6 +10,7 @@ enumeration of smaller "here" traces.  Only the AST and parser are shared.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -52,17 +53,22 @@ def _subst(node, binding):
         return binding[node.name]
     if isinstance(node, Function):
         return with_args(node, tuple(_subst(a, binding) for a in node.args))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _subst(node.left, binding),
-                     _subst(node.right, binding))
+    if isinstance(node, (BinOp, Comparison)):
+        return type(node)(node.op, _subst(node.left, binding),
+                          _subst(node.right, binding))
     if isinstance(node, UnaryMinus):
         return UnaryMinus(_subst(node.arg, binding))
     return node
 
 
 class _Undefined(Exception):
-    """Arithmetic on a term that is not an integer: as in gringo, the
-    instance that holds it is dropped."""
+    """Arithmetic on a term that is not an integer, or division by zero:
+    as in gringo, the instance that holds it is dropped."""
+
+
+#: / and \ round as Python's // and %, as the grounder does.
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.floordiv, "\\": operator.mod}
 
 
 def _arith(t):
@@ -74,13 +80,14 @@ def _arith(t):
         raise OracleError("cannot negate %s" % (v,))
     if isinstance(t, BinOp):
         a, b = _arith(t.left), _arith(t.right)
-        if t.op not in ("+", "-", "*"):
+        if t.op not in _ARITHMETIC:
             raise OracleError("unsupported arithmetic %s" % (t,))
         if not (isinstance(a, Integer) and isinstance(b, Integer)):
             raise _Undefined()
-        return Integer(a.value + b.value if t.op == "+" else
-                       a.value - b.value if t.op == "-" else
-                       a.value * b.value)
+        try:
+            return Integer(_ARITHMETIC[t.op](a.value, b.value))
+        except ZeroDivisionError:
+            raise _Undefined() from None
     if isinstance(t, Function):
         return with_args(t, tuple(_arith(a) for a in t.args))
     return t
@@ -176,12 +183,8 @@ def _bind_constants(program: Program) -> List[Rule]:
             raise OracleError("#const %s does not resolve: its definitions "
                               "form a cycle" % name)
 
-    def payload(p):
-        if isinstance(p, Comparison):
-            return Comparison(p.op, substitute(p.left, leaf),
-                              substitute(p.right, leaf))
-        return p if isinstance(p, Constant) else substitute(p, leaf)
-    return [map_payloads(r, payload) for r in program.rules]
+    return [map_payloads(r, lambda p: p if isinstance(p, Constant)
+                         else substitute(p, leaf)) for r in program.rules]
 
 
 def _instance(rule: Rule, binding) -> Optional[Rule]:
@@ -189,13 +192,11 @@ def _instance(rule: Rule, binding) -> Optional[Rule]:
     fails; raises _Undefined if it holds undefined arithmetic."""
     body = []
     for b in rule.body:
-        if isinstance(b.payload, Comparison):
-            c = Comparison(b.payload.op, _subst(b.payload.left, binding),
-                           _subst(b.payload.right, binding))
-            if _comparison_true(c) != b.positive:
-                return None
-            continue
-        body.append(Literal(b.positive, _arith(_subst(b.payload, binding))))
+        p = _subst(b.payload, binding)
+        if not isinstance(p, Comparison):
+            body.append(Literal(b.positive, _arith(p)))
+        elif _comparison_true(p) != b.positive:
+            return None
     head_elements = tuple(type(el)(_arith(_subst(el.atom, binding)))
                           for el in rule.head.elements)
     return Rule(type(rule.head)(head_elements), tuple(body))

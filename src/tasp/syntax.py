@@ -337,7 +337,82 @@ def walk(node):
 def variables(node) -> set:
     """The names of the variables in node, which is bound when they all
     are."""
-    return {x.name for x in walk(node) if isinstance(x, Variable)}
+    found, stack = set(), [node]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Function):
+            stack += x[1]
+        elif isinstance(x, Variable):
+            found.add(x.name)
+        elif isinstance(x, (BinOp, Comparison)):
+            stack += x.left, x.right
+        elif isinstance(x, UnaryMinus):
+            stack.append(x.arg)
+    return found
+
+
+def binding_variables(atom) -> set:
+    """The names of the variables that matching atom binds: those outside
+    arithmetic, which is evaluated, not matched, so q(X+1) binds none."""
+    if isinstance(atom, Function):
+        return set().union(*map(binding_variables, atom[1]))
+    return {atom.name} if isinstance(atom, Variable) else set()
+
+
+#: The kinds of the steps of a join (see schedule).
+CHECK, ASSIGN, TEST, SCAN = range(4)
+
+
+def schedule(pending, bound) -> tuple:
+    """The one rule of what binds a variable, which the grounder compiles
+    and the safety check reads: the steps of a join over pending, a list
+    of (i, positive, payload) literals, from the set bound of the names
+    bound before it, and the names bound at its end.  Each step takes the
+    first processable literal out of pending, as (kind, i, positive,
+    payload, assigned, the names bound before it):
+      CHECK   a comparison with both sides bound;
+      ASSIGN  a positive V = t or t = V with t bound: assigned (V's name, t);
+      TEST    an atom whose variables are bound;
+      SCAN    a positive atom whose parts outside arithmetic bind every
+              variable it holds that is not bound.
+    assigned is None for the other kinds.  What stays in pending can never
+    be processed."""
+    need = []  # each side's names, or the atom's and those it cannot bind
+    for _, positive, p in pending:
+        if isinstance(p, Comparison):
+            need.append((variables(p.left), variables(p.right)))
+        else:
+            names = variables(p)
+            need.append((names, positive and names
+                         and names - binding_variables(p)))
+    steps = []
+    while pending:
+        for k, (i, positive, p) in enumerate(pending):
+            a, b = need[k]
+            if not isinstance(p, Comparison):
+                if a <= bound:
+                    steps.append((TEST, i, positive, p, None, bound))
+                    break
+                if positive and b <= bound:
+                    steps.append((SCAN, i, positive, p, None, bound))
+                    bound = bound | a
+                    break
+                continue
+            left, right = a <= bound, b <= bound
+            if left and right:
+                steps.append((CHECK, i, positive, p, None, bound))
+                break
+            var, value = (p.right, p.left) if left else (p.left, p.right)
+            if positive and p.op == "=" and (left or right) \
+                    and isinstance(var, Variable):
+                steps.append((ASSIGN, i, positive, p, (var.name, value),
+                              bound))
+                bound = bound | {var.name}
+                break
+        else:
+            break
+        del pending[k], need[k]
+    return steps, bound
 
 
 def components(succ) -> list:
@@ -389,17 +464,18 @@ def with_args(node, args):
 def substitute(node, leaf):
     """node with each leaf x (a term without subterms) replaced by leaf(x),
     unless that is None.  Rebuilds through functions, expressions (see
-    with_args) and arithmetic; returns node itself when nothing changed."""
+    with_args), arithmetic and comparisons; returns node itself when
+    nothing changed."""
     if isinstance(node, Function):
         args = tuple(substitute(a, leaf) for a in node.args)
         if all(map(is_, args, node.args)):
             return node
         return with_args(node, args)
-    if isinstance(node, BinOp):
+    if isinstance(node, (BinOp, Comparison)):
         left, right = substitute(node.left, leaf), substitute(node.right, leaf)
         if left is node.left and right is node.right:
             return node
-        return BinOp(node.op, left, right)
+        return type(node)(node.op, left, right)
     if isinstance(node, UnaryMinus):
         arg = substitute(node.arg, leaf)
         return node if arg is node.arg else UnaryMinus(arg)

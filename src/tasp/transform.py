@@ -10,13 +10,13 @@ domain (kind 2).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List
 
 from .grammar import TheoryGrammar
 from .syntax import (
     Comparison, ConditionalLiteral, Constant, Disjunction, External,
     Function, HeadElement, Literal, Program, Rule, Show, TheoryExpression,
-    Variable, substitute, variables,
+    Variable, binding_variables, schedule, substitute, variables,
 )
 
 #: Head marker predicate for rewritten ``#show t : C.`` directives.
@@ -56,89 +56,87 @@ def derivable_atoms_in(expr):
         yield expr
 
 
-def _binding_variables(atom) -> Set[str]:
-    """The variables a safe atom occurrence binds: those outside
-    arithmetic, which is matched only after the parts that bind it."""
-    found, stack = set(), [atom]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Variable):
-            found.add(x.name)
-        elif isinstance(x, Function):
-            stack.extend(x.args)
-    return found
+def _run(literals, g: TheoryGrammar, bound, assigned) -> tuple:
+    """Run syntax.schedule over the literals of a body or condition other
+    than conditional literals, from the names bound: (their safe atom
+    occurrences, the names bound at the end, those left unbound), adding
+    each assignment to assigned as (its variable's name, the comparison).
+    A positive theory expression binds through its safe atom occurrences,
+    and its other variables must be bound, as a negative literal's must."""
+    pending, atoms = [], []
+    for lit in literals:
+        if isinstance(lit, ConditionalLiteral):
+            continue
+        p = lit.payload
+        if not lit.positive or isinstance(p, Comparison):
+            pending.append((None, lit.positive, p))
+        elif isinstance(p, TheoryExpression):
+            safe = list(safe_atoms_in(p, g))
+            atoms += safe
+            pending += [(None, True, a) for a in safe] + [(None, False, p)]
+        else:
+            atoms.append(p)
+            pending.append((None, True, p))
+    steps, bound = schedule(pending, bound)
+    assigned += [(a[0], p) for _, _, _, p, a, _ in steps if a]
+    return tuple(atoms), bound, {
+        v for _, _, p in pending for v in variables(p)} - bound
 
 
-def _bind_comparisons(body, bound: Set[str]):
-    """Extend bound variables via positive ``V = expr`` literals."""
-    changed = True
-    while changed:
-        changed = False
-        for b in body:
-            if isinstance(b, ConditionalLiteral) or not b.positive:
-                continue
-            p = b.payload
-            if isinstance(p, Comparison) and p.op == "=":
-                for var_side, other in ((p.left, p.right), (p.right, p.left)):
-                    if (isinstance(var_side, Variable)
-                            and var_side.name not in bound
-                            and variables(other) <= bound):
-                        bound.add(var_side.name)
-                        changed = True
+def _needed(target, atoms, assigned) -> tuple:
+    """The comparisons of the assignments in assigned, in schedule order,
+    that bind a variable of target or atoms which the atoms do not bind,
+    directly or through another of them."""
+    bound = set().union(*map(binding_variables, atoms))
+    need, keep = variables(target).union(*map(variables, atoms)) - bound, []
+    for name, cmp in reversed(assigned):
+        if name in need:
+            keep.insert(0, cmp)
+            need |= variables(cmp) - bound
+    return tuple(keep)
 
 
 def classify_safety(rule: Rule, g: TheoryGrammar) -> tuple:
-    """Spot safe body atom occurrences and check all variables are bound:
-    (the safe occurrences in body order, the set of unbound variables).
-
-    An occurrence is safe iff it is not under default negation and every
-    argument position on the path from the body literal to the atom is
-    declared safe in the grammar.  It binds its variables outside
-    arithmetic, in a condition too, so p(X) :- q(X+1). is unsafe.
+    """The protecting #externals of rule, (target, condition payloads)
+    pairs, and the set of its unbound variables, from one run of
+    syntax.schedule over its body and one over each condition from where
+    the body's ends; a condition binds for its element only.  An atom
+    occurrence is safe iff it is not under default negation and every
+    argument position on the path to it is declared safe in the grammar.
+    Only safe occurrences and assignments bind: p(X) :- q(X+1). is unsafe.
     """
-    safe_occurrences: List = []
-    for b in rule.body:
+    assigned, protect = [], []
+    occurrences, bound, unsafe = _run(rule.body, g, frozenset(), assigned)
+
+    def scope(names, condition, targets, named):
+        """Check that an element's variables names are bound under its
+        condition; protect targets by the occurrences, the condition's
+        atoms (named, or its safe occurrences) and the assignments needed."""
+        inner, more, atoms = bound, assigned, ()
+        if condition:
+            more = list(assigned)
+            atoms, inner, unbound = _run(condition, g, bound, more)
+            unsafe.update(unbound)
+        if names:
+            unsafe.update(names - inner)
+        atoms = occurrences + (atoms if named is None else named)
+        for t in targets:
+            protect.append((t, atoms + _needed(t, atoms, more) if more
+                            else atoms))
+
+    for b in rule.body:  # kind 1: protect each theory expression
         if isinstance(b, ConditionalLiteral):
-            continue  # conditionals have local scope; handled below
-        if not b.positive or isinstance(b.payload, Comparison):
-            continue
-        safe_occurrences.extend(safe_atoms_in(b.payload, g))
-
-    bound = set()
-    for atom in safe_occurrences:
-        bound |= _binding_variables(atom)
-    _bind_comparisons(rule.body, bound)
-
-    # global variables: everything outside conditional elements
-    global_vars: Set[str] = set()
-    for el in rule.head.elements:
-        if not el.condition:
-            global_vars |= variables(el.atom)
-    for b in rule.body:
-        if isinstance(b, ConditionalLiteral):
-            continue
-        global_vars |= variables(b.payload)
-
-    unsafe = global_vars - bound
-
-    # conditional elements: local variables must be bound by their condition
-    def check_conditional(main_vars, condition):
-        local_bound = set(bound)
-        for c in condition:
-            if c.positive and not isinstance(c.payload, Comparison):
-                for atom in safe_atoms_in(c.payload, g):
-                    local_bound |= _binding_variables(atom)
-        for missing in main_vars - local_bound:
-            unsafe.add(missing)
-
-    for el in rule.head.elements:
-        if el.condition:
-            check_conditional(variables(el.atom), el.condition)
-    for b in rule.body:
-        if isinstance(b, ConditionalLiteral):
-            check_conditional(variables(b.literal.payload), b.condition)
-
-    return tuple(safe_occurrences), unsafe
+            p = b.literal.payload
+            scope(variables(p), b.condition,
+                  (p,) if isinstance(p, TheoryExpression) else (),
+                  tuple(c.payload for c in b.condition if c.positive
+                        and not isinstance(c.payload, Comparison)))
+        elif isinstance(b.payload, TheoryExpression):
+            scope((), (), (b.payload,), None)
+    for el in rule.head.elements:  # kind 2: every atom it can derive
+        scope(variables(el.atom), el.condition, derivable_atoms_in(el.atom)
+              if isinstance(el.atom, TheoryExpression) else (), None)
+    return protect, unsafe
 
 
 def _canonical(target, condition):
@@ -160,50 +158,22 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
     Idempotent: externals already present (up to variable renaming) are
     not duplicated.  Raises UnsafeRuleError for unsafe rules.
     """
-    seen = set()
-    for s in program.statements:
-        if isinstance(s, External):
-            seen.add(_canonical(s.target, s.condition))
-
+    seen = {_canonical(s.target, s.condition)
+            for s in program.directives(External)}
     new_externals: List[External] = []
-
-    def add(target, condition):
-        condition = tuple(Literal(True, a) for a in dict.fromkeys(condition))
-        key = _canonical(target, condition)
-        if key in seen:
-            return
-        seen.add(key)
-        new_externals.append(External(target, condition))
-
     for rule in program.rules:
-        occurrences, unsafe = classify_safety(rule, g)
+        protect, unsafe = classify_safety(rule, g)
         if unsafe:
             raise UnsafeRuleError(rule, unsafe)
-
-        # kind 1: protect every theory expression occurring in the body
-        for b in rule.body:
-            lit = b.literal if isinstance(b, ConditionalLiteral) else b
-            if isinstance(lit.payload, TheoryExpression):
-                extra = _condition_atoms(b) if isinstance(b, ConditionalLiteral) else ()
-                add(lit.payload, occurrences + extra)
-
-        # kind 2: ground every atom a head expression can derive
-        for el in rule.head.elements:
-            if not isinstance(el.atom, TheoryExpression):
-                continue
-            extra = tuple(
-                a for c in el.condition if c.positive
-                and not isinstance(c.payload, Comparison)
-                for a in safe_atoms_in(c.payload, g))
-            for atom in derivable_atoms_in(el.atom):
-                add(atom, occurrences + extra)
+        for target, condition in protect:
+            condition = tuple(Literal(True, a)
+                              for a in dict.fromkeys(condition))
+            key = _canonical(target, condition)
+            if key not in seen:
+                seen.add(key)
+                new_externals.append(External(target, condition))
 
     return Program(program.statements + tuple(new_externals))
-
-
-def _condition_atoms(b: ConditionalLiteral):
-    return tuple(c.payload for c in b.condition
-                 if c.positive and not isinstance(c.payload, Comparison))
 
 
 def rewrite_shows(program: Program):

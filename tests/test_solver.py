@@ -282,6 +282,10 @@ def test_telex_traces_equal_oracle(n):
     # symbols are ordered as gringo orders them
     ("v(0). v(1). w(X) :- v(X), v(Y), X = Y+1. u.", 1),
     ("p(a). p(b). q(X) :- p(X), p(Y), X < Y.", 1),
+    # / and \ round as // and % on these non-negative operands, and a
+    # zero divisor drops the instance
+    ("p(0). p(1). p(2). p(3). p(4). q(X/2) :- p(X). r(X\\3) :- p(X). "
+     "s(X) :- p(X), 4/X = 2.", 0),
 ])
 def test_comparisons_and_arithmetic_equal_oracle(text, n):
     # the arithmetic stays within the programs' own constants, the

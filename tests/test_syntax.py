@@ -6,8 +6,9 @@ import pytest
 from tasp.ground import Grounder, compare_terms
 from tasp.parser import parse_program
 from tasp.syntax import (
-    INF, SUP, Constant, Function, Integer, Literal, String, TheoryExpression,
-    UnaryMinus, Variable, components, substitute, with_args,
+    ASSIGN, CHECK, INF, SCAN, SUP, TEST, Constant, Function, Integer, Literal,
+    String, TheoryExpression, UnaryMinus, Variable, components, schedule,
+    substitute, with_args,
 )
 
 NESTED = Function("p", (Constant("a"), Function("q", (Integer(-1), String("s"))),
@@ -157,3 +158,17 @@ def test_components_of_a_long_cycle_without_recursion():
     assert components(succ) == [(list(range(n)), True)]
     assert components([[v + 1] for v in range(n - 1)] + [[]]) == [
         ([v], False) for v in reversed(range(n))]
+
+
+def test_schedule_scans_an_atom_once_its_parts_outside_arithmetic_bind():
+    body = parse_program(
+        "h :- q(X+1), Y = X*2, not s(Y), r(X), X < 3, t(Z+Y).").rules[0].body
+    pending = [(i, b.positive, b.payload) for i, b in enumerate(body)]
+    steps, bound = schedule(pending, frozenset())
+    # q(X+1) waits for r(X); Y = X*2 then assigns Y; t(Z+Y) never binds Z
+    assert [(kind, i) for kind, i, *_ in steps] == [
+        (SCAN, 3), (TEST, 0), (ASSIGN, 1), (TEST, 2), (CHECK, 4)]
+    assert [sorted(before) for *_, before in steps] == [
+        [], ["X"], ["X"], ["X", "Y"], ["X", "Y"]]
+    assert steps[2][4] == ("Y", body[1].payload.right)
+    assert bound == {"X", "Y"} and [i for i, *_ in pending] == [5]
