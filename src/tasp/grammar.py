@@ -347,7 +347,9 @@ def typecheck_program(program: Program, g: TheoryGrammar) -> Program:
 
 
 def check_occurrence(program: Program, g: TheoryGrammar):
-    """Return diagnostics for expressions used in forbidden positions."""
+    """Return diagnostics for expressions used in forbidden positions.  No
+    type allows an expression in a condition, where the grounder would
+    read it as a domain atom that nothing derives."""
     diagnostics = []
 
     def check(expr, position, location):
@@ -356,26 +358,34 @@ def check_occurrence(program: Program, g: TheoryGrammar):
         root = expr.memberships[0] if expr.memberships else None
         spec = g.types.get(root)
         occurrence = spec.occurrence if spec is not None else "any"
-        ok = (occurrence == "any"
-              or occurrence == position)
-        if occurrence == ARGUMENT_ONLY:
-            diagnostics.append(
-                "%s: expression %s of type %r may only occur as an argument"
-                % (_loc(location), expr, root))
-        elif not ok:
+        if position == "condition" or occurrence not in (
+                "any", ARGUMENT_ONLY, position):
             diagnostics.append(
                 "%s: expression %s of type %r not allowed in %s position"
                 % (_loc(location), expr, root, position))
+        elif occurrence == ARGUMENT_ONLY:
+            diagnostics.append(
+                "%s: expression %s of type %r may only occur as an argument"
+                % (_loc(location), expr, root))
+
+    def conditions(condition, location):
+        for c in condition:
+            check(c.payload, "condition", location)
 
     for s in program.statements:
         if isinstance(s, Rule):
             for el in s.head.elements:
                 check(el.atom, "head", s.location)
+                conditions(el.condition, s.location)
             for b in s.body:
-                lit = b.literal if isinstance(b, ConditionalLiteral) else b
-                check(lit.payload, "body", s.location)
+                if isinstance(b, ConditionalLiteral):
+                    check(b.literal.payload, "body", s.location)
+                    conditions(b.condition, s.location)
+                else:
+                    check(b.payload, "body", s.location)
         elif isinstance(s, External):
             check(s.target, "directive", s.location)
+            conditions(s.condition, s.location)
     return diagnostics
 
 

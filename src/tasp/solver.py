@@ -1,19 +1,21 @@
 """Stable models of ground programs (normal, disjunctive and choice rules,
 integrity constraints) by one conflict-driven engine over completion
 nogoods (Gebser, Kaufmann and Schaub, "Conflict-driven answer set solving:
-From theory to practice", AIJ 2012): each distinct rule body is a variable
-equivalent to its literals, a rule gives body -> heads, and an atom
-implies one of its bodies (Clark's completion).  A model of these
-clauses is stable iff no positive loop is unfounded (Lin and Zhao,
-AIJ 2004), so source pointers track only the atoms on loops and each
-unfounded set yields a loop nogood.  The search learns first-UIP clauses
-over a trail with watched literals, backjumps and flips the last decision
-after each model, without recursion and with no clause per model
-(Gebser, Kaufmann, Neumann and Schaub, LPNMR 2007).  A model with two
-true heads of one rule must also hold no unfounded set by the
-disjunctive definition (Leone, Rullo and Scarcello, Inf. Comput. 1997).
-One tester per search, a second instance of the engine built on the
-first such model, finds one under the model as assumptions (Gebser,
+From theory to practice", AIJ 2012): a rule body of one literal is that
+literal, any other distinct rule body (the empty one, and those of two
+or more literals) is a variable equivalent to its literals, a rule gives
+body -> heads, and an atom implies one of its bodies (Clark's
+completion).  The debug line of each solve counts the body variables.
+A model of these clauses is stable iff no positive loop is unfounded
+(Lin and Zhao, AIJ 2004), so source pointers track only the atoms on
+loops and each unfounded set yields a loop nogood.  The search learns
+first-UIP clauses over a trail with watched literals, backjumps and
+flips the last decision after each model, without recursion and with no
+clause per model (Gebser, Kaufmann, Neumann and Schaub, LPNMR 2007).  A
+model with two true heads of one rule must also hold no unfounded set
+by the disjunctive definition (Leone, Rullo and Scarcello, Inf. Comput.
+1997).  One tester per search, a second instance of the engine built on
+the first such model, finds one under the model as assumptions (Gebser,
 Kaufmann and Schaub, IJCAI 2013).  The program's facts stay outside both
 engines: no rule names one, so a model is the facts, shared by all
 models, plus the atoms the search made true.
@@ -86,14 +88,13 @@ def _translate(program: GroundProgram):
     the rules as (is_choice, heads, positive body, negative body) over
     the indices.  Facts get no atom: no rule of a ground program names one."""
     index: Dict = {}
-
-    def ids(atoms):
-        return tuple(index.setdefault(a, len(index)) for a in atoms)
-
-    rules = [(r.head_kind == "choice", ids(r.head),
-              ids(a for sign, a in r.body if sign),
-              ids(a for sign, a in r.body if not sign))
-             for r in program.rules]
+    put, rules = index.setdefault, []
+    for kind, head, body in program.rules:
+        rules.append((kind == "choice",
+                      tuple([put(a, len(index)) for a in head]),
+                      tuple([put(a, len(index)) for sign, a in body if sign]),
+                      tuple([put(a, len(index)) for sign, a in body
+                             if not sign])))
     return index, rules
 
 
@@ -109,7 +110,9 @@ def _loops(succ) -> List[int]:
 
 class _Engine:
     """Conflict-driven search over literals 2v (v true) and 2v+1 (v
-    false).  Variables below natoms are atoms, the rest rule bodies."""
+    false).  Variables below natoms are atoms, the rest rule bodies of
+    none or of two or more literals; a body of one literal is that
+    literal.  A body is named by its literal throughout."""
 
     def __init__(self, natoms: int, rules, step_limit: int):
         self.natoms, self.rules, self.step_limit = natoms, rules, step_limit
@@ -118,71 +121,101 @@ class _Engine:
             "unfounded_checks", "minimality_checks", "tester_atoms",
             "tester_steps"), 0)
         succ = [[] for _ in range(natoms)]
-        for _, heads, pos, _ in rules:
-            for h in heads:
-                succ[h].extend(pos)
-        self.scc = scc = _loops(succ)
-        keys: Dict = {}  # (positive, negative) body -> body number
         self.supports = supports = [[] for _ in range(natoms)]
-        self.rule_body = []  # per rule; -1 for an integrity constraint
+        self.imp = imp = [[] for _ in range(2 * natoms)]
+        self.watches = watches = [[] for _ in range(2 * natoms)]
+        self.rule_body = rule_body = []  # per rule; -1 for a constraint
+        self.disjunctive = []  # (heads, body) of each disjunctive rule
+        keys: Dict = {}  # (positive, negative) body -> its variable's literal
+        units, rule_clauses = [], []
+        nv = natoms
         for choice, heads, pos, neg in rules:
-            key = (tuple(sorted(set(pos))), tuple(sorted(set(neg))))
-            b = keys.setdefault(key, len(keys)) if heads or choice else -1
-            self.rule_body.append(b)
+            if not (heads or choice):  # a constraint needs no body literal
+                rule_body.append(-1)
+                rule_clauses.append(list(dict.fromkeys(
+                    [2 * p + 1 for p in pos] + [2 * q for q in neg])))
+                continue
+            if len(pos) + len(neg) == 1:
+                b = 2 * pos[0] if pos else 2 * neg[0] + 1
+            else:
+                key = (frozenset(pos), frozenset(neg))
+                b = keys.get(key)
+                if b is None:
+                    lits = [2 * p for p in sorted(key[0])] \
+                        + [2 * q + 1 for q in sorted(key[1])]
+                    if len(lits) == 1:  # one literal, repeated
+                        b = lits[0]
+                    else:  # b <-> the conjunction of lits
+                        b = keys[key] = 2 * nv
+                        nv += 1
+                        imp += ([], [])
+                        watches += ([], [])
+                        for x in lits:
+                            imp[b].append(x)
+                            imp[x ^ 1].append(b + 1)
+                        if lits:
+                            c = [b] + [x ^ 1 for x in lits]
+                            watches[b].append(c)
+                            watches[c[1]].append(c)
+                        else:
+                            units.append(b)
+            rule_body.append(b)
             for h in heads:
+                succ[h] += pos
                 if b not in supports[h]:
                     supports[h].append(b)
-        self.disjunctive = [(set(heads), b) for (choice, heads, _, _), b
-                            in zip(rules, self.rule_body)
-                            if not choice and len(set(heads)) > 1]
+            if choice:
+                continue
+            if len(heads) == 1:
+                rule_clauses.append([b ^ 1, 2 * heads[0]])
+            else:
+                hs = dict.fromkeys(heads)
+                if len(hs) > 1:
+                    self.disjunctive.append((set(hs), b))
+                rule_clauses.append([b ^ 1] + [2 * h for h in hs])
+        # the rule clauses follow the body clauses and precede the
+        # completion, as the implication lists' order steers the search
+        fact = keys.get((frozenset(), frozenset()))
+        for c in chain(rule_clauses, ([2 * a + 1] + supports[a]
+                                      for a in range(natoms)
+                                      if fact not in supports[a])):
+            if len(c) == 2:  # binary clauses as implications
+                imp[c[0] ^ 1].append(c[1])
+                imp[c[1] ^ 1].append(c[0])
+            elif len(c) > 2:
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
+            else:
+                units.append(c[0] if c else None)
         self.tester = None  # built by unstable on the first real check
-        nv = natoms + len(keys)
         self.val = [0] * (2 * nv)  # per literal: 1 true, -1 false, 0 open
         self.level, self.reason = [0] * nv, [None] * nv
         self.trail, self.lim, self.qhead, self.ok = [], [], 0, True
-        self.imp = [[] for _ in range(2 * nv)]
-        self.watches = [[] for _ in range(2 * nv)]
         self.activity, self.inc, self.phase = [0.0] * nv, 1.0, [1] * nv
-        self.decide = [True] * natoms + [False] * len(keys)  # heap if open
+        self.decide = [True] * natoms + [False] * (nv - natoms)  # heap if open
         self.heap = [(0.0, a) for a in range(natoms)]
-        lit = list(range(2 * nv))  # clauses share one int object per literal
-        clauses = []
-        for (pos, neg), b in keys.items():
-            bl = lit[2 * (natoms + b)]
-            lits = [lit[2 * p] for p in pos] + [lit[2 * q + 1] for q in neg]
-            clauses += [[lit[bl + 1], x] for x in lits]
-            clauses.append([bl] + [lit[x ^ 1] for x in lits])
-        for (choice, heads, pos, neg), b in zip(rules, self.rule_body):
-            if b < 0:  # an integrity constraint needs no body variable
-                clauses.append(list(dict.fromkeys(
-                    [lit[2 * p + 1] for p in pos]
-                    + [lit[2 * q] for q in neg])))
-            elif not choice:
-                clauses.append([lit[2 * (natoms + b) + 1]]
-                               + [lit[2 * h] for h in dict.fromkeys(heads)])
-        fact = keys.get(((), ()))
-        clauses += [[lit[2 * a + 1]] + [lit[2 * (natoms + b)]
-                                        for b in supports[a]]
-                    for a in range(natoms) if fact not in supports[a]]
-        for c in clauses:
-            if len(c) == 2:  # binary clauses as implications
-                self.imp[c[0] ^ 1].append(c[1])
-                self.imp[c[1] ^ 1].append(c[0])
-            elif len(c) > 2:
-                self.watches[c[0]].append(c)
-                self.watches[c[1]].append(c)
-            elif not (c and self._enqueue(c[0], None)):
+        for x in units:
+            if x is None or not self._enqueue(x, None):
                 self.ok = False
-        # source pointers of the atoms on loops
-        self.src = [-1] * natoms
-        self.bheads: Dict[int, List[int]] = {}  # body -> its heads on loops
-        for a in range(natoms):
-            for b in supports[a] if scc[a] >= 0 else ():
-                self.bheads.setdefault(b, []).append(a)
-        self.dep = {a: [] for a in range(natoms) if scc[a] >= 0}
-        for (pos, _), b in keys.items():
-            for p in (p for p in pos if scc[p] >= 0 and b in self.bheads):
-                self.dep[p].append(b)
+        # source pointers of the atoms on loops, if there are any
+        self.scc = scc = _loops(succ)
+        self.dep: Dict[int, List[int]] = {}  # loop atom -> bodies it is in
+        if max(scc, default=-1) >= 0:
+            self.src = [-1] * natoms
+            self.bheads: Dict[int, List[int]] = {}  # body -> heads on loops
+            for a in range(natoms):
+                for b in supports[a] if scc[a] >= 0 else ():
+                    self.bheads.setdefault(b, []).append(a)
+            self.dep = {a: [] for a in range(natoms) if scc[a] >= 0}
+            # each body once, in order of first use, and its positive
+            # atoms: a variable's, a positive literal's one, or none
+            positive = [pos for pos, _ in keys]  # per body variable
+            for b in dict.fromkeys(rule_body):
+                if b in self.bheads:
+                    for p in positive[(b >> 1) - natoms] if b >= 2 * natoms \
+                            else () if b & 1 else (b >> 1,):
+                        if scc[p] >= 0:
+                            self.dep[p].append(b)
         self.todo, self.ufs_head = list(self.dep), 0
 
     def _enqueue(self, lit, reason) -> bool:
@@ -253,12 +286,12 @@ class _Engine:
         the last call, and the atoms of their loop depending on them; what
         cannot be re-sourced is unfounded and falsified through its loop
         nogood, which is returned instead if one of its atoms is true."""
-        val, src, na, scc = self.val, self.src, self.natoms, self.scc
+        val, src, scc = self.val, self.src, self.scc
         bheads, dep, supports = self.bheads, self.dep, self.supports
         cand, self.todo = dict.fromkeys(self.todo), []
         for lit in self.trail[self.ufs_head:]:
-            b = (lit >> 1) - na
-            if lit & 1 and b in bheads:
+            b = lit ^ 1  # a body that turned false, if it names one
+            if b in bheads:
                 cand.update((h, None) for h in bheads[b] if src[h] == b)
         self.ufs_head = len(self.trail)
         cand = {a: None for a in cand if val[2 * a] != -1}
@@ -279,7 +312,7 @@ class _Engine:
         while work:  # a body not false and free of candidates is a source
             a = work.pop()
             for b in supports[a] if a in cand else ():
-                if not missing[b] and val[2 * (na + b)] != -1:
+                if not missing[b] and val[b] != -1:
                     src[a] = b
                     del cand[a]
                     for b2 in dep[a]:
@@ -291,8 +324,7 @@ class _Engine:
             return None
         self.counters["loop_nogoods"] += 1
         external = list(dict.fromkeys(
-            2 * (na + b) for a in cand for b in supports[a]
-            if not missing[b]))
+            b for a in cand for b in supports[a] if not missing[b]))
         for a in cand:
             if not self._enqueue(2 * a + 1, external):
                 return [2 * a + 1] + external
@@ -402,9 +434,9 @@ class _Engine:
         set of its true atoms is unfounded, else None.  The loop nogoods
         leave such a set only where a rule has a true body and two true
         heads; the tester looks for one under the assignment."""
-        val, na = self.val, self.natoms
-        if not any(val[2 * (na + b)] > 0 and sum(val[2 * h] > 0 for h in heads)
-                   > 1 for heads, b in self.disjunctive):
+        val = self.val
+        if not any(val[b] > 0 and sum(val[2 * h] > 0 for h in heads) > 1
+                   for heads, b in self.disjunctive):
             return None
         self.counters["minimality_checks"] += 1
         if self.tester is None:
@@ -415,7 +447,7 @@ class _Engine:
         before = tester.steps
         tester.step_limit = before + self.step_limit - self.steps
         found = next(tester.models(
-            [2 * x + (val[2 * v] < 0) for v, x in self.context]), None)
+            [2 * x + (val[m] < 0) for m, x in self.context]), None)
         self.counters["tester_steps"] += tester.steps - before
         self.steps += tester.steps - before
         if found is None:
@@ -426,8 +458,7 @@ class _Engine:
         inside, clause = set(rest), [2 * rest[0] + 1]
         for _, heads, pos, b in self.defining:
             if not inside.isdisjoint(heads) and inside.isdisjoint(pos):
-                body = 2 * (na + b)
-                clause.append(body if val[body] < 0 else 1 + 2 * next(
+                clause.append(b if val[b] < 0 else 1 + 2 * next(
                     h for h in heads if h not in inside and val[2 * h] > 0))
         self.counters["loop_nogoods"] += 1
         return clause
@@ -439,8 +470,9 @@ class _Engine:
         positive components that hold a head of a disjunctive rule: a
         check per component is complete (Koch, Leone and Pfeifer, AIJ
         2003).  Its atoms: one per atom in that set, true if it is in U;
-        one per main variable the rules read, fixed by the assumptions;
-        one per other head in that set, true if it is true outside U."""
+        one per main literal the rules read (an atom or a body), fixed by
+        the assumptions; one per other head of a disjunctive rule, all of
+        which are in that set, true if it is true outside U."""
         comp = [a if c < 0 else c for a, c in enumerate(self.scc)]
         hit = {comp[h] for heads, _ in self.disjunctive for h in heads}
         self.tested = [a for a, c in enumerate(comp) if c in hit]
@@ -448,24 +480,23 @@ class _Engine:
         self.defining = [(choice, heads, pos, b) for (choice, heads, pos, _), b
                          in zip(self.rules, self.rule_body)
                          if not u.keys().isdisjoint(heads)]
-        ids: Dict = {}  # ("m", main variable) or ("y", head) -> atom
+        ids: Dict = {}  # ("m", main literal) or ("y", head) -> atom
 
         def atom(kind, v):
             return ids.setdefault((kind, v), len(u) + len(ids))
 
         rules = [(False, (), (), tuple(u.values()))]
-        rules += [(False, (), (u[a],), (atom("m", a),)) for a in u]
+        rules += [(False, (), (u[a],), (atom("m", 2 * a),)) for a in u]
         for choice, heads, pos, b in self.defining:
             for a in dict.fromkeys(h for h in heads if h in u):
-                other = () if choice else tuple(
-                    atom("y", h) if h in u else atom("m", h)
-                    for h in dict.fromkeys(heads) if h != a)
-                rules.append((False, (), (u[a], atom("m", self.natoms + b)),
+                other = () if choice else tuple(  # all heads are in u
+                    atom("y", h) for h in dict.fromkeys(heads) if h != a)
+                rules.append((False, (), (u[a], atom("m", b)),
                               tuple(u[p] for p in pos if p in u) + other))
         rules += [c for (kind, h), y in ids.items() if kind == "y" for c in (
-            (False, (), (y,), (ids["m", h],)), (False, (), (y, u[h]), ()))]
+            (False, (), (y,), (ids["m", 2 * h],)), (False, (), (y, u[h]), ()))]
         size = len(u) + len(ids)
-        self.context = [(v, x) for (kind, v), x in ids.items() if kind == "m"]
+        self.context = [(m, x) for (kind, m), x in ids.items() if kind == "m"]
         tester = self.tester = _Engine(
             size, [(True, tuple(range(size)), (), ())] + rules, 0)
         for _, x in self.context:  # the assumptions assign them
@@ -490,6 +521,7 @@ def models(program: GroundProgram) -> Iterator[Model]:
             yield Model(Atoms(facts, index, terms, model))
     finally:
         stats = dict(models=count, atoms=len(terms), facts=len(facts),
+                     body_variables=len(engine.level) - engine.natoms,
                      steps=engine.steps, **engine.counters)
         log.debug("solve: %s", ", ".join(
             "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))

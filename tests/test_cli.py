@@ -247,6 +247,22 @@ def test_input_error_exit_65(tmp_path, monkeypatch):
                 out=io.StringIO()) == 65
 
 
+@pytest.mark.parametrize("text", [
+    "q(1). a :- &next(p(X)) : &eventually(q(X)).",
+    "q(1). { a : &eventually(q(1)) }.",
+], ids=["conditional-literal", "head-element"])
+def test_expression_in_a_condition_exit_65(text, monkeypatch, capsys):
+    # read as a domain atom that nothing derives, the condition would
+    # expand to nothing: the literal would hold vacuously, the element
+    # would be dropped
+    code, out = _run(["solve", "-c", "n=1"], stdin=text,
+                     monkeypatch=monkeypatch)
+    assert code == 65 and not out
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1:7: expression &eventually(q("), err
+    assert err.endswith(" not allowed in condition position\n"), err
+
+
 @pytest.mark.parametrize("shape", sorted(OVER_DEEP))
 def test_over_deep_input_exit_65(shape, monkeypatch, capsys):
     code, _ = _run(["solve", "-c", "n=0"], stdin=OVER_DEEP[shape],

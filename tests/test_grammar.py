@@ -165,3 +165,19 @@ def test_occurrence_diagnostics(caplog):
         Pipeline(text, grammar=g).typed
     assert [r.getMessage() for r in caplog.records] \
         == check_occurrence(typed, g)
+
+
+def test_no_expression_in_a_condition():
+    # whatever its type allows elsewhere, an expression is reported in
+    # the condition of a conditional literal, of a head element and of
+    # an #external
+    g = load_grammar("#type h { occurrence: head; expressions: &h; }\n"
+                     "#type any { occurrence: any; expressions: &any; }\n"
+                     "#type arg { expressions: &arg; }")
+    text = ("a :- b : &h.\n{ c : &any; d : &arg }.\n"
+            "e :- &any : f, not &any.\n#external g : &h.\n")
+    typed = typecheck_program(parse_program(text), g)
+    assert check_occurrence(typed, g) == [
+        "%d:1: expression %s of type %r not allowed in condition position"
+        % (line, expr, expr[1:]) for line, expr in
+        [(1, "&h"), (2, "&any"), (2, "&arg"), (3, "&any"), (4, "&h")]]
