@@ -10,6 +10,7 @@ printer restores the ``&`` surface syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from .ground import GroundProgram
@@ -80,132 +81,69 @@ class ReifiedDB:
 # Reification
 
 
-class _Reifier:
-    def __init__(self, gp: GroundProgram, show_all: bool):
-        self.gp = gp
-        self.show_all = show_all
-        self.db = ReifiedDB()
-        self.atom_ids: Dict = {}
-        self._atom_tuple_ids: Dict[tuple, int] = {}
-        self._literal_tuple_ids: Dict[tuple, int] = {}
-
-    def _is_marker(self, atom) -> bool:
+def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
+    """The extended reified database of a ground program.  Atoms are
+    numbered from 1 in symbol-table order, show markers left out; atom
+    and literal tuples from 0 in order of first use.  A fact is the rule
+    of its one head atom with an empty body; its output is conditional
+    free, every other atom's is its singleton literal tuple."""
+    def marker(atom):
         return isinstance(atom, Function) and atom.name == SHOW_TERM_MARKER
 
-    def _atom_id(self, atom) -> int:
-        if atom not in self.atom_ids:
-            self.atom_ids[atom] = len(self.atom_ids) + 1
-        return self.atom_ids[atom]
+    def intern(tuples, key):
+        return tuples.setdefault(key, len(tuples))
 
-    def _atom_tuple(self, ids: tuple) -> int:
-        if ids not in self._atom_tuple_ids:
-            i = len(self._atom_tuple_ids)
-            self._atom_tuple_ids[ids] = i
-            self.db.atom_tuples[i] = ids
-        return self._atom_tuple_ids[ids]
+    ids = {a: i for i, a in enumerate(
+        (a for a in gp.symbol_table if not marker(a)), 1)}
+    heads, bodies = {}, {}  # atom and literal tuple -> its id
+    db, marker_shows = ReifiedDB(), []
+    for kind, head, body in chain(gp.rules, (
+            ("disjunction", (f,), ()) for f in gp.facts)):
+        body = tuple(ids[a] if pos else -ids[a] for pos, a in body)
+        if len(head) == 1 and marker(head[0]):
+            marker_shows.append((head[0].args[0], body))
+        else:
+            b = intern(bodies, body)
+            db.rules.append((kind, intern(heads, tuple(map(ids.get, head))),
+                             b))
+    output = {a: intern(bodies, () if a in gp.facts else (i,))
+              for a, i in ids.items()}
+    db.outputs = [(encode(a), b) for a, b in output.items()]
 
-    def _literal_tuple(self, lits: tuple) -> int:
-        if lits not in self._literal_tuple_ids:
-            i = len(self._literal_tuple_ids)
-            self._literal_tuple_ids[lits] = i
-            self.db.literal_tuples[i] = lits
-        return self._literal_tuple_ids[lits]
+    g, formulas = gp.grammar, {}  # ordered set of (type, expression)
 
-    def run(self) -> ReifiedDB:
-        gp, db = self.gp, self.db
-        # number all symbols in first-occurrence order (markers excluded)
-        for sym in gp.symbol_table:
-            if not self._is_marker(sym):
-                self._atom_id(sym)
+    def walk(node):
+        if not node.memberships:
+            raise ReifyError("expression %s lacks type information; "
+                             "run typecheck before reifying" % (node,))
+        formulas.update(dict.fromkeys((t, encode(node))
+                                      for t in node.memberships))
+        _, spec = g.find_spec(node.memberships[-1], node.operator,
+                              len(node.args))
+        for arg, arg_type in zip(node.args, spec.arg_types):
+            if isinstance(arg, TheoryExpression):
+                walk(arg)
+            elif isinstance(arg, (Constant, Function)):  # not numbers etc.
+                formulas.update(dict.fromkeys(
+                    (t, encode(arg))
+                    for t in g.membership_path(arg_type, "atom") or ()))
 
-        marker_shows = []
-        for r in gp.rules:
-            body = tuple(
-                self._atom_id(a) if pos else -self._atom_id(a)
-                for pos, a in r.body)
-            if len(r.head) == 1 and self._is_marker(r.head[0]):
-                marker_shows.append((r.head[0].args[0], body))
-                continue
-            b = self._literal_tuple(body)
-            h = self._atom_tuple(tuple(self._atom_id(a) for a in r.head))
-            db.rules.append((r.head_kind, h, b))
-        for f in gp.facts:
-            if self._is_marker(f):  # a show whose condition is all facts
-                marker_shows.append((f.args[0], ()))
-                continue
-            b = self._literal_tuple(())
-            h = self._atom_tuple((self._atom_id(f),))
-            db.rules.append(("disjunction", h, b))
-
-        # outputs: facts are conditional-free (empty tuple), the rest get
-        # their singleton identifying tuple
-        singleton: Dict = {}
-        for sym, i in self.atom_ids.items():
-            if sym in gp.facts:
-                b = self._literal_tuple(())
-            else:
-                b = self._literal_tuple((i,))
-            singleton[sym] = b
-            db.outputs.append((encode(sym), b))
-
-        self._collect_formulas()
-
-        for sym in gp.externals:
-            db.externals.append((encode(sym), singleton[sym]))
-
-        if self.show_all:
-            for sym in self.atom_ids:
-                if not isinstance(sym, TheoryExpression):
-                    db.shows.append(("show_atom", encode(sym), singleton[sym]))
-        for term, body in marker_shows:
-            b = self._literal_tuple(body)
-            kind = "show_atom" if isinstance(term, (Constant, Function)) \
-                else "show_term"
-            db.shows.append((kind, encode(term), b))
-        return db
-
-    # -- formula facts ------------------------------------------------------
-
-    def _collect_formulas(self):
-        g = self.gp.grammar
-        if g is None:
-            return
-        seen = set()
-
-        def emit(types, enc):
-            for t in types:
-                key = (t, enc)
-                if key not in seen:
-                    seen.add(key)
-                    self.db.formulas.append(key)
-
-        def walk(node):
-            if not isinstance(node, TheoryExpression):
-                return
-            enc = encode(node)
-            if not node.memberships:
-                raise ReifyError(
-                    "expression %s lacks type information; "
-                    "run typecheck before reifying" % (node,))
-            emit(node.memberships, enc)
-            declaring = node.memberships[-1]
-            _, spec = g.find_spec(declaring, node.operator, len(node.args))
-            for arg, arg_type in zip(node.args, spec.arg_types):
-                if isinstance(arg, TheoryExpression):
-                    walk(arg)
-                elif isinstance(arg, (Constant, Function)):
-                    path = g.membership_path(arg_type, "atom")
-                    if path:
-                        emit(path, encode(arg))
-                # numbers/strings/#sup etc. are not formulas
-
-        for sym in self.atom_ids:
-            walk(sym)
-
-
-def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
-    """Build the extended reified database for a ground program."""
-    return _Reifier(gp, show_all).run()
+    if g is not None:
+        for a in ids:
+            if isinstance(a, TheoryExpression):
+                walk(a)
+    db.formulas = list(formulas)
+    db.externals = [(encode(a), output[a]) for a in gp.externals]
+    if show_all:
+        db.shows = [("show_atom", encode(a), b) for a, b in output.items()
+                    if not isinstance(a, TheoryExpression)]
+    for term, body in marker_shows:
+        kind = "show_atom" if isinstance(term, (Constant, Function)) \
+            else "show_term"
+        db.shows.append((kind, encode(term), intern(bodies, body)))
+    db.atom_tuples = {i: t for t, i in heads.items()}
+    db.literal_tuples = {i: t for t, i in bodies.items()}
+    return db
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ that must not move any answer, rule or model order keeps it."""
 import hashlib
 import importlib.util
 import os
+from functools import lru_cache
 
 from tasp import solver
 from tasp.cli import Pipeline
+from tasp.meta import extract_model
 
 WORKLOADS_PY = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             os.pardir, "benchmark", "workloads.py")
@@ -38,16 +40,34 @@ def _runs(w):
             yield r.text, r.semantics, r.n, r.limit
 
 
-def test_identity_set_digest():
-    # sha256 over the user and meta ground programs and each model's
-    # sorted atoms in enumeration order, the same under PYTHONHASHSEED 0
-    # and 123
-    h = hashlib.sha256()
+@lru_cache(maxsize=None)
+def _digests():
+    """sha256 over the user and meta ground programs and each model's
+    sorted atoms, and sha256 over each model's trace alone, its states
+    with their atoms sorted and its timing, both in enumeration order."""
+    programs, traces = hashlib.sha256(), hashlib.sha256()
     for text, semantics, n, limit in _runs(_workloads()):
         p = Pipeline(text, semantics)
-        mp = p.meta(n).program
-        h.update(("%s\n%s\n" % (p.ground, mp)).encode())
-        for m in solver.solve(mp, limit):
-            h.update((" ".join(sorted(map(str, m.atoms))) + "\n").encode())
-    assert h.hexdigest() == (
+        mp = p.meta(n)
+        programs.update(("%s\n%s\n" % (p.ground, mp.program)).encode())
+        for m in solver.solve(mp.program, limit):
+            programs.update((" ".join(sorted(map(str, m.atoms))) + "\n")
+                            .encode())
+            states, tau = extract_model(mp, m.atoms)
+            traces.update(("%s %s\n" % (
+                " | ".join(" ".join(sorted(s)) for s in states), tau))
+                .encode())
+        traces.update(b"--\n")
+    return programs.hexdigest(), traces.hexdigest()
+
+
+def test_identity_set_digest():
+    # the same under PYTHONHASHSEED 0 and 123
+    assert _digests()[0] == (
         "874d33e326915da67faa764f03f8bb036617d4d1163983975d81097cee0ed2fd")
+
+
+def test_identity_set_trace_digest():
+    # independent of how the reified and meta programs print atoms
+    assert _digests()[1] == (
+        "f4126c4780b9da79b4cac48bf8feb89393f60fdc491115259b2111a27dad6c9a")
