@@ -80,12 +80,10 @@ class Pipeline:
 
     @cached_property
     def typed(self):
-        """Parsed and typechecked; occurrence diagnostics are logged, and
-        an expression in a condition is an input error."""
+        """Parsed and typechecked; occurrence diagnostics are logged (an
+        expression in a condition raises TypeError_)."""
         typed = typecheck_program(parse_program(self.text), self.grammar)
         for diag in check_occurrence(typed, self.grammar):
-            if diag.endswith(" in condition position"):
-                raise TypeError_(diag)
             log.warning("%s", diag)
         return typed
 

@@ -15,9 +15,10 @@ from typing import Dict, List, Optional, Tuple
 
 from . import parser
 from .syntax import (
-    ConditionalLiteral, Constant, External, Function, Infimum, Integer,
-    Program, Rule, String, Supremum, TheoryExpression, TypeBlock, Variable,
-    components, map_payloads, substitute, variables,
+    ConditionalLiteral, ConstDef, Constant, External, Function, Infimum,
+    Integer, Program, Rule, Show, String, Supremum, TheoryExpression,
+    TypeBlock, Variable, components, map_payloads, substitute, variables,
+    walk,
 )
 
 
@@ -338,18 +339,41 @@ def _type_atom_like(x, g: TheoryGrammar):
                      % (x, "; ".join(errors)))
 
 
+def _nested_expression(x, atom=True):
+    """A theory expression in x that stands inside a term, or None: only
+    an atom position, x itself if atom, and an expression's arguments
+    may hold one."""
+    if atom and isinstance(x, TheoryExpression):
+        return next(filter(None, map(_nested_expression, x.args)), None)
+    return next((y for y in walk(x) if isinstance(y, TheoryExpression)),
+                None)
+
+
 def typecheck_program(program: Program, g: TheoryGrammar) -> Program:
-    """Type every theory expression in the program (macros expanded)."""
-    return Program(tuple(
-        map_payloads(s, lambda x: _type_atom_like(x, g))
-        if isinstance(s, (Rule, External)) else s
-        for s in program.statements))
+    """Type every theory expression in the program (macros expanded).  An
+    expression inside a term, as in p(&next(a)), a show term or a
+    constant's value is a type error."""
+    def term(x, s, atom=True):
+        e = _nested_expression(x, atom)
+        if e is not None:
+            raise TypeError_("%s: expression %s in term position"
+                             % (_loc(s.location), e))
+        return x
+
+    def typed(s):
+        if isinstance(s, (Show, ConstDef)):  # a term, not an atom
+            term(s.value if isinstance(s, ConstDef) else s.term, s, False)
+        if isinstance(s, (Rule, External, Show)):
+            return map_payloads(s, lambda x: _type_atom_like(term(x, s), g))
+        return s
+    return Program(tuple(map(typed, program.statements)))
 
 
 def check_occurrence(program: Program, g: TheoryGrammar):
     """Return diagnostics for expressions used in forbidden positions.  No
     type allows an expression in a condition, where the grounder would
-    read it as a domain atom that nothing derives."""
+    read it as a domain atom that nothing derives: the first one found
+    raises TypeError_."""
     diagnostics = []
 
     def check(expr, position, location):
@@ -358,11 +382,12 @@ def check_occurrence(program: Program, g: TheoryGrammar):
         root = expr.memberships[0] if expr.memberships else None
         spec = g.types.get(root)
         occurrence = spec.occurrence if spec is not None else "any"
-        if position == "condition" or occurrence not in (
-                "any", ARGUMENT_ONLY, position):
-            diagnostics.append(
-                "%s: expression %s of type %r not allowed in %s position"
-                % (_loc(location), expr, root, position))
+        message = "%s: expression %s of type %r not allowed in %s position" \
+            % (_loc(location), expr, root, position)
+        if position == "condition":
+            raise TypeError_(message)
+        if occurrence not in ("any", ARGUMENT_ONLY, position):
+            diagnostics.append(message)
         elif occurrence == ARGUMENT_ONLY:
             diagnostics.append(
                 "%s: expression %s of type %r may only occur as an argument"
@@ -385,6 +410,8 @@ def check_occurrence(program: Program, g: TheoryGrammar):
                     check(b.payload, "body", s.location)
         elif isinstance(s, External):
             check(s.target, "directive", s.location)
+            conditions(s.condition, s.location)
+        elif isinstance(s, Show):
             conditions(s.condition, s.location)
     return diagnostics
 

@@ -118,7 +118,7 @@ def atom_key(a) -> tuple:
 # as it is, a variable is one dict lookup, and a function builds its
 # tuple directly.  Undefined arithmetic raises DropInstance.
 
-_new = tuple.__new__  # builds a Function without calling Function.__new__
+_new = tuple.__new__  # builds a term without calling its class's __new__
 
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": floordiv, "\\": mod}
 
@@ -161,11 +161,11 @@ def _value(t, bound):
         return _fail("unbound variable %s" % t.name)
     if isinstance(t, Function):
         args = _tuple(t.args, bound)
-        if isinstance(t, TheoryExpression):
+        if isinstance(t, TheoryExpression) and t.memberships:
             op, memberships = t.operator, t.memberships
             return lambda s: TheoryExpression(op, args(s), memberships)
-        name = t[0]
-        return lambda s: _new(Function, (name, args(s)))
+        name, kind = t[0], type(t)
+        return lambda s: _new(kind, (name, args(s)))
     if isinstance(t, UnaryMinus):
         arg = _value(t.arg, bound)
 

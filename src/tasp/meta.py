@@ -3,8 +3,10 @@
 The encodings live here as rule schemas in the toolkit's own surface
 language; they are compiled once and instantiated against the reified
 database (seeded as facts) by the same grounder that handles user
-programs.  The result is one propositional program whose stable models
-correspond to the temporal equilibrium models of length n+1.
+programs.  They name each operator with its &, as the reified facts
+hold expressions, so no user atom reads as one.  The result is one
+propositional program whose stable models correspond to the temporal
+equilibrium models of length n+1.
 """
 
 from __future__ import annotations
@@ -52,30 +54,30 @@ hold(L,T) :- external(O,B), literal_tuple(B,L), true(O,T), time(T).
 
 #: Connectives shared by every logic: &true, &initial, &not.
 BASIC_SCHEMA = """\
-true(true,T) :- formula(_,true), time(T).
+true(&true,T) :- formula(_,&true), time(T).
 
-true(initial,T) :- formula(_,initial), time(T), T = 0.
-:- formula(_,initial), time(T), T > 0, true(initial,T).
+true(&initial,T) :- formula(_,&initial), time(T), T = 0.
+:- formula(_,&initial), time(T), T > 0, true(&initial,T).
 
-true(not(F),T) :- formula(_,not(F)), time(T), not true(F,T).
-:- formula(_,not(F)), time(T), true(not(F),T), true(F,T).
+true(&not(F),T) :- formula(_,&not(F)), time(T), not true(F,T).
+:- formula(_,&not(F)), time(T), true(&not(F),T), true(F,T).
 """
 
 #: Qualitative &next / &eventually (unary forms).  &eventually unfolds
 #: one state at a time, F or next &eventually F (as in telingo), so each
 #: formula grounds to O(n) rules and its witness disjunction has two heads.
 TEL_SCHEMA = """\
-true(F,T+1) :- formula(_,next(F)), time(T), T < n, true(next(F),T).
-true(next(F),T) :- formula(_,next(F)), time(T), T < n, true(F,T+1).
-:- formula(_,next(F)), time(T), T >= n, true(next(F),T).
+true(F,T+1) :- formula(_,&next(F)), time(T), T < n, true(&next(F),T).
+true(&next(F),T) :- formula(_,&next(F)), time(T), T < n, true(F,T+1).
+:- formula(_,&next(F)), time(T), T >= n, true(&next(F),T).
 
-true(eventually(F),T) :- formula(_,eventually(F)), time(T), true(F,T).
-true(eventually(F),T) :- formula(_,eventually(F)), time(T), T < n,
-    true(eventually(F),T+1).
-true(F,T); true(eventually(F),T+1) :- formula(_,eventually(F)), time(T),
-    T < n, true(eventually(F),T).
-true(F,T) :- formula(_,eventually(F)), time(T), T >= n,
-    true(eventually(F),T).
+true(&eventually(F),T) :- formula(_,&eventually(F)), time(T), true(F,T).
+true(&eventually(F),T) :- formula(_,&eventually(F)), time(T), T < n,
+    true(&eventually(F),T+1).
+true(F,T); true(&eventually(F),T+1) :- formula(_,&eventually(F)), time(T),
+    T < n, true(&eventually(F),T).
+true(F,T) :- formula(_,&eventually(F)), time(T), T >= n,
+    true(&eventually(F),T).
 """
 
 #: Metric layer.  The timing function is order-encoded: tau_ge(T,V) says
@@ -93,37 +95,37 @@ tau_ge(T,V-1) :- tau_ge(T,V), V > T.
 tau_ge(T,V+1) :- time(T), T > 0, tau_ge(T-1,V).
 tau(T,V) :- tau_ge(T,V), not tau_ge(T,V+1).
 
-span(T,T+1,L) :- formula(mel,next(i(L,U),F)), time(T), T < n, L < #sup.
-span(T,T+1,U) :- formula(mel,next(i(L,U),F)), time(T), T < n, U < #sup.
-span(T,J,L) :- formula(mel,eventually(i(L,U),F)), time(T), time(J),
+span(T,T+1,L) :- formula(mel,&next(&i(L,U),F)), time(T), T < n, L < #sup.
+span(T,T+1,U) :- formula(mel,&next(&i(L,U),F)), time(T), T < n, U < #sup.
+span(T,J,L) :- formula(mel,&eventually(&i(L,U),F)), time(T), time(J),
     J >= T, L < #sup.
-span(T,J,U) :- formula(mel,eventually(i(L,U),F)), time(T), time(J),
+span(T,J,U) :- formula(mel,&eventually(&i(L,U),F)), time(T), time(J),
     J >= T, U < #sup.
 dist_ge(T,J,D) :- span(T,J,D), D <= J-T.
 dist_ge(T,J,D) :- span(T,J,D), J > T, D > J-T, tau(T,V), tau_ge(J,V+D).
 
-true(next(i(L,U),F),T) :- formula(mel,next(i(L,U),F)), time(T), T < n,
+true(&next(&i(L,U),F),T) :- formula(mel,&next(&i(L,U),F)), time(T), T < n,
     true(F,T+1), dist_ge(T,T+1,L), not dist_ge(T,T+1,U).
-true(F,T+1) :- formula(mel,next(i(L,U),F)), time(T), T < n,
-    true(next(i(L,U),F),T).
-:- formula(mel,next(i(L,U),F)), time(T), T >= n, true(next(i(L,U),F),T).
-:- formula(mel,next(i(L,U),F)), time(T), T < n, true(next(i(L,U),F),T),
+true(F,T+1) :- formula(mel,&next(&i(L,U),F)), time(T), T < n,
+    true(&next(&i(L,U),F),T).
+:- formula(mel,&next(&i(L,U),F)), time(T), T >= n, true(&next(&i(L,U),F),T).
+:- formula(mel,&next(&i(L,U),F)), time(T), T < n, true(&next(&i(L,U),F),T),
     not dist_ge(T,T+1,L).
-:- formula(mel,next(i(L,U),F)), time(T), T < n, true(next(i(L,U),F),T),
+:- formula(mel,&next(&i(L,U),F)), time(T), T < n, true(&next(&i(L,U),F),T),
     dist_ge(T,T+1,U).
 
-true(eventually(i(L,U),F),T) :- formula(mel,eventually(i(L,U),F)),
+true(&eventually(&i(L,U),F),T) :- formula(mel,&eventually(&i(L,U),F)),
     time(T), time(J), J >= T, true(F,J),
     dist_ge(T,J,L), not dist_ge(T,J,U).
-wit(eventually(i(L,U),F),T,J) : time(J), J >= T :-
-    formula(mel,eventually(i(L,U),F)), time(T),
-    true(eventually(i(L,U),F),T).
-wit(eventually(i(L,U),F),T,J) :- formula(mel,eventually(i(L,U),F)),
-    time(T), time(J), J >= T, true(eventually(i(L,U),F),T), true(F,J),
+wit(&eventually(&i(L,U),F),T,J) : time(J), J >= T :-
+    formula(mel,&eventually(&i(L,U),F)), time(T),
+    true(&eventually(&i(L,U),F),T).
+wit(&eventually(&i(L,U),F),T,J) :- formula(mel,&eventually(&i(L,U),F)),
+    time(T), time(J), J >= T, true(&eventually(&i(L,U),F),T), true(F,J),
     dist_ge(T,J,L), not dist_ge(T,J,U).
-true(F,J) :- wit(eventually(i(L,U),F),T,J).
-:- wit(eventually(i(L,U),F),T,J), not dist_ge(T,J,L).
-:- wit(eventually(i(L,U),F),T,J), dist_ge(T,J,U).
+true(F,J) :- wit(&eventually(&i(L,U),F),T,J).
+:- wit(&eventually(&i(L,U),F),T,J), not dist_ge(T,J,L).
+:- wit(&eventually(&i(L,U),F),T,J), dist_ge(T,J,U).
 """
 
 #: Path operators.  An unfolding table states each law of one-step path
@@ -136,22 +138,23 @@ true(F,J) :- wit(eventually(i(L,U),F),T,J).
 #: and [step]F, which need the next state, and [G?]F, which needs
 #: negation, have truth rules of their own.
 DEL_SCHEMA = """\
-eq(eventually(seq(P,Q),F),eventually(P,eventually(Q,F))) :-
-    formula(_,eventually(seq(P,Q),F)).
-eq(always(seq(P,Q),F),always(P,always(Q,F))) :- formula(_,always(seq(P,Q),F)).
-dis(eventually(choice(P,Q),F),eventually(P,F),eventually(Q,F)) :-
-    formula(_,eventually(choice(P,Q),F)).
-dis(eventually(star(P),F),F,eventually(P,eventually(star(P),F))) :-
-    formula(_,eventually(star(P),F)).
-con(eventually(test(G),F),G,F) :- formula(_,eventually(test(G),F)).
-con(always(choice(P,Q),F),always(P,F),always(Q,F)) :-
-    formula(_,always(choice(P,Q),F)).
-con(always(star(P),F),F,always(P,always(star(P),F))) :-
-    formula(_,always(star(P),F)).
+eq(&eventually(&seq(P,Q),F),&eventually(P,&eventually(Q,F))) :-
+    formula(_,&eventually(&seq(P,Q),F)).
+eq(&always(&seq(P,Q),F),&always(P,&always(Q,F))) :-
+    formula(_,&always(&seq(P,Q),F)).
+dis(&eventually(&choice(P,Q),F),&eventually(P,F),&eventually(Q,F)) :-
+    formula(_,&eventually(&choice(P,Q),F)).
+dis(&eventually(&star(P),F),F,&eventually(P,&eventually(&star(P),F))) :-
+    formula(_,&eventually(&star(P),F)).
+con(&eventually(&test(G),F),G,F) :- formula(_,&eventually(&test(G),F)).
+con(&always(&choice(P,Q),F),&always(P,F),&always(Q,F)) :-
+    formula(_,&always(&choice(P,Q),F)).
+con(&always(&star(P),F),F,&always(P,&always(&star(P),F))) :-
+    formula(_,&always(&star(P),F)).
 
-formula(K,F) :- formula(K,eventually(P,F)).
-formula(K,F) :- formula(K,always(P,F)).
-formula(K,G) :- formula(K,always(test(G),F)).
+formula(K,F) :- formula(K,&eventually(P,F)).
+formula(K,F) :- formula(K,&always(P,F)).
+formula(K,G) :- formula(K,&always(&test(G),F)).
 formula(K,Y) :- formula(K,X), eq(X,Y).
 formula(K,Y) :- formula(K,X), dis(X,Y,Z).
 formula(K,Z) :- formula(K,X), dis(X,Y,Z).
@@ -167,25 +170,25 @@ true(X,T) :- con(X,Y,Z), time(T), true(Y,T), true(Z,T).
 true(Y,T) :- con(X,Y,Z), time(T), true(X,T).
 true(Z,T) :- con(X,Y,Z), time(T), true(X,T).
 
-true(eventually(step,F),T) :- formula(del,eventually(step,F)),
+true(&eventually(&step,F),T) :- formula(del,&eventually(&step,F)),
     time(T), T < n, true(F,T+1).
-true(F,T+1) :- formula(del,eventually(step,F)),
-    time(T), T < n, true(eventually(step,F),T).
-:- formula(del,eventually(step,F)), time(T), T >= n,
-    true(eventually(step,F),T).
+true(F,T+1) :- formula(del,&eventually(&step,F)),
+    time(T), T < n, true(&eventually(&step,F),T).
+:- formula(del,&eventually(&step,F)), time(T), T >= n,
+    true(&eventually(&step,F),T).
 
-true(always(step,F),T) :- formula(del,always(step,F)), time(T), T >= n.
-true(always(step,F),T) :- formula(del,always(step,F)), time(T), T < n,
+true(&always(&step,F),T) :- formula(del,&always(&step,F)), time(T), T >= n.
+true(&always(&step,F),T) :- formula(del,&always(&step,F)), time(T), T < n,
     true(F,T+1).
-true(F,T+1) :- formula(del,always(step,F)), time(T), T < n,
-    true(always(step,F),T).
+true(F,T+1) :- formula(del,&always(&step,F)), time(T), T < n,
+    true(&always(&step,F),T).
 
-true(always(test(G),F),T) :- formula(del,always(test(G),F)), time(T),
+true(&always(&test(G),F),T) :- formula(del,&always(&test(G),F)), time(T),
     not true(G,T).
-true(always(test(G),F),T) :- formula(del,always(test(G),F)), time(T),
+true(&always(&test(G),F),T) :- formula(del,&always(&test(G),F)), time(T),
     true(F,T).
-true(F,T) :- formula(del,always(test(G),F)), time(T),
-    true(always(test(G),F),T), true(G,T).
+true(F,T) :- formula(del,&always(&test(G),F)), time(T),
+    true(&always(&test(G),F),T), true(G,T).
 """
 
 

@@ -10,6 +10,7 @@ enumeration of smaller "here" traces.  Only the AST and parser are shared.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -246,8 +247,6 @@ class _Evaluator:
     def sat(self, w: int, i: int, node) -> bool:
         if isinstance(node, (Constant, Function)) and not isinstance(
                 node, TheoryExpression):
-            if isinstance(node, Constant) and node.name == "true":
-                return True
             return node in self.worlds[w][i]
         if not isinstance(node, TheoryExpression):
             raise OracleError("cannot evaluate %s" % (node,))
@@ -424,10 +423,7 @@ def _vocabulary(rules) -> List:
                 return
             for a in node.args:
                 collect_atoms(a)
-        elif isinstance(node, Function):
-            vocab[node] = None
-        elif isinstance(node, Constant) and node.name not in (
-                "true", "initial", "final", "step"):
+        elif isinstance(node, (Constant, Function)):
             vocab[node] = None
 
     for r in rules:
@@ -449,20 +445,6 @@ def _uses_metric(rules) -> bool:
                 if isinstance(x, TheoryExpression) and x.operator == "i":
                     return True
     return False
-
-
-def _tau_assignments(n: int, max_time: int):
-    """All timing functions: tau(0)=0, strictly increasing, tau(n) <= M."""
-    if n == 0:
-        yield (0,)
-        return
-    def rec(prefix):
-        if len(prefix) == n + 1:
-            yield tuple(prefix)
-            return
-        for v in range(prefix[-1] + 1, max_time + 1):
-            yield from rec(prefix + [v])
-    yield from rec([0])
 
 
 def _equilibrium(rules, there, tau, facts=frozenset()) -> bool:
@@ -495,17 +477,17 @@ def temporal_models(program: Program, n: int,
     facts = {r.head.elements[0].atom for r in rules if _is_fact(r)}
     free = [a for a in vocab if a not in facts]
 
-    taus: List[Optional[tuple]]
-    if _uses_metric(rules):
-        if max_time is None:
-            raise OracleError("metric program needs a max-time bound")
-        taus = list(_tau_assignments(n, max_time))
-    else:
-        taus = [None]
-
-    count = (2 ** (len(free) * (n + 1))) * max(len(taus), 1)
+    # the timing functions: tau(0) = 0, strictly increasing, tau(n) <= M
+    metric = _uses_metric(rules)
+    if metric and (max_time is None or max_time < n):
+        raise OracleError("metric program needs a max-time bound of at "
+                          "least the horizon %d" % n)
+    timings = math.comb(max_time, n) if metric else 1
+    count = (2 ** (len(free) * (n + 1))) * timings
     if count > MAX_CANDIDATES:
         raise OracleLimitError("state space too large: %d candidates" % count)
+    taus = [(0,) + c for c in itertools.combinations(
+        range(1, max_time + 1), n)] if metric else [None]
 
     state_choices = list(itertools.chain.from_iterable(
         [itertools.combinations(free, k) for k in range(len(free) + 1)]))

@@ -2,7 +2,9 @@
 
 Covers rules, ``&``-prefixed theory expressions, conditional literals,
 ``#external`` / ``#show`` / ``#const`` directives, and ``#type`` grammar
-blocks.  Produces the AST of :mod:`tasp.syntax`.
+blocks.  An expression is read wherever a term may stand, as reified
+facts hold them; the typechecker rejects one inside a user's term.
+Produces the AST of :mod:`tasp.syntax`.
 """
 
 from __future__ import annotations
@@ -256,9 +258,9 @@ class Parser:
         return (op.value, tuple(args))
 
     def parse_macro_spec(self):
-        pattern = self.parse_theory_argument()
+        pattern = self.parse_term()
         self.expect(":=")
-        expansion = self.parse_theory_argument()
+        expansion = self.parse_term()
         where = []
         if self.tok.value == "where":
             self.advance()
@@ -326,8 +328,6 @@ class Parser:
         while self.tok.value == "not":
             self.advance()
             positive = not positive
-        if self.check("&"):
-            return Literal(positive, self.parse_theory_expression())
         left = self.parse_term()
         if self.tok.value in _CMP_OPS:
             op = self.advance().value
@@ -338,8 +338,6 @@ class Parser:
         return Literal(positive, left)
 
     def parse_atom_like(self):
-        if self.check("&"):
-            return self.parse_theory_expression()
         atom = self.parse_term()
         if not isinstance(atom, (Constant, Function)):
             self.error("expected an atom or theory expression")
@@ -355,17 +353,12 @@ class Parser:
         args = []
         if self.accept("("):
             self.enter()
-            args.append(self.parse_theory_argument())
+            args.append(self.parse_term())
             while self.accept(","):
-                args.append(self.parse_theory_argument())
+                args.append(self.parse_term())
             self.expect(")")
             self.leave()
         return TheoryExpression(op.value, tuple(args))
-
-    def parse_theory_argument(self):
-        if self.check("&"):
-            return self.parse_theory_expression()
-        return self.parse_term()
 
     # -- terms ---------------------------------------------------------------
 
@@ -433,6 +426,8 @@ class Parser:
                 self.leave()
                 return Function(t.value, tuple(args))
             return Constant(t.value)
+        if t.value == "&":
+            return self.parse_theory_expression()
         if t.value == "#sup":
             self.advance()
             return SUP
@@ -460,7 +455,7 @@ def parse_program(text: str) -> Program:
 def parse_expression(text: str):
     """Parse a single theory expression or term (used by tests and tools)."""
     p = Parser(text)
-    e = p.parse_theory_argument()
+    e = p.parse_term()
     if p.tok.kind != "EOF":
         p.error("trailing input after expression")
     return e

@@ -2,9 +2,9 @@
 
 Besides the standard rule/atom_tuple/literal_tuple/output predicates the
 database carries formula/2 (typed subexpressions), external/2 and
-show_atom/2 / show_term/2 facts.  Theory expressions are encoded as plain
-function terms (their operator names are treated as reserved); the
-printer restores the ``&`` surface syntax.
+show_atom/2 / show_term/2 facts.  Atoms and theory expressions stand in
+the facts as the grounder holds them, so &next(a) prints as it is read
+and never equals the atom next(a).
 """
 
 from __future__ import annotations
@@ -24,16 +24,6 @@ class ReifyError(Exception):
     pass
 
 
-def encode(x):
-    """Theory expressions become plain terms; other terms pass through."""
-    if isinstance(x, TheoryExpression):
-        args = tuple(encode(a) for a in x.args)
-        return Function(x.operator, args) if args else Constant(x.operator)
-    if isinstance(x, Function):
-        return Function(x.name, tuple(encode(a) for a in x.args))
-    return x
-
-
 @dataclass
 class ReifiedDB:
     #: (head_kind, atom_tuple_id, literal_tuple_id)
@@ -42,7 +32,7 @@ class ReifiedDB:
     literal_tuples: Dict[int, tuple] = field(default_factory=dict)
     #: (symbol, literal_tuple_id); facts point at an empty tuple
     outputs: List[tuple] = field(default_factory=list)
-    #: (type name, encoded expression)
+    #: (type name, expression or atom)
     formulas: List[tuple] = field(default_factory=list)
     #: (symbol, literal_tuple_id)
     externals: List[tuple] = field(default_factory=list)
@@ -103,12 +93,11 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
         if len(head) == 1 and marker(head[0]):
             marker_shows.append((head[0].args[0], body))
         else:
-            b = intern(bodies, body)
             db.rules.append((kind, intern(heads, tuple(map(ids.get, head))),
-                             b))
+                             intern(bodies, body)))
     output = {a: intern(bodies, () if a in gp.facts else (i,))
               for a, i in ids.items()}
-    db.outputs = [(encode(a), b) for a, b in output.items()]
+    db.outputs = list(output.items())
 
     g, formulas = gp.grammar, {}  # ordered set of (type, expression)
 
@@ -116,31 +105,29 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
         if not node.memberships:
             raise ReifyError("expression %s lacks type information; "
                              "run typecheck before reifying" % (node,))
-        formulas.update(dict.fromkeys((t, encode(node))
-                                      for t in node.memberships))
+        formulas.update(dict.fromkeys((t, node) for t in node.memberships))
         _, spec = g.find_spec(node.memberships[-1], node.operator,
                               len(node.args))
         for arg, arg_type in zip(node.args, spec.arg_types):
             if isinstance(arg, TheoryExpression):
                 walk(arg)
             elif isinstance(arg, (Constant, Function)):  # not numbers etc.
-                formulas.update(dict.fromkeys(
-                    (t, encode(arg))
-                    for t in g.membership_path(arg_type, "atom") or ()))
+                path = g.membership_path(arg_type, "atom") or ()
+                formulas.update(dict.fromkeys((t, arg) for t in path))
 
     if g is not None:
         for a in ids:
             if isinstance(a, TheoryExpression):
                 walk(a)
     db.formulas = list(formulas)
-    db.externals = [(encode(a), output[a]) for a in gp.externals]
+    db.externals = [(a, output[a]) for a in gp.externals]
     if show_all:
-        db.shows = [("show_atom", encode(a), b) for a, b in output.items()
+        db.shows = [("show_atom", a, b) for a, b in output.items()
                     if not isinstance(a, TheoryExpression)]
     for term, body in marker_shows:
         kind = "show_atom" if isinstance(term, (Constant, Function)) \
             else "show_term"
-        db.shows.append((kind, encode(term), intern(bodies, body)))
+        db.shows.append((kind, term, intern(bodies, body)))
     db.atom_tuples = {i: t for t, i in heads.items()}
     db.literal_tuples = {i: t for t, i in bodies.items()}
     return db

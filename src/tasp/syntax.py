@@ -130,9 +130,11 @@ INF = Infimum()
 class TheoryExpression(Function):
     """``&operator(args...)`` as the tuple ("&" + operator, args), so never
     equal to an atom.  memberships, its grammar types from the most general
-    (set by typecheck), is left out of == and hash."""
+    (set by typecheck), is left out of == and hash; an untyped one, as
+    the grounder builds from a schema, has none."""
 
     operator = property(lambda self: self[0][1:])
+    memberships = ()
 
     def __new__(cls, operator, args=(), memberships=()):
         self = tuple.__new__(cls, ("&" + operator, args))
@@ -484,11 +486,14 @@ def substitute(node, leaf):
 
 
 def map_payloads(stmt, f):
-    """stmt (a Rule or External) with f applied to every head atom, body
-    payload and condition payload."""
+    """stmt (a Rule, External or Show) with f applied to every head atom,
+    body payload and condition payload."""
     def lit(l):
         return Literal(l.positive, f(l.payload))
 
+    if isinstance(stmt, Show):
+        return Show(stmt.term, tuple(map(lit, stmt.condition)),
+                    stmt.signature, location=stmt.location)
     if isinstance(stmt, External):
         return External(f(stmt.target), tuple(map(lit, stmt.condition)),
                         location=stmt.location)

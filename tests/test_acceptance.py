@@ -178,10 +178,12 @@ def test_criterion_4_ground_programs_digest():
     # criterion 4's programs, recorded when rules began to ground in
     # dependency order: some user ground programs list their rules in
     # another order, so reify numbers their atoms differently (the rule
-    # sets and the traces of all 200 are the same as before)
+    # sets and the traces of all 200 are the same as before); recorded
+    # again when reified expressions kept their & (the same text with
+    # each & taken out)
     runs = [(p, n, None) for p, n in _criterion_4_runs()]
     ok = _ground_programs_digest(runs) == (
-        "078097766170a55bdef235cb775788aeadef97b6244eba2e472620d3dd368921")
+        "d1c64f2cc2a47e84f62bfa5d8ee73dc138e24c744f4cd1f04cd7712d65dea0a9")
     _report(4, ok, "ground programs of the 200 random TEL programs "
             "unchanged")
 
@@ -302,7 +304,8 @@ def test_criterion_4_mel_oracle_equivalence():
 def test_criterion_4_mel_ground_programs_digest():
     # the programs of the MEL equivalence test above, recorded when rules
     # began to ground in dependency order (the same user ground rule sets,
-    # some in another order)
+    # some in another order), and again when reified expressions kept
+    # their & (the same text with each & taken out)
     rng = random.Random(414)
     runs = []
     for trial in range(200):
@@ -310,7 +313,7 @@ def test_criterion_4_mel_ground_programs_digest():
         n = rng.randint(0, 3)
         runs.append((Pipeline(text, "mel"), n, n + rng.randint(0, 3)))
     ok = _ground_programs_digest(runs) == (
-        "c8cde1e616a4ef352d089a7e290a11da3b6ba6ad63725725ee00d3dd5f3fbc4b")
+        "1e25ed05efafceeca335bf0a53dfcf41b425499616a66dd6cd44535d2bc03b25")
     _report(4, ok, "ground programs of the 200 random MEL programs "
             "unchanged")
 
@@ -445,7 +448,8 @@ def test_criterion_7_ground_programs_digest():
     # grammar typed the arguments of &not, &next and unary &eventually as
     # del (only formula/2 types changed; the same traces), and when the
     # conjunction/2 layer of the meta encoding was deleted (the same user
-    # ground programs)
+    # ground programs), and when reified expressions kept their & (the
+    # same text with each & taken out)
     rng = random.Random(707)
     runs = []
     for trial in range(50):
@@ -453,7 +457,7 @@ def test_criterion_7_ground_programs_digest():
         program = "{ a }. { b }.\nmarker :- &eventually(%s,&final).\n" % rho
         runs.append((Pipeline(program, "del"), rng.choice((0, 1, 2)), None))
     ok = _ground_programs_digest(runs) == (
-        "a0c74efc151b630343165e1cfd19587f989c477cbf77b0a8ba00d015347688a6")
+        "883d7e6fa7de4ff25eb9d8afe48571c73958dfd684c34b0d0978b71a9d22b809")
     _report(7, ok, "ground programs of the 50 random DEL programs "
             "unchanged")
 

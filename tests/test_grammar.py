@@ -1,5 +1,6 @@
 import copy
 import logging
+import re
 
 import pytest
 
@@ -168,16 +169,30 @@ def test_occurrence_diagnostics(caplog):
 
 
 def test_no_expression_in_a_condition():
-    # whatever its type allows elsewhere, an expression is reported in
+    # whatever its type allows elsewhere, an expression is an error in
     # the condition of a conditional literal, of a head element and of
     # an #external
     g = load_grammar("#type h { occurrence: head; expressions: &h; }\n"
                      "#type any { occurrence: any; expressions: &any; }\n"
                      "#type arg { expressions: &arg; }")
-    text = ("a :- b : &h.\n{ c : &any; d : &arg }.\n"
-            "e :- &any : f, not &any.\n#external g : &h.\n")
-    typed = typecheck_program(parse_program(text), g)
-    assert check_occurrence(typed, g) == [
-        "%d:1: expression %s of type %r not allowed in condition position"
-        % (line, expr, expr[1:]) for line, expr in
-        [(1, "&h"), (2, "&any"), (2, "&arg"), (3, "&any"), (4, "&h")]]
+    for line, text, expr in [
+            (1, "a :- b : &h.", "&h"), (2, "{ c : &any }.", "&any"),
+            (2, "{ d : &arg }.", "&arg"),
+            (3, "e :- &any : f, not &any.", "&any"),
+            (4, "#external g : &h.", "&h")]:
+        typed = typecheck_program(
+            parse_program("\n" * (line - 1) + text), g)
+        with pytest.raises(TypeError_, match=re.escape(
+                "%d:1: expression %s of type %r not allowed in condition "
+                "position" % (line, expr, expr[1:]))):
+            check_occurrence(typed, g)
+
+
+def test_no_expression_in_a_show_condition():
+    # read as a body atom that nothing derives, it would never show c
+    typed = typecheck_program(parse_program("{ b }.\n#show c : &next(b).\n"),
+                              TEL)
+    with pytest.raises(TypeError_, match=re.escape(
+            "2:1: expression &next(b) of type 'tel' not allowed in "
+            "condition position")):
+        check_occurrence(typed, TEL)

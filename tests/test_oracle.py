@@ -144,8 +144,10 @@ def test_temporal_models_is_lazy(monkeypatch):
 
 
 def test_metric_program_requires_bound():
-    with pytest.raises(OracleError):
-        temporal_models(parse_program("a :- &next(&i(0,2),b)."), 1)
+    for max_time in (None, 0):  # none, or one below the horizon
+        with pytest.raises(OracleError):
+            temporal_models(parse_program("a :- &next(&i(0,2),b)."), 1,
+                            max_time=max_time)
 
 
 def test_state_space_bound():

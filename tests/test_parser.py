@@ -48,6 +48,14 @@ def test_theory_expression():
             "eventually", (Function("green", (Variable("L"),)),)),))
 
 
+def test_expression_in_a_term():
+    # as reified facts and the meta schemas hold them
+    (rule,) = parse_program("formula(tel,&next(&initial)).").rules
+    assert rule.head.elements[0].atom == Function("formula", (
+        Constant("tel"), TheoryExpression(
+            "next", (TheoryExpression("initial"),))))
+
+
 def test_nullary_expression():
     assert parse_expression("&initial") == TheoryExpression("initial")
 

@@ -95,8 +95,8 @@ def test_externals_reified_with_literal_tuple():
 def test_formula_facts_cover_membership_chain():
     db = _db(TELEX)
     formulas = {(t, str(e)) for t, e in db.formulas}
-    assert ("tel", "next(eventually(green(l1)))") in formulas
-    assert ("tel", "eventually(green(l1))") in formulas
+    assert ("tel", "&next(&eventually(green(l1)))") in formulas
+    assert ("tel", "&eventually(green(l1))") in formulas
     assert ("tel", "green(l1)") in formulas
     assert ("atom", "green(l1)") in formulas
 
