@@ -80,11 +80,10 @@ class Pipeline:
 
     @cached_property
     def typed(self):
-        """Parsed and typechecked; occurrence diagnostics are logged (an
-        expression in a condition raises TypeError_)."""
+        """Parsed and typechecked, every expression where its type allows
+        it to stand (else TypeError_)."""
         typed = typecheck_program(parse_program(self.text), self.grammar)
-        for diag in check_occurrence(typed, self.grammar):
-            log.warning("%s", diag)
+        check_occurrence(typed, self.grammar)
         return typed
 
     @cached_property
@@ -257,7 +256,8 @@ def _parse_constants(pairs) -> Dict[str, object]:
 
 def _pipeline(args) -> Pipeline:
     """The pipeline over the input program, with the builtin grammar of
-    the chosen logic extended by every --grammar file."""
+    the chosen logic extended by every --grammar file, whose types may
+    name those declared before them."""
     constants = _parse_constants(args.constants)
     semantics = args.semantics or "tel"
     if args.file is None:
@@ -268,7 +268,7 @@ def _pipeline(args) -> Pipeline:
     g = builtin_grammar(semantics)
     for path in args.grammar:
         with open(path) as fh:
-            g = g.union(load_grammar(fh.read()))
+            g = load_grammar(fh.read(), g)
     return Pipeline(text, semantics, constants, g)
 
 

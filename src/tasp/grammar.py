@@ -8,17 +8,16 @@ expanding macros on the fly.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Optional, Tuple
 
 from . import parser
 from .syntax import (
-    ConditionalLiteral, ConstDef, Constant, External, Function, Infimum,
-    Integer, Program, Rule, Show, String, Supremum, TheoryExpression,
-    TypeBlock, Variable, components, map_payloads, substitute, variables,
-    walk,
+    ARGUMENT_ONLY, ConditionalLiteral, ConstDef, Constant, External,
+    Function, Infimum, Integer, MacroSpec, Program, Rule, Show, String,
+    Supremum, TheoryExpression, TypeSpec, Variable, components,
+    map_payloads, substitute, variables, walk,
 )
 
 
@@ -36,50 +35,24 @@ PREDEFINED = ("atom", "number", "string", "infimum", "supremum")
 #: Macro expansion recursion bound; exceeding it signals a macro cycle.
 MACRO_DEPTH = 64
 
-#: Default when a ``#type`` block omits ``occurrence``.
-ARGUMENT_ONLY = "argument_only"
-
+#: Where a type's expressions may stand: the positions of a rule or an
+#: #external, or only as arguments of other expressions.
 OCCURRENCES = ("any", "head", "body", "directive", ARGUMENT_ONLY)
 
 
-@dataclass(frozen=True)
-class ExpressionSpec:
-    operator: str
-    arg_types: Tuple[str, ...]
-    arg_safety: Tuple[str, ...]  # entries in {"safe", "unsafe"}
-
-    @property
-    def arity(self) -> int:
-        return len(self.arg_types)
-
-
-@dataclass(frozen=True)
-class MacroSpec:
-    pattern: object  # TheoryExpression or Variable placeholder
-    expansion: object
-    placeholders: Tuple[Tuple[str, str], ...]  # (name, type)
-
-    def placeholder_type(self, name: str) -> Optional[str]:
-        for n, t in self.placeholders:
-            if n == name:
-                return t
-        return None
-
-
-@dataclass
-class TypeSpec:
-    name: str
-    subtypes: Tuple[str, ...] = ()
-    expressions: Tuple[ExpressionSpec, ...] = ()
-    occurrence: str = ARGUMENT_ONLY
-    macros: Tuple[MacroSpec, ...] = ()
-
-
 class TheoryGrammar:
-    """Validated, immutable collection of type specs."""
+    """The types of an iterable of TypeSpecs, validated together, by name
+    in declaration order; not changed once built."""
 
-    def __init__(self, types: "OrderedDict[str, TypeSpec]"):
-        self.types = types
+    def __init__(self, specs):
+        self.types: Dict[str, TypeSpec] = {}
+        for spec in specs:
+            if spec.name in self.types or spec.name in PREDEFINED:
+                raise GrammarError("duplicate type declaration %r" % spec.name)
+            if spec.occurrence not in OCCURRENCES:
+                raise GrammarError("unknown occurrence %r in type %r"
+                                   % (spec.occurrence, spec.name))
+            self.types[spec.name] = spec
         self._closure: Dict[str, Tuple[str, ...]] = {}
         self._validate()
 
@@ -170,49 +143,15 @@ class TheoryGrammar:
             for m in spec.macros:
                 yield t, m
 
-    def root_types(self) -> List[str]:
-        """Declared types permitted outside argument positions."""
-        return [t for t, s in self.types.items() if s.occurrence != ARGUMENT_ONLY]
 
-    def union(self, other: "TheoryGrammar") -> "TheoryGrammar":
-        merged = OrderedDict(self.types)
-        for name, spec in other.types.items():
-            if name in merged:
-                raise GrammarError("duplicate type %r in grammar union" % name)
-            merged[name] = spec
-        return TheoryGrammar(merged)
-
-
-# ---------------------------------------------------------------------------
-# Loading
-
-
-def grammar_from_blocks(blocks) -> TheoryGrammar:
-    types: "OrderedDict[str, TypeSpec]" = OrderedDict()
-    for b in blocks:
-        if b.name in types or b.name in PREDEFINED:
-            raise GrammarError("duplicate type declaration %r" % b.name)
-        if b.occurrence is not None and b.occurrence not in OCCURRENCES:
-            raise GrammarError("unknown occurrence %r in type %r"
-                               % (b.occurrence, b.name))
-        exprs = tuple(
-            ExpressionSpec(op, tuple(t for _, t in args), tuple(s for s, _ in args))
-            for op, args in b.expressions)
-        macros = tuple(MacroSpec(p, e, w) for p, e, w in b.macros)
-        types[b.name] = TypeSpec(
-            b.name, tuple(b.subtypes), exprs,
-            b.occurrence if b.occurrence is not None else ARGUMENT_ONLY,
-            macros)
-    return TheoryGrammar(types)
-
-
-def load_grammar(text: str) -> TheoryGrammar:
-    """Parse and validate one or more ``#type`` blocks."""
-    program = parser.parse_program(text)
-    blocks = [s for s in program.statements if isinstance(s, TypeBlock)]
-    if not blocks:
+def load_grammar(text: str, base: Optional[TheoryGrammar] = None) \
+        -> TheoryGrammar:
+    """Parse one or more ``#type`` blocks and validate them together with
+    base's types, if given, which they may name but not declare again."""
+    specs = parser.parse_program(text).directives(TypeSpec)
+    if not specs:
         raise GrammarError("no #type blocks found")
-    return grammar_from_blocks(blocks)
+    return TheoryGrammar(chain(base.types.values() if base else (), specs))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +232,7 @@ def _match_macro(pattern, e, macro: MacroSpec, g: TheoryGrammar):
     placeholder is bound to its value typed against the placeholder's
     type, which typecheck then takes as it is."""
     if isinstance(pattern, Variable):
-        ptype = macro.placeholder_type(pattern.name)
+        ptype = dict(macro.placeholders).get(pattern.name)
         if ptype is None:
             return None
         try:
@@ -324,19 +263,52 @@ def _match_macro(pattern, e, macro: MacroSpec, g: TheoryGrammar):
 
 def _type_atom_like(x, g: TheoryGrammar):
     """Type a head/body atom position: plain atoms pass, expressions are
-    checked against root types first, then argument-only types."""
+    checked against the types allowed outside arguments first, then the
+    argument-only ones."""
     if not isinstance(x, TheoryExpression):
         return x
     errors = []
-    candidates = g.root_types() + [
-        t for t, s in g.types.items() if s.occurrence == ARGUMENT_ONLY]
-    for t in candidates:
+    for t in sorted(g.types,
+                    key=lambda t: g.types[t].occurrence == ARGUMENT_ONLY):
         try:
             return typecheck(x, t, g)
         except TypeError_ as exc:
             errors.append(str(exc))
     raise TypeError_("expression %s matches no declared type (%s)"
                      % (x, "; ".join(errors)))
+
+
+def typecheck_program(program: Program, g: TheoryGrammar) -> Program:
+    """Type every theory expression in an atom position of the program,
+    macros expanded; check_occurrence then says whether it may stand
+    there."""
+    return Program(tuple(
+        map_payloads(s, lambda x: _type_atom_like(x, g))
+        if isinstance(s, (Rule, External, Show)) else s
+        for s in program.statements))
+
+
+def _positions(s):
+    """(x, position) for each atom and term of statement s that may hold
+    a theory expression: position is head, body, directive or condition
+    for an atom, term for a show term or a constant's value."""
+    if isinstance(s, Rule):
+        for el in s.head.elements:
+            yield el.atom, "head"
+            yield from ((c.payload, "condition") for c in el.condition)
+        for b in s.body:
+            conditional = isinstance(b, ConditionalLiteral)
+            yield (b.literal if conditional else b).payload, "body"
+            if conditional:
+                yield from ((c.payload, "condition") for c in b.condition)
+    elif isinstance(s, External):
+        yield s.target, "directive"
+        yield from ((c.payload, "condition") for c in s.condition)
+    elif isinstance(s, Show):
+        yield s.term, "term"
+        yield from ((c.payload, "condition") for c in s.condition)
+    elif isinstance(s, ConstDef):
+        yield s.value, "term"
 
 
 def _nested_expression(x, atom=True):
@@ -349,71 +321,25 @@ def _nested_expression(x, atom=True):
                 None)
 
 
-def typecheck_program(program: Program, g: TheoryGrammar) -> Program:
-    """Type every theory expression in the program (macros expanded).  An
-    expression inside a term, as in p(&next(a)), a show term or a
-    constant's value is a type error."""
-    def term(x, s, atom=True):
-        e = _nested_expression(x, atom)
-        if e is not None:
-            raise TypeError_("%s: expression %s in term position"
-                             % (_loc(s.location), e))
-        return x
-
-    def typed(s):
-        if isinstance(s, (Show, ConstDef)):  # a term, not an atom
-            term(s.value if isinstance(s, ConstDef) else s.term, s, False)
-        if isinstance(s, (Rule, External, Show)):
-            return map_payloads(s, lambda x: _type_atom_like(term(x, s), g))
-        return s
-    return Program(tuple(map(typed, program.statements)))
-
-
-def check_occurrence(program: Program, g: TheoryGrammar):
-    """Return diagnostics for expressions used in forbidden positions.  No
-    type allows an expression in a condition, where the grounder would
-    read it as a domain atom that nothing derives: the first one found
-    raises TypeError_."""
-    diagnostics = []
-
-    def check(expr, position, location):
-        if not isinstance(expr, TheoryExpression):
-            return
-        root = expr.memberships[0] if expr.memberships else None
-        spec = g.types.get(root)
-        occurrence = spec.occurrence if spec is not None else "any"
-        message = "%s: expression %s of type %r not allowed in %s position" \
-            % (_loc(location), expr, root, position)
-        if position == "condition":
-            raise TypeError_(message)
-        if occurrence not in ("any", ARGUMENT_ONLY, position):
-            diagnostics.append(message)
-        elif occurrence == ARGUMENT_ONLY:
-            diagnostics.append(
-                "%s: expression %s of type %r may only occur as an argument"
-                % (_loc(location), expr, root))
-
-    def conditions(condition, location):
-        for c in condition:
-            check(c.payload, "condition", location)
-
+def check_occurrence(program: Program, g: TheoryGrammar) -> None:
+    """Raise TypeError_ on the first misplaced theory expression of the
+    typed program: one inside a term, as in p(&next(a)), a show term or a
+    constant's value; one in a condition, where the grounder would read
+    it as a domain atom that nothing derives; or one in a head, body or
+    directive position that its type's occurrence does not allow.  An
+    argument-only type allows none of them."""
     for s in program.statements:
-        if isinstance(s, Rule):
-            for el in s.head.elements:
-                check(el.atom, "head", s.location)
-                conditions(el.condition, s.location)
-            for b in s.body:
-                if isinstance(b, ConditionalLiteral):
-                    check(b.literal.payload, "body", s.location)
-                    conditions(b.condition, s.location)
-                else:
-                    check(b.payload, "body", s.location)
-        elif isinstance(s, External):
-            check(s.target, "directive", s.location)
-            conditions(s.condition, s.location)
-        elif isinstance(s, Show):
-            conditions(s.condition, s.location)
-    return diagnostics
+        for x, position in _positions(s):
+            e = _nested_expression(x, position != "term")
+            if e is not None:
+                raise TypeError_("%s: expression %s in term position"
+                                 % (_loc(s.location), e))
+            if isinstance(x, TheoryExpression) and (
+                    position == "condition" or g.types[x.memberships[0]]
+                    .occurrence not in ("any", position)):
+                raise TypeError_(
+                    "%s: expression %s of type %r not allowed in %s position"
+                    % (_loc(s.location), x, x.memberships[0], position))
 
 
 def _loc(location):

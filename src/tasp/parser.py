@@ -13,10 +13,10 @@ import re
 from typing import List
 
 from .syntax import (
-    BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    Disjunction, External, Function, HeadElement, INF, Integer, Literal,
-    Program, Rule, SUP, Show, String, TheoryExpression, TypeBlock,
-    UnaryMinus, Variable,
+    ARGUMENT_ONLY, BinOp, Choice, Comparison, ConditionalLiteral, ConstDef,
+    Constant, Disjunction, ExpressionSpec, External, Function, HeadElement,
+    INF, Integer, Literal, MacroSpec, Program, Rule, SUP, Show, String,
+    TheoryExpression, TypeSpec, UnaryMinus, Variable,
 )
 
 
@@ -200,12 +200,12 @@ class Parser:
             return self.parse_type_block(loc)
         self.error("unknown directive %r" % name)
 
-    def parse_type_block(self, loc) -> TypeBlock:
+    def parse_type_block(self, loc) -> TypeSpec:
         tname = self.advance()
         if tname.kind != "NAME":
             self.error("expected type name")
         self.expect("{")
-        subtypes, occurrence = [], None
+        subtypes, occurrence = [], ARGUMENT_ONLY
         expressions, macros = [], []
         while not self.check("}"):
             field = self.advance()
@@ -233,31 +233,31 @@ class Parser:
                         break
         self.expect("}")
         self.accept(".")
-        return TypeBlock(tname.value, tuple(subtypes), occurrence,
-                         tuple(expressions), tuple(macros), location=loc)
+        return TypeSpec(tname.value, tuple(subtypes), tuple(expressions),
+                        occurrence, tuple(macros), location=loc)
 
-    def parse_expression_spec(self):
+    def parse_expression_spec(self) -> ExpressionSpec:
         """``&op`` or ``&op(safe t1, unsafe t2, t3)``; safety defaults unsafe."""
         self.expect("&")
         op = self.advance()
         if op.kind != "NAME":
             self.error("expected operator name")
-        args = []
+        types, safety = [], []
         if self.accept("("):
             while True:
-                safety = "unsafe"
-                if self.tok.value in ("safe", "unsafe") and self.peek().kind == "NAME":
-                    safety = self.advance().value
+                safety.append(self.advance().value
+                              if self.tok.value in ("safe", "unsafe")
+                              and self.peek().kind == "NAME" else "unsafe")
                 tname = self.advance()
                 if tname.kind != "NAME":
                     self.error("expected argument type")
-                args.append((safety, tname.value))
+                types.append(tname.value)
                 if not self.accept(","):
                     break
             self.expect(")")
-        return (op.value, tuple(args))
+        return ExpressionSpec(op.value, tuple(types), tuple(safety))
 
-    def parse_macro_spec(self):
+    def parse_macro_spec(self) -> MacroSpec:
         pattern = self.parse_term()
         self.expect(":=")
         expansion = self.parse_term()
@@ -273,7 +273,7 @@ class Parser:
                 where.append((pname.value, ptype.value))
                 if not self.accept(","):
                     break
-        return (pattern, expansion, tuple(where))
+        return MacroSpec(pattern, expansion, tuple(where))
 
     # -- heads and bodies ---------------------------------------------------
 

@@ -115,10 +115,12 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
                 path = g.membership_path(arg_type, "atom") or ()
                 formulas.update(dict.fromkeys((t, arg) for t in path))
 
-    if g is not None:
-        for a in ids:
-            if isinstance(a, TheoryExpression):
-                walk(a)
+    for a in ids:
+        if isinstance(a, TheoryExpression):
+            if g is None:
+                raise ReifyError("expression %s has no grammar; ground "
+                                 "with the grammar that typed it" % (a,))
+            walk(a)
     db.formulas = list(formulas)
     db.externals = [(a, output[a]) for a in gp.externals]
     if show_all:

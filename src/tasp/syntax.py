@@ -285,19 +285,46 @@ class ConstDef:
         return "#const %s=%s." % (self.name, self.value)
 
 
+#: The occurrence of a type whose ``#type`` block names none: its
+#: expressions may stand only as arguments of other expressions.
+ARGUMENT_ONLY = "argument_only"
+
+
 @dataclass(frozen=True)
-class TypeBlock:
-    """Raw ``#type`` declaration, validated by the grammar module."""
+class ExpressionSpec:
+    """``&operator(safety type, ...)`` in a ``#type`` block."""
+
+    operator: str
+    arg_types: tuple = ()  # of str
+    arg_safety: tuple = ()  # entries in {"safe", "unsafe"}
+
+    @property
+    def arity(self) -> int:
+        return len(self.arg_types)
+
+
+@dataclass(frozen=True)
+class MacroSpec:
+    """``pattern := expansion where X : type, ...`` in a ``#type`` block."""
+
+    pattern: object  # TheoryExpression or Variable placeholder
+    expansion: object
+    placeholders: tuple = ()  # of (name, type)
+
+
+@dataclass(frozen=True)
+class TypeSpec:
+    """A ``#type`` declaration, validated by grammar.TheoryGrammar."""
 
     name: str
     subtypes: tuple = ()  # of str
-    occurrence: Optional[str] = None
-    expressions: tuple = ()  # of (operator, args) with args (safety, type)
-    macros: tuple = ()  # of (pattern, expansion, where: tuple of (name, type))
+    expressions: tuple = ()  # of ExpressionSpec
+    occurrence: str = ARGUMENT_ONLY
+    macros: tuple = ()  # of MacroSpec
     location: Optional[tuple] = field(default=None, compare=False)
 
 
-Directive = Union[External, Show, ConstDef, TypeBlock]
+Directive = Union[External, Show, ConstDef, TypeSpec]
 Statement = Union[Rule, Directive]
 
 

@@ -337,6 +337,30 @@ def test_grammar_file_flag(tmp_path):
     assert code == 10
 
 
+def _traces(command, text, monkeypatch):
+    """The set of traces a solve or oracle command prints, each as its
+    State and atom lines."""
+    code, out = _run(command, stdin=text, monkeypatch=monkeypatch)
+    assert code == 10
+    return {tuple(l for l in block.splitlines()
+                  if l.startswith(("State", "  ")))
+            for block in out.split("Answer: ")[1:]}
+
+
+def test_grammar_file_extends_a_builtin_type(tmp_path, monkeypatch):
+    # the file's type names the builtin tel, and solve and the oracle
+    # read the macro alike
+    g = tmp_path / "ltl.lp"
+    g.write_text("#type ltl { subtypes: tel; occurrence: any; macros: "
+                 "&always(F) := &not(&eventually(&not(F))) where F : tel; }\n")
+    text = "{ a }. { b }. :- &initial, not &always(a). c :- &always(b).\n"
+    argv = ["--grammar", str(g), "-c", "n=1"]
+    solved = _traces(["solve", "--printer", "temporal"] + argv, text,
+                     monkeypatch)
+    assert len(solved) == 4
+    assert solved == _traces(["oracle"] + argv, text, monkeypatch)
+
+
 def test_deep_subtype_chain_grammar_file(tmp_path):
     # a 1,200-type subtype chain: the subtype searches do not recurse
     g = tmp_path / "deep.lp"
@@ -414,6 +438,25 @@ def test_expression_in_a_term_exit_65(text, monkeypatch, capsys):
                      monkeypatch=monkeypatch)
     assert code == 65 and not out
     assert capsys.readouterr().err.endswith(" in term position\n")
+
+
+@pytest.mark.parametrize("semantics,text,message", [
+    ("del", "a :- &step.", "1:1: expression &step of type 'path' not "
+     "allowed in body position"),
+    ("del", "&step :- b. { b }.", "1:1: expression &step of type 'path' "
+     "not allowed in head position"),
+    ("mel", "{ b }. a :- &i(1,2).", "1:8: expression &i(1,2) of type "
+     "'interval' not allowed in body position"),
+], ids=["del-body", "del-head", "mel-body"])
+def test_misplaced_expression_exit_65(semantics, text, message,
+                                      monkeypatch, capsys):
+    # an argument-only type stands at no top-level position, under solve
+    # and the oracle alike
+    for command in ("solve", "oracle"):
+        code, out = _run([command, "--semantics", semantics, "-c", "n=1"],
+                         stdin=text + "\n", monkeypatch=monkeypatch)
+        assert code == 65 and not out
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("text,argv,atoms", [

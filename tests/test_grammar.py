@@ -1,13 +1,11 @@
 import copy
-import logging
 import re
 
 import pytest
 
-from tasp.cli import Pipeline
-from tasp.grammar import (GrammarError, TheoryGrammar, TypeError_,
-                          builtin_grammar, check_occurrence, load_grammar,
-                          typecheck, typecheck_program)
+from tasp.grammar import (BUILTIN_GRAMMARS, GrammarError, TheoryGrammar,
+                          TypeError_, builtin_grammar, check_occurrence,
+                          load_grammar, typecheck, typecheck_program)
 from tasp.parser import parse_expression, parse_program
 from tasp.syntax import Integer, Supremum, TheoryExpression
 
@@ -106,8 +104,8 @@ def test_validation_visits_each_subtype_edge_once(monkeypatch):
     g = load_grammar(CHAIN)
     assert len(calls) <= 1201  # the 1,200 types and atom
     calls.clear()
-    g.union(load_grammar("#type u { subtypes: atom; }"))
-    assert len(calls) <= 2 * 1202  # u validated, then the union
+    load_grammar("#type u { subtypes: atom; }", g)
+    assert len(calls) <= 2 * 1202  # u validated with g's types
 
 
 def test_builtin_grammar_built_once():
@@ -115,22 +113,26 @@ def test_builtin_grammar_built_once():
     assert builtin_grammar("del") is g
     types = copy.deepcopy(g.types)
     closures = {t: g.closure(t) for t in g.types}
-    merged = g.union(load_grammar("#type u { expressions: &w(safe del); }"))
+    merged = load_grammar("#type u { expressions: &w(safe del); }", g)
     assert merged.find_spec("u", "w", 1) is not None
     assert "u" not in g.types and g.types == types
     assert {t: g.closure(t) for t in g.types} == closures
 
 
-def test_union_duplicate_type_rejected():
+def test_base_type_declared_again_rejected():
     with pytest.raises(GrammarError):
-        TEL.union(builtin_grammar("tel"))
+        load_grammar(BUILTIN_GRAMMARS["tel"], TEL)
 
 
-def test_union_composes():
-    extra = load_grammar("#type weight { expressions: &w(unsafe number); }")
-    g = TEL.union(extra)
+def test_grammar_extends_its_base():
+    g = load_grammar("#type weight { expressions: &w(unsafe number); }", TEL)
     assert g.find_spec("weight", "w", 1) is not None
     assert g.find_spec("tel", "next", 1) is not None
+    # a type may name the base's types
+    g = load_grammar("#type ltl { subtypes: tel; occurrence: any; }", TEL)
+    assert g.closure("ltl") == ("ltl", "tel", "atom")
+    with pytest.raises(GrammarError, match="unknown subtype 'tel'"):
+        load_grammar("#type ltl { subtypes: tel; occurrence: any; }")
 
 
 def test_unknown_subtype_reference_rejected():
@@ -153,19 +155,23 @@ def test_macro_expansion_idempotent():
     assert again == e and again.memberships == e.memberships
 
 
-def test_occurrence_diagnostics(caplog):
+def test_occurrence_diagnostics():
+    # a type allows its occurrence's positions: an argument-only type none
     g = load_grammar("#type h { occurrence: head; expressions: &h; }\n"
+                     "#type d { occurrence: directive; expressions: &d; }\n"
                      "#type arg { expressions: &arg; }")
-    text = "&h :- &h.\n#external &h.\na :- &arg.\n"
-    typed = typecheck_program(parse_program(text), g)
-    assert check_occurrence(typed, g) == [
-        "1:1: expression &h of type 'h' not allowed in body position",
-        "2:1: expression &h of type 'h' not allowed in directive position",
-        "3:1: expression &arg of type 'arg' may only occur as an argument"]
-    with caplog.at_level(logging.WARNING, logger="tasp"):
-        Pipeline(text, grammar=g).typed
-    assert [r.getMessage() for r in caplog.records] \
-        == check_occurrence(typed, g)
+    for line, text, expr, position in [
+            (1, "&h :- &h.", "&h", "body"),
+            (2, "#external &h.", "&h", "directive"),
+            (3, "a :- &arg.", "&arg", "body")]:
+        typed = typecheck_program(
+            parse_program("\n" * (line - 1) + text), g)
+        with pytest.raises(TypeError_, match=re.escape(
+                "%d:1: expression %s of type %r not allowed in %s position"
+                % (line, expr, expr[1:], position))):
+            check_occurrence(typed, g)
+    typed = typecheck_program(parse_program("&h :- a.\n#external &d."), g)
+    assert check_occurrence(typed, g) is None
 
 
 def test_no_expression_in_a_condition():

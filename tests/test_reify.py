@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -123,6 +125,16 @@ def test_untyped_expression_rejected():
                   grammar=builtin_grammar("tel")).ground()
     with pytest.raises(ReifyError):
         reify(gp, True)
+
+
+def test_expression_without_a_grammar_rejected():
+    from tasp.ground import Grounder
+    # typed, then grounded without the grammar: reified without its
+    # formula facts, b would never hold
+    program, show_all = Pipeline("{ a }. b :- &next(a).\n").transformed
+    with pytest.raises(ReifyError, match=re.escape(
+            "expression &next(a) has no grammar")):
+        reify(Grounder(program).ground(), show_all)
 
 
 def test_parse_reified_referential_integrity():
