@@ -27,8 +27,8 @@ from . import meta
 from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .grammar import (GrammarError, TheoryGrammar, TypeError_,
-                      builtin_grammar, check_occurrence, load_grammar,
-                      typecheck_program)
+                      builtin_grammar, check_occurrence, check_operators,
+                      load_grammar, typecheck_program)
 from .ground import Grounder, GroundingError
 from .meta import MetaError
 from .oracle import OracleError
@@ -119,9 +119,13 @@ def run_pipeline(text: str, n: int, semantics: str = "tel",
 def distinct_traces(mp) -> Iterator[Tuple[tuple, Optional[tuple]]]:
     """The distinct (states, tau) traces of a meta program's stable
     models, pulled from the solver only as far as the caller iterates."""
+    return _distinct(meta.extract_model(mp, m.atoms)
+                     for m in solver_mod.models(mp.program))
+
+
+def _distinct(traces) -> Iterator:
     seen = set()
-    for m in solver_mod.models(mp.program):
-        trace = meta.extract_model(mp, m.atoms)
+    for trace in traces:
         if trace not in seen:
             seen.add(trace)
             yield trace
@@ -257,7 +261,8 @@ def _parse_constants(pairs) -> Dict[str, object]:
 def _pipeline(args) -> Pipeline:
     """The pipeline over the input program, with the builtin grammar of
     the chosen logic extended by every --grammar file, whose types may
-    name those declared before them."""
+    name those declared before them and whose expressions may only use
+    the logic's operators (see grammar.check_operators)."""
     constants = _parse_constants(args.constants)
     semantics = args.semantics or "tel"
     if args.file is None:
@@ -265,10 +270,11 @@ def _pipeline(args) -> Pipeline:
     else:
         with open(args.file) as fh:
             text = fh.read()
-    g = builtin_grammar(semantics)
+    g = logic = builtin_grammar(semantics)
     for path in args.grammar:
         with open(path) as fh:
             g = load_grammar(fh.read(), g)
+        check_operators(g, logic)
     return Pipeline(text, semantics, constants, g)
 
 
@@ -329,9 +335,9 @@ def _cmd_oracle(args, out) -> int:
     # the -c values come last, so they win as in solve
     program = Program(p.typed.statements + tuple(
         ConstDef(name, value) for name, value in p.constants.items()))
-    traces = ((tuple(frozenset(map(str, s)) for s in m.states), m.tau)
-              for m in oracle_mod.temporal_models(program, n,
-                                                  max_time=max_time))
+    show = oracle_mod.show_projection(program)
+    traces = _distinct((show(m), m.tau) for m in oracle_mod.temporal_models(
+        program, n, max_time=max_time))
     return _print_models(traces, format_model_temporal, limit, start, out)
 
 

@@ -1,0 +1,486 @@
+"""Generated join code for the plans that are grounded again.
+
+From its second grounding on, a ground.Plan grounds each job with a Python
+function generated from the job's own steps: a first Futamura projection
+of Grounder._interpret (_join, _build_instance and _add_derivable), as
+Souffle compiles Datalog (Jordan, Scholz, Subotic, *Souffle: on synthesis
+of program analyzers*, CAV 2016).  A scan is a for loop over the indices
+its list has when the scan starts, the snapshot _join takes; variables
+are locals; tests, checks and assignments are inline code; body and head
+tuples are built in place; and the heads of an instance are derived as
+soon as it is built.  What the code does not spell out (an interval, =
+against a function with variables, arithmetic in a matched pattern, a
+pooled head) calls the plan's own closures on a substitution dict, and
+arithmetic and comparisons call the helpers the closures call, so both
+paths give the same ground program, warnings and errors.  The code runs
+in the namespace of the ground module.
+
+A plan grounded once, as every user program is, stays interpreted and
+never imports this module: compiling a job costs about half a
+millisecond, more than grounding a small program does.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional
+
+from . import ground
+from .ground import (
+    MAX_TERM_DEPTH, _Condition, _fail, _is_ground, _pooled, atom_key,
+    term_depth,
+)
+from .syntax import (
+    ASSIGN, CHECK, TEST, BinOp, Constant, Function, Integer,
+    TheoryExpression, UnaryMinus, Variable, variables, walk,
+)
+
+_NO_DEPTH = float("-inf")
+
+
+def _drops(node) -> bool:
+    """Whether evaluating node may raise DropInstance: it has arithmetic."""
+    return any(isinstance(x, BinOp) for x in walk(node))
+
+
+def _pure(node) -> bool:
+    """Whether evaluating node can neither warn nor raise: it has no
+    arithmetic and no interval."""
+    return not any(isinstance(x, (BinOp, UnaryMinus)) for x in walk(node))
+
+
+def _pure_join(steps) -> bool:
+    """Whether no step of a join can warn or raise."""
+    return all(step[4] is not None and _pure(step[4][0]) for step in steps)
+
+
+class JobSource:
+    """The Python source of the jobs of a plan.  The source of a job is a
+    function that takes the objects the job reads and returns the job's
+    function, job(grounder, instances, externals), which joins the job,
+    appends its instances to instances (an #external's targets go to the
+    ordered set externals instead) and derives their heads."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        #: each job's (source, the objects its function takes)
+        self.jobs: List[tuple] = []
+        for rule in plan.rules:
+            self.objects: Dict[int, tuple] = {}  # id -> (name, object)
+            self.lines: List[str] = []
+            self._job(rule)
+            self.jobs.append(("\n".join(
+                ["def job_of(%s):" % ", ".join(
+                    name for name, _ in self.objects.values()),
+                 "    def job(g, insts, externals):"]
+                + self.lines + ["    return job"]),
+                [obj for _, obj in self.objects.values()]))
+
+    def compile(self) -> tuple:
+        """The function of each job.  Jobs are compiled one by one: the
+        peak memory of compile grows with the source it is given."""
+        jobs = []
+        for text, objects in self.jobs:
+            namespace: Dict = {}
+            exec(compile(text, "<generated job>", "exec"), vars(ground),
+                 namespace)
+            jobs.append(namespace["job_of"](*objects))
+        return tuple(jobs)
+
+    # -- helpers ----------------------------------------------------------------
+
+    def ref(self, obj) -> str:
+        """The name under which the code reads obj."""
+        return self.objects.setdefault(
+            id(obj), ("k%d" % len(self.objects), obj))[0]
+
+    def emit(self, line):
+        self.lines.append("    " * self.indent + line)
+
+    def temp(self, prefix="t") -> str:
+        self.temps += 1
+        return "%s%d" % (prefix, self.temps)
+
+    def loop(self, header) -> str:
+        self.emit(header)
+        self.indent += 1
+        return "continue"
+
+    def guard(self, lines, drops, skip):
+        """Emits lines, which skip the partial instance if they may drop
+        it."""
+        if drops:
+            self.emit("try:")
+            self.lines += ["    " * (self.indent + 1) + l for l in lines]
+            self.emit("except DropInstance:")
+            self.emit("    " + skip)
+        else:
+            for line in lines:
+                self.emit(line)
+
+    def bind(self, name, depth) -> str:
+        """The local of variable name, now bound to values whose term_depth
+        is at most max(a, max_depth + r) for depth (a, r), or any if depth
+        is None."""
+        self.depths[name] = depth
+        return self.names.setdefault(name, "v%d" % len(self.names))
+
+    def depth(self, t):
+        """(a, r): the term_depth of the values of t is at most
+        max(a, max_depth + r); None if unknown."""
+        if _is_ground(t):
+            return term_depth(t), _NO_DEPTH
+        if isinstance(t, Variable):
+            return self.depths.get(t.name)
+        if not isinstance(t, Function):
+            return 0, _NO_DEPTH  # arithmetic gives an integer
+        parts = [self.depth(a) for a in t.args]
+        if None in parts:
+            return None
+        return (1 + max([a for a, _ in parts], default=0),
+                1 + max([r for _, r in parts], default=_NO_DEPTH))
+
+    def shallow(self, t) -> bool:
+        """Whether every value of head atom t is within the depth bound:
+        then it is derived without a term_depth call."""
+        d = self.depth(t)
+        return d is not None and d[1] <= 0 \
+            and d[0] <= MAX_TERM_DEPTH + self.plan.depth
+
+    def subst(self, bound) -> str:
+        return "{%s}" % ", ".join(
+            "%r: %s" % (name, self.names[name]) for name in sorted(bound))
+
+    def index_list(self, key) -> str:
+        """The local of the name/arity list of key."""
+        return self.lists.setdefault(key, "l%d" % len(self.lists))
+
+    def name(self, name) -> str:
+        return repr(name) if type(name) is str else self.ref(name)
+
+    # -- terms and comparisons --------------------------------------------------
+
+    def expr(self, t, bound) -> Optional[str]:
+        """An expression of the value of t, or None if t holds an
+        interval; as _value."""
+        if _is_ground(t):
+            return self.ref(t)
+        if isinstance(t, Variable):
+            if t.name in bound:
+                return self.names[t.name]
+            return "%s()" % self.ref(_fail("unbound variable %s" % t.name))
+        if isinstance(t, Function):
+            args = [self.expr(a, bound) for a in t.args]
+            if None in args:
+                return None
+            args = "(%s)" % "".join(a + ", " for a in args)
+            if isinstance(t, TheoryExpression) and t.memberships:
+                return "TheoryExpression(%r, %s, %s)" % (
+                    t.operator, args, self.ref(t.memberships))
+            return "_new(%s, (%s, %s))" % (self.ref(type(t)),
+                                           self.name(t[0]), args)
+        if isinstance(t, UnaryMinus):
+            arg = self.expr(t.arg, bound)
+            return None if arg is None else "negate(%s)" % arg
+        if t.op == "..":
+            return None
+        left, right = self.expr(t.left, bound), self.expr(t.right, bound)
+        if left is None or right is None:
+            return None
+        return "arithmetic(%r, %s, %s)" % (t.op, left, right)
+
+    def comparison(self, cmp, positive, bound):
+        """(lines, test): lines to run, then an expression of whether cmp
+        holds, if positive, or fails; test is None where an interval or
+        = against a function with variables needs _comparison."""
+        op, left, right = cmp.op, cmp.left, cmp.right
+        if _pooled(left) or _pooled(right) or op == "=" and isinstance(
+                right, Function) and not _is_ground(right):
+            return [], None
+        lines, operands = [], []
+        for t in (left, right):
+            value = self.expr(t, bound)
+            if op != "=" and not (_is_ground(t) or isinstance(t, Variable)):
+                lines.append("%s = %s" % (self.temp(), value))
+                value = "t%d" % self.temps
+            operands.append(value)
+        x, y = operands
+        if op == "=":
+            test = "%s == %s" % (x, y)
+        elif any(_is_ground(t) and type(t) is not Integer
+                 for t in (left, right)):
+            test = "compare_terms(%r, %s, %s)" % (op, x, y)
+        else:
+            ints = " and ".join("type(%s) is Integer" % v for v, t in (
+                (x, left), (y, right)) if not _is_ground(t))
+            test = "%s %s %s" % (x, op, y) if not ints else \
+                "(%s %s %s if %s else compare_terms(%r, %s, %s))" % (
+                    x, op, y, ints, op, x, y)
+        return lines, test if positive else "not (%s)" % test
+
+    # -- joins -----------------------------------------------------------------
+
+    def join(self, steps, skip):
+        """Emits the join of steps, nested in one loop per scan or pooled
+        assignment; skip leaves the current partial instance.  Returns the
+        locals of the atoms the steps record, and the skip of the
+        innermost level."""
+        found = []
+        for op, x, y, z, source in steps:
+            if source is None:  # no literal left is processable
+                self.emit("%s()" % self.ref(x))
+                continue
+            p, positive, bound = source
+            if op == CHECK:
+                lines, test = self.comparison(p, positive, bound)
+                if test is None:
+                    test = "%s(%s)" % (self.ref(x), self.subst(bound))
+                self.guard(lines + ["if not %s: %s" % (test, skip)],
+                           _drops(p), skip)
+            elif op == ASSIGN:
+                depth = self.depth(p)
+                value = None if _pooled(p) else self.expr(p, bound)
+                if value is None:
+                    values = self.temp()
+                    self.guard(["%s = %s(%s)" % (
+                        values, self.ref(y), self.subst(bound))],
+                        _drops(p), skip)
+                    skip = self.loop("for %s in %s:" % (
+                        self.bind(x, depth), values))
+                else:
+                    self.guard(["%s = %s" % (self.bind(x, depth), value)],
+                               _drops(p), skip)
+            elif op == TEST:
+                atom = self.temp("a")
+                value = self.expr(p, bound) \
+                    or "%s(%s)" % (self.ref(x), self.subst(bound))
+                lines = ["%s = %s" % (atom, value)]
+                if positive:  # a negative literal is recorded, not tested
+                    lines.append("if %s not in derivable: %s" % (atom, skip))
+                self.guard(lines, _drops(p), skip)
+                found.append(atom)
+            else:
+                atom, skip = self.scan(x, y, z, p, bound, skip)
+                found.append(atom)
+        return found, skip
+
+    def scan(self, x, y, z, p, bound, skip):
+        atoms = self.index_list(atom_key(p))
+        values = ()
+        if y is not None:
+            values = x[1]
+            # keys are not evaluated without atoms
+            self.emit("if not %s: %s" % (atoms, skip))
+            keys = [self.expr(p.args[pos], bound) for pos in values]
+            keys = "%s(%s)" % (self.ref(y), self.subst(bound)) \
+                if None in keys else "(%s)" % "".join(k + ", " for k in keys)
+            atoms = self.temp()
+            self.guard(["%s = arg_index.get((%s, %s), ())" % (
+                atoms, self.ref(x), keys)],
+                any(_drops(p.args[pos]) for pos in values), skip)
+        rest = [(pos, a) for pos, a in enumerate(p.args) if pos not in values]
+        atom, i = self.temp("a"), self.temp("i")
+        if any(isinstance(q, (BinOp, UnaryMinus))
+               for _, a in rest for q in walk(a)):
+            # matched against every atom first, from the last, as _join
+            # does, so that arithmetic warns and fails in the same order
+            matched, s2 = self.temp(), self.temp("s")
+            self.emit("%s = []" % matched)
+            self.emit("for %s in range(len(%s) - 1, -1, -1):" % (i, atoms))
+            self.emit("    %s = %s(%s[%s][1], %s)" % (
+                s2, self.ref(z), atoms, i, self.subst(bound)))
+            self.emit("    if %s is not None:" % s2)
+            self.emit("        %s.append((%s[%s], %s))" % (
+                matched, atoms, i, s2))
+            skip = self.loop("for %s, %s in reversed(%s):" % (
+                atom, s2, matched))
+            for name in sorted(variables(p) - bound):
+                self.emit("%s = %s[%r]" % (self.bind(name, None), s2, name))
+            return atom, skip
+        skip = self.loop("for %s in range(len(%s)):" % (i, atoms))
+        self.emit("%s = %s[%s]" % (atom, atoms, i))
+        args = self.temp()
+        self.emit("%s = %s[1]" % (args, atom))
+        bound = set(bound)
+        for pos, a in rest:
+            self.match(a, "%s[%d]" % (args, pos), 1, bound, skip)
+        return atom, skip
+
+    def match(self, p, g, level, bound, skip):
+        """Emits the test that value g, at nesting level `level` of a
+        scanned atom, matches pattern p, as _matcher; binds the variables
+        that p binds first and adds them to bound."""
+        if _is_ground(p):
+            self.emit("if %s != %s: %s" % (g, self.ref(p), skip))
+        elif isinstance(p, Variable):
+            if p.name in bound:
+                self.emit("if %s != %s: %s" % (g, self.names[p.name], skip))
+            else:
+                bound.add(p.name)
+                self.emit("%s = %s" % (self.bind(p.name, (0, -level)), g))
+        else:  # a function: arithmetic has been matched in scan
+            f, args = self.temp(), self.temp()
+            self.emit("%s = %s" % (f, g))
+            self.emit("if not (isinstance(%s, Function) and %s[0] == %s "
+                      "and len(%s[1]) == %d): %s" % (
+                          f, f, self.name(p[0]), f, len(p.args), skip))
+            self.emit("%s = %s[1]" % (args, f))
+            for k, a in enumerate(p.args):
+                self.match(a, "%s[%d]" % (args, k), level + 1, bound, skip)
+
+    def condition(self, c, outer, each, pure):
+        """Emits the expansion of condition c from the variables outer,
+        as expand_condition: each() emits what one solution does.  That is
+        inside the join if it is pure or the join is; else after the join,
+        which expand_condition completes before it, so that warnings and
+        errors come in the same order."""
+        later = not pure and not _pure_join(c.steps)
+        if c.error:
+            self.emit("raise GroundingError(%r)" % c.error)
+            return
+        base = self.indent
+        if later:
+            solutions = self.temp()
+            self.emit("%s = []" % solutions)
+        self.loop("for _ in (None,):")
+        found, skip = self.join(c.steps, "continue")
+        for j in c.negatives:
+            self.emit("if %s in derivable: %s" % (found[j], skip))
+        if later:
+            names = "".join(self.names[n] + ", " for n in sorted(
+                c.bound - outer))
+            self.emit("%s.append((%s))" % (solutions, names))
+            self.indent = base
+            self.loop("for (%s) in %s:" % (names, solutions))
+        each()
+        self.indent = base
+
+    # -- one job -----------------------------------------------------------------
+
+    def _job(self, rule):
+        """Emits the body of the function of job rule into self.lines."""
+        self.names, self.depths, self.lists, self.temps = {}, {}, {}, 0
+        self.indent, start = 2, len(self.lines)
+        params = ["%s = g.params[%r]" % (self.bind(name, None), name)
+                  for name in self.plan.params]
+        found, skip = self.join(rule.steps, "return")
+        # the instance, in a try if building it may drop it
+        self.indent += 1
+        built, self.drops = len(self.lines), False
+        self.body(rule, found)
+        key = self.head(rule)
+        lines = self.lines[built:]
+        del self.lines[built:]
+        self.indent -= 1
+        if self.drops:
+            self.emit("try:")
+            self.lines += lines
+            self.emit("except DropInstance:")
+            self.emit("    " + skip)
+        else:
+            self.lines += [line[4:] for line in lines]
+        self.derive(rule, key)
+        self.lines[start:start] = ["    " * 2 + line for line in [
+            "derivable = g.derivable", "arg_index = g._arg_index",
+            "index = g._index", "insts_append = insts.append"] + params + [
+                "%s = index.setdefault(%s, [])" % (name, self.ref(key))
+                for key, name in self.lists.items()]]
+
+    def body(self, rule, found):
+        """Emits body = the body of the instance."""
+        if not any(isinstance(e, _Condition) for e in rule.body):
+            self.emit("body = (%s)" % "".join(
+                "(%r, %s), " % (e[0], found[e[1]]) for e in rule.body))
+            return
+        self.emit("body = []")
+        for e in rule.body:
+            if not isinstance(e, _Condition):
+                self.emit("body.append((%r, %s))" % (e[0], found[e[1]]))
+                continue
+            positive, closure, literal = e.literal
+            pure = positive is not None and _pure(literal.payload)
+            self.drops |= positive is None or _drops(literal.payload)
+            if positive is None:  # a comparison that fails drops the instance
+                def each(e=e, closure=closure, literal=literal):
+                    lines, test = self.comparison(
+                        literal.payload, literal.positive, e.bound)
+                    if test is None:
+                        test = "%s(%s)" % (self.ref(closure),
+                                           self.subst(e.bound))
+                    for line in lines + [
+                            "if not %s: raise DropInstance" % test]:
+                        self.emit(line)
+            else:
+                def each(e=e, closure=closure, literal=literal):
+                    value = self.expr(literal.payload, e.bound) \
+                        or "%s(%s)" % (self.ref(closure), self.subst(e.bound))
+                    self.emit("body.append((%r, %s))" % (literal.positive,
+                                                          value))
+            self.condition(e, rule.bound, each, pure)
+        self.emit("body = tuple(body)")
+
+    def head(self, rule):
+        """Emits head = the head of the instance, and h = its atom if it
+        is the only one, as _build_instance; or heads = its alternatives
+        if a head atom is pooled.  Returns the name/arity key of the head
+        atoms if they share one and are within the depth bound."""
+        atoms = [a for _, _, a in rule.head]
+        keys = [atom_key(a) if isinstance(a, (Function, Constant)) else None
+                for a in atoms]
+        key = keys[0] if keys and keys.count(keys[0]) == len(keys) else None
+        if any(map(_pooled, atoms)):
+            self.drops = True
+            self.emit("heads = g._ground_head(%s, %s)" % (
+                self.ref(rule.head), self.subst(rule.bound)))
+            return None
+        if all(c is None for _, c, _ in rule.head):
+            self.drops |= any(map(_drops, atoms))
+            if not all(map(self.shallow, atoms)):
+                key = None
+            values = [self.expr(a, rule.bound) for a in atoms]
+            if rule.atom is not None:
+                self.emit("h = %s" % values[0])
+                self.emit("head = (h,)")
+            else:
+                self.emit("head = tuple(dict.fromkeys((%s)))" % "".join(
+                    v + ", " for v in values))
+            return key
+        self.emit("head = []")
+        for _, c, a in rule.head:
+            if c is None:
+                key = key if self.shallow(a) else None
+                self.emit("head.append(%s)" % self.expr(a, rule.bound))
+                continue
+
+            def each(c=c, a=a):
+                nonlocal key
+                key = key if self.shallow(a) else None
+                self.emit("head.append(%s)" % self.expr(a, c.bound))
+            self.drops |= _drops(a)
+            self.condition(c, rule.bound, each, _pure(a))
+        self.emit("head = tuple(dict.fromkeys(head))")
+        return key
+
+    def derive(self, rule, key):
+        """Emits the recording of the instance and the derivation of its
+        heads, as Grounder.ground does for each of _build_instance's."""
+        if any(_pooled(a) for _, _, a in rule.head):
+            self.loop("for head in heads:")
+        if rule.kind == "external":  # first seen first
+            self.emit("externals.setdefault(head[0])")
+        else:
+            self.emit("insts_append((%r, head, body))" % rule.kind)
+        if rule.atom is None:
+            self.loop("for h in head:")
+        if key is None:
+            self.emit("g._add_derivable(h)")
+            return
+        self.emit("if h not in derivable:")
+        self.indent += 1
+        self.emit("if len(derivable) > MAX_ATOMS:")
+        self.emit("    _atom_bound()")
+        self.emit("derivable[h] = None")
+        self.emit("%s.append(h)" % self.index_list(key))
+        for shape in self.plan.shapes.get(key, ()):
+            self.emit("arg_index.setdefault((%s, (%s)), []).append(h)" % (
+                self.ref(shape), "".join("h[1][%d], " % pos
+                                         for pos in shape[1])))

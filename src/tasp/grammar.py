@@ -154,6 +154,23 @@ def load_grammar(text: str, base: Optional[TheoryGrammar] = None) \
     return TheoryGrammar(chain(base.types.values() if base else (), specs))
 
 
+def check_operators(g: TheoryGrammar, logic: TheoryGrammar) -> None:
+    """Raise GrammarError on the first expression operator/arity of g
+    that the grammar of the logic does not declare.  The logic's meta
+    encoding and the oracle give meaning to its operators alone; a new
+    name has one only as a macro, which is expanded before either reads
+    it."""
+    known = {(e.operator, e.arity) for spec in logic.types.values()
+             for e in spec.expressions}
+    for spec in g.types.values():
+        for e in spec.expressions:
+            if (e.operator, e.arity) not in known:
+                raise GrammarError(
+                    "operator &%s/%d of type %r is not an operator of the "
+                    "logic; only a macro may name a new one"
+                    % (e.operator, e.arity, spec.name))
+
+
 # ---------------------------------------------------------------------------
 # Typechecking and macro expansion
 

@@ -9,7 +9,8 @@ dropped.
 A program is compiled into a Plan, its terms and comparisons into
 closures, then grounded.  The same engine
 instantiates the internal meta-encodings, compiled once per process,
-against reified-fact databases seeded as facts.
+against reified-fact databases seeded as facts.  A plan grounded again
+grounds with Python code generated from it (see tasp.codegen).
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ def _is_interval(t) -> bool:
     return isinstance(t, BinOp) and t.op == ".."
 
 
+def _atom_bound():
+    """Raise the error of the derivable-atom bound."""
+    raise GroundingLimitError("derivable-atom bound exceeded")
+
+
 def _pooled(t) -> bool:
     """Whether an interval in t may expand it into more than one value."""
     if isinstance(t, Function):
@@ -168,35 +174,37 @@ def _value(t, bound):
         return lambda s: _new(kind, (name, args(s)))
     if isinstance(t, UnaryMinus):
         arg = _value(t.arg, bound)
-
-        def negate(s):
-            v = arg(s)
-            if type(v) is not Integer:
-                raise GroundingError("cannot negate %s" % (v,))
-            return Integer(-v)
-        return negate
+        return lambda s: negate(arg(s))
     if t.op == "..":
         return _fail("interval in non-expandable position")
-    left, right = _value(t.left, bound), _value(t.right, bound)
-    op = _ARITHMETIC[t.op]
+    left, right, op = _value(t.left, bound), _value(t.right, bound), t.op
+    return lambda s: arithmetic(op, left(s), right(s))
 
-    def arithmetic(s):
-        a, b = left(s), right(s)
-        if type(a) is Integer and type(b) is Integer:
-            try:
-                v = op(a, b)
-            except ZeroDivisionError:
-                log.warning("division by zero, dropping instance")
-            else:
-                if -MAX_INTEGER <= v <= MAX_INTEGER:
-                    return Integer(v)
-                raise GroundingLimitError(
-                    "integer bound exceeded by %s%s%s" % (a, t.op, b))
+
+def negate(v):
+    """The value of -v."""
+    if type(v) is not Integer:
+        raise GroundingError("cannot negate %s" % (v,))
+    return Integer(-v)
+
+
+def arithmetic(op, a, b):
+    """The value of a op b, op one of + - * / \\: an operand that is not
+    an integer, or division by zero, raises DropInstance."""
+    if type(a) is Integer and type(b) is Integer:
+        try:
+            v = _ARITHMETIC[op](a, b)
+        except ZeroDivisionError:
+            log.warning("division by zero, dropping instance")
         else:
-            log.warning("operation undefined: %s%s%s, dropping instance",
-                        a, t.op, b)
-        raise DropInstance()
-    return arithmetic
+            if -MAX_INTEGER <= v <= MAX_INTEGER:
+                return Integer(v)
+            raise GroundingLimitError(
+                "integer bound exceeded by %s%s%s" % (a, op, b))
+    else:
+        log.warning("operation undefined: %s%s%s, dropping instance",
+                    a, op, b)
+    raise DropInstance()
 
 
 def _tuple(terms, bound):
@@ -257,7 +265,7 @@ def _values(t, bound):
 
     def values(s):
         if size(s) > MAX_ATOMS:
-            raise GroundingLimitError("derivable-atom bound exceeded")
+            _atom_bound()
         return expand(s)
     return values
 
@@ -463,18 +471,21 @@ class GroundProgram:
 # syntax.schedule gives from the names of the bound variables alone, so
 # it is fixed before any atom is seen, and so is what each step
 # evaluates, compiled as in "Term compilation".  Steps are tuples
-# (op, x, y, z), op a schedule kind:
+# (op, x, y, z, source), op a schedule kind:
 #
-#   (CHECK, check, None, None)         a bound comparison, check(s)
-#   (ASSIGN, name, values, None)       name = each of values(s)
-#   (TEST, atom, positive, None)       the atom atom(s), recorded
-#   (SCAN, key, keys, match)           a positive atom, recorded
+#   (CHECK, check, None, None, _)      a bound comparison, check(s)
+#   (ASSIGN, name, values, None, _)    name = each of values(s)
+#   (TEST, atom, positive, None, _)    the atom atom(s), recorded
+#   (SCAN, key, keys, match, _)        a positive atom, recorded
 #
 # When no literal is processable, the last step is a CHECK whose check
-# raises the error that names the unbound literals.  A scan reads one
-# index list: the name/arity list of `key` when keys is None, else the
-# list of the shape `key` (see Plan.shapes) under the values keys(s);
-# match(args, s) extends s by each atom of it.
+# raises the error that names the unbound literals, with source None.  A
+# scan reads one index list: the name/arity list of `key` when keys is
+# None, else the list of the shape `key` (see Plan.shapes) under the
+# values keys(s); match(args, s) extends s by each atom of it.  source is
+# what the step was compiled from, for the code generator of
+# tasp.codegen: (the comparison, assigned term or atom, positive, the
+# variables bound before the step).
 
 
 class _Condition(NamedTuple):
@@ -483,8 +494,10 @@ class _Condition(NamedTuple):
     steps: tuple
     negatives: tuple          # positions of negative literals' atoms
     error: Optional[str]      # set if over a non-domain predicate
-    # (positive, atom closure), or (None, check) for a comparison
+    # (positive, atom closure, literal), or (None, check, literal) for a
+    # comparison
     literal: Optional[tuple]
+    bound: frozenset          # the variables bound at its end
 
 
 class _Rule(NamedTuple):
@@ -493,9 +506,10 @@ class _Rule(NamedTuple):
     steps: tuple
     reads: tuple              # name/arity keys of the lists it reads
     body: tuple               # (positive, atom position) or _Condition
-    head: tuple               # (values closure, _Condition or None)
+    head: tuple               # (values closure, _Condition or None, atom)
     atom: Optional[object]    # the closure of a lone bare head atom
     kind: str                 # "choice", "disjunction" or "external"
+    bound: frozenset          # the variables bound at the join's end
 
 
 def _tainted(s) -> bool:
@@ -597,7 +611,8 @@ class Plan:
     are bound into the statements.  The constants named in `params`
     become variables of the same name instead, which each grounding binds
     in the first substitution of every join, so one plan serves every
-    value of them.  Grounding does not change a plan."""
+    value of them.  Grounding changes a plan only by giving it generated
+    code (see tasp.codegen) on its second grounding."""
 
     def __init__(self, program: Program, constants: Optional[dict] = None,
                  params=()):
@@ -637,14 +652,25 @@ class Plan:
         self.rules = tuple(
             (self._external if isinstance(s, External) else self._rule)(
                 s, bound, keys) for s, keys in zip(jobs, reads))
+        self._groundings, self._code = 0, None
+
+    def code(self) -> Optional[tuple]:
+        """Called once per grounding: None the first time, then the
+        generated function of each job, compiled on the second call."""
+        self._groundings += 1
+        if self._code is None and self._groundings > 1:
+            from .codegen import JobSource  # what one grounding never needs
+            self._code = JobSource(self).compile()
+        return self._code
 
     def _external(self, e, bound, reads) -> _Rule:
         # a negative literal need only be bound, and is not recorded
         steps, _, bound = self._steps([
             (i if l.positive else None, l.positive, l.payload)
             for i, l in enumerate(e.condition)], bound)
-        return _Rule(steps, reads, (), ((_values(e.target, bound), None),),
-                     _lone(e.target, bound), "external")
+        return _Rule(steps, reads, (),
+                     ((_values(e.target, bound), None, e.target),),
+                     _lone(e.target, bound), "external", bound)
 
     def _rule(self, r, bound, reads) -> _Rule:
         # conditionals never bind outer variables; expanded per instance
@@ -662,11 +688,12 @@ class Plan:
         for el in r.head.elements:
             condition, inner = self._condition(el.condition, bound) \
                 if el.condition else (None, bound)
-            head.append((_values(el.atom, inner), condition))
+            head.append((_values(el.atom, inner), condition, el.atom))
         lone = len(head) == 1 and head[0][1] is None
         atom = _lone(r.head.elements[0].atom, bound) if lone else None
         kind = "choice" if isinstance(r.head, Choice) else "disjunction"
-        return _Rule(steps, reads, tuple(body), tuple(head), atom, kind)
+        return _Rule(steps, reads, tuple(body), tuple(head), atom, kind,
+                     bound)
 
     def _condition(self, condition, bound, literal=None):
         """The compiled condition, with its literal if given, and the
@@ -683,13 +710,14 @@ class Plan:
             compiled = None
         elif isinstance(literal.payload, Comparison):
             compiled = (None, _comparison(literal.payload, literal.positive,
-                                          bound))
+                                          bound), literal)
         else:
-            compiled = (literal.positive, _value(literal.payload, bound))
+            compiled = (literal.positive, _value(literal.payload, bound),
+                        literal)
         return _Condition(
             steps, tuple(j for j, i in enumerate(recorded)
                          if not condition[i].positive), error,
-            compiled), bound
+            compiled, bound), bound
 
     def _steps(self, pending, bound):
         """The steps of a join over pending, literals for syntax.schedule
@@ -700,18 +728,22 @@ class Plan:
         for kind, i, positive, p, assigned, bound in order:
             if kind == CHECK:
                 steps.append((CHECK, _comparison(p, positive, bound),
-                              None, None))
+                              None, None, (p, positive, bound)))
             elif kind == ASSIGN:
                 steps.append((ASSIGN, assigned[0],
-                              _values(assigned[1], bound), None))
+                              _values(assigned[1], bound), None,
+                              (assigned[1], positive, bound)))
             elif kind == SCAN or i is not None:
-                steps.append(self._scan(p, bound) if kind == SCAN else
-                             (TEST, _value(p, bound), positive, None))
+                steps.append(self._scan(p, bound) + ((p, positive, bound),)
+                             if kind == SCAN else
+                             (TEST, _value(p, bound), positive, None,
+                              (p, positive, bound)))
                 recorded.append(i)
         if pending:
             steps.append((CHECK, _fail(
                 "cannot instantiate body: unbound %s" % "; ".join(
-                    str(Literal(*lit[1:])) for lit in pending)), None, None))
+                    str(Literal(*lit[1:])) for lit in pending)),
+                None, None, None))
         return tuple(steps), recorded, end
 
     def _scan(self, pattern, bound) -> tuple:
@@ -757,21 +789,22 @@ class Grounder:
         self.counters = dict.fromkeys((  # logged by ground
             "components", "rounds", "joins", "joins_skipped", "instances",
             "simplify_rounds", "rules_dropped"), 0)
+        #: joins run by generated code (logged by ground)
+        self.generated = 0
 
     # -- derivable index -------------------------------------------------------
 
-    def _add_derivable(self, atom) -> bool:
+    def _add_derivable(self, atom):
         if atom in self.derivable:
-            return False
+            return
         if term_depth(atom) > self.max_depth:
             raise GroundingLimitError(
                 "value-creation depth bound exceeded at %s" % (atom,))
         self._insert(atom)
-        return True
 
     def _insert(self, atom):
         if len(self.derivable) > MAX_ATOMS:
-            raise GroundingLimitError("derivable-atom bound exceeded")
+            _atom_bound()
         self.derivable[atom] = None
         key = atom_key(atom)
         self._index.setdefault(key, []).append(atom)
@@ -797,7 +830,7 @@ class Grounder:
             if k == end:
                 yield s, found
                 continue
-            op, x, y, z = steps[k]
+            op, x, y, z, _ = steps[k]
             k += 1
             try:  # undefined arithmetic drops the partial instance
                 if op == SCAN:
@@ -853,7 +886,7 @@ class Grounder:
         # Components are joined in dependency order, each once unless it
         # reads its own heads: then in rounds while its lists grow, skipping
         # a join whose lists kept their sizes since it last started.
-        jobs = self.plan.rules
+        jobs, code = self.plan.rules, self.plan.code()
         sizes, instances = [None] * len(jobs), [[] for _ in jobs]
         external_atoms: Dict = {}
         self.counters["components"] = len(self.plan.components)
@@ -872,22 +905,34 @@ class Grounder:
                     sizes[i] = now
                     self.counters["joins"] += 1
                     insts = instances[i] = []
-                    for subst, found in self._join(job.steps, self.params):
-                        for inst in self._build_instance(job, subst, found):
-                            if job.kind == "external":  # first seen first
-                                external_atoms.setdefault(inst[1][0])
-                            else:
-                                insts.append(inst)
-                            for h in inst[1]:
-                                grew |= self._add_derivable(h)
+                    before = len(self.derivable)
+                    if code is None:
+                        self._interpret(job, insts, external_atoms)
+                    else:
+                        self.generated += 1
+                        code[i](self, insts, external_atoms)
+                    grew |= len(self.derivable) > before
                     self.counters["instances"] += len(insts)
                 grew &= recursive
         program = self._finalize(
             (inst for insts in instances for inst in insts), external_atoms)
-        log.debug("ground: %s", ", ".join(
+        log.debug("ground: %s; %d joins by generated code", ", ".join(
             "%d %s" % (v, k.replace("_", " "))
-            for k, v in self.counters.items()))
+            for k, v in self.counters.items()), self.generated)
         return program
+
+    def _interpret(self, job: _Rule, insts: list, externals: Dict):
+        """Join job with the step interpreter, append its instances to
+        insts (an #external's targets to the ordered set externals
+        instead) and derive their heads; as job's generated function."""
+        for subst, found in self._join(job.steps, self.params):
+            for inst in self._build_instance(job, subst, found):
+                if job.kind == "external":  # first seen first
+                    externals.setdefault(inst[1][0])
+                else:
+                    insts.append(inst)
+                for h in inst[1]:
+                    self._add_derivable(h)
 
     def _build_instance(self, rule: _Rule, subst, found):
         """All ground instances of one rule under a solution of its join
@@ -900,7 +945,7 @@ class Grounder:
                 if not isinstance(entry, _Condition):
                     body.append((entry[0], found[entry[1]]))
                     continue
-                positive, term = entry.literal
+                positive, term, _ = entry.literal
                 for s2 in self.expand_condition(entry, subst):
                     if positive is not None:
                         body.append((positive, term(s2)))
@@ -917,7 +962,7 @@ class Grounder:
         """Alternative heads: conditioned elements expand disjunctively,
         interval pooling in bare elements expands conjunctively."""
         alternatives: List[list] = [[]]
-        for atom_values, condition in head:
+        for atom_values, condition, _ in head:
             if condition is not None:
                 atoms = []
                 for s2 in self.expand_condition(condition, subst):

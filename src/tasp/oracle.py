@@ -17,9 +17,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    Disjunction, Function, Infimum, Integer, Literal, Program, ResourceLimit,
-    Rule, String, Supremum, TheoryExpression, UnaryMinus, Variable,
-    map_payloads, substitute, walk, with_args,
+    Disjunction, Function, HeadElement, Infimum, Integer, Literal, Program,
+    ResourceLimit, Rule, Show, String, Supremum, TheoryExpression,
+    UnaryMinus, Variable, map_payloads, substitute, walk, with_args,
 )
 
 
@@ -499,3 +499,46 @@ def temporal_models(program: Program, n: int,
                 if _equilibrium(rules, there, tau, facts):
                     yield Trace(tuple(there), tau)
     return models()
+
+
+# ---------------------------------------------------------------------------
+# What a trace shows
+
+#: The head of the rule t :- C that stands for ``#show t : C.`` while it
+#: is instantiated; no program can name it, as a leading _ makes a
+#: variable.
+_SHOWN = "_shown"
+
+
+def _signature(atom) -> tuple:
+    return (atom.name, len(atom.args)) if isinstance(atom, Function) \
+        else (atom.name, 0)
+
+
+def show_projection(program: Program):
+    """trace -> its states as solve shows them, each a frozenset of
+    rendered terms: every atom if the program has no #show directive.
+    Otherwise the atoms of each ``#show p/k.`` signature, and the term t
+    of each instance of ``#show t : C.`` whose condition C holds at the
+    state; a bare ``#show.`` shows nothing by itself.  A term show is
+    instantiated as the rule t :- C would be."""
+    shows = program.directives(Show)
+    if not shows:
+        return lambda trace: tuple(frozenset(map(str, s))
+                                   for s in trace.states)
+    signatures = {s.signature for s in shows if s.signature is not None}
+    rules = tuple(Rule(Disjunction((HeadElement(Function(_SHOWN, (s.term,))),
+                                    )), s.condition)
+                  for s in shows if s.signature is None and s.term is not None)
+    terms = [(str(r.head.elements[0].atom.args[0]), r.body)
+             for r in instantiate(Program(program.statements + rules))
+             if r.head.elements and _signature(r.head.elements[0].atom)
+             == (_SHOWN, 1)]
+
+    def project(trace):
+        return tuple(frozenset(
+            [str(a) for a in state if _signature(a) in signatures]
+            + [t for t, body in terms
+               if all((b.payload in state) == b.positive for b in body)])
+            for state in trace.states)
+    return project

@@ -129,11 +129,12 @@ def random_prop_program(rng, max_atoms=12, max_rules=8):
 
 
 def oracle_traces(text, n, max_time=None):
-    """Oracle models in the shape of `cli.distinct_traces` output."""
-    models = oracle_mod.temporal_models(parse_program(text), n,
-                                        max_time=max_time)
-    return {(tuple(frozenset(map(str, s)) for s in m.states), m.tau)
-            for m in models}
+    """Oracle models in the shape of `cli.distinct_traces` output,
+    projected through the program's #show directives."""
+    program = parse_program(text)
+    show = oracle_mod.show_projection(program)
+    return {(show(m), m.tau) for m in oracle_mod.temporal_models(
+        program, n, max_time=max_time)}
 
 
 TEL_OPERATORS = ("&next(%s)", "&eventually(%s)", "&not(%s)")

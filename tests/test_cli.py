@@ -329,12 +329,65 @@ def test_config_does_not_override_flags(tmp_path, telex_file):
 
 
 def test_grammar_file_flag(tmp_path):
+    # a file may name a new operator as a macro over the logic's own
     g = tmp_path / "extra.lp"
-    g.write_text("#type weight { expressions: &w(unsafe number); }\n")
+    g.write_text("#type weight { subtypes: tel; macros: "
+                 "&w(F) := &next(F) where F : tel; }\n")
     f = tmp_path / "p.lp"
     f.write_text("a.\n")
     code, out = _run(["solve", str(f), "--grammar", str(g), "-c", "n=0"])
     assert code == 10
+
+
+@pytest.mark.parametrize("grammar,message", [
+    ("#type w { occurrence: head; expressions: &w(unsafe tel); }",
+     "operator &w/1 of type 'w'"),
+    ("#type weight { expressions: &w(unsafe number); }",
+     "operator &w/1 of type 'weight'"),
+    # a builtin name at another arity is another operator
+    ("#type n2 { subtypes: tel; occurrence: any; "
+     "expressions: &next(safe tel, safe tel); }",
+     "operator &next/2 of type 'n2'"),
+])
+def test_grammar_operator_without_meaning_exit_65(grammar, message, tmp_path,
+                                                   capsys):
+    # neither the meta encoding nor the oracle knows &w/1: solve printed
+    # 4 models and the oracle stopped after one with "unknown operator"
+    g = tmp_path / "w.lp"
+    g.write_text(grammar + "\n")
+    f = tmp_path / "p.lp"
+    f.write_text("{ b }. &w(&next(b)) :- b.\n")
+    for command in ("solve", "oracle"):
+        code, out = _run([command, str(f), "--grammar", str(g), "-c", "n=1"])
+        assert code == 65 and not out
+        assert capsys.readouterr().err == (
+            "error: %s is not an operator of the logic; only a macro may "
+            "name a new one\n" % message)
+
+
+@pytest.mark.parametrize("text", [
+    "{ g }.\n#show s : g.\n",
+    "{ a; b }.\n#show a/0.\n",
+    "{ p(1); p(2) }. q(X) :- p(X), not &next(p(X)).\n#show q/1.\n"
+    "#show r(X) : p(X), not q(X).\n",
+    "{ a }. b :- &eventually(a).\n#show.\n",
+    "{ a }. b :- &eventually(a).\n#show.\n#show c : b, not a.\n",
+    "{ p(1); p(2); p(3) }.\n#show X+1 : p(X), X > 1.\n",
+], ids=["term", "signature", "both", "none", "bare-and-term",
+        "arithmetic"])
+def test_oracle_shows_what_solve_shows(text, monkeypatch):
+    # the oracle printed every atom: g where solve prints s@0
+    argv = ["-c", "n=1"]
+    solved = _traces(["solve", "--printer", "temporal"] + argv, text,
+                     monkeypatch)
+    assert solved == _traces(["oracle"] + argv, text, monkeypatch)
+
+
+def test_oracle_shows_a_term_where_its_condition_holds(monkeypatch):
+    code, out = _run(["oracle", "-c", "n=0"], stdin="{ g }.\n#show s : g.\n",
+                     monkeypatch=monkeypatch)
+    assert code == 10
+    assert [l for l in out.splitlines() if l.startswith("  ")] == ["  s"]
 
 
 def _traces(command, text, monkeypatch):
