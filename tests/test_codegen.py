@@ -19,7 +19,7 @@ from conftest import DEL_ALTERNATION, MELEX, MELEX_SCALED, TELEX, WAIT
 from test_acceptance import _rand_mel_program, _rand_path, _rand_tel_program
 from test_ground import (
     test_interval_with_an_order_comparison_is_rejected, test_join_listing,
-    test_undefined_arithmetic_drops_the_instance)
+    test_term_semantics, test_undefined_arithmetic_drops_the_instance)
 
 import tasp
 from tasp import ground as ground_mod
@@ -188,7 +188,8 @@ def test_join_listing_generated(text, semantics, listing, caplog):
     "u(X..X+1) :- q(X). #external e(1..2).",
     "q(1,1). q(1,2). { q(2,2) }. p(X) :- q(X,X).",
 ] + ["q(1). p :- q(X), %s." % lit for lit in _params(
-    test_interval_with_an_order_comparison_is_rejected)])
+    test_interval_with_an_order_comparison_is_rejected)] + [
+    text for text, _, _ in _params(test_term_semantics)])
 def test_user_programs_generated(text, caplog):
     _twice(Plan(parse_program(text)), caplog)
 

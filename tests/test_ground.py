@@ -578,3 +578,76 @@ def test_arithmetic_no_part_binds_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("q(2). p(X) :- q(X+1)."))
     assert main(["solve", "-c", "n=0"], out=io.StringIO()) == 65
     assert "(X+1)" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Term semantics: what each program grounds to, or the error it raises, and
+# the warnings in order
+
+
+def _facts(*facts):
+    """The listing of a program that grounds to these facts alone."""
+    return list(facts), [], [], list(facts)
+
+
+@pytest.mark.parametrize("text,outcome,warnings", [
+    # intervals: bounds, position, and order comparisons
+    ("p(1..a).", (GroundingError, "interval bounds must be integers"), []),
+    ("p(1). q(X) :- p(X), r(X+(1..2)).",
+     (GroundingError, "interval in non-expandable position"), []),
+    ("p(1). q(X+(1..2)) :- p(X).",
+     (GroundingError, "interval in non-expandable position"), []),
+    ("p(1). q(X) :- p(X), 1..2 < 3.",
+     (GroundingError, "interval with '<' comparison"), []),
+    ("p(1..2000000).",
+     (GroundingLimitError, "derivable-atom bound exceeded"), []),
+    ("q(1). #external e(X..X+1) : q(X).",
+     (["q(1)"], [], ["e(1)", "e(2)"], ["q(1)", "e(1)", "e(2)"]), []),
+    ("q(1..2). p(X,Y) :- q(X), Y = X..X+1.",
+     _facts("q(1)", "q(2)", "p(1,1)", "p(1,2)", "p(2,2)", "p(2,3)"), []),
+    # negation
+    ("q(-a).", (GroundingError, "cannot negate a"), []),
+    # the order of terms, and = as membership
+    ("p(f(a)). q :- p(X), X < 1.", _facts("p(f(a))"), []),
+    ('p("s"). q(X) :- p(X), X = 1..2.', _facts('p("s")'), []),
+    ("q(1). p :- q(X), X = f(1..1000000000).", _facts("q(1)"), []),
+    ("q(1). p(X) :- q(X), X = 1..2000000000.", _facts("q(1)", "p(1)"), []),
+    ("p :- 1..3 = 3..1000000000.", _facts("p"), []),
+    ("q(1). p(X) :- q(X), f(1..2) = f(X).", _facts("q(1)", "p(1)"), []),
+    ("q(a). p(X) :- q(X), f(X,1..3) = f(a,2).", _facts("q(a)", "p(a)"), []),
+    ("q(1). q(5). p(X) :- q(X), not X = 3..1.",
+     _facts("q(1)", "q(5)", "p(1)", "p(5)"), []),
+    ("q(1). p :- not X = 3..1 : q(X).", _facts("q(1)", "p"), []),
+    # arithmetic matched after the parts that bind it, from the last atom
+    ("q(2,1). p(X) :- q(X+1,X).", _facts("q(2,1)", "p(1)"), []),
+    ("q(2,1). q(3,a). q(f(4),b). p(X) :- q(X+1,X).",
+     _facts("q(2,1)", "q(3,a)", "q(f(4),b)", "p(1)"),
+     ["operation undefined: b+1, dropping instance",
+      "operation undefined: a+1, dropping instance"]),
+    # / and \ round as Python's // and %
+    ("p(-7). q(X/2) :- p(X).", _facts("p(-7)", "q(-4)"), []),
+    ("p(-7). q(X\\2) :- p(X).", _facts("p(-7)", "q(1)"), []),
+    # undefined arithmetic drops the instance, in arguments left to right
+    ("p(0..2). q(6/X,a+X) :- p(X).", _facts("p(0)", "p(1)", "p(2)"),
+     ["division by zero, dropping instance",
+      "operation undefined: a+1, dropping instance",
+      "operation undefined: a+2, dropping instance"]),
+    ("q(1). p :- q(X), X+a = 1..3.", _facts("q(1)"),
+     ["operation undefined: 1+a, dropping instance"]),
+    ("q(0). p :- q(X), 1/X < 3.", _facts("q(0)"),
+     ["division by zero, dropping instance"]),
+    ("q(0). p :- q(X), not 1/X < 3.", _facts("q(0)"),
+     ["division by zero, dropping instance"]),
+    # unsafe rules, which only the transform rejects before grounding
+    ("q(1). p(X) :- q(1).", (GroundingError, "unbound variable X"), []),
+    ("q(1). p :- q(X), X < Y.",
+     (GroundingError, "cannot instantiate body: unbound X < Y"), []),
+])
+def test_term_semantics(text, outcome, warnings, caplog):
+    with caplog.at_level(logging.WARNING, logger="tasp.ground"):
+        try:
+            got = _listing(_ground(text))
+        except GroundingError as exc:
+            got = type(exc), str(exc)
+    assert got == outcome
+    assert [r.getMessage() for r in caplog.records] == warnings
