@@ -10,10 +10,10 @@ are locals; tests, checks and assignments are inline code; body and head
 tuples are built in place; and the heads of an instance are derived as
 soon as it is built.  What the code does not spell out (an interval, =
 against a function with variables, arithmetic in a matched pattern, a
-pooled head) calls the plan's own closures on a substitution dict, and
-arithmetic and comparisons call the helpers the closures call, so both
-paths give the same ground program, warnings and errors.  The code runs
-in the namespace of the ground module.
+pooled head) calls the interpreter's term evaluator on a substitution
+dict, and arithmetic and comparisons call the helpers the evaluator
+calls, so both paths give the same ground program, warnings and errors.
+The code runs in the namespace of the ground module.
 
 A plan grounded once, as every user program is, stays interpreted and
 never imports this module: compiling a job costs about half a
@@ -22,15 +22,15 @@ millisecond, more than grounding a small program does.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import ground
 from .ground import (
-    MAX_TERM_DEPTH, _Condition, _fail, _is_ground, _pooled, atom_key,
+    FAIL, MAX_TERM_DEPTH, _Condition, _is_ground, _pooled, atom_key,
     term_depth,
 )
 from .syntax import (
-    ASSIGN, CHECK, TEST, BinOp, Constant, Function, Integer,
+    ASSIGN, CHECK, TEST, BinOp, Comparison, Constant, Function, Integer,
     TheoryExpression, UnaryMinus, Variable, variables, walk,
 )
 
@@ -50,7 +50,14 @@ def _pure(node) -> bool:
 
 def _pure_join(steps) -> bool:
     """Whether no step of a join can warn or raise."""
-    return all(step[4] is not None and _pure(step[4][0]) for step in steps)
+    return all(op != FAIL and _pure(term) for op, term, *_ in steps)
+
+
+def _lone(rule) -> bool:
+    """Whether the head of rule is one atom, without a condition or an
+    interval."""
+    return len(rule.head) == 1 and rule.head[0][1] is None \
+        and not _pooled(rule.head[0][0])
 
 
 class JobSource:
@@ -159,43 +166,41 @@ class JobSource:
 
     # -- terms and comparisons --------------------------------------------------
 
-    def expr(self, t, bound) -> Optional[str]:
-        """An expression of the value of t, or None if t holds an
-        interval; as _value."""
+    def evaluate(self, function, t, bound) -> str:
+        """An expression of function(t, s) of the term evaluator, s the
+        substitution of the variables bound."""
+        return "%s(%s, %s)" % (function, self.ref(t), self.subst(bound))
+
+    def expr(self, t, bound) -> str:
+        """An expression of the value of t, as ground.value."""
         if _is_ground(t):
             return self.ref(t)
-        if isinstance(t, Variable):
-            if t.name in bound:
-                return self.names[t.name]
-            return "%s()" % self.ref(_fail("unbound variable %s" % t.name))
+        if isinstance(t, Variable) and t.name in bound:
+            return self.names[t.name]
         if isinstance(t, Function):
-            args = [self.expr(a, bound) for a in t.args]
-            if None in args:
-                return None
-            args = "(%s)" % "".join(a + ", " for a in args)
+            args = "(%s)" % "".join(
+                self.expr(a, bound) + ", " for a in t.args)
             if isinstance(t, TheoryExpression) and t.memberships:
                 return "TheoryExpression(%r, %s, %s)" % (
                     t.operator, args, self.ref(t.memberships))
             return "_new(%s, (%s, %s))" % (self.ref(type(t)),
                                            self.name(t[0]), args)
         if isinstance(t, UnaryMinus):
-            arg = self.expr(t.arg, bound)
-            return None if arg is None else "negate(%s)" % arg
-        if t.op == "..":
-            return None
-        left, right = self.expr(t.left, bound), self.expr(t.right, bound)
-        if left is None or right is None:
-            return None
-        return "arithmetic(%r, %s, %s)" % (t.op, left, right)
+            return "negate(%s)" % self.expr(t.arg, bound)
+        if isinstance(t, Variable) or t.op == "..":  # an error
+            return self.evaluate("value", t, bound)
+        return "arithmetic(%r, %s, %s)" % (
+            t.op, self.expr(t.left, bound), self.expr(t.right, bound))
 
     def comparison(self, cmp, positive, bound):
         """(lines, test): lines to run, then an expression of whether cmp
-        holds, if positive, or fails; test is None where an interval or
-        = against a function with variables needs _comparison."""
+        holds, if positive, or fails; an interval or = against a function
+        with variables is left to ground.holds."""
         op, left, right = cmp.op, cmp.left, cmp.right
         if _pooled(left) or _pooled(right) or op == "=" and isinstance(
                 right, Function) and not _is_ground(right):
-            return [], None
+            return [], "holds(%s, %r, %s)" % (self.ref(cmp), positive,
+                                              self.subst(bound))
         lines, operands = [], []
         for t in (left, right):
             value = self.expr(t, bound)
@@ -225,69 +230,60 @@ class JobSource:
         locals of the atoms the steps record, and the skip of the
         innermost level."""
         found = []
-        for op, x, y, z, source in steps:
-            if source is None:  # no literal left is processable
-                self.emit("%s()" % self.ref(x))
-                continue
-            p, positive, bound = source
-            if op == CHECK:
-                lines, test = self.comparison(p, positive, bound)
-                if test is None:
-                    test = "%s(%s)" % (self.ref(x), self.subst(bound))
+        for op, p, x, y, bound in steps:
+            if op == FAIL:  # no literal left is processable
+                self.emit("raise GroundingError(%r)" % p)
+            elif op == CHECK:
+                lines, test = self.comparison(p, x, bound)
                 self.guard(lines + ["if not %s: %s" % (test, skip)],
                            _drops(p), skip)
             elif op == ASSIGN:
                 depth = self.depth(p)
-                value = None if _pooled(p) else self.expr(p, bound)
-                if value is None:
+                if _pooled(p):
                     values = self.temp()
-                    self.guard(["%s = %s(%s)" % (
-                        values, self.ref(y), self.subst(bound))],
+                    self.guard(["%s = %s" % (
+                        values, self.evaluate("values", p, bound))],
                         _drops(p), skip)
                     skip = self.loop("for %s in %s:" % (
                         self.bind(x, depth), values))
                 else:
+                    value = self.expr(p, bound)
                     self.guard(["%s = %s" % (self.bind(x, depth), value)],
                                _drops(p), skip)
             elif op == TEST:
                 atom = self.temp("a")
-                value = self.expr(p, bound) \
-                    or "%s(%s)" % (self.ref(x), self.subst(bound))
-                lines = ["%s = %s" % (atom, value)]
-                if positive:  # a negative literal is recorded, not tested
+                lines = ["%s = %s" % (atom, self.expr(p, bound))]
+                if x:  # a negative literal is recorded, not tested
                     lines.append("if %s not in derivable: %s" % (atom, skip))
                 self.guard(lines, _drops(p), skip)
                 found.append(atom)
             else:
-                atom, skip = self.scan(x, y, z, p, bound, skip)
+                atom, skip = self.scan(p, x, y, bound, skip)
                 found.append(atom)
         return found, skip
 
-    def scan(self, x, y, z, p, bound, skip):
+    def scan(self, p, shape, pattern, bound, skip):
         atoms = self.index_list(atom_key(p))
-        values = ()
-        if y is not None:
-            values = x[1]
+        values = shape[1]
+        if values:
             # keys are not evaluated without atoms
             self.emit("if not %s: %s" % (atoms, skip))
-            keys = [self.expr(p.args[pos], bound) for pos in values]
-            keys = "%s(%s)" % (self.ref(y), self.subst(bound)) \
-                if None in keys else "(%s)" % "".join(k + ", " for k in keys)
+            keys = "(%s)" % "".join(
+                self.expr(p.args[pos], bound) + ", " for pos in values)
             atoms = self.temp()
             self.guard(["%s = arg_index.get((%s, %s), ())" % (
-                atoms, self.ref(x), keys)],
+                atoms, self.ref(shape), keys)],
                 any(_drops(p.args[pos]) for pos in values), skip)
-        rest = [(pos, a) for pos, a in enumerate(p.args) if pos not in values]
         atom, i = self.temp("a"), self.temp("i")
         if any(isinstance(q, (BinOp, UnaryMinus))
-               for _, a in rest for q in walk(a)):
+               for _, a in pattern for q in walk(a)):
             # matched against every atom first, from the last, as _join
             # does, so that arithmetic warns and fails in the same order
             matched, s2 = self.temp(), self.temp("s")
             self.emit("%s = []" % matched)
             self.emit("for %s in range(len(%s) - 1, -1, -1):" % (i, atoms))
-            self.emit("    %s = %s(%s[%s][1], %s)" % (
-                s2, self.ref(z), atoms, i, self.subst(bound)))
+            self.emit("    %s = match(%s, %s[%s][1], %s)" % (
+                s2, self.ref(pattern), atoms, i, self.subst(bound)))
             self.emit("    if %s is not None:" % s2)
             self.emit("        %s.append((%s[%s], %s))" % (
                 matched, atoms, i, s2))
@@ -301,13 +297,13 @@ class JobSource:
         args = self.temp()
         self.emit("%s = %s[1]" % (args, atom))
         bound = set(bound)
-        for pos, a in rest:
+        for pos, a in pattern:
             self.match(a, "%s[%d]" % (args, pos), 1, bound, skip)
         return atom, skip
 
     def match(self, p, g, level, bound, skip):
         """Emits the test that value g, at nesting level `level` of a
-        scanned atom, matches pattern p, as _matcher; binds the variables
+        scanned atom, matches pattern p, as ground.match; binds the variables
         that p binds first and adds them to bound."""
         if _is_ground(p):
             self.emit("if %s != %s: %s" % (g, self.ref(p), skip))
@@ -396,25 +392,21 @@ class JobSource:
             if not isinstance(e, _Condition):
                 self.emit("body.append((%r, %s))" % (e[0], found[e[1]]))
                 continue
-            positive, closure, literal = e.literal
-            pure = positive is not None and _pure(literal.payload)
-            self.drops |= positive is None or _drops(literal.payload)
-            if positive is None:  # a comparison that fails drops the instance
-                def each(e=e, closure=closure, literal=literal):
+            literal = e.literal
+            check = isinstance(literal.payload, Comparison)
+            pure = not check and _pure(literal.payload)
+            self.drops |= check or _drops(literal.payload)
+            if check:  # a comparison that fails drops the instance
+                def each(e=e, literal=literal):
                     lines, test = self.comparison(
                         literal.payload, literal.positive, e.bound)
-                    if test is None:
-                        test = "%s(%s)" % (self.ref(closure),
-                                           self.subst(e.bound))
                     for line in lines + [
                             "if not %s: raise DropInstance" % test]:
                         self.emit(line)
             else:
-                def each(e=e, closure=closure, literal=literal):
-                    value = self.expr(literal.payload, e.bound) \
-                        or "%s(%s)" % (self.ref(closure), self.subst(e.bound))
-                    self.emit("body.append((%r, %s))" % (literal.positive,
-                                                          value))
+                def each(e=e, literal=literal):
+                    self.emit("body.append((%r, %s))" % (
+                        literal.positive, self.expr(literal.payload, e.bound)))
             self.condition(e, rule.bound, each, pure)
         self.emit("body = tuple(body)")
 
@@ -423,7 +415,7 @@ class JobSource:
         is the only one, as _build_instance; or heads = its alternatives
         if a head atom is pooled.  Returns the name/arity key of the head
         atoms if they share one and are within the depth bound."""
-        atoms = [a for _, _, a in rule.head]
+        atoms = [a for a, _ in rule.head]
         keys = [atom_key(a) if isinstance(a, (Function, Constant)) else None
                 for a in atoms]
         key = keys[0] if keys and keys.count(keys[0]) == len(keys) else None
@@ -432,12 +424,12 @@ class JobSource:
             self.emit("heads = g._ground_head(%s, %s)" % (
                 self.ref(rule.head), self.subst(rule.bound)))
             return None
-        if all(c is None for _, c, _ in rule.head):
+        if all(c is None for _, c in rule.head):
             self.drops |= any(map(_drops, atoms))
             if not all(map(self.shallow, atoms)):
                 key = None
             values = [self.expr(a, rule.bound) for a in atoms]
-            if rule.atom is not None:
+            if len(values) == 1:
                 self.emit("h = %s" % values[0])
                 self.emit("head = (h,)")
             else:
@@ -445,7 +437,7 @@ class JobSource:
                     v + ", " for v in values))
             return key
         self.emit("head = []")
-        for _, c, a in rule.head:
+        for a, c in rule.head:
             if c is None:
                 key = key if self.shallow(a) else None
                 self.emit("head.append(%s)" % self.expr(a, rule.bound))
@@ -463,13 +455,13 @@ class JobSource:
     def derive(self, rule, key):
         """Emits the recording of the instance and the derivation of its
         heads, as Grounder.ground does for each of _build_instance's."""
-        if any(_pooled(a) for _, _, a in rule.head):
+        if any(_pooled(a) for a, _ in rule.head):
             self.loop("for head in heads:")
         if rule.kind == "external":  # first seen first
             self.emit("externals.setdefault(head[0])")
         else:
             self.emit("insts_append((%r, head, body))" % rule.kind)
-        if rule.atom is None:
+        if not _lone(rule):
             self.loop("for h in head:")
         if key is None:
             self.emit("g._add_derivable(h)")

@@ -6,24 +6,23 @@ atoms are exempt from simplification; conditional literals are expanded
 over domain predicates; an instance whose arithmetic is undefined is
 dropped.
 
-A program is compiled into a Plan, its terms and comparisons into
-closures, then grounded.  The same engine
-instantiates the internal meta-encodings, compiled once per process,
-against reified-fact databases seeded as facts.  A plan grounded again
-grounds with Python code generated from it (see tasp.codegen).
+A program is planned once (Plan: the join order of each rule, the index
+shapes, the dependency components, the domain predicates and the depth),
+then grounded by a join interpreter that evaluates each term as it is
+written (value, values, holds and match).  The same engine instantiates
+the internal meta-encodings, planned once per process, against
+reified-fact databases seeded as facts.  A plan grounded again grounds
+with Python code generated from it (see tasp.codegen).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, product
 from math import prod
-from operator import (
-    add, floordiv, ge, getitem, gt, itemgetter, le, lt, mod, mul, ne, sub,
-)
+from operator import add, floordiv, ge, gt, le, lt, mod, mul, ne, sub
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .syntax import (
@@ -109,15 +108,14 @@ def atom_key(a) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Term compilation
+# Term evaluation
 #
-# Every term a join or an instance evaluates is compiled, when its plan
-# is built, into a closure over the substitution s, a dict from variable
-# names to ground terms.  `bound` holds the names that s binds whenever
-# the closure runs; a variable outside it is an error when it runs.  The
-# type dispatch happens here, once per term: a ground subterm is returned
-# as it is, a variable is one dict lookup, and a function builds its
-# tuple directly.  Undefined arithmetic raises DropInstance.
+# One evaluator reads a term as it is written, under a substitution s, a
+# dict from variable names to ground terms.  The grounder's interpreter
+# calls it for every term a join or an instance evaluates, and generated
+# code (see tasp.codegen) for the terms it does not spell out.  A variable
+# that s does not bind is an error; undefined arithmetic raises
+# DropInstance.
 
 _new = tuple.__new__  # builds a term without calling its class's __new__
 
@@ -149,36 +147,28 @@ def _pooled(t) -> bool:
     return isinstance(t, UnaryMinus) and _pooled(t.arg)
 
 
-def _fail(message):
-    """A closure that raises GroundingError(message) when it runs."""
-    def fail(*_):
-        raise GroundingError(message)
-    return fail
-
-
-def _value(t, bound):
-    """s -> the value of t; an interval in t is an error when it runs
-    (see _pool)."""
-    if _is_ground(t):
-        return lambda s: t
-    if isinstance(t, Variable):
-        if t.name in bound:
-            return itemgetter(t.name)
-        return _fail("unbound variable %s" % t.name)
+def value(t, s):
+    """The value of t under s; an interval in t is an error (see
+    values)."""
+    kind = type(t)
+    if kind is Variable:
+        if t.name in s:
+            return s[t.name]
+        raise GroundingError("unbound variable %s" % t.name)
     if isinstance(t, Function):
-        args = _tuple(t.args, bound)
-        if isinstance(t, TheoryExpression) and t.memberships:
-            op, memberships = t.operator, t.memberships
-            return lambda s: TheoryExpression(op, args(s), memberships)
-        name, kind = t[0], type(t)
-        return lambda s: _new(kind, (name, args(s)))
-    if isinstance(t, UnaryMinus):
-        arg = _value(t.arg, bound)
-        return lambda s: negate(arg(s))
+        args = tuple([value(a, s) for a in t[1]])
+        if args == t[1]:  # a value is its own value
+            return t
+        if kind is TheoryExpression and t.memberships:
+            return TheoryExpression(t.operator, args, t.memberships)
+        return _new(kind, (t[0], args))
+    if kind is UnaryMinus:
+        return negate(value(t.arg, s))
+    if kind is not BinOp:
+        return t
     if t.op == "..":
-        return _fail("interval in non-expandable position")
-    left, right, op = _value(t.left, bound), _value(t.right, bound), t.op
-    return lambda s: arithmetic(op, left(s), right(s))
+        raise GroundingError("interval in non-expandable position")
+    return arithmetic(t.op, value(t.left, s), value(t.right, s))
 
 
 def negate(v):
@@ -207,127 +197,77 @@ def arithmetic(op, a, b):
     raise DropInstance()
 
 
-def _tuple(terms, bound):
-    """s -> the tuple of the values of terms."""
-    if all(map(_is_ground, terms)):
-        values = tuple(terms)
-        return lambda s: values
-    names = [t.name for t in terms if isinstance(t, Variable)]
-    if len(terms) > 1 and len(names) == len(terms) \
-            and bound.issuperset(names):
-        return itemgetter(*names)
-    parts = [_value(t, bound) for t in terms]
-    if len(parts) == 1:
-        (f,) = parts
-        return lambda s: (f(s),)
-    if len(parts) == 2:
-        f, g = parts
-        return lambda s: (f(s), g(s))
-    return lambda s: tuple([f(s) for f in parts])
+def _interval(t, s) -> range:
+    """The integers of an interval L..U under s."""
+    a, b = value(t.left, s), value(t.right, s)
+    if type(a) is not Integer or type(b) is not Integer:
+        raise GroundingError("interval bounds must be integers")
+    return range(a, b + 1)
 
 
-def _interval(t, bound):
-    """s -> the integers of an interval L..U, as a range."""
-    lo, hi = _value(t.left, bound), _value(t.right, bound)
-
-    def interval(s):
-        a, b = lo(s), hi(s)
-        if type(a) is not Integer or type(b) is not Integer:
-            raise GroundingError("interval bounds must be integers")
-        return range(a, b + 1)
-    return interval
-
-
-def _pool(t, bound):
-    """(size, expand): s -> how many values t has, from the interval
-    bounds alone, and s -> the values of t, with each interval that is
-    not under arithmetic expanded into all its values."""
+def _size(t, s) -> int:
+    """How many values t has under s, from the interval bounds alone."""
     if _is_interval(t):
-        interval = _interval(t, bound)
-        return (lambda s: len(interval(s)),
-                lambda s: list(map(Integer, interval(s))))
+        return len(_interval(t, s))
     if isinstance(t, Function) and _pooled(t):
-        sizes, args = zip(*[_pool(a, bound) for a in t.args])
-        return (lambda s: prod([size(s) for size in sizes]),
-                lambda s: [with_args(t, values)
-                           for values in product(*[e(s) for e in args])])
-    value = _value(t, bound)
-    return lambda s: 1, lambda s: [value(s)]
+        return prod([_size(a, s) for a in t[1]])
+    return 1
 
 
-def _values(t, bound):
-    """s -> the values of a head atom, #external target or assigned term
-    t: one whose interval bounds give more than MAX_ATOMS values hits the
-    atom bound before any is built."""
-    size, expand = _pool(t, bound)
-    if not _pooled(t):
-        return expand
-
-    def values(s):
-        if size(s) > MAX_ATOMS:
-            _atom_bound()
-        return expand(s)
-    return values
-
-
-def _function(t, args):
-    """(v, s) -> whether ground value v is a function with the name and
-    arity of function t whose arguments pass the tests args, each
-    (x, s) -> bool, in order."""
-    name, arity = t[0], len(t.args)
-
-    def function(v, s):
-        if not isinstance(v, Function) or v[0] != name or len(v[1]) != arity:
-            return False
-        for m, x in zip(args, v[1]):
-            if not m(x, s):
-                return False
-        return True
-    return function
-
-
-def _member(t, bound):
-    """(v, s) -> whether a ground value v is one of the values of term t,
-    tested argument by argument without building them: a function needs
-    the same name and arity, and each argument must fall in its interval
-    or equal its term."""
+def _expand(t, s) -> list:
+    """The values of t under s, with each interval that is not under
+    arithmetic expanded into all its values."""
     if _is_interval(t):
-        interval = _interval(t, bound)
-        return lambda v, s: type(v) is Integer and v in interval(s)
+        return list(map(Integer, _interval(t, s)))
+    if isinstance(t, Function) and _pooled(t):
+        return [with_args(t, args)
+                for args in product(*[_expand(a, s) for a in t[1]])]
+    return [value(t, s)]
+
+
+def values(t, s) -> list:
+    """The values of a head atom, #external target or assigned term t
+    under s: one whose interval bounds give more than MAX_ATOMS values
+    hits the atom bound before any is built."""
+    if not _pooled(t):
+        return [value(t, s)]
+    if _size(t, s) > MAX_ATOMS:
+        _atom_bound()
+    return _expand(t, s)
+
+
+def _member(v, t, s) -> bool:
+    """Whether a ground value v is one of the values of t under s, tested
+    argument by argument without building them: a function needs the same
+    name and arity, and each argument must fall in its interval or equal
+    its term."""
+    if _is_interval(t):
+        return type(v) is Integer and v in _interval(t, s)
     if isinstance(t, Function) and not _is_ground(t):
-        return _function(t, [_member(a, bound) for a in t.args])
-    value = _value(t, bound)
-    return lambda v, s: value(s) == v
+        return isinstance(v, Function) and v[0] == t[0] \
+            and len(v[1]) == len(t[1]) \
+            and all(_member(x, a, s) for x, a in zip(v[1], t[1]))
+    return value(t, s) == v
 
 
-def _shared(left, right, bound):
-    """s -> whether two bound terms have a value in common.  Two
-    intervals are compared by their bounds; otherwise each value of the
-    side with fewer values is tested against the other side, so intervals
-    are expanded, within the atom bound, only when both sides hold them."""
+def _shared(left, right, s) -> bool:
+    """Whether two terms have a value in common under s.  Two intervals
+    are compared by their bounds; otherwise each value of the side with
+    fewer values is tested against the other side, so intervals are
+    expanded, within the atom bound, only when both sides hold them."""
     if _is_interval(left) and _is_interval(right):
-        lo, hi = _interval(left, bound), _interval(right, bound)
-
-        def overlap(s):
-            a, b = lo(s), hi(s)
-            return max(a.start, b.start) < min(a.stop, b.stop)
-        return overlap
+        a, b = _interval(left, s), _interval(right, s)
+        return max(a.start, b.start) < min(a.stop, b.stop)
     if not (_pooled(left) or _pooled(right)):
-        value, member = _value(left, bound), _member(right, bound)
-        return lambda s: member(value(s), s)
-    sizes = _pool(left, bound)[0], _pool(right, bound)[0]
-    values = _values(left, bound), _values(right, bound)
-    members = _member(left, bound), _member(right, bound)
-
-    def shared(s):
-        left_size = sizes[0](s)
-        small = 1 if sizes[1](s) < left_size else 0
-        return any(members[1 - small](v, s) for v in values[small](s))
-    return shared
+        return _member(value(left, s), right, s)
+    left_size = _size(left, s)
+    small, other = (right, left) if _size(right, s) < left_size \
+        else (left, right)
+    return any(_member(v, other, s) for v in values(small, s))
 
 
-def _comparison(cmp, positive, bound):
-    """s -> whether the bound comparison cmp holds, if positive, or fails.
+def holds(cmp, positive, s) -> bool:
+    """Whether the comparison cmp holds under s, if positive, or fails.
     = tests whether the sides share a value, so an interval gives
     membership (X = 1..N) and an empty one makes X = 3..1 false; other
     comparisons need one value on each side, which the interval bounds
@@ -335,84 +275,60 @@ def _comparison(cmp, positive, bound):
     DropInstance, negated or not."""
     op, left, right = cmp.op, cmp.left, cmp.right
     if op == "=":
-        holds = _shared(left, right, bound)
+        result = _shared(left, right, s)
     elif _pooled(left) or _pooled(right):
-        pools = _pool(left, bound), _pool(right, bound)
-
-        def holds(s):
-            if any(size(s) != 1 for size, _ in pools):
-                raise GroundingError("interval with %r comparison" % op)
-            return compare_terms(op, pools[0][1](s)[0], pools[1][1](s)[0])
+        if _size(left, s) != 1 or _size(right, s) != 1:
+            raise GroundingError("interval with %r comparison" % op)
+        result = compare_terms(op, _expand(left, s)[0], _expand(right, s)[0])
     else:
-        a, b, test = _value(left, bound), _value(right, bound), _ORDER[op]
-
-        def holds(s):
-            x, y = a(s), b(s)
-            if type(x) is Integer and type(y) is Integer:
-                return test(x, y)
-            return compare_terms(op, x, y)
-    return holds if positive else lambda s: not holds(s)
+        result = compare_terms(op, value(left, s), value(right, s))
+    return result if positive else not result
 
 
-def _matcher(rest, bound):
-    """(args, s) -> s extended so that the pattern of each (position,
-    pattern) pair in rest matches an atom's argument at that position, or
-    None.  A variable's first occurrence binds it and a later one tests
-    it; an arithmetic part is matched last if it needs a variable that
-    only a later part binds, as in q(X+1,X); see syntax.schedule."""
-    bound = set(bound)
-    waiting = []  # (path to an arithmetic part, the part)
-
-    def part(p, path):
-        """(g, out) -> whether ground term g matches pattern p, setting in
-        out the variables that p binds first."""
-        if _is_ground(p):
-            return lambda g, out: p == g
-        if isinstance(p, Variable):
-            name = p.name
-            if name in bound:
-                return lambda g, out: out[name] == g
-            bound.add(name)
-
-            def bind(g, out):
-                out[name] = g
-                return True
-            return bind
-        if isinstance(p, Function):
-            return _function(p, [part(a, path + (1, i))
-                                 for i, a in enumerate(p.args)])
-        if variables(p) <= bound:
-            return _equal(p, bound)
-        waiting.append((path, p))
-        return lambda g, out: True
-
-    parts = [(pos, part(p, (pos,))) for pos, p in rest]
-    late = [(lambda args, path=path: reduce(getitem, path, args),
-             _equal(p, bound)) for path, p in waiting]
-
-    def match(args, s):
-        out = dict(s)
-        for pos, m in parts:
-            if not m(args[pos], out):
-                return None
-        for get, m in late:
-            if not m(get(args), out):
-                return None
-        return out
-    return match
+def match(pattern, args, s):
+    """s extended so that the term of each (position, term) pair of
+    pattern matches a ground atom's argument at that position, or None.  A
+    variable's first occurrence binds it and a later one tests it; an
+    arithmetic part is matched last if it needs a variable that only a
+    later part binds, as in q(X+1,X); see syntax.schedule."""
+    out, waiting = dict(s), []
+    for pos, p in pattern:
+        if not _match(p, args[pos], out, waiting):
+            return None
+    for p, g in waiting:
+        if not _equal(p, g, out):
+            return None
+    return out
 
 
-def _equal(t, bound):
-    """(g, out) -> whether ground term g is the value of bound arithmetic
-    t; not if the arithmetic is undefined."""
-    value = _value(t, bound)
+def _match(p, g, out, waiting) -> bool:
+    """Whether ground term g matches pattern p, setting in out the
+    variables that p binds first; an arithmetic part that needs a variable
+    out does not bind yet goes to waiting, with g."""
+    if type(p) is Variable:
+        if p.name in out:
+            return out[p.name] == g
+        out[p.name] = g
+        return True
+    if _is_ground(p):
+        return p == g
+    if isinstance(p, Function):
+        return isinstance(g, Function) and g[0] == p[0] \
+            and len(g[1]) == len(p[1]) \
+            and all(_match(a, x, out, waiting) for a, x in zip(p[1], g[1]))
+    if variables(p).issubset(out):
+        return _equal(p, g, out)
+    waiting.append((p, g))
+    return True
 
-    def equal(g, out):
-        try:
-            return value(out) == g
-        except DropInstance:
-            return False
-    return equal
+
+def _equal(t, g, s) -> bool:
+    """Whether ground term g is the value of arithmetic t under s; not if
+    the arithmetic is undefined."""
+    try:
+        return value(t, s) == g
+    except DropInstance:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -465,49 +381,49 @@ class GroundProgram:
         return "\n".join(lines)
 
 # ---------------------------------------------------------------------------
-# Compiled plans
+# Plans
 #
-# A join is compiled into steps, one per literal, in the order that
+# A join is planned as steps, one per literal, in the order that
 # syntax.schedule gives from the names of the bound variables alone, so
-# it is fixed before any atom is seen, and so is what each step
-# evaluates, compiled as in "Term compilation".  Steps are tuples
-# (op, x, y, z, source), op a schedule kind:
+# it is fixed before any atom is seen.  Steps hold their terms as
+# written, for the evaluator and for tasp.codegen: tuples
+# (op, term, x, y, bound), op a schedule kind or FAIL, bound the
+# variables bound before the step:
 #
-#   (CHECK, check, None, None, _)      a bound comparison, check(s)
-#   (ASSIGN, name, values, None, _)    name = each of values(s)
-#   (TEST, atom, positive, None, _)    the atom atom(s), recorded
-#   (SCAN, key, keys, match, _)        a positive atom, recorded
+#   (CHECK, cmp, positive, None, _)     holds(cmp, positive, s)
+#   (ASSIGN, term, name, None, _)       name = each of values(term, s)
+#   (TEST, atom, positive, None, _)     the atom value(atom, s), recorded
+#   (SCAN, atom, shape, pattern, _)     a positive atom, recorded
+#   (FAIL, message, None, None, _)      no literal left is processable
 #
-# When no literal is processable, the last step is a CHECK whose check
-# raises the error that names the unbound literals, with source None.  A
-# scan reads one index list: the name/arity list of `key` when keys is
-# None, else the list of the shape `key` (see Plan.shapes) under the
-# values keys(s); match(args, s) extends s by each atom of it.  source is
-# what the step was compiled from, for the code generator of
-# tasp.codegen: (the comparison, assigned term or atom, positive, the
-# variables bound before the step).
+# A scan reads one index list: that of its shape (key, value positions)
+# under the values of the atom's arguments at the value positions (see
+# Plan.shapes), or the name/arity list of key if there are none; each of
+# its atoms extends s by match(pattern, args, s), pattern the other
+# arguments with their positions.
+
+#: The kind of the step that raises the error naming the literals a join
+#: leaves unbound.
+FAIL = SCAN + 1
 
 
 class _Condition(NamedTuple):
-    """A compiled condition of a conditional literal (with its literal)
+    """A planned condition of a conditional literal (with its literal)
     or of a head element (literal None)."""
     steps: tuple
     negatives: tuple          # positions of negative literals' atoms
     error: Optional[str]      # set if over a non-domain predicate
-    # (positive, atom closure, literal), or (None, check, literal) for a
-    # comparison
-    literal: Optional[tuple]
+    literal: Optional[Literal]
     bound: frozenset          # the variables bound at its end
 
 
 class _Rule(NamedTuple):
-    """A compiled rule, or an #external as the rule of kind "external"
+    """A planned rule, or an #external as the rule of kind "external"
     with its target as the one head atom and no body."""
     steps: tuple
     reads: tuple              # name/arity keys of the lists it reads
     body: tuple               # (positive, atom position) or _Condition
-    head: tuple               # (values closure, _Condition or None, atom)
-    atom: Optional[object]    # the closure of a lone bare head atom
+    head: tuple               # (atom, _Condition or None)
     kind: str                 # "choice", "disjunction" or "external"
     bound: frozenset          # the variables bound at the join's end
 
@@ -597,14 +513,8 @@ def bind_constants(statements, constants: dict) -> list:
                          else substitute(p, leaf)) for s in statements]
 
 
-def _lone(atom, bound):
-    """The closure of a head atom that is the only one of its head and has
-    no condition, if it has no interval: its head is (atom(s),)."""
-    return None if _pooled(atom) else _value(atom, bound)
-
-
 class Plan:
-    """A program compiled for grounding: for each rule, external and
+    """A program planned for grounding: for each rule, external and
     condition, its join steps and the index lists they read.
 
     The values of `constants`, over the program's ``#const`` definitions,
@@ -648,7 +558,7 @@ class Plan:
         #: value positions.
         self.shapes: Dict[tuple, tuple] = {}
         bound = frozenset(params)
-        #: the compiled jobs: the externals, then the rules
+        #: the planned jobs: the externals, then the rules
         self.rules = tuple(
             (self._external if isinstance(s, External) else self._rule)(
                 s, bound, keys) for s, keys in zip(jobs, reads))
@@ -668,9 +578,8 @@ class Plan:
         steps, _, bound = self._steps([
             (i if l.positive else None, l.positive, l.payload)
             for i, l in enumerate(e.condition)], bound)
-        return _Rule(steps, reads, (),
-                     ((_values(e.target, bound), None, e.target),),
-                     _lone(e.target, bound), "external", bound)
+        return _Rule(steps, reads, (), ((e.target, None),), "external",
+                     bound)
 
     def _rule(self, r, bound, reads) -> _Rule:
         # conditionals never bind outer variables; expanded per instance
@@ -681,23 +590,16 @@ class Plan:
         body = []
         for i, b in enumerate(r.body):
             if isinstance(b, ConditionalLiteral):
-                body.append(self._condition(b.condition, bound, b.literal)[0])
+                body.append(self._condition(b.condition, bound, b.literal))
             elif i in position:  # atoms, not comparisons
                 body.append((b.positive, position[i]))
-        head = []
-        for el in r.head.elements:
-            condition, inner = self._condition(el.condition, bound) \
-                if el.condition else (None, bound)
-            head.append((_values(el.atom, inner), condition, el.atom))
-        lone = len(head) == 1 and head[0][1] is None
-        atom = _lone(r.head.elements[0].atom, bound) if lone else None
+        head = tuple((el.atom, self._condition(el.condition, bound)
+                      if el.condition else None) for el in r.head.elements)
         kind = "choice" if isinstance(r.head, Choice) else "disjunction"
-        return _Rule(steps, reads, tuple(body), tuple(head), atom, kind,
-                     bound)
+        return _Rule(steps, reads, tuple(body), head, kind, bound)
 
-    def _condition(self, condition, bound, literal=None):
-        """The compiled condition, with its literal if given, and the
-        variables bound at its end."""
+    def _condition(self, condition, bound, literal=None) -> _Condition:
+        """The planned condition, with its literal if given."""
         steps, recorded, bound = self._steps(
             [(i, c.positive, c.payload) for i, c in enumerate(condition)],
             bound)
@@ -706,18 +608,10 @@ class Plan:
             % atom_key(c.payload) for c in condition
             if not isinstance(c.payload, Comparison)
             and atom_key(c.payload) in self._non_domain), None)
-        if literal is None:
-            compiled = None
-        elif isinstance(literal.payload, Comparison):
-            compiled = (None, _comparison(literal.payload, literal.positive,
-                                          bound), literal)
-        else:
-            compiled = (literal.positive, _value(literal.payload, bound),
-                        literal)
         return _Condition(
             steps, tuple(j for j, i in enumerate(recorded)
                          if not condition[i].positive), error,
-            compiled, bound), bound
+            literal, bound)
 
     def _steps(self, pending, bound):
         """The steps of a join over pending, literals for syntax.schedule
@@ -727,40 +621,31 @@ class Plan:
         order, end = schedule(pending, bound)
         for kind, i, positive, p, assigned, bound in order:
             if kind == CHECK:
-                steps.append((CHECK, _comparison(p, positive, bound),
-                              None, None, (p, positive, bound)))
+                steps.append((CHECK, p, positive, None, bound))
             elif kind == ASSIGN:
-                steps.append((ASSIGN, assigned[0],
-                              _values(assigned[1], bound), None,
-                              (assigned[1], positive, bound)))
-            elif kind == SCAN or i is not None:
-                steps.append(self._scan(p, bound) + ((p, positive, bound),)
-                             if kind == SCAN else
-                             (TEST, _value(p, bound), positive, None,
-                              (p, positive, bound)))
+                steps.append((ASSIGN, assigned[1], assigned[0], None, bound))
+            elif kind == SCAN:
+                steps.append((SCAN, p) + self._scan(p, bound) + (bound,))
+                recorded.append(i)
+            elif i is not None:
+                steps.append((TEST, p, positive, None, bound))
                 recorded.append(i)
         if pending:
-            steps.append((CHECK, _fail(
-                "cannot instantiate body: unbound %s" % "; ".join(
-                    str(Literal(*lit[1:])) for lit in pending)),
-                None, None, None))
+            steps.append((FAIL, "cannot instantiate body: unbound %s" %
+                          "; ".join(str(Literal(*lit[1:])) for lit in pending),
+                          None, None, end))
         return tuple(steps), recorded, end
 
-    def _scan(self, pattern, bound) -> tuple:
-        """The scan step of a positive atom with unbound variables: bound
-        arguments are the value positions of its shape."""
-        key, args = atom_key(pattern), pattern.args
-        values = tuple(pos for pos, arg in enumerate(args)
-                       if variables(arg) <= bound)
-        match = _matcher([(pos, arg) for pos, arg in enumerate(args)
-                          if pos not in values], bound)
-        if not values:
-            return (SCAN, key, None, match)
-        shape = (key, values)
-        if shape not in self.shapes.get(key, ()):
+    def _scan(self, atom, bound) -> tuple:
+        """The shape and pattern of the scan of a positive atom with unbound
+        variables: bound arguments are the value positions of its shape."""
+        key, args = atom_key(atom), atom.args
+        shape = (key, tuple(pos for pos, arg in enumerate(args)
+                            if variables(arg) <= bound))
+        if shape[1] and shape not in self.shapes.get(key, ()):
             self.shapes[key] = self.shapes.get(key, ()) + (shape,)
-        return (SCAN, shape, _tuple([args[pos] for pos in values], bound),
-                match)
+        return shape, tuple((pos, arg) for pos, arg in enumerate(args)
+                            if pos not in shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +655,7 @@ class Plan:
 class Grounder:
     def __init__(self, program, constants: Optional[dict] = None,
                  grammar=None, facts=()):
-        """program is a Program, compiled here with the values of
+        """program is a Program, planned here with the values of
         constants, or a Plan, grounded with them as the values (ground
         terms) of its parameters; a parameter without one stays a
         symbolic constant.  facts are atoms true from the start, seeded
@@ -822,7 +707,7 @@ class Grounder:
         the steps recorded, depth first.  A step runs when the search
         reaches it, so it sees every atom derived from the solutions
         yielded before; a scan reads its list as it is at that moment."""
-        derivable = self.derivable
+        derivable, index = self.derivable, self._index
         end = len(steps)
         stack = [(0, subst, ())]
         while stack:
@@ -830,40 +715,44 @@ class Grounder:
             if k == end:
                 yield s, found
                 continue
-            op, x, y, z, _ = steps[k]
+            op, term, x, y, _ = steps[k]
             k += 1
             try:  # undefined arithmetic drops the partial instance
                 if op == SCAN:
-                    if y is None:
-                        candidates = self._index.get(x, ())
-                    elif not self._index.get(x[0]):
+                    if not x[1]:
+                        candidates = index.get(x[0], ())
+                    elif not index.get(x[0]):
                         continue  # keys are not evaluated without atoms
                     else:
-                        candidates = self._arg_index.get((x, y(s)), ())
+                        args = term[1]
+                        candidates = self._arg_index.get((x, tuple(
+                            [value(args[pos], s) for pos in x[1]])), ())
                     for cand in reversed(candidates):  # popped in order
-                        s2 = z(cand[1], s)
+                        s2 = match(y, cand[1], s)
                         if s2 is not None:
                             stack.append((k, s2, found + (cand,)))
                 elif op == TEST:
-                    atom = x(s)
+                    atom = value(term, s)
                     # a negative literal is deferred and does not filter
-                    if not y or atom in derivable:
+                    if not x or atom in derivable:
                         stack.append((k, s, found + (atom,)))
                 elif op == CHECK:
-                    if x(s):
+                    if holds(term, x, s):
                         stack.append((k, s, found))
-                else:  # ASSIGN
-                    for v in reversed(y(s)):
+                elif op == ASSIGN:
+                    for v in reversed(values(term, s)):
                         s2 = dict(s)
                         s2[x] = v
                         stack.append((k, s2, found))
+                else:
+                    raise GroundingError(term)
             except DropInstance:
                 pass
 
     # -- conditional expansion ---------------------------------------------------
 
     def expand_condition(self, condition: _Condition, subst) -> List[dict]:
-        """All extensions of subst satisfying a compiled condition; a
+        """All extensions of subst satisfying a planned condition; a
         bound negative literal drops the extensions where it is derivable
         (the condition is over domain predicates only)."""
         if condition.error:
@@ -945,14 +834,14 @@ class Grounder:
                 if not isinstance(entry, _Condition):
                     body.append((entry[0], found[entry[1]]))
                     continue
-                positive, term, _ = entry.literal
+                positive, payload = entry.literal.positive, \
+                    entry.literal.payload
                 for s2 in self.expand_condition(entry, subst):
-                    if positive is not None:
-                        body.append((positive, term(s2)))
-                    elif not term(s2):  # a comparison
+                    if not isinstance(payload, Comparison):
+                        body.append((positive, value(payload, s2)))
+                    elif not holds(payload, positive, s2):
                         return []
-            heads = [(rule.atom(subst),)] if rule.atom is not None \
-                else self._ground_head(rule.head, subst)
+            heads = self._ground_head(rule.head, subst)
         except DropInstance:
             return []
         body = tuple(body)
@@ -962,19 +851,19 @@ class Grounder:
         """Alternative heads: conditioned elements expand disjunctively,
         interval pooling in bare elements expands conjunctively."""
         alternatives: List[list] = [[]]
-        for atom_values, condition, _ in head:
+        for atom, condition in head:
             if condition is not None:
                 atoms = []
                 for s2 in self.expand_condition(condition, subst):
-                    atoms.extend(atom_values(s2))
+                    atoms.extend(values(atom, s2))
                 alternatives = [alt + atoms for alt in alternatives]
                 continue
-            values = atom_values(subst)
-            if len(values) == 1:
-                alternatives = [alt + values for alt in alternatives]
+            atoms = values(atom, subst)
+            if len(atoms) == 1:
+                alternatives = [alt + atoms for alt in alternatives]
             else:
                 alternatives = [alt + [v]
-                                for alt in alternatives for v in values]
+                                for alt in alternatives for v in atoms]
         return [tuple(dict.fromkeys(alt)) for alt in alternatives]
 
     # -- simplification -----------------------------------------------------------

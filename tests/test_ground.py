@@ -13,7 +13,7 @@ import tasp
 from tasp.cli import Pipeline, distinct_traces, main
 from tasp.grammar import builtin_grammar, typecheck_program
 from tasp.ground import (
-    Grounder, GroundingError, GroundingLimitError, _components, _values)
+    Grounder, GroundingError, GroundingLimitError, _components, values)
 from tasp.parser import parse_program
 from tasp.syntax import Constant, Function, Integer, TheoryExpression, walk
 from tasp.transform import transform_program
@@ -149,7 +149,7 @@ def test_expression_body_literal_joins_ground_expressions():
 
 def test_expand_term_interval():
     term = parse_program("p(1..3).").rules[0].head.elements[0].atom.args[0]
-    assert [t.value for t in _values(term, frozenset())({})] == [1, 2, 3]
+    assert [t.value for t in values(term, {})] == [1, 2, 3]
 
 
 def test_stage_names_are_modules():
