@@ -133,6 +133,8 @@ def _rule_variables(rule: Rule) -> List[str]:
 
 
 def _herbrand_constants(rules) -> List:
+    """Every ground value in the rules that is not a function: symbols,
+    integers, strings, #inf and #sup."""
     consts: Dict = {}
 
     def collect(node):
@@ -149,7 +151,7 @@ def _herbrand_constants(rules) -> List:
             collect(node.right)
         elif isinstance(node, UnaryMinus):
             collect(node.arg)
-        elif isinstance(node, (Constant, Integer)):
+        elif not isinstance(node, Variable):
             consts[node] = None
 
     for r in rules:

@@ -3,6 +3,7 @@ import pytest
 from conftest import TELEX, oracle_traces
 
 from tasp import oracle
+from tasp.cli import Pipeline, distinct_traces
 from tasp.oracle import (OracleError, Trace, eval_formula, eval_path,
                          instantiate, temporal_models)
 from tasp.parser import parse_expression, parse_program
@@ -154,3 +155,17 @@ def test_state_space_bound():
     text = "".join("{ a%d }.\n" % i for i in range(30))
     with pytest.raises(OracleError):
         temporal_models(parse_program(text), 3)
+
+
+@pytest.mark.parametrize("text", [
+    'p("x"). q(X) :- p(X).',
+    "p(#sup). q :- p(X), X > 0.",
+    "p(#inf). q :- p(X), X < 0.",
+    'r("a"). s(X) :- r(X), X > 1.',
+])
+@pytest.mark.parametrize("n", [0, 1])
+def test_strings_and_bounds_are_herbrand_constants(text, n):
+    # the oracle instantiated over symbols and integers only, so it
+    # missed q("x"), q and s("a")
+    assert set(distinct_traces(Pipeline(text).meta(n))) \
+        == oracle_traces(text, n)
