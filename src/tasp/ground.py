@@ -850,6 +850,8 @@ class Grounder:
     def _ground_head(self, head, subst) -> List[tuple]:
         """Alternative heads: conditioned elements expand disjunctively,
         interval pooling in bare elements expands conjunctively."""
+        if len(head) == 1 and head[0][1] is None:  # one bare atom
+            return [(v,) for v in values(head[0][0], subst)]
         alternatives: List[list] = [[]]
         for atom, condition in head:
             if condition is not None:
