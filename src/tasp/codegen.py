@@ -26,8 +26,7 @@ from typing import Dict, List
 
 from . import ground
 from .ground import (
-    FAIL, MAX_TERM_DEPTH, _Condition, _is_ground, _pooled, atom_key,
-    term_depth,
+    FAIL, MAX_TERM_DEPTH, _Condition, _pooled, atom_key, term_depth,
 )
 from .syntax import (
     ASSIGN, CHECK, TEST, BinOp, Comparison, Constant, Function, Integer,
@@ -35,6 +34,13 @@ from .syntax import (
 )
 
 _NO_DEPTH = float("-inf")
+
+
+def _is_ground(t) -> bool:
+    """Whether t is a value: no variable and nothing to evaluate."""
+    if isinstance(t, Function):
+        return all(map(_is_ground, t[1]))
+    return not isinstance(t, (Variable, BinOp, UnaryMinus))
 
 
 def _drops(node) -> bool:
@@ -166,11 +172,6 @@ class JobSource:
 
     # -- terms and comparisons --------------------------------------------------
 
-    def evaluate(self, function, t, bound) -> str:
-        """An expression of function(t, s) of the term evaluator, s the
-        substitution of the variables bound."""
-        return "%s(%s, %s)" % (function, self.ref(t), self.subst(bound))
-
     def expr(self, t, bound) -> str:
         """An expression of the value of t, as ground.value."""
         if _is_ground(t):
@@ -188,7 +189,7 @@ class JobSource:
         if isinstance(t, UnaryMinus):
             return "negate(%s)" % self.expr(t.arg, bound)
         if isinstance(t, Variable) or t.op == "..":  # an error
-            return self.evaluate("value", t, bound)
+            return "value(%s, %s)" % (self.ref(t), self.subst(bound))
         return "arithmetic(%r, %s, %s)" % (
             t.op, self.expr(t.left, bound), self.expr(t.right, bound))
 
@@ -241,8 +242,8 @@ class JobSource:
                 depth = self.depth(p)
                 if _pooled(p):
                     values = self.temp()
-                    self.guard(["%s = %s" % (
-                        values, self.evaluate("values", p, bound))],
+                    self.guard(["%s = values(%s, %s)" % (
+                        values, self.ref(p), self.subst(bound))],
                         _drops(p), skip)
                     skip = self.loop("for %s in %s:" % (
                         self.bind(x, depth), values))

@@ -122,13 +122,6 @@ _new = tuple.__new__  # builds a term without calling its class's __new__
 _ARITHMETIC = {"+": add, "-": sub, "*": mul, "/": floordiv, "\\": mod}
 
 
-def _is_ground(t) -> bool:
-    """Whether t is a value: no variable and nothing to evaluate."""
-    if isinstance(t, Function):
-        return all(map(_is_ground, t[1]))
-    return not isinstance(t, (Variable, BinOp, UnaryMinus))
-
-
 def _is_interval(t) -> bool:
     return isinstance(t, BinOp) and t.op == ".."
 
@@ -243,7 +236,7 @@ def _member(v, t, s) -> bool:
     its term."""
     if _is_interval(t):
         return type(v) is Integer and v in _interval(t, s)
-    if isinstance(t, Function) and not _is_ground(t):
+    if isinstance(t, Function):
         return isinstance(v, Function) and v[0] == t[0] \
             and len(v[1]) == len(t[1]) \
             and all(_member(x, a, s) for x, a in zip(v[1], t[1]))
@@ -310,12 +303,12 @@ def _match(p, g, out, waiting) -> bool:
             return out[p.name] == g
         out[p.name] = g
         return True
-    if _is_ground(p):
-        return p == g
     if isinstance(p, Function):
         return isinstance(g, Function) and g[0] == p[0] \
             and len(g[1]) == len(p[1]) \
             and all(_match(a, x, out, waiting) for a, x in zip(p[1], g[1]))
+    if not isinstance(p, (BinOp, UnaryMinus)):  # a value
+        return p == g
     if variables(p).issubset(out):
         return _equal(p, g, out)
     waiting.append((p, g))
