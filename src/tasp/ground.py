@@ -150,7 +150,7 @@ def value(t, s):
         raise GroundingError("unbound variable %s" % t.name)
     if isinstance(t, Function):
         args = tuple([value(a, s) for a in t[1]])
-        if args == t[1]:  # a value is its own value
+        if args == t[1]:  # every argument is ground: t is its own value
             return t
         if kind is TheoryExpression and t.memberships:
             return TheoryExpression(t.operator, args, t.memberships)
