@@ -13,7 +13,7 @@ from .ground import Grounder, GroundProgram
 from .meta import MetaProgram, build, default_max_time, extract_model
 from .oracle import Trace, eval_formula, eval_path, temporal_models
 from .parser import parse_expression, parse_program
-from .reify import ReifiedDB, emit_reified_text, isomorphic, parse_reified
+from .reify import ReifiedDB, emit_reified_text, isomorphic
 from .solver import Model, solve
 from .transform import transform_program
 from .cli import main, run_pipeline
@@ -26,7 +26,7 @@ __all__ = [
     "MetaProgram", "build", "default_max_time", "extract_model",
     "Trace", "eval_formula", "eval_path", "temporal_models",
     "parse_expression", "parse_program",
-    "ReifiedDB", "emit_reified_text", "isomorphic", "parse_reified",
+    "ReifiedDB", "emit_reified_text", "isomorphic",
     "Model", "solve",
     "transform_program", "main", "run_pipeline",
     "__version__",

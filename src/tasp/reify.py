@@ -136,7 +136,7 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
 
 
 # ---------------------------------------------------------------------------
-# Text emission and parsing
+# Text emission
 
 
 def emit_reified_text(db: ReifiedDB) -> str:
@@ -145,89 +145,16 @@ def emit_reified_text(db: ReifiedDB) -> str:
     return "\n".join(lines)
 
 
-def parse_reified(text: str) -> ReifiedDB:
-    from .parser import parse_program
-
-    program = parse_program(text)
-    db = ReifiedDB()
-    declared_atom_tuples, declared_literal_tuples = set(), set()
-
-    def intval(t):
-        if isinstance(t, Integer):
-            return t.value
-        raise ReifyError("expected integer, got %s" % (t,))
-
-    for r in program.rules:
-        if r.body or len(r.head.elements) != 1 or r.head.elements[0].condition:
-            raise ReifyError("not a fact: %s" % (r,))
-        a = r.head.elements[0].atom
-        if not isinstance(a, Function):
-            raise ReifyError("malformed reified fact: %s" % (a,))
-        name, args = a.name, a.args
-        if name == "rule" and len(args) == 2:
-            head, body = args
-            if not (isinstance(head, Function) and len(head.args) == 1
-                    and head.name in ("disjunction", "choice")
-                    and isinstance(body, Function) and body.name == "normal"
-                    and len(body.args) == 1):
-                raise ReifyError("malformed rule fact: %s" % (a,))
-            db.rules.append((head.name, intval(head.args[0]),
-                             intval(body.args[0])))
-        elif name == "atom_tuple" and len(args) == 1:
-            declared_atom_tuples.add(intval(args[0]))
-            db.atom_tuples.setdefault(intval(args[0]), ())
-        elif name == "atom_tuple" and len(args) == 2:
-            i = intval(args[0])
-            db.atom_tuples[i] = db.atom_tuples.get(i, ()) + (intval(args[1]),)
-        elif name == "literal_tuple" and len(args) == 1:
-            declared_literal_tuples.add(intval(args[0]))
-            db.literal_tuples.setdefault(intval(args[0]), ())
-        elif name == "literal_tuple" and len(args) == 2:
-            i = intval(args[0])
-            db.literal_tuples[i] = (db.literal_tuples.get(i, ())
-                                    + (intval(args[1]),))
-        elif name == "output" and len(args) == 2:
-            db.outputs.append((args[0], intval(args[1])))
-        elif name == "formula" and len(args) == 2:
-            if not isinstance(args[0], Constant):
-                raise ReifyError("malformed formula fact: %s" % (a,))
-            db.formulas.append((args[0].name, args[1]))
-        elif name == "external" and len(args) == 2:
-            db.externals.append((args[0], intval(args[1])))
-        elif name in ("show_atom", "show_term") and len(args) == 2:
-            db.shows.append((name, args[0], intval(args[1])))
-        else:
-            raise ReifyError("unknown reified fact: %s" % (a,))
-
-    for i in db.atom_tuples:
-        if i not in declared_atom_tuples:
-            raise ReifyError("atom_tuple %d has elements but no declaration" % i)
-    for i in db.literal_tuples:
-        if i not in declared_literal_tuples:
-            raise ReifyError("literal_tuple %d has elements but no declaration" % i)
-    for kind, h, b in db.rules:
-        if h not in db.atom_tuples:
-            raise ReifyError("dangling atom_tuple %d" % h)
-        if b not in db.literal_tuples:
-            raise ReifyError("dangling literal_tuple %d" % b)
-    for sym, b in db.outputs + db.externals:
-        if b not in db.literal_tuples:
-            raise ReifyError("dangling literal_tuple %d in output/external" % b)
-    for _, _, b in db.shows:
-        if b not in db.literal_tuples:
-            raise ReifyError("dangling literal_tuple %d in show fact" % b)
-    return db
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism
 
 
-def _canonical(db: ReifiedDB, core_only: bool):
-    """Renumbering-invariant form.  Atom ids are named through singleton
-    output tuples; fact atoms (whose outputs are conditional-free) have no
-    identifying tuple and canonicalize anonymously — their symbols are
-    still compared through the output facts themselves."""
+def _canonical(db: ReifiedDB):
+    """Renumbering-invariant form of the core facts.  Atom ids are named
+    through singleton output tuples; fact atoms (whose outputs are
+    conditional-free) have no identifying tuple and canonicalize
+    anonymously — their symbols are still compared through the output
+    facts themselves."""
     id_to_symbol = {}
     for sym, b in db.outputs:
         lits = db.literal_tuples.get(b, ())
@@ -249,14 +176,10 @@ def _canonical(db: ReifiedDB, core_only: bool):
         (kind, atom_tuple(h), lit_tuple(b)) for kind, h, b in db.rules)
     outputs = frozenset(
         (str(s), lit_tuple(b)) for s, b in db.outputs)
-    if core_only:
-        return (rules, outputs)
-    formulas = frozenset((t, str(e)) for t, e in db.formulas)
-    externals = frozenset((str(s), lit_tuple(b)) for s, b in db.externals)
-    shows = frozenset((k, str(t), lit_tuple(b)) for k, t, b in db.shows)
-    return (rules, outputs, formulas, externals, shows)
+    return (rules, outputs)
 
 
-def isomorphic(a: ReifiedDB, b: ReifiedDB, core_only: bool = False) -> bool:
-    """True iff the databases are equal up to consistent id renumbering."""
-    return _canonical(a, core_only) == _canonical(b, core_only)
+def isomorphic(a: ReifiedDB, b: ReifiedDB) -> bool:
+    """True iff the core facts of the databases (rules, tuples, outputs)
+    are equal up to consistent id renumbering."""
+    return _canonical(a) == _canonical(b)

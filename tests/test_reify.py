@@ -5,22 +5,29 @@ from hypothesis import given, settings
 
 from conftest import DEL_ALTERNATION, MELEX_SCALED, TELEX, WAIT, fuzz_program
 
+import tasp
 from tasp.cli import Pipeline
-from tasp.reify import (ReifyError, emit_reified_text, isomorphic,
-                        parse_reified, reify)
+from tasp.parser import parse_program
+from tasp.reify import (ReifiedDB, ReifyError, emit_reified_text, isomorphic,
+                        reify)
+from tasp.syntax import Constant, Disjunction, Function, Integer
 
 # The published reified form of
 #   red(l1) :- not green(l1), light(l1).
-# with green/light declared external (ids are clingo's; the isomorphism
-# check absorbs renumbering).
-GOLDEN_15 = """\
-rule(disjunction(0),normal(0)).
-atom_tuple(0).        atom_tuple(0,3).
-literal_tuple(0).     literal_tuple(0,-2).  literal_tuple(0,1).
-output(light(l1),1).  literal_tuple(1).     literal_tuple(1,1).
-output(green(l1),2).  literal_tuple(2).     literal_tuple(2,2).
-output(red(l1),3).    literal_tuple(3).     literal_tuple(3,3).
-"""
+# with green/light declared external, with clingo's ids (the isomorphism
+# check absorbs renumbering):
+#   rule(disjunction(0),normal(0)).
+#   atom_tuple(0).        atom_tuple(0,3).
+#   literal_tuple(0).     literal_tuple(0,-2).  literal_tuple(0,1).
+#   output(light(l1),1).  literal_tuple(1).     literal_tuple(1,1).
+#   output(green(l1),2).  literal_tuple(2).     literal_tuple(2,2).
+#   output(red(l1),3).    literal_tuple(3).     literal_tuple(3,3).
+GOLDEN_15 = ReifiedDB(
+    rules=[("disjunction", 0, 0)],
+    atom_tuples={0: (3,)},
+    literal_tuples={0: (-2, 1), 1: (1,), 2: (2,), 3: (3,)},
+    outputs=[(Function(p, (Constant("l1"),)), i)
+             for i, p in enumerate(("light", "green", "red"), 1)])
 
 FIXTURE = """\
 red(l1) :- not green(l1), light(l1).
@@ -33,19 +40,26 @@ def _db(text, semantics="tel"):
     return Pipeline(text, semantics).db
 
 
+def _assert_parses_back(db):
+    """The reified text parses back to the database's fact atoms, in
+    order: every fact, then every show fact."""
+    rules = parse_program(emit_reified_text(db)).rules
+    assert all(not r.body and isinstance(r.head, Disjunction)
+               and len(r.head.elements) == 1
+               and not r.head.elements[0].condition for r in rules)
+    assert [r.head.elements[0].atom for r in rules] == list(db.facts()) + [
+        Function(kind, (term, Integer(b))) for kind, term, b in db.shows]
+
+
 def test_golden_fixture_isomorphic():
     db = _db(FIXTURE)
-    golden = parse_reified(GOLDEN_15)
-    assert isomorphic(db, golden, core_only=True)
-    assert len(golden.core_facts()) == 15
+    assert isomorphic(db, GOLDEN_15)
+    assert len(GOLDEN_15.core_facts()) == 15
     assert len(db.core_facts()) == 15
 
 
 def test_emit_parse_round_trip():
-    db = _db(TELEX)
-    again = parse_reified(emit_reified_text(db))
-    assert isomorphic(db, again)
-    assert emit_reified_text(again) == emit_reified_text(db)
+    _assert_parses_back(_db(TELEX))
 
 
 _SHOWS_AND_EXTERNALS = ("{ g }.\n#show s : g.\n#show g/0.\n#external h.\n"
@@ -57,20 +71,22 @@ _SHOWS_AND_EXTERNALS = ("{ g }.\n#show s : g.\n#show g/0.\n#external h.\n"
     (_SHOWS_AND_EXTERNALS, "tel"),
 ], ids=["mel", "del", "wait", "shows-and-externals"])
 def test_emit_parse_round_trip_per_logic(text, semantics):
-    db = _db(text, semantics)
-    assert isomorphic(parse_reified(emit_reified_text(db)), db)
+    _assert_parses_back(_db(text, semantics))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(fuzz_program(paths=True))
 def test_emit_parse_round_trip_fuzzed(text):
-    db = _db(text, "del")
-    assert isomorphic(parse_reified(emit_reified_text(db)), db)
+    _assert_parses_back(_db(text, "del"))
 
 
 def test_non_isomorphic_detected():
-    assert not isomorphic(_db(FIXTURE), _db("a :- not b. #external b."),
-                          core_only=True)
+    assert not isomorphic(_db(FIXTURE), _db("a :- not b. #external b."))
+
+
+def test_exported_names_resolve():
+    for name in tasp.__all__:
+        assert getattr(tasp, name) is not None, name
 
 
 def test_facts_have_conditionless_output():
@@ -135,8 +151,3 @@ def test_expression_without_a_grammar_rejected():
     with pytest.raises(ReifyError, match=re.escape(
             "expression &next(a) has no grammar")):
         reify(Grounder(program).ground(), show_all)
-
-
-def test_parse_reified_referential_integrity():
-    with pytest.raises(ReifyError):
-        parse_reified("rule(disjunction(0),normal(7)).\natom_tuple(0).")
