@@ -196,11 +196,14 @@ true(F,T) :- formula(del,&always(&test(G),F)), time(T),
 # Schema instantiation
 
 
-_TEL_SCHEMAS = (CORE_SCHEMA, BRIDGE_SCHEMA, BASIC_SCHEMA, TEL_SCHEMA)
+_BASE_SCHEMAS = (CORE_SCHEMA, BRIDGE_SCHEMA, BASIC_SCHEMA)
 
-#: The schemas each logic grounds.
-SCHEMAS = {"tel": _TEL_SCHEMAS, "mel": _TEL_SCHEMAS + (MEL_SCHEMA,),
-           "del": _TEL_SCHEMAS + (DEL_SCHEMA,)}
+#: The schemas each logic grounds.  MEL leaves TEL's out: its grammar
+#: rewrites unary &next and &eventually into their interval forms, so no
+#: mel formula matches a TEL schema pattern.  DEL's grammar extends TEL's.
+SCHEMAS = {"tel": _BASE_SCHEMAS + (TEL_SCHEMA,),
+           "mel": _BASE_SCHEMAS + (MEL_SCHEMA,),
+           "del": _BASE_SCHEMAS + (TEL_SCHEMA, DEL_SCHEMA)}
 
 
 @lru_cache(maxsize=None)
