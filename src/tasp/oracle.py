@@ -134,38 +134,31 @@ def _rule_variables(rule: Rule) -> List[str]:
 
 def _herbrand_constants(rules) -> List:
     """Every ground value in the rules that is not a function: symbols,
-    integers, strings, #inf and #sup."""
+    integers, strings, #inf and #sup.  An atom's name is not one: an atom
+    contributes its arguments, and a theory expression other than &i
+    (whose bounds are not Herbrand constants) the atoms it holds."""
     consts: Dict = {}
 
-    def collect(node):
+    def value(node):
+        consts.update(dict.fromkeys(x for x in walk(node) if not isinstance(
+            x, (Function, BinOp, UnaryMinus, Comparison, Variable))))
+
+    def atom(node):
         if isinstance(node, TheoryExpression):
-            if node.operator == "i":
-                return  # interval bounds are not Herbrand constants
-            for a in node.args:
-                collect(a)
+            if node.operator != "i":
+                for a in node.args:
+                    atom(a)
         elif isinstance(node, Function):
             for a in node.args:
-                collect(a)
-        elif isinstance(node, (BinOp,)):
-            collect(node.left)
-            collect(node.right)
-        elif isinstance(node, UnaryMinus):
-            collect(node.arg)
-        elif not isinstance(node, Variable):
-            consts[node] = None
+                value(a)
 
     for r in rules:
         for el in r.head.elements:
-            collect(el.atom)
+            atom(el.atom)
         for b in r.body:
             if isinstance(b, ConditionalLiteral):
                 continue
-            payload = b.payload
-            if isinstance(payload, Comparison):
-                collect(payload.left)
-                collect(payload.right)
-            else:
-                collect(payload)
+            (value if isinstance(b.payload, Comparison) else atom)(b.payload)
     return list(consts) or [Constant("c0")]
 
 

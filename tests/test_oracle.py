@@ -169,3 +169,21 @@ def test_strings_and_bounds_are_herbrand_constants(text, n):
     # missed q("x"), q and s("a")
     assert set(distinct_traces(Pipeline(text).meta(n))) \
         == oracle_traces(text, n)
+
+
+_ATOM_NAMES = "a. b :- a. light(l1). red(L) :- not green(L), light(L)."
+
+
+def test_atom_names_are_not_herbrand_constants():
+    # a, b, green, light and red named no value; with a and b taken as
+    # constants red had three instances, and n=2 had 2^27 candidates
+    rules = oracle._bind_constants(parse_program(_ATOM_NAMES))
+    assert oracle._herbrand_constants(rules) == [Constant("l1")]
+    rules = instantiate(parse_program("a. p(a). q(X) :- p(X)."))
+    assert "q(a) :- p(a)." in {str(r) for r in rules}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_atom_names_oracle_equals_solve(n):
+    assert set(distinct_traces(Pipeline(_ATOM_NAMES).meta(n))) \
+        == oracle_traces(_ATOM_NAMES, n)
