@@ -342,11 +342,6 @@ class GroundRule(NamedTuple):
             return "%s." % (head or ":- ")
         return "%s :- %s." % (head, body) if head else ":- %s." % body
 
-    @property
-    def is_fact(self) -> bool:
-        return (self.head_kind == "disjunction" and len(self.head) == 1
-                and not self.body)
-
 
 @dataclass
 class GroundProgram:
@@ -863,66 +858,58 @@ class Grounder:
 
     # -- simplification -----------------------------------------------------------
 
-    @staticmethod
-    def _simplify(r, facts, externals, underivable):
-        """r against the current facts and non-derivable atoms: None when
-        the rule is dropped.  A disjunction holding a fact is satisfied;
-        fact atoms in a choice are vacuous elements."""
-        head = r.head
-        if head and not r.is_fact:
-            if r.head_kind == "disjunction":
-                if any(h in facts for h in head):
-                    return None
-            else:
-                head = tuple(h for h in head if h not in facts)
-                if not head:
-                    return None
-        body = []
-        for pos, atom in r.body:
-            if atom in externals:
-                body.append((pos, atom))
-            elif atom in facts:
-                if not pos:
-                    return None
-            elif atom in underivable:
-                if pos:
-                    return None
-            else:
-                body.append((pos, atom))
-        return GroundRule(r.head_kind, head, tuple(body))
-
     def _finalize(self, collected, external_atoms) -> GroundProgram:
-        rules = list(dict.fromkeys(GroundRule(*inst) for inst in collected))
-        externals = dict(external_atoms)
-        occurs: Dict = {}   # atom -> indices of the rules mentioning it
-        # atom -> number of rules with it in the head; a seed counts as
-        # the head of a fact rule before all others
-        support: Dict = dict.fromkeys(self.seeds, 1)
-        for i, r in enumerate(rules):
-            for h in r.head:
-                support[h] = support.get(h, 0) + 1
-                occurs.setdefault(h, []).append(i)
-            for _, a in r.body:
-                occurs.setdefault(a, []).append(i)
+        """Simplify the collected instances against the facts, over atom
+        ids: the seeds are numbered first, then each atom of the
+        instances as it first occurs.  A rule is (is_choice, head ids,
+        body literals), a positive literal the atom's id and a negative
+        one its complement ~id; instances are deduplicated as such."""
+        ids: Dict = {}
+        put = ids.setdefault
+        seeds = [put(a, len(ids)) for a in self.seeds]
+        rules = list(dict.fromkeys(
+            (kind == "choice", tuple([put(a, len(ids)) for a in head]),
+             tuple([put(a, len(ids)) if pos else ~put(a, len(ids))
+                    for pos, a in body]))
+            for kind, head, body in collected))
+        atoms, externals = list(ids), dict(external_atoms)
+        # per atom: its status, the indices of the rules mentioning it,
+        # and the number of rules with it in the head, a seed counting as
+        # one fact rule
+        status = bytearray(len(atoms))
+        for a in externals:
+            if a in ids:
+                status[ids[a]] = _EXTERNAL
+        occurs = [[] for _ in atoms]
+        support = [0] * len(atoms)
+        for a in seeds:
+            support[a] = 1
+        for i, (_, head, body) in enumerate(rules):
+            for h in head:
+                support[h] += 1
+                occurs[h].append(i)
+            for l in body:
+                occurs[l if l >= 0 else ~l].append(i)
         # Rounds as in a full re-scan: facts found in one round are
         # promoted, in rule order, at the start of the next, and atoms
-        # that lost their last head count as non-derivable from then on.
+        # that lost their last head count as underivable from then on.
         # A round re-simplifies only the rules mentioning such an atom.
-        facts: Dict = {}
-        underivable = set()
-        seeded = self.seeds
-        promoted = [i for i, r in enumerate(rules) if r.is_fact]
-        lost = [a for a in occurs if a not in support and a not in externals]
+        facts: List[int] = []
+        seeded = seeds
+        promoted = [i for i, r in enumerate(rules) if _is_fact(r)]
+        lost = [a for a, s in enumerate(support)
+                if not s and status[a] != _EXTERNAL]
         while True:
-            underivable.update(lost)
-            new_facts = dict.fromkeys(
-                h for h in chain(seeded, (rules[i].head[0]
-                                          for i in sorted(promoted)))
-                if h not in facts and h not in externals)
+            for a in lost:
+                status[a] = _UNDERIVABLE
+            new_facts = []
+            for a in chain(seeded, (rules[i][1][0] for i in sorted(promoted))):
+                if status[a] == _OPEN:
+                    status[a] = _FACT
+                    new_facts.append(a)
             seeded = ()
-            facts.update(new_facts)
-            work = {i for a in chain(lost, new_facts)
-                    for i in occurs.get(a, ())}
+            facts += new_facts
+            work = {i for a in chain(lost, new_facts) for i in occurs[a]}
             if not work:
                 break
             self.counters["simplify_rounds"] += 1
@@ -931,25 +918,64 @@ class Grounder:
                 r = rules[i]
                 if r is None:
                     continue
-                new = self._simplify(r, facts, externals, underivable)
+                new = _simplified(r, status)
                 if new == r:
                     continue
                 rules[i] = new
-                for h in r.head:
-                    if new is None or h not in new.head:
+                for h in r[1]:
+                    if new is None or h not in new[1]:
                         support[h] -= 1
-                        if not support[h] and h not in externals:
+                        if not support[h] and status[h] != _EXTERNAL:
                             lost.append(h)
                 if new is None:
                     self.counters["rules_dropped"] += 1
-                elif new.is_fact:
+                elif _is_fact(new):
                     promoted.append(i)
-        del occurs, support, underivable
 
         # facts leave the rule list; simplification may merge instances
-        out_rules = list(dict.fromkeys(
-            r for r in rules
-            if r is not None and not (r.is_fact and r.head[0] in facts)))
+        out = dict.fromkeys(r for r in rules if r is not None and not (
+            _is_fact(r) and status[r[1][0]] == _FACT))
+        # one (positive, atom) pair per literal, shared by the rules
+        pairs = {l: (l >= 0, atoms[l if l >= 0 else ~l])
+                 for _, _, body in out for l in body}
+        kinds = ("disjunction", "choice")
+        return GroundProgram(
+            rules=[GroundRule(kinds[choice], tuple([atoms[h] for h in head]),
+                              tuple([pairs[l] for l in body]))
+                   for choice, head, body in out],
+            facts=dict.fromkeys([atoms[a] for a in facts]),
+            externals=externals, grammar=self.grammar)
 
-        return GroundProgram(rules=out_rules, facts=facts,
-                             externals=externals, grammar=self.grammar)
+
+#: The status of an atom in Grounder._finalize: open, a fact, underivable
+#: (no rule left has it in the head), or external (never simplified).
+_OPEN, _FACT, _UNDERIVABLE, _EXTERNAL = range(4)
+
+
+def _is_fact(rule) -> bool:
+    """Whether a rule over atom ids is a fact: one head atom, no body."""
+    return not (rule[0] or rule[2]) and len(rule[1]) == 1
+
+
+def _simplified(rule, status):
+    """rule over atom ids against the atoms' status: None when it is
+    dropped.  A disjunction holding a fact is satisfied; fact atoms in a
+    choice are vacuous elements; a true body literal is deleted and a
+    false one drops the rule."""
+    choice, head, body = rule
+    if head and not _is_fact(rule):
+        if not choice:
+            if any(status[h] == _FACT for h in head):
+                return None
+        else:
+            head = tuple([h for h in head if status[h] != _FACT])
+            if not head:
+                return None
+    kept = []
+    for l in body:
+        s = status[l] if l >= 0 else status[~l]
+        if s == _OPEN or s == _EXTERNAL:
+            kept.append(l)
+        elif (s == _FACT) != (l >= 0):
+            return None
+    return choice, head, tuple(kept)

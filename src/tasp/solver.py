@@ -83,6 +83,11 @@ class Model:
     atoms: Atoms
 
 
+#: Maps the values of a total assignment's positive literals to model
+#: bytes: 1 (true) stays 1, 2 (false) becomes 0.
+_MODEL_BYTES = bytes.maketrans(b"\2", b"\0")
+
+
 def _translate(program: GroundProgram):
     """The atoms of the rules, indexed in order of first occurrence, and
     the rules as (is_choice, heads, positive body, negative body) over
@@ -110,9 +115,12 @@ def _loops(succ) -> List[int]:
 
 class _Engine:
     """Conflict-driven search over literals 2v (v true) and 2v+1 (v
-    false).  Variables below natoms are atoms, the rest rule bodies of
-    none or of two or more literals; a body of one literal is that
-    literal.  A body is named by its literal throughout."""
+    false), each valued 1 (true), 2 (false) or 0 (open): a model is the
+    values of the atoms' positive literals, every other entry of the
+    value list, as bytes with 2 translated to 0.  Variables below natoms
+    are atoms, the rest rule bodies of none or of two or more literals;
+    a body of one literal is that literal.  A body is named by its
+    literal throughout."""
 
     def __init__(self, natoms: int, rules, step_limit: int):
         self.natoms, self.rules, self.step_limit = natoms, rules, step_limit
@@ -188,7 +196,7 @@ class _Engine:
             else:
                 units.append(c[0] if c else None)
         self.tester = None  # built by unstable on the first real check
-        self.val = [0] * (2 * nv)  # per literal: 1 true, -1 false, 0 open
+        self.val = [0] * (2 * nv)  # per literal: 1 true, 2 false, 0 open
         self.level, self.reason = [0] * nv, [None] * nv
         self.trail, self.lim, self.qhead, self.ok = [], [], 0, True
         self.activity, self.inc, self.phase = [0.0] * nv, 1.0, [1] * nv
@@ -221,7 +229,7 @@ class _Engine:
     def _enqueue(self, lit, reason) -> bool:
         if self.val[lit]:
             return self.val[lit] == 1
-        self.val[lit], self.val[lit ^ 1] = 1, -1
+        self.val[lit], self.val[lit ^ 1] = 1, 2
         self.level[lit >> 1], self.reason[lit >> 1] = len(self.lim), reason
         self.trail.append(lit)
         return True
@@ -251,10 +259,10 @@ class _Engine:
             false = lit ^ 1
             for x in imp[lit]:
                 if not val[x]:
-                    val[x], val[x ^ 1] = 1, -1
+                    val[x], val[x ^ 1] = 1, 2
                     level[x >> 1], reason[x >> 1] = lvl, false
                     trail.append(x)
-                elif val[x] < 0:
+                elif val[x] == 2:
                     return [x, false]
             ws, keep = watches[false], []
             self.steps += len(imp[lit]) + len(ws) + 1
@@ -266,7 +274,7 @@ class _Engine:
                     keep.append(c)
                     continue
                 for k in range(2, len(c)):
-                    if val[c[k]] != -1:
+                    if val[c[k]] != 2:
                         c[1], c[k] = c[k], false
                         watches[c[1]].append(c)
                         break
@@ -275,7 +283,7 @@ class _Engine:
                     if val[first]:
                         watches[false] = keep + ws[i + 1:]
                         return c
-                    val[first], val[first ^ 1] = 1, -1
+                    val[first], val[first ^ 1] = 1, 2
                     level[first >> 1], reason[first >> 1] = lvl, c
                     trail.append(first)
             watches[false] = keep
@@ -294,7 +302,7 @@ class _Engine:
             if b in bheads:
                 cand.update((h, None) for h in bheads[b] if src[h] == b)
         self.ufs_head = len(self.trail)
-        cand = {a: None for a in cand if val[2 * a] != -1}
+        cand = {a: None for a in cand if val[2 * a] != 2}
         if not cand:
             return None
         self.counters["unfounded_checks"] += 1
@@ -303,7 +311,7 @@ class _Engine:
             for b in dep[p]:
                 for h in bheads[b]:
                     if src[h] == b and h not in cand and scc[h] == scc[p] \
-                            and val[2 * h] != -1:
+                            and val[2 * h] != 2:
                         cand[h] = None
                         stack.append(h)
         missing = Counter(b for p in cand for b in dep[p])  # body -> cands
@@ -312,7 +320,7 @@ class _Engine:
         while work:  # a body not false and free of candidates is a source
             a = work.pop()
             for b in supports[a] if a in cand else ():
-                if not missing[b] and val[b] != -1:
+                if not missing[b] and val[b] != 2:
                     src[a] = b
                     del cand[a]
                     for b2 in dep[a]:
@@ -404,7 +412,8 @@ class _Engine:
                     continue
                 conflict = self.unstable()
                 if conflict is None:
-                    yield bytes([x > 0 for x in self.val[:2 * self.natoms:2]])
+                    yield bytes(self.val[:2 * self.natoms:2]).translate(
+                        _MODEL_BYTES)
                     if assumptions or not self.lim:
                         return
                     self.steps += self.natoms  # the listing, to bound time
@@ -435,7 +444,7 @@ class _Engine:
         leave such a set only where a rule has a true body and two true
         heads; the tester looks for one under the assignment."""
         val = self.val
-        if not any(val[b] > 0 and sum(val[2 * h] > 0 for h in heads) > 1
+        if not any(val[b] == 1 and sum(val[2 * h] == 1 for h in heads) > 1
                    for heads, b in self.disjunctive):
             return None
         self.counters["minimality_checks"] += 1
@@ -447,7 +456,7 @@ class _Engine:
         before = tester.steps
         tester.step_limit = before + self.step_limit - self.steps
         found = next(tester.models(
-            [2 * x + (val[m] < 0) for m, x in self.context]), None)
+            [2 * x + (val[m] == 2) for m, x in self.context]), None)
         self.counters["tester_steps"] += tester.steps - before
         self.steps += tester.steps - before
         if found is None:
@@ -458,8 +467,8 @@ class _Engine:
         inside, clause = set(rest), [2 * rest[0] + 1]
         for _, heads, pos, b in self.defining:
             if not inside.isdisjoint(heads) and inside.isdisjoint(pos):
-                clause.append(b if val[b] < 0 else 1 + 2 * next(
-                    h for h in heads if h not in inside and val[2 * h] > 0))
+                clause.append(b if val[b] == 2 else 1 + 2 * next(
+                    h for h in heads if h not in inside and val[2 * h] == 1))
         self.counters["loop_nogoods"] += 1
         return clause
 

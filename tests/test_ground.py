@@ -212,6 +212,43 @@ def test_fact_chains_promote_one_layer_per_round():
     assert _listing(gp) == (order, [], [], order)
 
 
+@pytest.mark.parametrize("text,seeds,listing", [
+    # a seed given twice is one fact, first in order
+    ("c :- a. d :- b, not a. e :- a, f. { f }.", "a a b",
+     (["a", "b", "c"], ["e :- f.", "{ f }."], [], ["a", "b", "c", "e", "f"])),
+    # a seed a rule also derives: that rule goes, the fact is not repeated
+    ("a :- b. { b }. c :- a. d. d :- c.", "a d",
+     (["a", "d", "c"], ["{ b }."], [], ["a", "d", "c", "b"])),
+    # an external stays in a head and in a body; its rule that became a
+    # fact stays a rule
+    ("#external e. #external g. e :- a. a. b :- e, a. { c } :- e. g :- c. "
+     "d :- not g, a.", "",
+     (["a"], ["e.", "b :- e.", "{ c } :- e.", "g :- c.", "d :- not g."],
+      ["e", "g"], ["a", "e", "g", "b", "c", "d"])),
+    # a choice whose elements all become facts is dropped
+    ("{ a; b } :- c. c. a :- c. b.", "",
+     (["c", "b", "a"], [], [], ["c", "b", "a"])),
+    # a disjunction holding a fact is satisfied
+    ("a; b :- c. { c }. b. d; e. e :- b.", "",
+     (["b", "e"], ["{ c }."], [], ["b", "e", "c"])),
+    # negative body atoms that become underivable over two rounds
+    ("x :- y. a :- not x. { z }. u :- z, not v. v :- w.", "",
+     (["a"], ["{ z }.", "u :- z."], [], ["a", "z", "u"])),
+    # a chain from a seed, one fact per round
+    ("d :- c, not e. c :- b. b :- a. e :- f. f :- g.", "a",
+     (["a", "b", "c", "d"], [], [], ["a", "b", "c", "d"])),
+    # a positive loop that lost its outside support is kept
+    ("a :- b. b :- a. a :- c. c :- not d. d.", "",
+     (["d"], ["a :- b.", "b :- a."], [], ["d", "a", "b"])),
+], ids=["duplicate-seeds", "derived-seed", "externals", "choice-of-facts",
+        "disjunction-with-fact", "underivable-negatives", "chain",
+        "positive-loop"])
+def test_simplification_edge_cases(text, seeds, listing):
+    gp = Grounder(parse_program(text), {},
+                  facts=[Constant(s) for s in seeds.split()]).ground()
+    assert _listing(gp) == listing
+
+
 # ---------------------------------------------------------------------------
 # The join builds each instance: listings recorded before the body was
 # assembled from the join's own atoms

@@ -265,7 +265,10 @@ def test_closure_unfolds_each_path(op):
     ("{ a }. { b }.\n#show s : a, not b.\n", 1,
      {(): 9, ("s@0",): 3, ("s@1",): 3, ("s@0", "s@1"): 1}),
     ("{ a }. { b }.\n#show t : a, b.\n", 0, {(): 3, ("t@0",): 1}),
-], ids=["negative-literal", "two-literals"])
+    ("{ a }.\n#show s : a, not a.\n", 1, {(): 4}),
+    ("{ a }. { b }.\n#show s : a, not b, a.\n", 0, {(): 3, ("s@0",): 1}),
+], ids=["negative-literal", "two-literals", "complementary-literals",
+        "repeated-literal"])
 def test_show_condition_reads_every_literal_of_its_tuple(text, n, expected):
     # written out by hand, since the oracle ignores #show: the condition
     # holds in one of the four choices of a and b at each state, so each
@@ -275,3 +278,20 @@ def test_show_condition_reads_every_literal_of_its_tuple(text, n, expected):
     traces = Counter(tuple("%s@%d" % (a, t) for t, state in enumerate(s)
                            for a in sorted(state)) for s in states)
     assert traces == expected
+
+
+@pytest.mark.parametrize("text,semantics,n", [
+    (TELEX, "tel", 3), (MELEX_SCALED, "mel", 3), (DEL_ALTERNATION, "del", 4)],
+    ids=["tel", "mel", "del"])
+def test_extraction_does_not_depend_on_the_set_type(text, semantics, n):
+    # a plain set is read as the facts of an empty search; reading it
+    # between two models of a solve also replaces the solve's layout
+    mp = Pipeline(text, semantics).meta(n)
+    found = solve(mp.program)
+    assert found
+    for m in found:
+        trace = extract_model(mp, m.atoms)
+        assert extract_model(mp, frozenset(m.atoms)) == trace
+        assert extract_model(mp, set(m.atoms)) == trace
+        assert extract_model(mp, m.atoms) == trace
+        assert (trace[1] is None) == (semantics != "mel")
