@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, product
 from math import prod
@@ -348,19 +349,37 @@ class GroundProgram:
     """Facts, the rules left after simplification, and externals.  No rule
     names a fact: simplification drops a rule whose body negates a fact
     or whose disjunction holds one, and deletes a fact from a positive
-    body or a choice.  So the solver leaves facts out of its search."""
-    rules: List[GroundRule] = field(default_factory=list)
+    body or a choice.  So the solver leaves facts out of its search.  The
+    rules are id_rules, (is_choice, head ids, body literals) over the
+    table atoms, ~id a negative literal (see Grounder._finalize); their
+    GroundRules, symbol table and text are built on first read."""
+    atoms: List = field(default_factory=list)     # the term of each id
+    id_rules: List[tuple] = field(default_factory=list)
     facts: Dict = field(default_factory=dict)      # ordered set of atoms
     externals: Dict = field(default_factory=dict)  # ordered set of atoms
     grammar: Optional[object] = None
+
+    @cached_property
+    def index(self) -> Dict:
+        """The id of each atom of the table."""
+        return dict(zip(self.atoms, range(len(self.atoms))))
+
+    @cached_property
+    def rules(self) -> List[GroundRule]:
+        atoms, kinds = self.atoms, ("disjunction", "choice")
+        return [GroundRule(kinds[choice], tuple([atoms[h] for h in head]),
+                           tuple([(True, atoms[l]) if l >= 0
+                                  else (False, atoms[~l]) for l in body]))
+                for choice, head, body in self.id_rules]
 
     @property
     def symbol_table(self) -> Dict:
         """Every atom, as an ordered set: the facts, the externals, then
         each rule's head and body atoms in rule order."""
+        atoms = self.atoms
         return dict.fromkeys(chain(self.facts, self.externals, (
-            a for r in self.rules
-            for a in chain(r.head, (b for _, b in r.body)))))
+            atoms[x if x >= 0 else ~x] for _, head, body in self.id_rules
+            for x in chain(head, body))))
 
     def __str__(self):
         lines = ["%s." % (f,) for f in self.facts]
@@ -863,7 +882,9 @@ class Grounder:
         ids: the seeds are numbered first, then each atom of the
         instances as it first occurs.  A rule is (is_choice, head ids,
         body literals), a positive literal the atom's id and a negative
-        one its complement ~id; instances are deduplicated as such."""
+        one its complement ~id; instances are deduplicated as such.  The
+        kept atoms are renumbered as the solver reads them: per rule the
+        heads, positive body, then negative body, at first occurrence."""
         ids: Dict = {}
         put = ids.setdefault
         seeds = [put(a, len(ids)) for a in self.seeds]
@@ -935,14 +956,23 @@ class Grounder:
         # facts leave the rule list; simplification may merge instances
         out = dict.fromkeys(r for r in rules if r is not None and not (
             _is_fact(r) and status[r[1][0]] == _FACT))
-        # one (positive, atom) pair per literal, shared by the rules
-        pairs = {l: (l >= 0, atoms[l if l >= 0 else ~l])
-                 for _, _, body in out for l in body}
-        kinds = ("disjunction", "choice")
+        kept: Dict[int, int] = {}  # id -> its id in the table kept
+        put = kept.setdefault
+        for _, head, body in out:
+            for h in head:
+                put(h, len(kept))
+            for l in body:
+                if l >= 0:
+                    put(l, len(kept))
+            for l in body:
+                if l < 0:
+                    put(~l, len(kept))
         return GroundProgram(
-            rules=[GroundRule(kinds[choice], tuple([atoms[h] for h in head]),
-                              tuple([pairs[l] for l in body]))
-                   for choice, head, body in out],
+            atoms=[atoms[a] for a in kept],
+            id_rules=[(choice, tuple([kept[h] for h in head]),
+                       tuple([kept[l] if l >= 0 else ~kept[~l]
+                              for l in body]))
+                      for choice, head, body in out],
             facts=dict.fromkeys([atoms[a] for a in facts]),
             externals=externals, grammar=self.grammar)
 

@@ -11,11 +11,11 @@ equilibrium models of length n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .ground import GroundProgram, Grounder, Plan
 from .parser import parse_program
@@ -238,80 +238,60 @@ class MetaProgram:
     n: int
     semantics: str
     max_time: Optional[int] = None
-    #: (index, facts, layout) of the last solve extract_model read
-    _layout: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False)
 
     @cached_property
-    def shown(self) -> List[Tuple[str, list]]:
-        """Each shown term rendered, with a (hold(|L|,T), L > 0) pair per
-        literal L of its tuple for every state T; built once."""
-        return [(str(term),
-                 [[(Function("hold", (Integer(abs(l)), Integer(t))), l > 0)
-                   for l in self.db.literal_tuples.get(b, ())]
-                  for t in range(self.n + 1)])
-                for _, term, b in self.db.shows]
-
-    def layout(self, atoms: Atoms) -> list:
-        """Per state, (key, memo, read) for the models of one solve: key
-        reads the state's key off a model's bytes, the bytes at the
-        positions that its shown terms probe and, for MEL, at those of
-        its tau atoms; read maps a key to the state's (frozenset of
-        shown terms, tau value), and memo holds what it gave.  A probe
-        of an atom the search does not hold reads the facts once.  Built
-        for the first model of a solve, kept while its index is read."""
-        cached = self._layout
-        if cached and cached[0] is atoms.index and cached[1] is atoms.facts:
-            return cached[2]
-        index, facts = atoms.index, atoms.facts
-        fixed, found = self._taus(atoms)
+    def layout(self) -> list:
+        """Per state T, (key, memo, always, terms, tau, taus): key reads a
+        model's bytes at the positions the state's shown terms and, for
+        MEL, its tau atoms probe, memo maps a key to the state's
+        (frozenset of shown terms, tau value), always are the terms
+        shown in every model, terms the others as (rendered, getter,
+        the bytes it must read), tau is V of a fact tau(T,V) (or None)
+        and taus the (position, V) of each tau(T,V) of the table, in id
+        order.  A term probes hold(|L|,T) for each literal L of its
+        tuple; a probe of an atom outside the table reads the facts."""
+        index, facts, n = self.program.index, self.program.facts, self.n
+        fixed, found = [None] * (n + 1), [[] for _ in range(n + 1)]
+        for a in chain(facts, index) if self.semantics == "mel" else ():
+            if isinstance(a, Function) and a.name == "tau" \
+                    and len(a.args) == 2:
+                t, v = a.args
+                if isinstance(t, Integer) and 0 <= t.value <= n \
+                        and isinstance(v, Integer):
+                    i = index.get(a)
+                    if i is None:
+                        fixed[t.value] = v.value
+                    else:
+                        found[t.value].append((i, v.value))
+        shown = [(str(term), self.db.literal_tuples.get(b, ()))
+                 for _, term, b in self.db.shows]
         layout = []
-        for t in range(self.n + 1):
-            slots: dict = {}  # model position -> its place in the key
+        for t in range(n + 1):
+            positions: dict = {}  # every position the state reads
             always, terms = [], []
-            for rendered, probes in self.shown:
-                need = {}  # place in the key -> the byte it must hold
-                for a, positive in probes[t]:
+            for rendered, literals in shown:
+                need = {}  # model position -> the byte it must hold
+                for l in literals:
+                    a, positive = Function(
+                        "hold", (Integer(abs(l)), Integer(t))), l > 0
                     i = index.get(a)
                     if i is None:
                         if (a in facts) != positive:
                             break
-                    elif need.setdefault(slots.setdefault(i, len(slots)),
-                                         int(positive)) != positive:
+                    elif need.setdefault(i, int(positive)) != positive:
                         break  # a literal and its complement
                 else:
                     want = tuple(need.values())
                     if not want:
                         always.append(rendered)
                     else:  # shown if its getter reads the bytes it needs
+                        positions.update(need)
                         terms.append((rendered, itemgetter(*need),
                                       want if len(want) > 1 else want[0]))
-            taus = [(slots.setdefault(i, len(slots)), v) for i, v in found[t]]
-            key = itemgetter(*slots) if slots else _no_key
-            layout.append((key, {}, partial(
-                _read, len(slots) == 1, always, terms, fixed[t], taus)))
-        self._layout = index, facts, layout
+            positions.update(found[t])
+            key = itemgetter(*positions) if positions else (lambda true: ())
+            layout.append((key, {}, always, terms, fixed[t], found[t]))
         return layout
-
-    def _taus(self, atoms: Atoms) -> tuple:
-        """Per state T, the value V of a fact tau(T,V) (or None), and the
-        (position, V) of each tau(T,V) of the search, in the order atoms
-        lists them; for MEL only."""
-        fixed, found = [None] * (self.n + 1), [[] for _ in range(self.n + 1)]
-        if self.semantics != "mel":
-            return fixed, found
-        for a in chain(atoms.facts, atoms.index):
-            if isinstance(a, Function) and a.name == "tau" \
-                    and len(a.args) == 2:
-                t, v = a.args
-                if isinstance(t, Integer) and 0 <= t.value <= self.n \
-                        and isinstance(v, Integer):
-                    i = atoms.index.get(a)
-                    if i is None:
-                        fixed[t.value] = v.value
-                    else:
-                        found[t.value].append((i, v.value))
-        return fixed, found
 
 
 def default_max_time(n: int) -> int:
@@ -345,22 +325,8 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
 # Model extraction
 
 
-def _no_key(true) -> tuple:
-    """The key of a state that probes no position of the model."""
-    return ()
-
-
-def _read(single, always, terms, tau, found, key) -> tuple:
-    """The shown terms and the tau value of a state with this key (see
-    MetaProgram.layout); a tau atom of the search that holds overrides
-    a fact, and a later one an earlier one, as the model lists them."""
-    if single:  # itemgetter of one position gives the byte itself
-        key = (key,)
-    for k, v in found:
-        if key[k]:
-            tau = v
-    return frozenset(chain(always, [rendered for rendered, get, want in terms
-                                    if get(key) == want])), tau
+#: The most keys a state's memo keeps; a later key is read every time.
+MEMO_KEYS = 1024
 
 
 def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
@@ -368,24 +334,32 @@ def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
 
     `atoms` is the whole model, the program's facts included: a model's
     `Atoms` view as the solver gives it, or any set of atoms, read as
-    the facts of an empty search.  A term is shown at T when `atoms` has
-    hold(L,T) for each positive literal L of its tuple and hold(-L,T)
-    for no negative one.  Returns (states, tau): states is a tuple of
-    n+1 frozensets of rendered terms; tau maps each state to its time
-    point for MEL, else None.
+    the bytes of the program's atom table.  A term is shown at T when
+    `atoms` has hold(L,T) for each positive literal L of its tuple and
+    hold(-L,T) for no negative one.  Returns (states, tau): states is a
+    tuple of n+1 frozensets of rendered terms; tau maps each state to
+    its time point for MEL, else None.
 
-    The probes are resolved once per solve (MetaProgram.layout): a
+    The probes are resolved once per program (MetaProgram.layout): a
     model is read as one key of bytes per state, and a key seen before
     gives the state's frozenset and tau value again without probing.
+    Each state's memo keeps its first MEMO_KEYS keys.
     """
-    if not isinstance(atoms, Atoms):
-        atoms = Atoms(frozenset(atoms), {}, [], b"")
-    true, states, tau = atoms.true, [], []
-    for key, memo, read in meta.layout(atoms):
+    true = atoms.true if isinstance(atoms, Atoms) else bytes(
+        [a in atoms for a in meta.program.atoms])
+    states, tau = [], []
+    for key, memo, always, terms, value, taus in meta.layout:
         k = key(true)
         state = memo.get(k)
         if state is None:
-            state = memo[k] = read(k)
+            for i, v in taus:  # a later tau atom overrides an earlier one
+                if true[i]:
+                    value = v
+            state = frozenset(chain(always, [
+                rendered for rendered, get, want in terms
+                if get(true) == want])), value
+            if len(memo) < MEMO_KEYS:
+                memo[k] = state
         states.append(state[0])
         tau.append(state[1])
     return tuple(states), tuple(tau) if meta.semantics == "mel" else None

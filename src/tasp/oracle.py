@@ -73,7 +73,8 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def _arith(t):
-    """Fold ground arithmetic; comparisons in instances must be decidable."""
+    """Fold ground arithmetic (_rule_variables rejects intervals);
+    comparisons in instances must be decidable."""
     if isinstance(t, UnaryMinus):
         v = _arith(t.arg)
         if isinstance(v, Integer):
@@ -81,8 +82,6 @@ def _arith(t):
         raise OracleError("cannot negate %s" % (v,))
     if isinstance(t, BinOp):
         a, b = _arith(t.left), _arith(t.right)
-        if t.op not in _ARITHMETIC:
-            raise OracleError("unsupported arithmetic %s" % (t,))
         if not (isinstance(a, Integer) and isinstance(b, Integer)):
             raise _Undefined()
         try:
@@ -125,11 +124,13 @@ def _rule_variables(rule: Rule) -> List[str]:
         raise OracleError("conditional heads unsupported by the oracle")
     if any(isinstance(b, ConditionalLiteral) for b in rule.body):
         raise OracleError("conditional literals unsupported by the oracle")
-    nodes = itertools.chain((el.atom for el in rule.head.elements),
-                            (b.payload for b in rule.body))
+    nodes = [x for node in itertools.chain(
+        (el.atom for el in rule.head.elements),
+        (b.payload for b in rule.body)) for x in walk(node)]
+    if any(isinstance(x, BinOp) and x.op == ".." for x in nodes):
+        raise OracleError("intervals unsupported by the oracle")
     return list(dict.fromkeys(
-        x.name for node in nodes for x in walk(node)
-        if isinstance(x, Variable)))
+        x.name for x in nodes if isinstance(x, Variable)))
 
 
 def _herbrand_constants(rules) -> List:

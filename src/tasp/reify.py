@@ -85,15 +85,18 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
 
     ids = {a: i for i, a in enumerate(
         (a for a in gp.symbol_table if not marker(a)), 1)}
+    terms = gp.atoms + list(gp.facts)  # a fact's rule follows the table
+    num = [ids.get(a) for a in terms]
     heads, bodies = {}, {}  # atom and literal tuple -> its id
     db, marker_shows = ReifiedDB(), []
-    for kind, head, body in chain(gp.rules, (
-            ("disjunction", (f,), ()) for f in gp.facts)):
-        body = tuple(ids[a] if pos else -ids[a] for pos, a in body)
-        if len(head) == 1 and marker(head[0]):
-            marker_shows.append((head[0].args[0], body))
+    for choice, head, body in chain(gp.id_rules, (
+            (False, (i,), ()) for i in range(len(gp.atoms), len(terms)))):
+        body = tuple([num[l] if l >= 0 else -num[~l] for l in body])
+        if len(head) == 1 and marker(terms[head[0]]):
+            marker_shows.append((terms[head[0]].args[0], body))
         else:
-            db.rules.append((kind, intern(heads, tuple(map(ids.get, head))),
+            db.rules.append(("choice" if choice else "disjunction",
+                             intern(heads, tuple([num[h] for h in head])),
                              intern(bodies, body)))
     output = {a: intern(bodies, () if a in gp.facts else (i,))
               for a, i in ids.items()}

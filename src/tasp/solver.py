@@ -52,21 +52,20 @@ DEFAULT_STEP_LIMIT = 10_000_000
 
 class Atoms(Set):
     """The atoms of a model as a read-only set: the program's facts, and
-    per atom of the search a byte, 1 if the model makes it true.  The
-    facts, the atom index and its terms are shared by all models."""
+    per atom of its table a byte, 1 if the model makes it true.  The
+    facts and the atom index are the program's, shared by all models."""
 
-    __slots__ = ("facts", "index", "terms", "true")
+    __slots__ = ("facts", "index", "true")
 
-    def __init__(self, facts: frozenset, index: dict, terms: list, true):
-        self.facts, self.index, self.terms, self.true = facts, index, \
-            terms, true
+    def __init__(self, facts, index: dict, true):
+        self.facts, self.index, self.true = facts, index, true
 
     def __contains__(self, atom):
         i = self.index.get(atom)
         return atom in self.facts if i is None else self.true[i] == 1
 
     def __iter__(self):
-        return chain(self.facts, compress(self.terms, self.true))
+        return chain(self.facts, compress(self.index, self.true))
 
     def __len__(self):
         return len(self.facts) + self.true.count(1)
@@ -86,21 +85,6 @@ class Model:
 #: Maps the values of a total assignment's positive literals to model
 #: bytes: 1 (true) stays 1, 2 (false) becomes 0.
 _MODEL_BYTES = bytes.maketrans(b"\2", b"\0")
-
-
-def _translate(program: GroundProgram):
-    """The atoms of the rules, indexed in order of first occurrence, and
-    the rules as (is_choice, heads, positive body, negative body) over
-    the indices.  Facts get no atom: no rule of a ground program names one."""
-    index: Dict = {}
-    put, rules = index.setdefault, []
-    for kind, head, body in program.rules:
-        rules.append((kind == "choice",
-                      tuple([put(a, len(index)) for a in head]),
-                      tuple([put(a, len(index)) for sign, a in body if sign]),
-                      tuple([put(a, len(index)) for sign, a in body
-                             if not sign])))
-    return index, rules
 
 
 def _loops(succ) -> List[int]:
@@ -520,16 +504,18 @@ def models(program: GroundProgram) -> Iterator[Model]:
     DEFAULT_STEP_LIMIT steps.  Each model's atoms are a set view of the
     program's facts, shared by all models, and the atoms the search made
     true."""
-    index, rules = _translate(program)
-    terms, facts = list(index), frozenset(program.facts)
-    engine = _Engine(len(terms), rules, DEFAULT_STEP_LIMIT)
+    natoms, facts, index = len(program.atoms), program.facts, program.index
+    engine = _Engine(natoms, [
+        (choice, head, tuple([l for l in body if l >= 0]),
+         tuple([~l for l in body if l < 0]))
+        for choice, head, body in program.id_rules], DEFAULT_STEP_LIMIT)
     count = 0
     try:
         for model in engine.models():
             count += 1
-            yield Model(Atoms(facts, index, terms, model))
+            yield Model(Atoms(facts, index, model))
     finally:
-        stats = dict(models=count, atoms=len(terms), facts=len(facts),
+        stats = dict(models=count, atoms=natoms, facts=len(facts),
                      body_variables=len(engine.level) - engine.natoms,
                      steps=engine.steps, **engine.counters)
         log.debug("solve: %s", ", ".join(

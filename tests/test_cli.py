@@ -143,6 +143,18 @@ def test_oracle_rejects_negative_models_limit(monkeypatch):
     assert out == ""
 
 
+@pytest.mark.parametrize("text", [
+    "p(1..2).\n", "q(X) :- X = 1..2.\n", "a :- &next(p(1..2)).\n"],
+    ids=["head", "comparison", "expression"])
+def test_oracle_rejects_intervals_by_name(text, monkeypatch, capsys):
+    # the oracle does not expand intervals, and names them as it names
+    # the conditional literals it does not expand
+    code, out = _run(["oracle", "-c", "n=0"], stdin=text,
+                     monkeypatch=monkeypatch)
+    assert (code, out) == (65, "")
+    assert "intervals unsupported by the oracle" in capsys.readouterr().err
+
+
 def test_oracle_models_limit_matches_solve(monkeypatch):
     # `{ a }.` has two models; both commands stop at the first.
     for command in ("solve", "oracle"):

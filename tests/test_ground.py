@@ -113,6 +113,24 @@ def test_externals_exempt_from_simplification():
     assert {str(a) for a in gp.externals} == {"green(l1)", "light(l1)"}
 
 
+def test_atom_table_in_first_occurrence_order():
+    # per rule its heads, then its positive body, then its negative body,
+    # each atom where it first occurs; the body keeps its order and its
+    # repeated literals
+    gp = _ground("#external q. #external s. #external r. { u }.\n"
+                 "p :- not q, r, not s, r, not q.\n"
+                 "t; u :- not s, p, u, not t.")
+    assert [str(a) for a in gp.atoms] == ["u", "p", "r", "q", "s", "t"]
+    assert gp.id_rules == [(True, (0,), ()),
+                           (False, (1,), (~3, 2, ~4, 2, ~3)),
+                           (False, (5, 0), (~4, 1, 0, ~5))]
+    assert gp.index == {a: i for i, a in enumerate(gp.atoms)}
+    assert str(gp).splitlines()[:3] == [
+        "{ u }.", "p :- not q; r; not s; r; not q.",
+        "t; u :- not s; p; u; not t."]
+    assert [str(a) for a in gp.symbol_table] == ["q", "s", "r", "u", "p", "t"]
+
+
 def test_underivable_positive_body_kills_rule():
     gp = _ground("b :- a.")
     assert gp.rules == [] and not gp.facts

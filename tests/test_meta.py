@@ -284,8 +284,8 @@ def test_show_condition_reads_every_literal_of_its_tuple(text, n, expected):
     (TELEX, "tel", 3), (MELEX_SCALED, "mel", 3), (DEL_ALTERNATION, "del", 4)],
     ids=["tel", "mel", "del"])
 def test_extraction_does_not_depend_on_the_set_type(text, semantics, n):
-    # a plain set is read as the facts of an empty search; reading it
-    # between two models of a solve also replaces the solve's layout
+    # a plain set is read as the bytes of the program's atom table, so
+    # it goes through the same layout and memo as the solver's models
     mp = Pipeline(text, semantics).meta(n)
     found = solve(mp.program)
     assert found

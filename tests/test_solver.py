@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from conftest import (DEL_ALTERNATION, TELEX, oracle_traces,
+from conftest import (DEL_ALTERNATION, MELEX_SCALED, TELEX, oracle_traces,
                       random_prop_program, stable_models_bruteforce)
 
 from tasp import meta, oracle, solver
@@ -281,6 +281,38 @@ def test_del_enumeration_steps_per_model_stay_flat(monkeypatch):
         assert len(found) == len(traces) == 2 ** (n + 2)
         per_model[n] = built[-1].steps / len(found)
     assert per_model[12] <= 2 * per_model[8], per_model
+
+
+@pytest.mark.parametrize("text,semantics,n", [
+    (TELEX, "tel", 3), (MELEX_SCALED, "mel", 3), (DEL_ALTERNATION, "del", 4)],
+    ids=["tel", "mel", "del"])
+def test_solve_and_extract_read_the_atom_table_only(text, semantics, n):
+    # neither the solver nor extraction builds the GroundRule list or
+    # the symbol table of the meta program
+    mp = meta.build(Pipeline(text, semantics).db, n, semantics)
+    for m in solve(mp.program):
+        meta.extract_model(mp, m.atoms)
+    assert "rules" not in mp.program.__dict__
+    assert "symbol_table" not in mp.program.__dict__
+
+
+@pytest.mark.parametrize("text,semantics,n", [
+    (TELEX, "tel", 4), (MELEX_SCALED, "mel", 3), (DEL_ALTERNATION, "del", 4)],
+    ids=["tel", "mel", "del"])
+def test_extraction_memo_is_bounded(text, semantics, n, monkeypatch):
+    # past the bound a state's key is read each time it comes: every
+    # trace of the solve stays the same and no memo holds more keys
+    pipeline = Pipeline(text, semantics)
+    mp = pipeline.meta(n)
+    found = solve(mp.program)
+    want = [meta.extract_model(mp, m.atoms) for m in found]
+    monkeypatch.setattr(meta, "MEMO_KEYS", 2)
+    bounded = meta.build(pipeline.db, n, semantics)
+    assert [meta.extract_model(bounded, m.atoms)
+            for m in solve(bounded.program)] == want
+    memos = [memo for _, memo, *_ in bounded.layout]
+    assert all(len(memo) <= 2 for memo in memos)
+    assert any(len(memo) == 2 for memo in memos)
 
 
 def test_full_enumeration_stops_at_step_limit():
