@@ -19,9 +19,9 @@ import argparse
 import logging
 import sys
 import time
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import meta
 from . import oracle as oracle_mod
@@ -70,8 +70,8 @@ class Pipeline:
     one before it: typed -> transformed -> ground -> db -> meta(n)."""
 
     def __init__(self, text: str, semantics: str = "tel",
-                 constants: Optional[Dict[str, object]] = None,
-                 grammar: Optional[TheoryGrammar] = None):
+                 constants: dict[str, object] | None = None,
+                 grammar: TheoryGrammar | None = None):
         self.text = text
         self.semantics = semantics
         self.constants = constants or {}
@@ -100,15 +100,15 @@ class Pipeline:
     def db(self):
         return reify(self.ground, self.transformed[1])
 
-    def meta(self, n: int, max_time: Optional[int] = None):
+    def meta(self, n: int, max_time: int | None = None):
         return meta.build(self.db, n, semantics=self.semantics,
                           max_time=max_time)
 
 
 def run_pipeline(text: str, n: int, semantics: str = "tel",
-                 constants: Optional[Dict[str, object]] = None,
-                 max_time: Optional[int] = None,
-                 grammar: Optional[TheoryGrammar] = None, limit: int = 0):
+                 constants: dict[str, object] | None = None,
+                 max_time: int | None = None,
+                 grammar: TheoryGrammar | None = None, limit: int = 0):
     """Full solve pipeline; returns (models, meta_program) where models
     is a deduplicated list of (states, tau) pairs in enumeration order,
     at most `limit` of them unless it is 0."""
@@ -116,7 +116,7 @@ def run_pipeline(text: str, n: int, semantics: str = "tel",
     return list(islice(distinct_traces(mp), limit or None)), mp
 
 
-def distinct_traces(mp) -> Iterator[Tuple[tuple, Optional[tuple]]]:
+def distinct_traces(mp) -> Iterator[tuple[tuple, tuple | None]]:
     """The distinct (states, tau) traces of a meta program's stable
     models, pulled from the solver only as far as the caller iterates."""
     return _distinct(meta.extract_model(mp, m.atoms)
@@ -218,7 +218,11 @@ def _build_parser() -> _Parser:
 _CONFIG_KEYS = {"semantics", "printer", "models", "max_time", "log_level"}
 
 
-def _apply_config(args) -> None:
+def _apply_config(args, parser) -> None:
+    """Read the --config file: each key of _CONFIG_KEYS sets its flag's
+    value unless the flag is given, and every other key defines a
+    program constant.  A value is checked and converted by the flag
+    itself, as solve's parser reads it."""
     if not args.config:
         return
     config_constants = []
@@ -233,9 +237,12 @@ def _apply_config(args) -> None:
             key, value = (s.strip() for s in line.split("=", 1))
             attr = key.replace("-", "_")
             if attr in _CONFIG_KEYS:
+                try:
+                    value = getattr(parser.parse_args(["solve", "--%s=%s" % (
+                        attr.replace("_", "-"), value)]), attr)
+                except _UsageError as exc:
+                    raise _UsageError("%s:%d: %s" % (args.config, lineno, exc))
                 if getattr(args, attr, None) is None:
-                    if attr in ("models", "max_time"):
-                        value = int(value)
                     setattr(args, attr, value)
             else:
                 # unknown keys define program constants; explicit -c
@@ -244,8 +251,8 @@ def _apply_config(args) -> None:
     args.constants = config_constants + args.constants
 
 
-def _parse_constants(pairs) -> Dict[str, object]:
-    constants: Dict[str, object] = {}
+def _parse_constants(pairs) -> dict[str, object]:
+    constants: dict[str, object] = {}
     for pair in pairs:
         if "=" not in pair:
             raise _UsageError("bad constant %r (expected name=value)" % pair)
@@ -298,7 +305,7 @@ def _setup_logging(args) -> None:
 # Subcommands
 
 
-def _horizon(constants: Dict[str, object]) -> int:
+def _horizon(constants: dict[str, object]) -> int:
     n = constants.get("n", Integer(0))
     if not isinstance(n, Integer) or n.value < 0:
         raise ValueError("horizon n must be a non-negative integer")
@@ -345,12 +352,12 @@ COMMANDS = {"solve": _cmd_solve, "transform": _cmd_print,
             "reify": _cmd_print, "oracle": _cmd_oracle}
 
 
-def main(argv: Optional[List[str]] = None, out=None) -> int:
+def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        _apply_config(args, parser)
         _setup_logging(args)
         return COMMANDS[args.command](args, out)
     except _UsageError as exc:

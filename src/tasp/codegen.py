@@ -8,32 +8,37 @@ of program analyzers*, CAV 2016).  A scan is a for loop over the indices
 its list has when the scan starts, the snapshot _join takes; variables
 are locals; tests, checks and assignments are inline code; body and head
 tuples are built in place; and the heads of an instance are derived as
-soon as it is built.  What the code does not spell out (an interval, =
-against a function with variables, arithmetic in a matched pattern, a
-pooled head) calls the interpreter's term evaluator on a substitution
-dict, and arithmetic and comparisons call the helpers the evaluator
-calls, so both paths give the same ground program, warnings and errors.
-The code runs in the namespace of the ground module.
+soon as it is built.  A pooled assignment or head calls the interpreter's
+term evaluator on a substitution dict, and arithmetic and comparisons
+call the helpers the evaluator calls, so both paths give the same ground
+program, warnings and errors.  The code runs in the namespace of the
+ground module.
 
-A plan grounded once, as every user program is, stays interpreted and
-never imports this module: compiling a job costs about half a
-millisecond, more than grounding a small program does.
+Only the plans of the meta-encodings (meta._schema_plan) are grounded
+more than once, so the code covers the step shapes that the tel, mel
+and del schema plans hold.  On any other shape (a join left unbound, an
+#external, arithmetic in a matched pattern, a negative or comparison
+literal in a condition, or an error to raise, among others) JobSource
+raises _Unsupported, and the plan stays interpreted.  A plan grounded
+once, as every user program is, stays interpreted and never imports
+this module: compiling a job costs about half a millisecond, more than
+grounding a small program does.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from . import ground
-from .ground import (
-    FAIL, MAX_TERM_DEPTH, _Condition, _pooled, atom_key, term_depth,
-)
+from .ground import MAX_TERM_DEPTH, _Condition, _pooled, atom_key, term_depth
 from .syntax import (
-    ASSIGN, CHECK, TEST, BinOp, Comparison, Constant, Function, Integer,
-    TheoryExpression, UnaryMinus, Variable, variables, walk,
+    ASSIGN, CHECK, SCAN, TEST, BinOp, Comparison, Constant, Function, Integer,
+    TheoryExpression, UnaryMinus, Variable, walk,
 )
 
 _NO_DEPTH = float("-inf")
+
+
+class _Unsupported(Exception):
+    """A step shape the generated code does not cover, named."""
 
 
 def _is_ground(t) -> bool:
@@ -54,11 +59,6 @@ def _pure(node) -> bool:
     return not any(isinstance(x, (BinOp, UnaryMinus)) for x in walk(node))
 
 
-def _pure_join(steps) -> bool:
-    """Whether no step of a join can warn or raise."""
-    return all(op != FAIL and _pure(term) for op, term, *_ in steps)
-
-
 def _lone(rule) -> bool:
     """Whether the head of rule is one atom, without a condition or an
     interval."""
@@ -67,19 +67,20 @@ def _lone(rule) -> bool:
 
 
 class JobSource:
-    """The Python source of the jobs of a plan.  The source of a job is a
+    """The Python source of the jobs of a plan; _Unsupported if a step
+    has a shape the code does not cover.  The source of a job is a
     function that takes the objects the job reads and returns the job's
     function, job(grounder, instances, externals), which joins the job,
-    appends its instances to instances (an #external's targets go to the
-    ordered set externals instead) and derives their heads."""
+    appends its instances to instances and derives their heads, as
+    Grounder._interpret does for a rule."""
 
     def __init__(self, plan):
         self.plan = plan
         #: each job's (source, the objects its function takes)
-        self.jobs: List[tuple] = []
+        self.jobs: list[tuple] = []
         for rule in plan.rules:
-            self.objects: Dict[int, tuple] = {}  # id -> (name, object)
-            self.lines: List[str] = []
+            self.objects: dict[int, tuple] = {}  # id -> (name, object)
+            self.lines: list[str] = []
             self._job(rule)
             self.jobs.append(("\n".join(
                 ["def job_of(%s):" % ", ".join(
@@ -93,7 +94,7 @@ class JobSource:
         peak memory of compile grows with the source it is given."""
         jobs = []
         for text, objects in self.jobs:
-            namespace: Dict = {}
+            namespace: dict = {}
             exec(compile(text, "<generated job>", "exec"), vars(ground),
                  namespace)
             jobs.append(namespace["job_of"](*objects))
@@ -178,30 +179,28 @@ class JobSource:
             return self.ref(t)
         if isinstance(t, Variable) and t.name in bound:
             return self.names[t.name]
+        if isinstance(t, TheoryExpression) and t.memberships:
+            raise _Unsupported("a typed theory expression")
         if isinstance(t, Function):
             args = "(%s)" % "".join(
                 self.expr(a, bound) + ", " for a in t.args)
-            if isinstance(t, TheoryExpression) and t.memberships:
-                return "TheoryExpression(%r, %s, %s)" % (
-                    t.operator, args, self.ref(t.memberships))
             return "_new(%s, (%s, %s))" % (self.ref(type(t)),
                                            self.name(t[0]), args)
         if isinstance(t, UnaryMinus):
             return "negate(%s)" % self.expr(t.arg, bound)
-        if isinstance(t, Variable) or t.op == "..":  # an error
-            return "value(%s, %s)" % (self.ref(t), self.subst(bound))
+        if isinstance(t, Variable) or t.op == "..":
+            raise _Unsupported("an unbound variable or an interval")
         return "arithmetic(%r, %s, %s)" % (
             t.op, self.expr(t.left, bound), self.expr(t.right, bound))
 
     def comparison(self, cmp, positive, bound):
         """(lines, test): lines to run, then an expression of whether cmp
-        holds, if positive, or fails; an interval or = against a function
-        with variables is left to ground.holds."""
+        holds, if positive, or fails; not for an interval or = against a
+        function with variables."""
         op, left, right = cmp.op, cmp.left, cmp.right
         if _pooled(left) or _pooled(right) or op == "=" and isinstance(
                 right, Function) and not _is_ground(right):
-            return [], "holds(%s, %r, %s)" % (self.ref(cmp), positive,
-                                              self.subst(bound))
+            raise _Unsupported("an interval or = against a function")
         lines, operands = [], []
         for t in (left, right):
             value = self.expr(t, bound)
@@ -232,25 +231,18 @@ class JobSource:
         innermost level."""
         found = []
         for op, p, x, y, bound in steps:
-            if op == FAIL:  # no literal left is processable
-                self.emit("raise GroundingError(%r)" % p)
-            elif op == CHECK:
+            if op == CHECK:
                 lines, test = self.comparison(p, x, bound)
                 self.guard(lines + ["if not %s: %s" % (test, skip)],
                            _drops(p), skip)
             elif op == ASSIGN:
-                depth = self.depth(p)
-                if _pooled(p):
-                    values = self.temp()
-                    self.guard(["%s = values(%s, %s)" % (
-                        values, self.ref(p), self.subst(bound))],
-                        _drops(p), skip)
-                    skip = self.loop("for %s in %s:" % (
-                        self.bind(x, depth), values))
-                else:
-                    value = self.expr(p, bound)
-                    self.guard(["%s = %s" % (self.bind(x, depth), value)],
-                               _drops(p), skip)
+                if not _pooled(p):
+                    raise _Unsupported("an assignment of one value")
+                values = self.temp()
+                self.guard(["%s = values(%s, %s)" % (
+                    values, self.ref(p), self.subst(bound))], _drops(p), skip)
+                skip = self.loop("for %s in %s:" % (
+                    self.bind(x, self.depth(p)), values))
             elif op == TEST:
                 atom = self.temp("a")
                 lines = ["%s = %s" % (atom, self.expr(p, bound))]
@@ -258,9 +250,11 @@ class JobSource:
                     lines.append("if %s not in derivable: %s" % (atom, skip))
                 self.guard(lines, _drops(p), skip)
                 found.append(atom)
-            else:
+            elif op == SCAN:
                 atom, skip = self.scan(p, x, y, bound, skip)
                 found.append(atom)
+            else:  # a FAIL step
+                raise _Unsupported("a join left unbound")
         return found, skip
 
     def scan(self, p, shape, pattern, bound, skip):
@@ -275,24 +269,10 @@ class JobSource:
             self.guard(["%s = arg_index.get((%s, %s), ())" % (
                 atoms, self.ref(shape), keys)],
                 any(_drops(p.args[pos]) for pos in values), skip)
+        if not all(_pure(a) for _, a in pattern):
+            # _join matches every atom before it extends the first
+            raise _Unsupported("arithmetic in a matched pattern")
         atom, i = self.temp("a"), self.temp("i")
-        if any(isinstance(q, (BinOp, UnaryMinus))
-               for _, a in pattern for q in walk(a)):
-            # matched against every atom first, from the last, as _join
-            # does, so that arithmetic warns and fails in the same order
-            matched, s2 = self.temp(), self.temp("s")
-            self.emit("%s = []" % matched)
-            self.emit("for %s in range(len(%s) - 1, -1, -1):" % (i, atoms))
-            self.emit("    %s = match(%s, %s[%s][1], %s)" % (
-                s2, self.ref(pattern), atoms, i, self.subst(bound)))
-            self.emit("    if %s is not None:" % s2)
-            self.emit("        %s.append((%s[%s], %s))" % (
-                matched, atoms, i, s2))
-            skip = self.loop("for %s, %s in reversed(%s):" % (
-                atom, s2, matched))
-            for name in sorted(variables(p) - bound):
-                self.emit("%s = %s[%r]" % (self.bind(name, None), s2, name))
-            return atom, skip
         skip = self.loop("for %s in range(len(%s)):" % (i, atoms))
         self.emit("%s = %s[%s]" % (atom, atoms, i))
         args = self.temp()
@@ -314,7 +294,7 @@ class JobSource:
             else:
                 bound.add(p.name)
                 self.emit("%s = %s" % (self.bind(p.name, (0, -level)), g))
-        else:  # a function: arithmetic has been matched in scan
+        else:  # a function without arithmetic
             f, args = self.temp(), self.temp()
             self.emit("%s = %s" % (f, g))
             self.emit("if not (isinstance(%s, Function) and %s[0] == %s "
@@ -324,30 +304,20 @@ class JobSource:
             for k, a in enumerate(p.args):
                 self.match(a, "%s[%d]" % (args, k), level + 1, bound, skip)
 
-    def condition(self, c, outer, each, pure):
-        """Emits the expansion of condition c from the variables outer,
-        as expand_condition: each() emits what one solution does.  That is
-        inside the join if it is pure or the join is; else after the join,
-        which expand_condition completes before it, so that warnings and
-        errors come in the same order."""
-        later = not pure and not _pure_join(c.steps)
+    def condition(self, c, each, pure):
+        """Emits the expansion of condition c, of positive literals, as
+        expand_condition: each() emits what one solution does, inside the
+        join.  Not if both each() and the join may warn or raise, as
+        expand_condition completes the join first."""
         if c.error:
-            self.emit("raise GroundingError(%r)" % c.error)
-            return
+            raise _Unsupported("a condition over a non-domain predicate")
+        if c.negatives:
+            raise _Unsupported("a negative condition literal")
+        if not pure and not all(_pure(term) for _, term, *_ in c.steps):
+            raise _Unsupported("an element and its condition both impure")
         base = self.indent
-        if later:
-            solutions = self.temp()
-            self.emit("%s = []" % solutions)
         self.loop("for _ in (None,):")
-        found, skip = self.join(c.steps, "continue")
-        for j in c.negatives:
-            self.emit("if %s in derivable: %s" % (found[j], skip))
-        if later:
-            names = "".join(self.names[n] + ", " for n in sorted(
-                c.bound - outer))
-            self.emit("%s.append((%s))" % (solutions, names))
-            self.indent = base
-            self.loop("for (%s) in %s:" % (names, solutions))
+        self.join(c.steps, "continue")
         each()
         self.indent = base
 
@@ -355,6 +325,8 @@ class JobSource:
 
     def _job(self, rule):
         """Emits the body of the function of job rule into self.lines."""
+        if rule.kind == "external":
+            raise _Unsupported("an #external")
         self.names, self.depths, self.lists, self.temps = {}, {}, {}, 0
         self.indent, start = 2, len(self.lines)
         params = ["%s = g.params[%r]" % (self.bind(name, None), name)
@@ -393,22 +365,12 @@ class JobSource:
             if not isinstance(e, _Condition):
                 self.emit("body.append((%r, %s))" % (e[0], found[e[1]]))
                 continue
-            literal = e.literal
-            check = isinstance(literal.payload, Comparison)
-            pure = not check and _pure(literal.payload)
-            self.drops |= check or _drops(literal.payload)
-            if check:  # a comparison that fails drops the instance
-                def each(e=e, literal=literal):
-                    lines, test = self.comparison(
-                        literal.payload, literal.positive, e.bound)
-                    for line in lines + [
-                            "if not %s: raise DropInstance" % test]:
-                        self.emit(line)
-            else:
-                def each(e=e, literal=literal):
-                    self.emit("body.append((%r, %s))" % (
-                        literal.positive, self.expr(literal.payload, e.bound)))
-            self.condition(e, rule.bound, each, pure)
+            positive, payload = e.literal.positive, e.literal.payload
+            if isinstance(payload, Comparison):
+                raise _Unsupported("a comparison conditional literal")
+            self.drops |= _drops(payload)
+            self.condition(e, lambda: self.emit("body.append((%r, %s))" % (
+                positive, self.expr(payload, e.bound))), _pure(payload))
         self.emit("body = tuple(body)")
 
     def head(self, rule):
@@ -437,19 +399,16 @@ class JobSource:
                 self.emit("head = tuple(dict.fromkeys((%s)))" % "".join(
                     v + ", " for v in values))
             return key
+        if any(c is None for _, c in rule.head):
+            raise _Unsupported("bare and conditioned head elements")
         self.emit("head = []")
         for a, c in rule.head:
-            if c is None:
-                key = key if self.shallow(a) else None
-                self.emit("head.append(%s)" % self.expr(a, rule.bound))
-                continue
-
-            def each(c=c, a=a):
+            def each():
                 nonlocal key
                 key = key if self.shallow(a) else None
                 self.emit("head.append(%s)" % self.expr(a, c.bound))
             self.drops |= _drops(a)
-            self.condition(c, rule.bound, each, _pure(a))
+            self.condition(c, each, _pure(a))
         self.emit("head = tuple(dict.fromkeys(head))")
         return key
 
@@ -458,10 +417,7 @@ class JobSource:
         heads, as Grounder.ground does for each of _build_instance's."""
         if any(_pooled(a) for a, _ in rule.head):
             self.loop("for head in heads:")
-        if rule.kind == "external":  # first seen first
-            self.emit("externals.setdefault(head[0])")
-        else:
-            self.emit("insts_append((%r, head, body))" % rule.kind)
+        self.emit("insts_append((%r, head, body))" % rule.kind)
         if not _lone(rule):
             self.loop("for h in head:")
         if key is None:

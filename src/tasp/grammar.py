@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from typing import Dict, Optional, Tuple
 
 from . import parser
 from .syntax import (
@@ -45,7 +44,7 @@ class TheoryGrammar:
     in declaration order; not changed once built."""
 
     def __init__(self, specs):
-        self.types: Dict[str, TypeSpec] = {}
+        self.types: dict[str, TypeSpec] = {}
         for spec in specs:
             if spec.name in self.types or spec.name in PREDEFINED:
                 raise GrammarError("duplicate type declaration %r" % spec.name)
@@ -53,7 +52,7 @@ class TheoryGrammar:
                 raise GrammarError("unknown occurrence %r in type %r"
                                    % (spec.occurrence, spec.name))
             self.types[spec.name] = spec
-        self._closure: Dict[str, Tuple[str, ...]] = {}
+        self._closure: dict[str, tuple[str, ...]] = {}
         self._validate()
 
     # -- validation ----------------------------------------------------------
@@ -95,7 +94,7 @@ class TheoryGrammar:
 
     # -- subtype closure -----------------------------------------------------
 
-    def closure(self, name: str) -> Tuple[str, ...]:
+    def closure(self, name: str) -> tuple[str, ...]:
         """BFS order of name and all types reachable via subtype edges,
         computed on first use."""
         if name not in self._closure:
@@ -108,11 +107,11 @@ class TheoryGrammar:
             self._closure[name] = tuple(order)
         return self._closure[name]
 
-    def _subtypes(self, name: str) -> Tuple[str, ...]:
+    def _subtypes(self, name: str) -> tuple[str, ...]:
         spec = self.types.get(name)
         return spec.subtypes if spec is not None else ()
 
-    def membership_path(self, start: str, goal: str) -> Optional[Tuple[str, ...]]:
+    def membership_path(self, start: str, goal: str) -> tuple[str, ...] | None:
         """Shortest subtype path from start down to goal, inclusive: the
         branch of closure(start)'s BFS tree that reaches goal, where each
         type's parent is the first type in BFS order that lists it."""
@@ -144,7 +143,7 @@ class TheoryGrammar:
                 yield t, m
 
 
-def load_grammar(text: str, base: Optional[TheoryGrammar] = None) \
+def load_grammar(text: str, base: TheoryGrammar | None = None) \
         -> TheoryGrammar:
     """Parse one or more ``#type`` blocks and validate them together with
     base's types, if given, which they may name but not declare again."""

@@ -12,19 +12,21 @@ then grounded by a join interpreter that evaluates each term as it is
 written (value, values, holds and match).  The same engine instantiates
 the internal meta-encodings, planned once per process, against
 reified-fact databases seeded as facts.  A plan grounded again grounds
-with Python code generated from it (see tasp.codegen).
+with Python code generated from it if tasp.codegen covers its steps, as
+it covers those of the meta-encodings.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, product
 from math import prod
 from operator import add, floordiv, ge, gt, le, lt, mod, mul, ne, sub
-from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from .syntax import (
     ASSIGN, CHECK, SCAN, TEST, BinOp, Choice, Comparison, ConditionalLiteral,
@@ -114,9 +116,8 @@ def atom_key(a) -> tuple:
 # One evaluator reads a term as it is written, under a substitution s, a
 # dict from variable names to ground terms.  The grounder's interpreter
 # calls it for every term a join or an instance evaluates, and generated
-# code (see tasp.codegen) for the terms it does not spell out.  A variable
-# that s does not bind is an error; undefined arithmetic raises
-# DropInstance.
+# code (see tasp.codegen) for pooled terms.  A variable that s does not
+# bind is an error; undefined arithmetic raises DropInstance.
 
 _new = tuple.__new__  # builds a term without calling its class's __new__
 
@@ -329,10 +330,11 @@ def _equal(t, g, s) -> bool:
 # Ground program representation
 
 
-class GroundRule(NamedTuple):
-    head_kind: str  # "disjunction" or "choice"
-    head: tuple     # ground atoms
-    body: tuple     # of (positive: bool, atom)
+class GroundRule(namedtuple("GroundRule", "head_kind head body")):
+    """A ground rule: head_kind "disjunction" or "choice", head its ground
+    atoms, body its (positive, atom) pairs."""
+
+    __slots__ = ()
 
     def __str__(self):
         head = "; ".join(str(h) for h in self.head)
@@ -353,19 +355,19 @@ class GroundProgram:
     rules are id_rules, (is_choice, head ids, body literals) over the
     table atoms, ~id a negative literal (see Grounder._finalize); their
     GroundRules, symbol table and text are built on first read."""
-    atoms: List = field(default_factory=list)     # the term of each id
-    id_rules: List[tuple] = field(default_factory=list)
-    facts: Dict = field(default_factory=dict)      # ordered set of atoms
-    externals: Dict = field(default_factory=dict)  # ordered set of atoms
-    grammar: Optional[object] = None
+    atoms: list = field(default_factory=list)     # the term of each id
+    id_rules: list[tuple] = field(default_factory=list)
+    facts: dict = field(default_factory=dict)      # ordered set of atoms
+    externals: dict = field(default_factory=dict)  # ordered set of atoms
+    grammar: object | None = None
 
     @cached_property
-    def index(self) -> Dict:
+    def index(self) -> dict:
         """The id of each atom of the table."""
         return dict(zip(self.atoms, range(len(self.atoms))))
 
     @cached_property
-    def rules(self) -> List[GroundRule]:
+    def rules(self) -> list[GroundRule]:
         atoms, kinds = self.atoms, ("disjunction", "choice")
         return [GroundRule(kinds[choice], tuple([atoms[h] for h in head]),
                            tuple([(True, atoms[l]) if l >= 0
@@ -373,7 +375,7 @@ class GroundProgram:
                 for choice, head, body in self.id_rules]
 
     @property
-    def symbol_table(self) -> Dict:
+    def symbol_table(self) -> dict:
         """Every atom, as an ordered set: the facts, the externals, then
         each rule's head and body atoms in rule order."""
         atoms = self.atoms
@@ -414,25 +416,26 @@ class GroundProgram:
 FAIL = SCAN + 1
 
 
-class _Condition(NamedTuple):
-    """A planned condition of a conditional literal (with its literal)
-    or of a head element (literal None)."""
-    steps: tuple
-    negatives: tuple          # positions of negative literals' atoms
-    error: Optional[str]      # set if over a non-domain predicate
-    literal: Optional[Literal]
-    bound: frozenset          # the variables bound at its end
+#: A planned condition of a conditional literal (with its literal) or of
+#: a head element (literal None).
+_Condition = namedtuple("_Condition", [
+    "steps",
+    "negatives",  # positions of negative literals' atoms
+    "error",      # set if over a non-domain predicate, else None
+    "literal",
+    "bound",      # the variables bound at its end
+])
 
-
-class _Rule(NamedTuple):
-    """A planned rule, or an #external as the rule of kind "external"
-    with its target as the one head atom and no body."""
-    steps: tuple
-    reads: tuple              # name/arity keys of the lists it reads
-    body: tuple               # (positive, atom position) or _Condition
-    head: tuple               # (atom, _Condition or None)
-    kind: str                 # "choice", "disjunction" or "external"
-    bound: frozenset          # the variables bound at the join's end
+#: A planned rule, or an #external as the rule of kind "external" with
+#: its target as the one head atom and no body.
+_Rule = namedtuple("_Rule", [
+    "steps",
+    "reads",      # name/arity keys of the lists it reads
+    "body",       # (positive, atom position) or _Condition
+    "head",       # (atom, _Condition or None)
+    "kind",       # "choice", "disjunction" or "external"
+    "bound",      # the variables bound at the join's end
+])
 
 
 def _tainted(s) -> bool:
@@ -529,9 +532,9 @@ class Plan:
     become variables of the same name instead, which each grounding binds
     in the first substitution of every join, so one plan serves every
     value of them.  Grounding changes a plan only by giving it generated
-    code (see tasp.codegen) on its second grounding."""
+    code (see tasp.codegen) on its second grounding, if that covers it."""
 
-    def __init__(self, program: Program, constants: Optional[dict] = None,
+    def __init__(self, program: Program, constants: dict | None = None,
                  params=()):
         consts = {d.name: d.value for d in program.directives(ConstDef)}
         for name, value in (constants or {}).items():
@@ -546,7 +549,7 @@ class Plan:
         reads = [_read_keys(s) for s in jobs]
         heads = [{atom_key(s.target)} if isinstance(s, External) else
                  {atom_key(el.atom) for el in s.head.elements} for s in jobs]
-        writers: Dict[tuple, list] = {}  # key -> the jobs with it in a head
+        writers: dict[tuple, list] = {}  # key -> the jobs with it in a head
         for j, key in ((j, k) for j, keys in enumerate(heads) for k in keys):
             writers.setdefault(key, []).append(j)
         #: the jobs' strongly connected components in dependency order,
@@ -563,7 +566,7 @@ class Plan:
         #: name/arity key -> the shapes its scans look up; a shape
         #: (key, value positions) indexes an atom by its arguments at the
         #: value positions.
-        self.shapes: Dict[tuple, tuple] = {}
+        self.shapes: dict[tuple, tuple] = {}
         bound = frozenset(params)
         #: the planned jobs: the externals, then the rules
         self.rules = tuple(
@@ -571,13 +574,18 @@ class Plan:
                 s, bound, keys) for s, keys in zip(jobs, reads))
         self._groundings, self._code = 0, None
 
-    def code(self) -> Optional[tuple]:
-        """Called once per grounding: None the first time, then the
-        generated function of each job, compiled on the second call."""
+    def code(self) -> tuple | None:
+        """Called once per grounding: the generated function of each job,
+        compiled on the second call; None while the plan is interpreted,
+        as it is the first time, and for good if tasp.codegen does not
+        cover the shape of one of its steps."""
         self._groundings += 1
-        if self._code is None and self._groundings > 1:
-            from .codegen import JobSource  # what one grounding never needs
-            self._code = JobSource(self).compile()
+        if self._groundings == 2:  # one grounding never imports codegen
+            from .codegen import JobSource, _Unsupported
+            try:
+                self._code = JobSource(self).compile()
+            except _Unsupported:
+                pass
         return self._code
 
     def _external(self, e, bound, reads) -> _Rule:
@@ -660,7 +668,7 @@ class Plan:
 
 
 class Grounder:
-    def __init__(self, program, constants: Optional[dict] = None,
+    def __init__(self, program, constants: dict | None = None,
                  grammar=None, facts=()):
         """program is a Program, planned here with the values of
         constants, or a Plan, grounded with them as the values (ground
@@ -675,9 +683,9 @@ class Grounder:
             self.plan, self.params = Plan(program, constants), {}
         self.grammar = grammar
         self.seeds = list(facts)
-        self.derivable: Dict = {}
-        self._index: Dict[tuple, List] = {}      # name/arity key -> atoms
-        self._arg_index: Dict[tuple, List] = {}  # (shape, values) -> atoms
+        self.derivable: dict = {}
+        self._index: dict[tuple, list] = {}      # name/arity key -> atoms
+        self._arg_index: dict[tuple, list] = {}  # (shape, values) -> atoms
         self.counters = dict.fromkeys((  # logged by ground
             "components", "rounds", "joins", "joins_skipped", "instances",
             "simplify_rounds", "rules_dropped"), 0)
@@ -758,7 +766,7 @@ class Grounder:
 
     # -- conditional expansion ---------------------------------------------------
 
-    def expand_condition(self, condition: _Condition, subst) -> List[dict]:
+    def expand_condition(self, condition: _Condition, subst) -> list[dict]:
         """All extensions of subst satisfying a planned condition; a
         bound negative literal drops the extensions where it is derivable
         (the condition is over domain predicates only)."""
@@ -784,7 +792,7 @@ class Grounder:
         # a join whose lists kept their sizes since it last started.
         jobs, code = self.plan.rules, self.plan.code()
         sizes, instances = [None] * len(jobs), [[] for _ in jobs]
-        external_atoms: Dict = {}
+        external_atoms: dict = {}
         self.counters["components"] = len(self.plan.components)
         for component, recursive in self.plan.components:
             grew = True
@@ -817,7 +825,7 @@ class Grounder:
             for k, v in self.counters.items()), self.generated)
         return program
 
-    def _interpret(self, job: _Rule, insts: list, externals: Dict):
+    def _interpret(self, job: _Rule, insts: list, externals: dict):
         """Join job with the step interpreter, append its instances to
         insts (an #external's targets to the ordered set externals
         instead) and derive their heads; as job's generated function."""
@@ -854,12 +862,12 @@ class Grounder:
         body = tuple(body)
         return [(rule.kind, head, body) for head in heads]
 
-    def _ground_head(self, head, subst) -> List[tuple]:
+    def _ground_head(self, head, subst) -> list[tuple]:
         """Alternative heads: conditioned elements expand disjunctively,
         interval pooling in bare elements expands conjunctively."""
         if len(head) == 1 and head[0][1] is None:  # one bare atom
             return [(v,) for v in values(head[0][0], subst)]
-        alternatives: List[list] = [[]]
+        alternatives: list[list] = [[]]
         for atom, condition in head:
             if condition is not None:
                 atoms = []
@@ -885,7 +893,7 @@ class Grounder:
         one its complement ~id; instances are deduplicated as such.  The
         kept atoms are renumbered as the solver reads them: per rule the
         heads, positive body, then negative body, at first occurrence."""
-        ids: Dict = {}
+        ids: dict = {}
         put = ids.setdefault
         seeds = [put(a, len(ids)) for a in self.seeds]
         rules = list(dict.fromkeys(
@@ -915,7 +923,7 @@ class Grounder:
         # promoted, in rule order, at the start of the next, and atoms
         # that lost their last head count as underivable from then on.
         # A round re-simplifies only the rules mentioning such an atom.
-        facts: List[int] = []
+        facts: list[int] = []
         seeded = seeds
         promoted = [i for i, r in enumerate(rules) if _is_fact(r)]
         lost = [a for a, s in enumerate(support)
@@ -956,7 +964,7 @@ class Grounder:
         # facts leave the rule list; simplification may merge instances
         out = dict.fromkeys(r for r in rules if r is not None and not (
             _is_fact(r) and status[r[1][0]] == _FACT))
-        kept: Dict[int, int] = {}  # id -> its id in the table kept
+        kept: dict[int, int] = {}  # id -> its id in the table kept
         put = kept.setdefault
         for _, head, body in out:
             for h in head:

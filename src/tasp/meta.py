@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
-from typing import Optional, Tuple
 
 from .ground import GroundProgram, Grounder, Plan
 from .parser import parse_program
@@ -237,7 +236,7 @@ class MetaProgram:
     db: ReifiedDB
     n: int
     semantics: str
-    max_time: Optional[int] = None
+    max_time: int | None = None
 
     @cached_property
     def layout(self) -> list:
@@ -299,7 +298,7 @@ def default_max_time(n: int) -> int:
 
 
 def build(db: ReifiedDB, n: int, semantics: str = "tel",
-          max_time: Optional[int] = None) -> MetaProgram:
+          max_time: int | None = None) -> MetaProgram:
     """Assemble the complete propositional meta program for horizon n."""
     if n < 0:
         raise MetaError("horizon must be non-negative")
@@ -329,7 +328,7 @@ def build(db: ReifiedDB, n: int, semantics: str = "tel",
 MEMO_KEYS = 1024
 
 
-def extract_model(meta: MetaProgram, atoms) -> Tuple[tuple, Optional[tuple]]:
+def extract_model(meta: MetaProgram, atoms) -> tuple[tuple, tuple | None]:
     """Project a stable model of the meta program onto shown states.
 
     `atoms` is the whole model, the program's facts included: a model's

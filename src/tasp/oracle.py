@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
@@ -40,7 +40,7 @@ HERE, THERE = 0, 1
 @dataclass(frozen=True)
 class Trace:
     states: tuple  # of frozenset of ground atoms
-    tau: Optional[tuple] = None
+    tau: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,7 @@ def _comparison_true(c: Comparison) -> bool:
             "<=": a <= b, ">": a > b, ">=": a >= b}[c.op]
 
 
-def _rule_variables(rule: Rule) -> List[str]:
+def _rule_variables(rule: Rule) -> list[str]:
     """The rule's variable names, in the order they first occur."""
     if any(el.condition for el in rule.head.elements):
         raise OracleError("conditional heads unsupported by the oracle")
@@ -133,12 +133,12 @@ def _rule_variables(rule: Rule) -> List[str]:
         x.name for x in nodes if isinstance(x, Variable)))
 
 
-def _herbrand_constants(rules) -> List:
+def _herbrand_constants(rules) -> list:
     """Every ground value in the rules that is not a function: symbols,
     integers, strings, #inf and #sup.  An atom's name is not one: an atom
     contributes its arguments, and a theory expression other than &i
     (whose bounds are not Herbrand constants) the atoms it holds."""
-    consts: Dict = {}
+    consts: dict = {}
 
     def value(node):
         consts.update(dict.fromkeys(x for x in walk(node) if not isinstance(
@@ -163,7 +163,7 @@ def _herbrand_constants(rules) -> List:
     return list(consts) or [Constant("c0")]
 
 
-def _bind_constants(program: Program) -> List[Rule]:
+def _bind_constants(program: Program) -> list[Rule]:
     """The program's rules with each #const value substituted, resolved
     through the constants it names; the last definition of a name wins,
     and a constant in predicate position stays."""
@@ -184,7 +184,7 @@ def _bind_constants(program: Program) -> List[Rule]:
                          else substitute(p, leaf)) for r in program.rules]
 
 
-def _instance(rule: Rule, binding) -> Optional[Rule]:
+def _instance(rule: Rule, binding) -> Rule | None:
     """The instance of rule under binding, None if one of its comparisons
     fails; raises _Undefined if it holds undefined arithmetic."""
     body = []
@@ -199,7 +199,7 @@ def _instance(rule: Rule, binding) -> Optional[Rule]:
     return Rule(type(rule.head)(head_elements), tuple(body))
 
 
-def instantiate(program: Program) -> List[Rule]:
+def instantiate(program: Program) -> list[Rule]:
     """All ground instances, over the Herbrand constants, of the rules
     with the #const values bound; comparisons are evaluated away."""
     rules = _bind_constants(program)
@@ -236,7 +236,7 @@ class _Evaluator:
         self.worlds = (here, there)
         self.tau = tau
         self.n = len(there) - 1
-        self._path_cache: Dict = {}
+        self._path_cache: dict = {}
 
     # -- formulas -------------------------------------------------------------
 
@@ -290,7 +290,7 @@ class _Evaluator:
         return isinstance(node, TheoryExpression) and node.operator == "i" \
             and len(node.args) == 2
 
-    def _interval(self, node) -> Tuple[int, Optional[int]]:
+    def _interval(self, node) -> tuple[int, int | None]:
         if not self._is_interval(node):
             raise OracleError("expected interval, got %s" % (node,))
         lo, hi = node.args
@@ -310,7 +310,7 @@ class _Evaluator:
 
     # -- paths ----------------------------------------------------------------
 
-    def path(self, w: int, rho) -> FrozenSet[Tuple[int, int]]:
+    def path(self, w: int, rho) -> frozenset[tuple[int, int]]:
         key = (w, rho)
         if key in self._path_cache:
             return self._path_cache[key]
@@ -318,7 +318,7 @@ class _Evaluator:
         self._path_cache[key] = rel
         return rel
 
-    def _path(self, w: int, rho) -> FrozenSet[Tuple[int, int]]:
+    def _path(self, w: int, rho) -> frozenset[tuple[int, int]]:
         if isinstance(rho, (Constant, Function)) and not isinstance(
                 rho, TheoryExpression):
             # atom shorthand: a ≡ (a? ; step)
@@ -354,7 +354,7 @@ class _Evaluator:
         raise OracleError("unknown path operator &%s/%d" % (op, len(args)))
 
     @staticmethod
-    def _compose(r1, r2) -> FrozenSet[Tuple[int, int]]:
+    def _compose(r1, r2) -> frozenset[tuple[int, int]]:
         return frozenset((a, d) for (a, b) in r1 for (c, d) in r2 if b == c)
 
     # -- rules ----------------------------------------------------------------
@@ -394,7 +394,7 @@ def eval_formula(trace: Trace, t: int, formula) -> bool:
     return ev.sat(THERE, t, formula)
 
 
-def eval_path(trace: Trace, rho) -> FrozenSet[Tuple[int, int]]:
+def eval_path(trace: Trace, rho) -> frozenset[tuple[int, int]]:
     """The accessibility relation of a path expression over a trace."""
     ev = _Evaluator(trace.states, trace.states, trace.tau)
     return ev.path(THERE, rho)
@@ -410,8 +410,8 @@ def _is_fact(rule: Rule) -> bool:
             and not isinstance(rule.head.elements[0].atom, TheoryExpression))
 
 
-def _vocabulary(rules) -> List:
-    vocab: Dict = {}
+def _vocabulary(rules) -> list:
+    vocab: dict = {}
 
     def collect_atoms(node):
         if isinstance(node, TheoryExpression):
@@ -463,7 +463,7 @@ def _equilibrium(rules, there, tau, facts=frozenset()) -> bool:
 
 
 def temporal_models(program: Program, n: int,
-                    max_time: Optional[int] = None) -> Iterator[Trace]:
+                    max_time: int | None = None) -> Iterator[Trace]:
     """All temporal equilibrium models of length n+1, by brute force.
 
     The models are generated lazily; the bounds are checked at the call.

@@ -10,7 +10,6 @@ Produces the AST of :mod:`tasp.syntax`.
 from __future__ import annotations
 
 import re
-from typing import List
 
 from .syntax import (
     ARGUMENT_ONLY, BinOp, Choice, Comparison, ConditionalLiteral, ConstDef,
@@ -54,7 +53,7 @@ class Token:
         return "Token(%s, %r)" % (self.kind, self.value)
 
 
-def tokenize(text: str) -> List[Token]:
+def tokenize(text: str) -> list[Token]:
     tokens = []
     line, line_start = 1, 0
     pos = 0

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Tuple
 
 from .ground import GroundProgram
 from .syntax import (
@@ -27,17 +26,17 @@ class ReifyError(Exception):
 @dataclass
 class ReifiedDB:
     #: (head_kind, atom_tuple_id, literal_tuple_id)
-    rules: List[Tuple[str, int, int]] = field(default_factory=list)
-    atom_tuples: Dict[int, tuple] = field(default_factory=dict)
-    literal_tuples: Dict[int, tuple] = field(default_factory=dict)
+    rules: list[tuple[str, int, int]] = field(default_factory=list)
+    atom_tuples: dict[int, tuple] = field(default_factory=dict)
+    literal_tuples: dict[int, tuple] = field(default_factory=dict)
     #: (symbol, literal_tuple_id); facts point at an empty tuple
-    outputs: List[tuple] = field(default_factory=list)
+    outputs: list[tuple] = field(default_factory=list)
     #: (type name, expression or atom)
-    formulas: List[tuple] = field(default_factory=list)
+    formulas: list[tuple] = field(default_factory=list)
     #: (symbol, literal_tuple_id)
-    externals: List[tuple] = field(default_factory=list)
+    externals: list[tuple] = field(default_factory=list)
     #: ("show_atom" | "show_term", term, literal_tuple_id)
-    shows: List[tuple] = field(default_factory=list)
+    shows: list[tuple] = field(default_factory=list)
 
     def core_facts(self) -> list:
         """The core fact atoms: rules, tuples, outputs (no extensions)."""

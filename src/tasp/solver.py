@@ -26,10 +26,9 @@ from __future__ import annotations
 import heapq
 import logging
 from collections import Counter
-from collections.abc import Set
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 from itertools import chain, compress, islice
-from typing import Dict, Iterator, List, Optional
 
 from .ground import GroundProgram
 from .syntax import ResourceLimit, components
@@ -87,7 +86,7 @@ class Model:
 _MODEL_BYTES = bytes.maketrans(b"\2", b"\0")
 
 
-def _loops(succ) -> List[int]:
+def _loops(succ) -> list[int]:
     """Per node of a graph given by successor lists, the first node of its
     component if that is cyclic, else -1 (see syntax.components)."""
     comp = [-1] * len(succ)
@@ -118,7 +117,7 @@ class _Engine:
         self.watches = watches = [[] for _ in range(2 * natoms)]
         self.rule_body = rule_body = []  # per rule; -1 for a constraint
         self.disjunctive = []  # (heads, body) of each disjunctive rule
-        keys: Dict = {}  # (positive, negative) body -> its variable's literal
+        keys: dict = {}  # (positive, negative) body -> its variable's literal
         units, rule_clauses = [], []
         nv = natoms
         for choice, heads, pos, neg in rules:
@@ -191,10 +190,10 @@ class _Engine:
                 self.ok = False
         # source pointers of the atoms on loops, if there are any
         self.scc = scc = _loops(succ)
-        self.dep: Dict[int, List[int]] = {}  # loop atom -> bodies it is in
+        self.dep: dict[int, list[int]] = {}  # loop atom -> bodies it is in
         if max(scc, default=-1) >= 0:
             self.src = [-1] * natoms
-            self.bheads: Dict[int, List[int]] = {}  # body -> heads on loops
+            self.bheads: dict[int, list[int]] = {}  # body -> heads on loops
             for a in range(natoms):
                 for b in supports[a] if scc[a] >= 0 else ():
                     self.bheads.setdefault(b, []).append(a)
@@ -422,7 +421,7 @@ class _Engine:
         self._enqueue(decision ^ 1, None)
         return top - 1
 
-    def unstable(self) -> Optional[list]:
+    def unstable(self) -> list | None:
         """For a total assignment, a clause false under it if a non-empty
         set of its true atoms is unfounded, else None.  The loop nogoods
         leave such a set only where a rule has a true body and two true
@@ -473,7 +472,7 @@ class _Engine:
         self.defining = [(choice, heads, pos, b) for (choice, heads, pos, _), b
                          in zip(self.rules, self.rule_body)
                          if not u.keys().isdisjoint(heads)]
-        ids: Dict = {}  # ("m", main literal) or ("y", head) -> atom
+        ids: dict = {}  # ("m", main literal) or ("y", head) -> atom
 
         def atom(kind, v):
             return ids.setdefault((kind, v), len(u) + len(ids))
@@ -522,7 +521,7 @@ def models(program: GroundProgram) -> Iterator[Model]:
             "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
 
 
-def solve(program: GroundProgram, limit: int = 0) -> List[Model]:
+def solve(program: GroundProgram, limit: int = 0) -> list[Model]:
     """Enumerate stable models in a deterministic order.
 
     limit = 0 returns all models; otherwise at most `limit`.

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_, itemgetter
-from typing import Optional, Union
 
 
 class ResourceLimit(Exception):
@@ -117,8 +116,8 @@ class UnaryMinus:
         return "-%s" % (self.arg,)
 
 
-Term = Union[Constant, Integer, String, Variable, Function, Supremum,
-             Infimum, BinOp, UnaryMinus]
+# Term: Constant, Integer, String, Variable, Function, Supremum, Infimum,
+# BinOp or UnaryMinus.
 
 SUP = Supremum()
 INF = Infimum()
@@ -151,8 +150,8 @@ class TheoryExpression(Function):
         return "TheoryExpression(%r, %r)" % (self.operator, self[1])
 
 
-#: Things that may stand where an atom stands.
-AtomLike = Union[Constant, Function, TheoryExpression]
+# AtomLike, what may stand where an atom stands: Constant, Function or
+# TheoryExpression.
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,7 @@ class Comparison:
 @dataclass(frozen=True)
 class Literal:
     positive: bool
-    payload: Union[Constant, Function, TheoryExpression, Comparison]
+    payload: AtomLike | Comparison
 
     def __str__(self):
         if self.positive:
@@ -190,7 +189,7 @@ class ConditionalLiteral:
         return "%s : %s" % (self.literal, cond) if cond else str(self.literal)
 
 
-BodyElement = Union[Literal, ConditionalLiteral]
+# BodyElement: Literal or ConditionalLiteral.
 
 
 @dataclass(frozen=True)
@@ -222,14 +221,14 @@ class Choice:
         return "{ %s }" % "; ".join(str(e) for e in self.elements)
 
 
-Head = Union[Disjunction, Choice]
+# Head: Disjunction or Choice.
 
 
 @dataclass(frozen=True)
 class Rule:
     head: Head
     body: tuple = ()  # of BodyElement
-    location: Optional[tuple] = field(default=None, compare=False)  # (line, col)
+    location: tuple | None = field(default=None, compare=False)  # (line, col)
 
     def __str__(self):
         head = str(self.head)
@@ -248,7 +247,7 @@ class Rule:
 class External:
     target: AtomLike
     condition: tuple = ()  # of Literal
-    location: Optional[tuple] = field(default=None, compare=False)
+    location: tuple | None = field(default=None, compare=False)
 
     def __str__(self):
         if self.condition:
@@ -261,10 +260,10 @@ class External:
 class Show:
     """``#show t : C.`` or the signature form ``#show p/k.``"""
 
-    term: Optional[Term] = None
+    term: Term | None = None
     condition: tuple = ()
-    signature: Optional[tuple] = None  # (name, arity)
-    location: Optional[tuple] = field(default=None, compare=False)
+    signature: tuple | None = None  # (name, arity)
+    location: tuple | None = field(default=None, compare=False)
 
     def __str__(self):
         if self.signature is not None:
@@ -279,7 +278,7 @@ class Show:
 class ConstDef:
     name: str
     value: Term
-    location: Optional[tuple] = field(default=None, compare=False)
+    location: tuple | None = field(default=None, compare=False)
 
     def __str__(self):
         return "#const %s=%s." % (self.name, self.value)
@@ -321,11 +320,11 @@ class TypeSpec:
     expressions: tuple = ()  # of ExpressionSpec
     occurrence: str = ARGUMENT_ONLY
     macros: tuple = ()  # of MacroSpec
-    location: Optional[tuple] = field(default=None, compare=False)
+    location: tuple | None = field(default=None, compare=False)
 
 
-Directive = Union[External, Show, ConstDef, TypeSpec]
-Statement = Union[Rule, Directive]
+# Directive: External, Show, ConstDef or TypeSpec.
+# Statement: Rule or Directive.
 
 
 @dataclass(frozen=True)

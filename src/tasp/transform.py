@@ -10,7 +10,6 @@ domain (kind 2).
 
 from __future__ import annotations
 
-from typing import List
 
 from .grammar import TheoryGrammar
 from .syntax import (
@@ -160,7 +159,7 @@ def inject_externals(program: Program, g: TheoryGrammar) -> Program:
     """
     seen = {_canonical(s.target, s.condition)
             for s in program.directives(External)}
-    new_externals: List[External] = []
+    new_externals: list[External] = []
     for rule in program.rules:
         protect, unsafe = classify_safety(rule, g)
         if unsafe:

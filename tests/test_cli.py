@@ -340,6 +340,23 @@ def test_config_does_not_override_flags(tmp_path, telex_file):
     assert code == 10
 
 
+@pytest.mark.parametrize("line", [
+    "semantics = foo", "printer = foo", "log_level = foo", "log-level = foo",
+    "models = x", "max_time = 1.5"])
+@pytest.mark.parametrize("command", ["solve", "oracle", "reify"])
+def test_bad_config_value_is_a_usage_error(command, line, tmp_path,
+                                           telex_file, capsys):
+    # checked against the flag's own choices and type, in every
+    # subcommand, even where the flag is given or does not apply
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# defaults\nn = 1\n%s\n" % line)
+    code, out = _run([command, telex_file, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: %s:3: argument --" % cfg)
+    assert err.count("\n") == 1
+
+
 def test_grammar_file_flag(tmp_path):
     # a file may name a new operator as a macro over the logic's own
     g = tmp_path / "extra.lp"
