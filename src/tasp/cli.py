@@ -232,8 +232,8 @@ def _apply_config(args, parser) -> None:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError("%s:%d: expected key=value"
-                                 % (args.config, lineno))
+                raise _UsageError("%s:%d: expected key=value"
+                                  % (args.config, lineno))
             key, value = (s.strip() for s in line.split("=", 1))
             attr = key.replace("-", "_")
             if attr in _CONFIG_KEYS:

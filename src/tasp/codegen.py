@@ -9,10 +9,22 @@ its list has when the scan starts, the snapshot _join takes; variables
 are locals; tests, checks and assignments are inline code; body and head
 tuples are built in place; and the heads of an instance are derived as
 soon as it is built.  A pooled assignment or head calls the interpreter's
-term evaluator on a substitution dict, and arithmetic and comparisons
-call the helpers the evaluator calls, so both paths give the same ground
-program, warnings and errors.  The code runs in the namespace of the
-ground module.
+term evaluator on a substitution dict, arithmetic calls the helpers the
+evaluator calls, and a comparison is == for = and compare_terms for the
+order comparisons, as in ground.holds, so both paths give the same ground
+program, warnings and errors.  As in _join and _build_instance, each step
+that evaluates a term, and the building of each instance, is guarded by
+a try that skips the instance on DropInstance, whether or not it can
+drop it.  The code runs in the namespace of the ground module.
+
+Three specializations stay, as each measured as paying.  Deriving a head
+atom inline, with no term_depth call where its depth is bounded: without
+it a meta build (minimum of 15 x 30 in-process builds) took 1.23 -> 1.46
+ms for TELEX n=6, 5.90 -> 6.73 ms for MELEX_SCALED n=5 and 3.75 -> 5.02
+ms for DEL_ALTERNATION n=6.  A lone head with a tuple body: without it
+del builds were 1-9% slower.  Ordering two integers inline, before
+compare_terms: without it the benchmark's traced tel-search meta
+grounding took 1.2% longer, in 10 of 10 alternating pairs.
 
 Only the plans of the meta-encodings (meta._schema_plan) are grounded
 more than once, so the code covers the step shapes that the tel, mel
@@ -48,11 +60,6 @@ def _is_ground(t) -> bool:
     return not isinstance(t, (Variable, BinOp, UnaryMinus))
 
 
-def _drops(node) -> bool:
-    """Whether evaluating node may raise DropInstance: it has arithmetic."""
-    return any(isinstance(x, BinOp) for x in walk(node))
-
-
 def _pure(node) -> bool:
     """Whether evaluating node can neither warn nor raise: it has no
     arithmetic and no interval."""
@@ -81,11 +88,12 @@ class JobSource:
         for rule in plan.rules:
             self.objects: dict[int, tuple] = {}  # id -> (name, object)
             self.lines: list[str] = []
-            self._job(rule)
+            prologue = self._job(rule)
             self.jobs.append(("\n".join(
                 ["def job_of(%s):" % ", ".join(
                     name for name, _ in self.objects.values()),
                  "    def job(g, insts, externals):"]
+                + ["        " + line for line in prologue]
                 + self.lines + ["    return job"]),
                 [obj for _, obj in self.objects.values()]))
 
@@ -119,17 +127,14 @@ class JobSource:
         self.indent += 1
         return "continue"
 
-    def guard(self, lines, drops, skip):
-        """Emits lines, which skip the partial instance if they may drop
-        it."""
-        if drops:
-            self.emit("try:")
-            self.lines += ["    " * (self.indent + 1) + l for l in lines]
-            self.emit("except DropInstance:")
-            self.emit("    " + skip)
-        else:
-            for line in lines:
-                self.emit(line)
+    def guard(self, lines, skip):
+        """Emits lines, which skip the partial instance if undefined
+        arithmetic drops it, as _join does for each step."""
+        self.emit("try:")
+        for line in lines:
+            self.emit("    " + line)
+        self.emit("except DropInstance:")
+        self.emit("    " + skip)
 
     def bind(self, name, depth) -> str:
         """The local of variable name, now bound to values whose term_depth
@@ -195,8 +200,9 @@ class JobSource:
 
     def comparison(self, cmp, positive, bound):
         """(lines, test): lines to run, then an expression of whether cmp
-        holds, if positive, or fails; not for an interval or = against a
-        function with variables."""
+        holds, if positive, or fails, as ground.holds; not for an interval
+        or = against a function with variables.  Two integers are ordered
+        inline."""
         op, left, right = cmp.op, cmp.left, cmp.right
         if _pooled(left) or _pooled(right) or op == "=" and isinstance(
                 right, Function) and not _is_ground(right):
@@ -233,14 +239,13 @@ class JobSource:
         for op, p, x, y, bound in steps:
             if op == CHECK:
                 lines, test = self.comparison(p, x, bound)
-                self.guard(lines + ["if not %s: %s" % (test, skip)],
-                           _drops(p), skip)
+                self.guard(lines + ["if not %s: %s" % (test, skip)], skip)
             elif op == ASSIGN:
                 if not _pooled(p):
                     raise _Unsupported("an assignment of one value")
                 values = self.temp()
                 self.guard(["%s = values(%s, %s)" % (
-                    values, self.ref(p), self.subst(bound))], _drops(p), skip)
+                    values, self.ref(p), self.subst(bound))], skip)
                 skip = self.loop("for %s in %s:" % (
                     self.bind(x, self.depth(p)), values))
             elif op == TEST:
@@ -248,7 +253,7 @@ class JobSource:
                 lines = ["%s = %s" % (atom, self.expr(p, bound))]
                 if x:  # a negative literal is recorded, not tested
                     lines.append("if %s not in derivable: %s" % (atom, skip))
-                self.guard(lines, _drops(p), skip)
+                self.guard(lines, skip)
                 found.append(atom)
             elif op == SCAN:
                 atom, skip = self.scan(p, x, y, bound, skip)
@@ -267,8 +272,7 @@ class JobSource:
                 self.expr(p.args[pos], bound) + ", " for pos in values)
             atoms = self.temp()
             self.guard(["%s = arg_index.get((%s, %s), ())" % (
-                atoms, self.ref(shape), keys)],
-                any(_drops(p.args[pos]) for pos in values), skip)
+                atoms, self.ref(shape), keys)], skip)
         if not all(_pure(a) for _, a in pattern):
             # _join matches every atom before it extends the first
             raise _Unsupported("arithmetic in a matched pattern")
@@ -323,36 +327,29 @@ class JobSource:
 
     # -- one job -----------------------------------------------------------------
 
-    def _job(self, rule):
-        """Emits the body of the function of job rule into self.lines."""
+    def _job(self, rule) -> list[str]:
+        """Emits the body of the function of job rule into self.lines;
+        returns the lines that set the locals it reads."""
         if rule.kind == "external":
             raise _Unsupported("an #external")
         self.names, self.depths, self.lists, self.temps = {}, {}, {}, 0
-        self.indent, start = 2, len(self.lines)
+        self.indent = 2
         params = ["%s = g.params[%r]" % (self.bind(name, None), name)
                   for name in self.plan.params]
         found, skip = self.join(rule.steps, "return")
-        # the instance, in a try if building it may drop it
+        # undefined arithmetic drops the instance, as in _build_instance
+        self.emit("try:")
         self.indent += 1
-        built, self.drops = len(self.lines), False
         self.body(rule, found)
         key = self.head(rule)
-        lines = self.lines[built:]
-        del self.lines[built:]
         self.indent -= 1
-        if self.drops:
-            self.emit("try:")
-            self.lines += lines
-            self.emit("except DropInstance:")
-            self.emit("    " + skip)
-        else:
-            self.lines += [line[4:] for line in lines]
+        self.emit("except DropInstance:")
+        self.emit("    " + skip)
         self.derive(rule, key)
-        self.lines[start:start] = ["    " * 2 + line for line in [
-            "derivable = g.derivable", "arg_index = g._arg_index",
-            "index = g._index", "insts_append = insts.append"] + params + [
-                "%s = index.setdefault(%s, [])" % (name, self.ref(key))
-                for key, name in self.lists.items()]]
+        return ["derivable = g.derivable", "arg_index = g._arg_index",
+                "index = g._index", "insts_append = insts.append"] + params + [
+            "%s = index.setdefault(%s, [])" % (name, self.ref(key))
+            for key, name in self.lists.items()]
 
     def body(self, rule, found):
         """Emits body = the body of the instance."""
@@ -368,7 +365,6 @@ class JobSource:
             positive, payload = e.literal.positive, e.literal.payload
             if isinstance(payload, Comparison):
                 raise _Unsupported("a comparison conditional literal")
-            self.drops |= _drops(payload)
             self.condition(e, lambda: self.emit("body.append((%r, %s))" % (
                 positive, self.expr(payload, e.bound))), _pure(payload))
         self.emit("body = tuple(body)")
@@ -383,12 +379,10 @@ class JobSource:
                 for a in atoms]
         key = keys[0] if keys and keys.count(keys[0]) == len(keys) else None
         if any(map(_pooled, atoms)):
-            self.drops = True
             self.emit("heads = g._ground_head(%s, %s)" % (
                 self.ref(rule.head), self.subst(rule.bound)))
             return None
         if all(c is None for _, c in rule.head):
-            self.drops |= any(map(_drops, atoms))
             if not all(map(self.shallow, atoms)):
                 key = None
             values = [self.expr(a, rule.bound) for a in atoms]
@@ -407,7 +401,6 @@ class JobSource:
                 nonlocal key
                 key = key if self.shallow(a) else None
                 self.emit("head.append(%s)" % self.expr(a, c.bound))
-            self.drops |= _drops(a)
             self.condition(c, each, _pure(a))
         self.emit("head = tuple(dict.fromkeys(head))")
         return key

@@ -248,9 +248,8 @@ def _match_macro(pattern, e, macro: MacroSpec, g: TheoryGrammar):
     placeholder is bound to its value typed against the placeholder's
     type, which typecheck then takes as it is."""
     if isinstance(pattern, Variable):
-        ptype = dict(macro.placeholders).get(pattern.name)
-        if ptype is None:
-            return None
+        # TheoryGrammar._validate rejects an undeclared placeholder
+        ptype = dict(macro.placeholders)[pattern.name]
         try:
             return {pattern.name: typecheck(e, ptype, g)}
         except TypeError_:

@@ -501,9 +501,10 @@ def temporal_models(program: Program, n: int,
 # What a trace shows
 
 #: The head of the rule t :- C that stands for ``#show t : C.`` while it
-#: is instantiated; no program can name it, as a leading _ makes a
-#: variable.
-_SHOWN = "_shown"
+#: is instantiated; no program can name it, as a name that starts with &
+#: is only read as a theory expression, and shown is no operator of any
+#: logic.
+_SHOWN = "&shown"
 
 
 def _signature(atom) -> tuple:

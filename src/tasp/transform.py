@@ -18,8 +18,10 @@ from .syntax import (
     Variable, binding_variables, schedule, substitute, variables,
 )
 
-#: Head marker predicate for rewritten ``#show t : C.`` directives.
-SHOW_TERM_MARKER = "__show_term"
+#: Head marker predicate for rewritten ``#show t : C.`` directives; no
+#: program can name it, as a name that starts with & is only read as a
+#: theory expression, and show_term is no operator of any logic.
+SHOW_TERM_MARKER = "&show_term"
 
 
 class UnsafeRuleError(Exception):
@@ -180,8 +182,8 @@ def rewrite_shows(program: Program):
     reification derives show_atom/2 and show_term/2 facts.
 
     Returns (program', show_all).  ``#show t : C.`` becomes
-    ``__show_term(t) :- C.`` in its place, and ``#show p/2.`` becomes
-    ``__show_term(p(X0,X1)) :- p(X0,X1).`` after every other statement,
+    ``&show_term(t) :- C.`` in its place, and ``#show p/2.`` becomes
+    ``&show_term(p(X0,X1)) :- p(X0,X1).`` after every other statement,
     which keeps the order in which the ground program names user atoms.
     """
     statements, signatures = [], []

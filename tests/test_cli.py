@@ -190,7 +190,7 @@ def test_show_with_fact_condition(monkeypatch):
     assert "Answer: 1\nstate(l1)@0\n" in out
     code, out = _run(["reify"], stdin=text, monkeypatch=monkeypatch)
     assert "show_atom(state(l1),0)." in out.splitlines()
-    assert "__show_term" not in out
+    assert "&show_term" not in out
 
 
 def test_transform_output_independent_of_earlier_parses():
@@ -355,6 +355,17 @@ def test_bad_config_value_is_a_usage_error(command, line, tmp_path,
     assert (code, out) == (1, "")
     assert err.startswith("usage error: %s:3: argument --" % cfg)
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "reify"])
+def test_config_line_without_value_is_a_usage_error(command, tmp_path,
+                                                    telex_file, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 1\nsemantics\n")
+    code, out = _run([command, telex_file, "--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err \
+        == "usage error: %s:2: expected key=value\n" % cfg
 
 
 def test_grammar_file_flag(tmp_path):

@@ -202,3 +202,34 @@ def test_no_expression_in_a_show_condition():
             "2:1: expression &next(b) of type 'tel' not allowed in "
             "condition position")):
         check_occurrence(typed, TEL)
+
+
+_MACROS = load_grammar("""\
+#type mac { subtypes: tel; macros:
+  &same(F,F) := &next(F) where F : tel;
+  &at(0,F) := F where F : tel;
+  &deep(&next(F)) := &next(&next(F)) where F : tel; }
+""", TEL)
+
+
+@pytest.mark.parametrize("expression", ["&same(a,b)", "&at(1,a)",
+                                        "&deep(a)"])
+def test_macro_pattern_that_does_not_match(expression):
+    # a placeholder bound twice to different values, a value and an
+    # operator in the pattern each fail the match
+    with pytest.raises(TypeError_, match=re.escape(
+            "expression %s matches no declared type" % expression)):
+        typecheck_program(parse_program("a :- %s." % expression), _MACROS)
+    same = typecheck_program(parse_program("a :- &same(a,a)."), _MACROS)
+    assert str(same) == "a :- &next(a)."
+
+
+@pytest.mark.parametrize("g,text,reason", [
+    (TEL, 'c :- &next("s").', "term \"s\" is not of type 'tel'"),
+    (MEL, "a :- &eventually(&i(#inf,3),a).",
+     "term #inf is not of type 'number'"),
+], ids=["string", "inf"])
+def test_term_of_the_wrong_base_type(g, text, reason):
+    with pytest.raises(TypeError_, match=re.escape(
+            "matches no declared type (%s" % reason)):
+        typecheck_program(parse_program(text), g)

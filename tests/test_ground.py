@@ -697,6 +697,14 @@ def _facts(*facts):
     ("q(1). p(X) :- q(1).", (GroundingError, "unbound variable X"), []),
     ("q(1). p :- q(X), X < Y.",
      (GroundingError, "cannot instantiate body: unbound X < Y"), []),
+    # an order comparison against a one-value interval, a function
+    # pattern, and arithmetic matched once its variable is bound
+    ("r(1). r(3). p(X) :- r(X), X < 2..2.", _facts("r(1)", "r(3)", "p(1)"),
+     []),
+    ("q(f(1,2)). q(f(3,4)). p(X) :- q(f(1,X)).",
+     _facts("q(f(1,2))", "q(f(3,4))", "p(2)"), []),
+    ("q(1,2). q(1,3). p(X) :- q(X,X+1).", _facts("q(1,2)", "q(1,3)", "p(1)"),
+     []),
 ])
 def test_term_semantics(text, outcome, warnings, caplog):
     with caplog.at_level(logging.WARNING, logger="tasp.ground"):

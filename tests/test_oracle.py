@@ -187,3 +187,10 @@ def test_atom_names_are_not_herbrand_constants():
 def test_atom_names_oracle_equals_solve(n):
     assert set(distinct_traces(Pipeline(_ATOM_NAMES).meta(n))) \
         == oracle_traces(_ATOM_NAMES, n)
+
+
+def test_functions_of_one_arity_order_by_name_then_arguments():
+    text = "a :- f(1) < f(2). b :- g(0) < f(1)."
+    assert oracle_traces(text, 0) == {((frozenset({"a"}),), None)}
+    assert set(distinct_traces(Pipeline(text).meta(0))) \
+        == oracle_traces(text, 0)

@@ -81,8 +81,8 @@ def test_signature_show_becomes_marker_rule():
     assert not show_all and not prog.directives(Show)
     # after every other statement, externals included
     assert str(prog).splitlines()[-2:] == [
-        "__show_term(green(X0)) :- green(X0).",
-        "__show_term(light) :- light."]
+        "&show_term(green(X0)) :- green(X0).",
+        "&show_term(light) :- light."]
 
 
 def test_signature_show_gives_the_traces_of_its_term_show():
@@ -200,6 +200,17 @@ def test_show_term_with_an_open_condition():
     assert traces == {
         ((frozenset(x), frozenset(y)), None)
         for x in ((), ("s",)) for y in ((), ("s",))}
+
+
+@pytest.mark.parametrize("text", [
+    "__show_term(a). b. #show b/0.",
+    "_shown(a). b. #show b/0.",
+], ids=["transform-marker", "oracle-marker"])
+def test_show_markers_are_no_program_atoms(text):
+    # both internal marker names were once ordinary predicate names, so
+    # solve showed a (the transform's) or the oracle did (its own)
+    assert set(distinct_traces(Pipeline(text).meta(0))) \
+        == oracle_traces(text, 0) == {((frozenset({"b"}),), None)}
 
 
 @pytest.mark.parametrize("text,semantics", [
