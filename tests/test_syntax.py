@@ -3,11 +3,16 @@ import pickle
 
 import pytest
 
+from tasp.cli import Pipeline
 from tasp.ground import Grounder, compare_terms
 from tasp.parser import parse_program
+from tasp.reify import ReifiedDB
 from tasp.syntax import (
-    ASSIGN, CHECK, INF, SCAN, SUP, TEST, Constant, Function, Integer, Literal,
-    String, TheoryExpression, UnaryMinus, Variable, components, schedule,
+    ARGUMENT_ONLY, ASSIGN, CHECK, INF, SCAN, SUP, TEST, BinOp, Choice,
+    Comparison, ConditionalLiteral, ConstDef, Constant, Disjunction,
+    ExpressionSpec, External, Function, HeadElement, Infimum, Integer,
+    Literal, MacroSpec, Program, Rule, Show, String, Supremum,
+    TheoryExpression, TypeSpec, UnaryMinus, Variable, components, schedule,
     substitute, with_args,
 )
 
@@ -172,3 +177,173 @@ def test_schedule_scans_an_atom_once_its_parts_outside_arithmetic_bind():
         [], ["X"], ["X"], ["X", "Y"], ["X", "Y"]]
     assert steps[2][4] == ("Y", body[1].payload.right)
     assert bound == {"X", "Y"} and [i for i, *_ in pending] == [5]
+
+
+# ---------------------------------------------------------------------------
+# Every syntax class: equality, hashing, repr, str, copying, pickling
+
+
+_P = Function("p", (Variable("X"),))
+_LIT = Literal(True, _P)
+_HEAD = HeadElement(_P)
+_SPEC = ExpressionSpec("next", ("tel",), ("safe",))
+_MACRO = MacroSpec(TheoryExpression("n"), TheoryExpression("next"),
+                   (("X", "tel"),))
+
+#: (node, a node built apart that equals it, a node of the same class
+#: that does not, str, repr).  Twins of the classes with a location
+#: carry another one, which equality and hashing leave out.
+NODES = [
+    (Constant("a"), Constant("a"), Constant("b"), "a", "Constant('a')"),
+    (Integer(1), Integer(1), Integer(2), "1", "Integer(1)"),
+    (String("a"), String("a"), String("b"), '"a"', "String(value='a')"),
+    (Variable("a"), Variable("a"), Variable("b"), "a",
+     "Variable(name='a')"),
+    (_P, Function("p", (Variable("X"),)), Function("p", ()), "p(X)",
+     "Function('p', (Variable(name='X'),))"),
+    (SUP, Supremum(), INF, "#sup", "Supremum()"),
+    (INF, Infimum(), SUP, "#inf", "Infimum()"),
+    (BinOp("+", Integer(1), Variable("X")),
+     BinOp("+", Integer(1), Variable("X")),
+     BinOp("-", Integer(1), Variable("X")), "(1+X)",
+     "BinOp(op='+', left=Integer(1), right=Variable(name='X'))"),
+    (UnaryMinus(Variable("X")), UnaryMinus(Variable("X")),
+     UnaryMinus(Variable("Y")), "-X",
+     "UnaryMinus(arg=Variable(name='X'))"),
+    (TheoryExpression("next", (_P,)), TheoryExpression("next", (_P,), ("t",)),
+     TheoryExpression("prev", (_P,)), "&next(p(X))",
+     "TheoryExpression('next', (Function('p', (Variable(name='X'),)),))"),
+    (Comparison("<", Variable("X"), Integer(2)),
+     Comparison("<", Variable("X"), Integer(2)),
+     Comparison("<=", Variable("X"), Integer(2)), "X < 2",
+     "Comparison(op='<', left=Variable(name='X'), right=Integer(2))"),
+    (_LIT, Literal(True, Function("p", (Variable("X"),))), Literal(False, _P),
+     "p(X)", "Literal(positive=True, payload=Function('p', "
+     "(Variable(name='X'),)))"),
+    (ConditionalLiteral(_LIT, (_LIT,)), ConditionalLiteral(_LIT, (_LIT,)),
+     ConditionalLiteral(_LIT, ()), "p(X) : p(X)",
+     "ConditionalLiteral(literal=Literal(positive=True, payload=Function("
+     "'p', (Variable(name='X'),))), condition=(Literal(positive=True, "
+     "payload=Function('p', (Variable(name='X'),))),))"),
+    (_HEAD, HeadElement(_P, ()), HeadElement(_P, (_LIT,)), "p(X)",
+     "HeadElement(atom=Function('p', (Variable(name='X'),)), condition=())"),
+    (Disjunction((_HEAD,)), Disjunction((_HEAD,)), Disjunction(), "p(X)",
+     "Disjunction(elements=(HeadElement(atom=Function('p', (Variable("
+     "name='X'),)), condition=()),))"),
+    (Choice((_HEAD,)), Choice((_HEAD,)), Choice(), "{ p(X) }",
+     "Choice(elements=(HeadElement(atom=Function('p', (Variable(name='X'),"
+     ")), condition=()),))"),
+    (Rule(Disjunction((_HEAD,)), (_LIT,), location=(1, 2)),
+     Rule(Disjunction((_HEAD,)), (_LIT,), (3, 4)),
+     Rule(Disjunction((_HEAD,)), location=(1, 2)), "p(X) :- p(X).",
+     "Rule(head=Disjunction(elements=(HeadElement(atom=Function('p', ("
+     "Variable(name='X'),)), condition=()),)), body=(Literal(positive=True,"
+     " payload=Function('p', (Variable(name='X'),))),), location=(1, 2))"),
+    (External(_P, (_LIT,), location=(1, 2)), External(_P, (_LIT,)),
+     External(_P, location=(1, 2)), "#external p(X) : p(X).",
+     "External(target=Function('p', (Variable(name='X'),)), condition=("
+     "Literal(positive=True, payload=Function('p', (Variable(name='X'),))),"
+     "), location=(1, 2))"),
+    (Show(_P, (_LIT,), location=(1, 2)), Show(term=_P, condition=(_LIT,)),
+     Show(signature=("p", 1)), "#show p(X) : p(X).",
+     "Show(term=Function('p', (Variable(name='X'),)), condition=(Literal("
+     "positive=True, payload=Function('p', (Variable(name='X'),))),), "
+     "signature=None, location=(1, 2))"),
+    (ConstDef("n", Integer(2), location=(1, 2)), ConstDef("n", Integer(2)),
+     ConstDef("n", Integer(3)), "#const n=2.",
+     "ConstDef(name='n', value=Integer(2), location=(1, 2))"),
+    (_SPEC, ExpressionSpec("next", ("tel",), ("safe",)),
+     ExpressionSpec("next", ("tel",), ("unsafe",)),
+     "ExpressionSpec(operator='next', arg_types=('tel',), "
+     "arg_safety=('safe',))",
+     "ExpressionSpec(operator='next', arg_types=('tel',), "
+     "arg_safety=('safe',))"),
+    (_MACRO, MacroSpec(TheoryExpression("n"), TheoryExpression("next"),
+                       (("X", "tel"),)),
+     MacroSpec(TheoryExpression("n"), TheoryExpression("next")),
+     "MacroSpec(pattern=TheoryExpression('n', ()), expansion="
+     "TheoryExpression('next', ()), placeholders=(('X', 'tel'),))",
+     "MacroSpec(pattern=TheoryExpression('n', ()), expansion="
+     "TheoryExpression('next', ()), placeholders=(('X', 'tel'),))"),
+    (TypeSpec("t", ("u",), (_SPEC,), "head", (_MACRO,), location=(1, 2)),
+     TypeSpec("t", ("u",), (_SPEC,), "head", (_MACRO,)),
+     TypeSpec("t", ("u",), (_SPEC,), ARGUMENT_ONLY, (_MACRO,)),
+     "TypeSpec(name='t', subtypes=('u',), expressions=(ExpressionSpec("
+     "operator='next', arg_types=('tel',), arg_safety=('safe',)),), "
+     "occurrence='head', macros=(" + repr(_MACRO) + ",), location=(1, 2))",
+     "TypeSpec(name='t', subtypes=('u',), expressions=(ExpressionSpec("
+     "operator='next', arg_types=('tel',), arg_safety=('safe',)),), "
+     "occurrence='head', macros=(" + repr(_MACRO) + ",), location=(1, 2))"),
+    (Program((ConstDef("n", Integer(2)),)), Program((ConstDef("n", Integer(2)),)),
+     Program(), "#const n=2.",
+     "Program(statements=(ConstDef(name='n', value=Integer(2), "
+     "location=None),))"),
+]
+
+#: Nodes of different classes over the same contents.
+ALIKE = [String("a"), Variable("a"), Constant("a"), Disjunction(()),
+         Choice(()), Program(()), Disjunction((_HEAD,)), Choice((_HEAD,)),
+         Literal(True, _P), HeadElement(_P), UnaryMinus(Variable("a")),
+         SUP, INF]
+
+
+@pytest.mark.parametrize("node,twin,other,text,shown", NODES,
+                         ids=[type(n[0]).__name__ for n in NODES])
+def test_every_syntax_class(node, twin, other, text, shown):
+    assert twin is not node
+    assert node == twin and not node != twin and hash(node) == hash(twin)
+    assert {node: 1}[twin] == 1 and len({node, twin}) == 1
+    assert node != other and not node == other and len({node, other}) == 2
+    assert str(node) == text and repr(node) == shown
+    for copied in (copy.copy(node), copy.deepcopy(node),
+                   pickle.loads(pickle.dumps(node)),
+                   pickle.loads(pickle.dumps(node, 0))):
+        assert type(copied) is type(node) and copied == node
+        assert hash(copied) == hash(node)
+        assert repr(copied) == repr(node) and str(copied) == str(node)
+    field = shown[shown.index("(") + 1:].split("=")[0]
+    if field.isidentifier():  # the nodes, not the terms
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        assert repr(node) == shown
+
+
+def test_nodes_of_different_classes_differ():
+    for i, a in enumerate(ALIKE):
+        for j, b in enumerate(ALIKE):
+            assert (a == b) == (i == j), (a, b)
+            assert (a != b) == (i != j), (a, b)
+    assert String("a") != Variable("a") and String("a") != Constant("a")
+    assert Disjunction(()) != Choice(()) and Program(()) != Disjunction(())
+    assert Integer(1) == 1 and hash(Integer(1)) == hash(1)
+    assert SUP == Supremum() and INF == Infimum() and SUP != INF
+
+
+def test_locations_are_kept_but_not_compared():
+    at, elsewhere = (Rule(Disjunction(), (_LIT,), location=loc)
+                     for loc in ((1, 2), (5, 6)))
+    assert at == elsewhere and hash(at) == hash(elsewhere)
+    assert at.location == (1, 2) and elsewhere.location == (5, 6)
+    assert Rule(Disjunction()).location is None
+    assert Rule(Disjunction()).body == ()
+    parsed = parse_program("a.\n  b :- a.")
+    assert [r.location for r in parsed.rules] == [(1, 1), (2, 3)]
+    assert parsed == parse_program("a. b :- a.")
+
+
+def test_ground_programs_and_reified_databases_compare_by_fields():
+    text = "{ a }. b :- a. #external c."
+    first, again = (Pipeline(text) for _ in range(2))
+    assert first.ground == again.ground and first.db == again.db
+    assert first.ground.index  # a cached reading leaves equality alone
+    assert first.ground == again.ground
+    other = Pipeline("{ a }.")
+    assert first.ground != other.ground and first.db != other.db
+    with pytest.raises(TypeError):
+        hash(first.ground)
+    with pytest.raises(TypeError):
+        hash(first.db)
+    assert ReifiedDB() == ReifiedDB() and ReifiedDB().rules == []
+    assert ReifiedDB().rules is not ReifiedDB().rules
+    assert ReifiedDB(formulas=[1]) != ReifiedDB()
+    assert ReifiedDB(formulas=[1]).formulas == [1]
