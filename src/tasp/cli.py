@@ -15,8 +15,6 @@ steps, grounder atoms or term depth, oracle candidates).
 
 from __future__ import annotations
 
-import argparse
-import logging
 import sys
 import time
 from collections.abc import Iterator
@@ -24,21 +22,17 @@ from functools import cached_property
 from itertools import islice
 
 from . import meta
-from . import oracle as oracle_mod
 from . import solver as solver_mod
 from .grammar import (GrammarError, TheoryGrammar, TypeError_,
                       builtin_grammar, check_occurrence, check_operators,
                       load_grammar, typecheck_program)
 from .ground import Grounder, GroundingError
 from .meta import MetaError
-from .oracle import OracleError
 from .parser import ParseError, parse_program
 from .reify import ReifyError, emit_reified_text, reify
 from .solver import SolverError
 from .syntax import ConstDef, Constant, Integer, Program, ResourceLimit
 from .transform import UnsafeRuleError, transform_program
-
-log = logging.getLogger("tasp")
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -48,17 +42,18 @@ EXIT_INPUT = 65
 EXIT_RESOURCE = 33
 
 INPUT_ERRORS = (ParseError, GrammarError, TypeError_, UnsafeRuleError,
-                GroundingError, ReifyError, MetaError, OracleError,
-                SolverError, OSError, ValueError)
+                GroundingError, ReifyError, MetaError, SolverError, OSError,
+                ValueError)
+
+
+def _input_errors() -> tuple:
+    """INPUT_ERRORS, and the oracle's once `tasp oracle` has loaded it."""
+    oracle = sys.modules.get(__package__ + ".oracle")
+    return INPUT_ERRORS + (oracle.OracleError,) if oracle else INPUT_ERRORS
 
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +174,15 @@ def _print_models(traces, printer, limit: int, start: float, out) -> int:
 # Argument handling
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tasp", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def _build_parser():
+    import argparse  # only the command line parses arguments
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(message)
+
+    parser = Parser(prog="tasp", description=__doc__,
+                    formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, solving: bool):
@@ -256,8 +257,7 @@ def _parse_constants(pairs) -> dict[str, object]:
     for pair in pairs:
         if "=" not in pair:
             raise _UsageError("bad constant %r (expected name=value)" % pair)
-        name, value = pair.split("=", 1)
-        name, value = name.strip(), value.strip()
+        name, value = (s.strip() for s in pair.split("=", 1))
         try:
             constants[name] = Integer(int(value))
         except ValueError:
@@ -293,12 +293,11 @@ def _limit(args) -> int:
 
 
 def _setup_logging(args) -> None:
-    level = {"error": logging.ERROR, "warn": logging.WARNING,
-             "info": logging.INFO, "debug": logging.DEBUG}[
-                 args.log_level or "warn"]
+    import logging
+    level = getattr(logging, (args.log_level or "warn").upper())
     logging.basicConfig(level=level, stream=sys.stderr,
                         format="%(levelname)s: %(message)s")
-    log.setLevel(level)
+    logging.getLogger("tasp").setLevel(level)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +331,7 @@ def _cmd_print(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    from .oracle import show_projection, temporal_models  # only used here
     start = time.time()
     limit = _limit(args)
     p = _pipeline(args)
@@ -342,8 +342,8 @@ def _cmd_oracle(args, out) -> int:
     # the -c values come last, so they win as in solve
     program = Program(p.typed.statements + tuple(
         ConstDef(name, value) for name, value in p.constants.items()))
-    show = oracle_mod.show_projection(program)
-    traces = _distinct((show(m), m.tau) for m in oracle_mod.temporal_models(
+    show = show_projection(program)
+    traces = _distinct((show(m), m.tau) for m in temporal_models(
         program, n, max_time=max_time))
     return _print_models(traces, format_model_temporal, limit, start, out)
 
@@ -366,7 +366,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ResourceLimit as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
-    except INPUT_ERRORS as exc:
+    except _input_errors() as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

@@ -126,10 +126,8 @@ class TheoryGrammar:
     def find_spec(self, expected: str, operator: str, arity: int):
         """Locate (type, ExpressionSpec) for operator/arity under expected."""
         for t in self.closure(expected):
-            spec = self.types.get(t)
-            if spec is None:
-                continue
-            for e in spec.expressions:
+            spec = self.types.get(t)  # None for a predefined type
+            for e in spec.expressions if spec else ():
                 if e.operator == operator and e.arity == arity:
                     return t, e
         return None
@@ -137,9 +135,7 @@ class TheoryGrammar:
     def find_macros(self, expected: str):
         for t in self.closure(expected):
             spec = self.types.get(t)
-            if spec is None:
-                continue
-            for m in spec.macros:
+            for m in spec.macros if spec else ():
                 yield t, m
 
 

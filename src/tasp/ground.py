@@ -18,10 +18,9 @@ it covers those of the meta-encodings.
 
 from __future__ import annotations
 
-import logging
+import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, product
@@ -31,12 +30,10 @@ from operator import add, floordiv, ge, gt, le, lt, mod, mul, ne, sub
 from .syntax import (
     ASSIGN, CHECK, SCAN, TEST, BinOp, Choice, Comparison, ConditionalLiteral,
     ConstDef, Constant, External, Function, Infimum, Integer, Literal, Program,
-    ResourceLimit, String, Supremum, TheoryExpression, UnaryMinus, Variable,
-    components, map_payloads, schedule, substitute, variables, walk,
-    with_args,
+    Node, ResourceLimit, String, Supremum, TheoryExpression, UnaryMinus,
+    Variable, components, map_payloads, schedule, substitute, variables,
+    walk, with_args,
 )
-
-log = logging.getLogger(__name__)
 
 
 class GroundingError(Exception):
@@ -180,16 +177,21 @@ def arithmetic(op, a, b):
         try:
             v = _ARITHMETIC[op](a, b)
         except ZeroDivisionError:
-            log.warning("division by zero, dropping instance")
+            _warn("division by zero, dropping instance")
         else:
             if -MAX_INTEGER <= v <= MAX_INTEGER:
                 return Integer(v)
             raise GroundingLimitError(
                 "integer bound exceeded by %s%s%s" % (a, op, b))
     else:
-        log.warning("operation undefined: %s%s%s, dropping instance",
-                    a, op, b)
+        _warn("operation undefined: %s%s%s, dropping instance", a, op, b)
     raise DropInstance()
+
+
+def _warn(message, *args):
+    """Log a warning on tasp.ground, importing logging only now."""
+    import logging
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _interval(t, s) -> range:
@@ -203,7 +205,8 @@ def _interval(t, s) -> range:
 def _size(t, s) -> int:
     """How many values t has under s, from the interval bounds alone."""
     if _is_interval(t):
-        return len(_interval(t, s))
+        r = _interval(t, s)
+        return max(0, r.stop - r.start)  # len(r) fails past sys.maxsize
     if isinstance(t, Function) and _pooled(t):
         return prod([_size(a, s) for a in t[1]])
     return 1
@@ -346,20 +349,19 @@ class GroundRule(namedtuple("GroundRule", "head_kind head body")):
         return "%s :- %s." % (head, body) if head else ":- %s." % body
 
 
-@dataclass
-class GroundProgram:
+class GroundProgram(Node):
     """Facts, the rules left after simplification, and externals.  No rule
     names a fact: simplification drops a rule whose body negates a fact
     or whose disjunction holds one, and deletes a fact from a positive
     body or a choice.  So the solver leaves facts out of its search.  The
     rules are id_rules, (is_choice, head ids, body literals) over the
     table atoms, ~id a negative literal (see Grounder._finalize); their
-    GroundRules, symbol table and text are built on first read."""
-    atoms: list = field(default_factory=list)     # the term of each id
-    id_rules: list[tuple] = field(default_factory=list)
-    facts: dict = field(default_factory=dict)      # ordered set of atoms
-    externals: dict = field(default_factory=dict)  # ordered set of atoms
-    grammar: object | None = None
+    GroundRules, symbol table and text are built on first read.  atoms
+    lists the term of each id; facts and externals are ordered sets of
+    atoms."""
+
+    _fields = ("atoms", "id_rules", "facts", "externals", "grammar")
+    _defaults = {"grammar": None}
 
     @cached_property
     def index(self) -> dict:
@@ -820,9 +822,11 @@ class Grounder:
                 grew &= recursive
         program = self._finalize(
             (inst for insts in instances for inst in insts), external_atoms)
-        log.debug("ground: %s; %d joins by generated code", ", ".join(
-            "%d %s" % (v, k.replace("_", " "))
-            for k, v in self.counters.items()), self.generated)
+        if "logging" in sys.modules:  # else no handler can want the line
+            sys.modules["logging"].getLogger(__name__).debug(
+                "ground: %s; %d joins by generated code", ", ".join(
+                    "%d %s" % (v, k.replace("_", " "))
+                    for k, v in self.counters.items()), self.generated)
         return program
 
     def _interpret(self, job: _Rule, insts: list, externals: dict):

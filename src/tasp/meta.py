@@ -11,7 +11,6 @@ equilibrium models of length n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -20,7 +19,7 @@ from .ground import GroundProgram, Grounder, Plan
 from .parser import parse_program
 from .reify import ReifiedDB
 from .solver import Atoms
-from .syntax import Function, Integer, Program
+from .syntax import Function, Integer, Node, Program
 
 
 class MetaError(Exception):
@@ -230,13 +229,9 @@ def _check_outputs(db: ReifiedDB):
 # Full assembly
 
 
-@dataclass
-class MetaProgram:
-    program: GroundProgram
-    db: ReifiedDB
-    n: int
-    semantics: str
-    max_time: int | None = None
+class MetaProgram(Node):
+    _fields = ("program", "db", "n", "semantics", "max_time")
+    _defaults = {"max_time": None}
 
     @cached_property
     def layout(self) -> list:

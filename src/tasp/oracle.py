@@ -13,12 +13,11 @@ import itertools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    Disjunction, Function, HeadElement, Infimum, Integer, Literal, Program,
-    ResourceLimit, Rule, Show, String, Supremum, TheoryExpression,
+    Disjunction, Function, HeadElement, Infimum, Integer, Literal, Node,
+    Program, ResourceLimit, Rule, Show, String, Supremum, TheoryExpression,
     UnaryMinus, Variable, map_payloads, substitute, walk, with_args,
 )
 
@@ -37,10 +36,9 @@ MAX_CANDIDATES = 1 << 24
 HERE, THERE = 0, 1
 
 
-@dataclass(frozen=True)
-class Trace:
-    states: tuple  # of frozenset of ground atoms
-    tau: tuple | None = None
+class Trace(Node):
+    __slots__ = _fields = ("states", "tau")  # states of frozensets of atoms
+    _defaults = {"tau": None}
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +46,12 @@ class Trace:
 
 
 def _subst(node, binding):
-    if isinstance(node, Variable):
-        if node.name not in binding:
-            raise OracleError("unbound variable %s" % node.name)
-        return binding[node.name]
-    if isinstance(node, Function):
-        return with_args(node, tuple(_subst(a, binding) for a in node.args))
-    if isinstance(node, (BinOp, Comparison)):
-        return type(node)(node.op, _subst(node.left, binding),
-                          _subst(node.right, binding))
-    if isinstance(node, UnaryMinus):
-        return UnaryMinus(_subst(node.arg, binding))
-    return node
+    def leaf(x):
+        if isinstance(x, Variable):
+            if x.name not in binding:
+                raise OracleError("unbound variable %s" % x.name)
+            return binding[x.name]
+    return substitute(node, leaf)
 
 
 class _Undefined(Exception):

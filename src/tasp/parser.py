@@ -144,19 +144,12 @@ class Parser:
         loc = (self.tok.line, self.tok.column)
         if self.tok.kind == "HASH":
             return self.parse_directive(loc)
-        head = None
-        if self.accept(":-"):
-            head = Disjunction(())
-        else:
-            head = self.parse_head()
-            if self.accept(":-"):
-                pass
-            else:
-                self.expect(".")
-                return Rule(head, (), location=loc)
-        body = self.parse_body()
+        constraint = self.accept(":-")
+        head = Disjunction(()) if constraint else self.parse_head()
+        body = tuple(self.parse_body()) \
+            if constraint or self.accept(":-") else ()
         self.expect(".")
-        return Rule(head, tuple(body), location=loc)
+        return Rule(head, body, location=loc)
 
     # -- directives ---------------------------------------------------------
 
@@ -164,9 +157,7 @@ class Parser:
         name = self.advance().value
         if name == "#external":
             target = self.parse_atom_like()
-            condition = ()
-            if self.accept(":"):
-                condition = tuple(self.parse_condition())
+            condition = self.parse_optional_condition()
             self.expect(".")
             return External(target, condition, location=loc)
         if name == "#show":
@@ -182,9 +173,7 @@ class Parser:
                 self.expect(".")
                 return Show(signature=(pred, int(arity.value)), location=loc)
             term = self.parse_term()
-            condition = ()
-            if self.accept(":"):
-                condition = tuple(self.parse_condition())
+            condition = self.parse_optional_condition()
             self.expect(".")
             return Show(term=term, condition=condition, location=loc)
         if name == "#const":
@@ -292,27 +281,20 @@ class Parser:
         return Disjunction(tuple(elements))
 
     def parse_head_element(self) -> HeadElement:
-        atom = self.parse_atom_like()
-        condition = ()
-        if self.accept(":"):
-            condition = tuple(self.parse_condition())
-        return HeadElement(atom, condition)
+        return HeadElement(self.parse_atom_like(),
+                           self.parse_optional_condition())
 
     def parse_body(self):
-        elements = []
-        while True:
+        elements = [self.parse_body_element()]
+        while self.tok.value in (",", ";"):
+            self.advance()
             elements.append(self.parse_body_element())
-            if self.tok.value in (",", ";"):
-                self.advance()
-                continue
-            break
         return elements
 
     def parse_body_element(self):
         lit = self.parse_literal()
         if self.accept(":"):
-            condition = tuple(self.parse_condition())
-            return ConditionalLiteral(lit, condition)
+            return ConditionalLiteral(lit, tuple(self.parse_condition()))
         return lit
 
     def parse_condition(self):
@@ -321,6 +303,10 @@ class Parser:
         while self.accept(","):
             out.append(self.parse_literal())
         return out
+
+    def parse_optional_condition(self) -> tuple:
+        """The literals after a ":", if one follows."""
+        return tuple(self.parse_condition()) if self.accept(":") else ()
 
     def parse_literal(self) -> Literal:
         positive = True
@@ -349,15 +335,18 @@ class Parser:
         op = self.advance()
         if op.kind != "NAME":
             self.error("expected theory operator name")
-        args = []
-        if self.accept("("):
-            self.enter()
+        args = self.parse_arguments() if self.accept("(") else ()
+        return TheoryExpression(op.value, args)
+
+    def parse_arguments(self) -> tuple:
+        """The terms up to ")", after a "(", one nesting level down."""
+        self.enter()
+        args = [self.parse_term()]
+        while self.accept(","):
             args.append(self.parse_term())
-            while self.accept(","):
-                args.append(self.parse_term())
-            self.expect(")")
-            self.leave()
-        return TheoryExpression(op.value, tuple(args))
+        self.expect(")")
+        self.leave()
+        return tuple(args)
 
     # -- terms ---------------------------------------------------------------
 
@@ -417,13 +406,7 @@ class Parser:
             if t.value == "_":
                 return Variable(self._fresh_anonymous())
             if self.accept("("):
-                self.enter()
-                args = [self.parse_term()]
-                while self.accept(","):
-                    args.append(self.parse_term())
-                self.expect(")")
-                self.leave()
-                return Function(t.value, tuple(args))
+                return Function(t.value, self.parse_arguments())
             return Constant(t.value)
         if t.value == "&":
             return self.parse_theory_expression()

@@ -9,13 +9,10 @@ and never equals the atom next(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .ground import GroundProgram
-from .syntax import (
-    Constant, Function, Integer, TheoryExpression,
-)
+from .syntax import Constant, Function, Integer, Node, TheoryExpression
 from .transform import SHOW_TERM_MARKER
 
 
@@ -23,20 +20,16 @@ class ReifyError(Exception):
     pass
 
 
-@dataclass
-class ReifiedDB:
-    #: (head_kind, atom_tuple_id, literal_tuple_id)
-    rules: list[tuple[str, int, int]] = field(default_factory=list)
-    atom_tuples: dict[int, tuple] = field(default_factory=dict)
-    literal_tuples: dict[int, tuple] = field(default_factory=dict)
-    #: (symbol, literal_tuple_id); facts point at an empty tuple
-    outputs: list[tuple] = field(default_factory=list)
-    #: (type name, expression or atom)
-    formulas: list[tuple] = field(default_factory=list)
-    #: (symbol, literal_tuple_id)
-    externals: list[tuple] = field(default_factory=list)
-    #: ("show_atom" | "show_term", term, literal_tuple_id)
-    shows: list[tuple] = field(default_factory=list)
+class ReifiedDB(Node):
+    """Lists of rules (head_kind, atom_tuple_id, literal_tuple_id),
+    outputs and externals (symbol, literal_tuple_id; a fact's output has
+    the empty tuple), formulas (type name, expression or atom) and shows
+    ("show_atom" | "show_term", term, literal_tuple_id); dicts of tuples."""
+
+    _fields = ("rules", "atom_tuples", "literal_tuples", "outputs",
+               "formulas", "externals", "shows")
+    _defaults = {"rules": [], "atom_tuples": {}, "literal_tuples": {},
+                 "outputs": [], "formulas": [], "externals": [], "shows": []}
 
     def core_facts(self) -> list:
         """The core fact atoms: rules, tuples, outputs (no extensions)."""
@@ -87,19 +80,18 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
     terms = gp.atoms + list(gp.facts)  # a fact's rule follows the table
     num = [ids.get(a) for a in terms]
     heads, bodies = {}, {}  # atom and literal tuple -> its id
-    db, marker_shows = ReifiedDB(), []
+    rules, marker_shows = [], []
     for choice, head, body in chain(gp.id_rules, (
             (False, (i,), ()) for i in range(len(gp.atoms), len(terms)))):
         body = tuple([num[l] if l >= 0 else -num[~l] for l in body])
         if len(head) == 1 and marker(terms[head[0]]):
             marker_shows.append((terms[head[0]].args[0], body))
         else:
-            db.rules.append(("choice" if choice else "disjunction",
-                             intern(heads, tuple([num[h] for h in head])),
-                             intern(bodies, body)))
+            rules.append(("choice" if choice else "disjunction",
+                          intern(heads, tuple([num[h] for h in head])),
+                          intern(bodies, body)))
     output = {a: intern(bodies, () if a in gp.facts else (i,))
               for a, i in ids.items()}
-    db.outputs = list(output.items())
 
     g, formulas = gp.grammar, {}  # ordered set of (type, expression)
 
@@ -123,18 +115,16 @@ def reify(gp: GroundProgram, show_all: bool = True) -> ReifiedDB:
                 raise ReifyError("expression %s has no grammar; ground "
                                  "with the grammar that typed it" % (a,))
             walk(a)
-    db.formulas = list(formulas)
-    db.externals = [(a, output[a]) for a in gp.externals]
-    if show_all:
-        db.shows = [("show_atom", a, b) for a, b in output.items()
-                    if not isinstance(a, TheoryExpression)]
+    shows = [("show_atom", a, b) for a, b in output.items()
+             if not isinstance(a, TheoryExpression)] if show_all else []
     for term, body in marker_shows:
         kind = "show_atom" if isinstance(term, (Constant, Function)) \
             else "show_term"
-        db.shows.append((kind, term, intern(bodies, body)))
-    db.atom_tuples = {i: t for t, i in heads.items()}
-    db.literal_tuples = {i: t for t, i in bodies.items()}
-    return db
+        shows.append((kind, term, intern(bodies, body)))
+    return ReifiedDB(rules, {i: t for t, i in heads.items()},
+                     {i: t for t, i in bodies.items()}, list(output.items()),
+                     list(formulas), [(a, output[a]) for a in gp.externals],
+                     shows)
 
 
 # ---------------------------------------------------------------------------

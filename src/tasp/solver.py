@@ -24,16 +24,13 @@ models, plus the atoms the search made true.
 from __future__ import annotations
 
 import heapq
-import logging
+import sys
 from collections import Counter
 from collections.abc import Iterator, Set
-from dataclasses import dataclass
 from itertools import chain, compress, islice
 
 from .ground import GroundProgram
-from .syntax import ResourceLimit, components
-
-log = logging.getLogger(__name__)
+from .syntax import Node, ResourceLimit, components
 
 
 class SolverError(Exception):
@@ -76,9 +73,8 @@ class Atoms(Set):
         return "Atoms(%r)" % set(self)
 
 
-@dataclass(frozen=True)
-class Model:
-    atoms: Atoms
+class Model(Node):
+    __slots__ = _fields = ("atoms",)  # an Atoms
 
 
 #: Maps the values of a total assignment's positive literals to model
@@ -514,11 +510,13 @@ def models(program: GroundProgram) -> Iterator[Model]:
             count += 1
             yield Model(Atoms(facts, index, model))
     finally:
-        stats = dict(models=count, atoms=natoms, facts=len(facts),
-                     body_variables=len(engine.level) - engine.natoms,
-                     steps=engine.steps, **engine.counters)
-        log.debug("solve: %s", ", ".join(
-            "%d %s" % (v, k.replace("_", " ")) for k, v in stats.items()))
+        if "logging" in sys.modules:  # else no handler can want the line
+            stats = dict(models=count, atoms=natoms, facts=len(facts),
+                         body_variables=len(engine.level) - engine.natoms,
+                         steps=engine.steps, **engine.counters)
+            sys.modules["logging"].getLogger(__name__).debug(
+                "solve: %s", ", ".join("%d %s" % (v, k.replace("_", " "))
+                                       for k, v in stats.items()))
 
 
 def solve(program: GroundProgram, limit: int = 0) -> list[Model]:

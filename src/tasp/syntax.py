@@ -6,8 +6,60 @@ module are left out of equality and hashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import is_, itemgetter
+
+_setattr = object.__setattr__
+
+
+class Node:
+    """The one form of tasp's immutable classes of named fields, in place
+    of dataclasses, whose decoration took half a millisecond a class at
+    import.  _fields names the fields in argument order, _defaults the
+    last ones' defaults (a list or dict is copied per node).  As with a
+    frozen dataclass, == and hash read the class and every field but a
+    location, and repr names every field."""
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+
+    def __new__(cls, *args, **kwargs):
+        self, fields = object.__new__(cls), cls._fields
+        if kwargs or len(args) != len(fields):
+            given = {f: d.copy() if type(d) in (list, dict) else d
+                     for f, d in cls._defaults.items()}
+            given.update(zip(fields, args), **kwargs)
+            if given.keys() != set(fields) or len(args) > len(fields):
+                raise TypeError("%s takes the fields %s"
+                                % (cls.__name__, ", ".join(fields)))
+            args = [given[f] for f in fields]
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        return self
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields
+                      if f != "location"])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
 
 
 class ResourceLimit(Exception):
@@ -48,17 +100,15 @@ class Integer(int):
         return "Integer(%d)" % self
 
 
-@dataclass(frozen=True)
-class String:
-    value: str
+class String(Node):
+    __slots__ = _fields = ("value",)
 
     def __str__(self):
         return '"%s"' % self.value.replace('\\', '\\\\').replace('"', '\\"')
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(Node):
+    __slots__ = _fields = ("name",)
 
     def __str__(self):
         return self.name
@@ -84,23 +134,22 @@ class Function(tuple):
         return "Function(%r, %r)" % tuple(self)
 
 
-@dataclass(frozen=True)
-class Supremum:
+class Supremum(Node):
+    __slots__ = ()
+
     def __str__(self):
         return "#sup"
 
 
-@dataclass(frozen=True)
-class Infimum:
+class Infimum(Node):
+    __slots__ = ()
+
     def __str__(self):
         return "#inf"
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / \ ..
-    left: "Term"
-    right: "Term"
+class BinOp(Node):
+    __slots__ = _fields = ("op", "left", "right")  # op one of + - * / \ ..
 
     def __str__(self):
         if self.op == "..":
@@ -108,9 +157,8 @@ class BinOp:
         return "(%s%s%s)" % (self.left, self.op, self.right)
 
 
-@dataclass(frozen=True)
-class UnaryMinus:
-    arg: "Term"
+class UnaryMinus(Node):
+    __slots__ = _fields = ("arg",)
 
     def __str__(self):
         return "-%s" % (self.arg,)
@@ -158,20 +206,15 @@ class TheoryExpression(Function):
 # Literals, rules, directives
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # = != < <= > >=
-    left: Term
-    right: Term
+class Comparison(Node):
+    __slots__ = _fields = ("op", "left", "right")  # op one of = != < <= > >=
 
     def __str__(self):
         return "%s %s %s" % (self.left, self.op, self.right)
 
 
-@dataclass(frozen=True)
-class Literal:
-    positive: bool
-    payload: AtomLike | Comparison
+class Literal(Node):
+    __slots__ = _fields = ("positive", "payload")  # an AtomLike or Comparison
 
     def __str__(self):
         if self.positive:
@@ -179,10 +222,8 @@ class Literal:
         return "not %s" % (self.payload,)
 
 
-@dataclass(frozen=True)
-class ConditionalLiteral:
-    literal: Literal
-    condition: tuple  # of Literal
+class ConditionalLiteral(Node):
+    __slots__ = _fields = ("literal", "condition")  # condition: of Literal
 
     def __str__(self):
         cond = ", ".join(str(c) for c in self.condition)
@@ -192,12 +233,11 @@ class ConditionalLiteral:
 # BodyElement: Literal or ConditionalLiteral.
 
 
-@dataclass(frozen=True)
-class HeadElement:
+class HeadElement(Node):
     """One disjunct or choice element, optionally conditioned."""
 
-    atom: AtomLike
-    condition: tuple = ()  # of Literal
+    __slots__ = _fields = ("atom", "condition")  # condition: of Literal
+    _defaults = {"condition": ()}
 
     def __str__(self):
         if self.condition:
@@ -205,17 +245,17 @@ class HeadElement:
         return str(self.atom)
 
 
-@dataclass(frozen=True)
-class Disjunction:
-    elements: tuple = ()  # of HeadElement; empty = integrity constraint
+class Disjunction(Node):
+    __slots__ = _fields = ("elements",)  # none: an integrity constraint
+    _defaults = {"elements": ()}
 
     def __str__(self):
         return "; ".join(str(e) for e in self.elements)
 
 
-@dataclass(frozen=True)
-class Choice:
-    elements: tuple = ()  # of HeadElement
+class Choice(Node):
+    __slots__ = _fields = ("elements",)  # of HeadElement
+    _defaults = {"elements": ()}
 
     def __str__(self):
         return "{ %s }" % "; ".join(str(e) for e in self.elements)
@@ -224,11 +264,9 @@ class Choice:
 # Head: Disjunction or Choice.
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Head
-    body: tuple = ()  # of BodyElement
-    location: tuple | None = field(default=None, compare=False)  # (line, col)
+class Rule(Node):
+    __slots__ = _fields = ("head", "body", "location")  # (line, col)
+    _defaults = {"body": (), "location": None}
 
     def __str__(self):
         head = str(self.head)
@@ -243,11 +281,9 @@ class Rule:
         return ":- %s." % body
 
 
-@dataclass(frozen=True)
-class External:
-    target: AtomLike
-    condition: tuple = ()  # of Literal
-    location: tuple | None = field(default=None, compare=False)
+class External(Node):
+    __slots__ = _fields = ("target", "condition", "location")
+    _defaults = {"condition": (), "location": None}
 
     def __str__(self):
         if self.condition:
@@ -256,14 +292,12 @@ class External:
         return "#external %s." % (self.target,)
 
 
-@dataclass(frozen=True)
-class Show:
-    """``#show t : C.`` or the signature form ``#show p/k.``"""
+class Show(Node):
+    """``#show t : C.``, or ``#show p/k.`` with the signature (p, k)."""
 
-    term: Term | None = None
-    condition: tuple = ()
-    signature: tuple | None = None  # (name, arity)
-    location: tuple | None = field(default=None, compare=False)
+    __slots__ = _fields = ("term", "condition", "signature", "location")
+    _defaults = {"term": None, "condition": (), "signature": None,
+                 "location": None}
 
     def __str__(self):
         if self.signature is not None:
@@ -274,11 +308,9 @@ class Show:
         return "#show %s." % (self.term,)
 
 
-@dataclass(frozen=True)
-class ConstDef:
-    name: str
-    value: Term
-    location: tuple | None = field(default=None, compare=False)
+class ConstDef(Node):
+    __slots__ = _fields = ("name", "value", "location")
+    _defaults = {"location": None}
 
     def __str__(self):
         return "#const %s=%s." % (self.name, self.value)
@@ -289,47 +321,44 @@ class ConstDef:
 ARGUMENT_ONLY = "argument_only"
 
 
-@dataclass(frozen=True)
-class ExpressionSpec:
-    """``&operator(safety type, ...)`` in a ``#type`` block."""
+class ExpressionSpec(Node):
+    """``&operator(safety type, ...)`` in a ``#type`` block: arg_types of
+    str, arg_safety of "safe" or "unsafe"."""
 
-    operator: str
-    arg_types: tuple = ()  # of str
-    arg_safety: tuple = ()  # entries in {"safe", "unsafe"}
+    __slots__ = _fields = ("operator", "arg_types", "arg_safety")
+    _defaults = {"arg_types": (), "arg_safety": ()}
 
     @property
     def arity(self) -> int:
         return len(self.arg_types)
 
 
-@dataclass(frozen=True)
-class MacroSpec:
-    """``pattern := expansion where X : type, ...`` in a ``#type`` block."""
+class MacroSpec(Node):
+    """``pattern := expansion where X : type, ...`` in a ``#type`` block:
+    pattern a TheoryExpression or Variable placeholder, placeholders of
+    (name, type)."""
 
-    pattern: object  # TheoryExpression or Variable placeholder
-    expansion: object
-    placeholders: tuple = ()  # of (name, type)
+    __slots__ = _fields = ("pattern", "expansion", "placeholders")
+    _defaults = {"placeholders": ()}
 
 
-@dataclass(frozen=True)
-class TypeSpec:
-    """A ``#type`` declaration, validated by grammar.TheoryGrammar."""
+class TypeSpec(Node):
+    """A ``#type`` declaration, validated by grammar.TheoryGrammar:
+    subtypes of str, expressions of ExpressionSpec, macros of MacroSpec."""
 
-    name: str
-    subtypes: tuple = ()  # of str
-    expressions: tuple = ()  # of ExpressionSpec
-    occurrence: str = ARGUMENT_ONLY
-    macros: tuple = ()  # of MacroSpec
-    location: tuple | None = field(default=None, compare=False)
+    __slots__ = _fields = ("name", "subtypes", "expressions", "occurrence",
+                           "macros", "location")
+    _defaults = {"subtypes": (), "expressions": (),
+                 "occurrence": ARGUMENT_ONLY, "macros": (), "location": None}
 
 
 # Directive: External, Show, ConstDef or TypeSpec.
 # Statement: Rule or Directive.
 
 
-@dataclass(frozen=True)
-class Program:
-    statements: tuple = ()
+class Program(Node):
+    __slots__ = _fields = ("statements",)
+    _defaults = {"statements": ()}
 
     @property
     def rules(self) -> tuple:

@@ -593,3 +593,76 @@ def test_mel_macro_typechecks_in_linear_time(op):
     status, seconds = timed_main(["transform", "--semantics", "mel"], text,
                                  timeout=20)
     assert status == 0 and seconds < 1
+
+
+@pytest.mark.parametrize("argv,text,code,printed", [
+    # the horizon interval of the meta-encoding, and a head interval
+    (["-c", "n=99999999999999999999"], "{ a }.\n", 33,
+     "resource limit: derivable-atom bound exceeded\n"),
+    ([], "p(1..99999999999999999999).\n", 33,
+     "resource limit: derivable-atom bound exceeded\n"),
+    # an assignment's interval is tested by its bounds
+    ([], "q(5). p :- q(X), X = 1..99999999999999999999.\n", 10, "p@0"),
+], ids=["horizon", "head", "comparison"])
+def test_intervals_longer_than_maxsize(argv, text, code, printed,
+                                       monkeypatch, capsys):
+    status, out = _run(["solve", *argv], stdin=text, monkeypatch=monkeypatch)
+    assert status == code
+    if code == 33:
+        assert capsys.readouterr().err == printed
+    else:
+        assert printed in out.split()
+
+
+def _python_s(code, stdin="", *args):
+    """Run code under python -S (no site-packages) with tasp importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, "-S", *args, *(["-c", code] if code else [])],
+        input=stdin, env=dict(env, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+
+
+def test_warnings_print_as_before_without_logging_configured():
+    cli = _python_s(None, "p(1/0).", "-m", "tasp", "solve", "-c", "n=0")
+    assert cli.returncode == 10
+    assert cli.stderr == "WARNING: division by zero, dropping instance\n"
+    library = _python_s(
+        "import sys\nfrom tasp.cli import Pipeline\n"
+        "assert 'logging' not in sys.modules\n"
+        "Pipeline('p(1/0).').ground\n")
+    assert library.returncode == 0
+    assert library.stderr == "division by zero, dropping instance\n"
+
+
+def test_debug_lines_print_with_log_level_debug():
+    done = _python_s(None, "{ a }.", "-m", "tasp", "solve", "-c", "n=1",
+                     "--log-level", "debug")
+    assert done.returncode == 10
+    kinds = [line.split(":")[1].strip() for line in done.stderr.splitlines()]
+    assert kinds == ["ground", "ground", "solve"]
+    assert all(line.startswith("DEBUG: ") for line in done.stderr.splitlines())
+
+
+_START_UP = """\
+import runpy, sys
+import tasp
+for s in ("tel", "mel", "del"):
+    tasp.builtin_grammar(s)
+UNUSED = ("dataclasses", "logging", "argparse", "tasp.oracle")
+print([m for m in UNUSED if m in sys.modules], file=sys.stderr)
+sys.argv = ["tasp", "solve", "-c", "n=1"]
+try:
+    runpy.run_module("tasp", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, "tasp.oracle" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_import_loads_only_what_a_solve_uses():
+    # the oracle, the command line, dataclasses and logging load on first
+    # use; a one-shot solve imports argparse and logging, not the oracle
+    done = _python_s(_START_UP, "{ a }.\n")
+    assert done.stderr.splitlines() == ["[]", "10 False"]
+    assert "Models : 4" in done.stdout
