@@ -39,8 +39,7 @@ __all__ = [
 
 def __getattr__(name):
     if name not in _LAZY:
-        raise AttributeError("module %r has no attribute %r"
-                             % (__name__, name))
+        raise AttributeError("module 'tasp' has no attribute %r" % name)
     from importlib import import_module
     module = import_module("." + _LAZY[name], __name__)
     return module if name == _LAZY[name] else getattr(module, name)

@@ -372,4 +372,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 
 def entry() -> None:
+    """The console entry point.  Its process is the command line's own,
+    so it may tune the collector; main, a library call too, does not."""
+    import gc
+    gc.freeze()
+    gc.set_threshold(100_000)
     sys.exit(main())

@@ -172,26 +172,22 @@ def negate(v):
 
 def arithmetic(op, a, b):
     """The value of a op b, op one of + - * / \\: an operand that is not
-    an integer, or division by zero, raises DropInstance."""
+    an integer, or division by zero, warns and raises DropInstance."""
     if type(a) is Integer and type(b) is Integer:
         try:
             v = _ARITHMETIC[op](a, b)
         except ZeroDivisionError:
-            _warn("division by zero, dropping instance")
+            warning = ("division by zero, dropping instance",)
         else:
             if -MAX_INTEGER <= v <= MAX_INTEGER:
                 return Integer(v)
             raise GroundingLimitError(
                 "integer bound exceeded by %s%s%s" % (a, op, b))
     else:
-        _warn("operation undefined: %s%s%s, dropping instance", a, op, b)
+        warning = ("operation undefined: %s%s%s, dropping instance", a, op, b)
+    import logging  # only a warning loads it
+    logging.getLogger(__name__).warning(*warning)
     raise DropInstance()
-
-
-def _warn(message, *args):
-    """Log a warning on tasp.ground, importing logging only now."""
-    import logging
-    logging.getLogger(__name__).warning(message, *args)
 
 
 def _interval(t, s) -> range:
