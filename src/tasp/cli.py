@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
 def entry() -> None:
     """The console entry point.  Its process is the command line's own,
-    so it may tune the collector; main, a library call too, does not."""
+    so it may tune the collector, which main leaves alone for callers."""
     import gc
     gc.freeze()
     gc.set_threshold(100_000)

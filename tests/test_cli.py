@@ -617,11 +617,10 @@ def test_intervals_longer_than_maxsize(argv, text, code, printed,
 def _python_s(code, stdin="", *args):
     """Run code under python -S (no site-packages) with tasp importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run(
         [sys.executable, "-S", *args, *(["-c", code] if code else [])],
-        input=stdin, env=dict(env, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=60)
+        input=stdin, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
 
 
 def test_warnings_print_as_before_without_logging_configured():
