@@ -30,7 +30,7 @@ from operator import add, floordiv, ge, gt, le, lt, mod, mul, ne, sub
 from .syntax import (
     ASSIGN, CHECK, SCAN, TEST, BinOp, Choice, Comparison, ConditionalLiteral,
     ConstDef, Constant, External, Function, Infimum, Integer, Literal, Program,
-    Node, ResourceLimit, String, Supremum, TheoryExpression, UnaryMinus,
+    Record, ResourceLimit, String, Supremum, TheoryExpression, UnaryMinus,
     Variable, components, map_payloads, schedule, substitute, variables,
     walk, with_args,
 )
@@ -345,7 +345,7 @@ class GroundRule(namedtuple("GroundRule", "head_kind head body")):
         return "%s :- %s." % (head, body) if head else ":- %s." % body
 
 
-class GroundProgram(Node):
+class GroundProgram(Record):
     """Facts, the rules left after simplification, and externals.  No rule
     names a fact: simplification drops a rule whose body negates a fact
     or whose disjunction holds one, and deletes a fact from a positive

@@ -19,7 +19,7 @@ from .ground import GroundProgram, Grounder, Plan
 from .parser import parse_program
 from .reify import ReifiedDB
 from .solver import Atoms
-from .syntax import Function, Integer, Node, Program
+from .syntax import Function, Integer, Record, Program
 
 
 class MetaError(Exception):
@@ -229,7 +229,7 @@ def _check_outputs(db: ReifiedDB):
 # Full assembly
 
 
-class MetaProgram(Node):
+class MetaProgram(Record):
     _fields = ("program", "db", "n", "semantics", "max_time")
     _defaults = {"max_time": None}
 

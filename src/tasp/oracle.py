@@ -16,7 +16,7 @@ from collections.abc import Iterator
 
 from .syntax import (
     BinOp, Choice, Comparison, ConditionalLiteral, ConstDef, Constant,
-    Disjunction, Function, HeadElement, Infimum, Integer, Literal, Node,
+    Disjunction, Function, HeadElement, Infimum, Integer, Literal, Record,
     Program, ResourceLimit, Rule, Show, String, Supremum, TheoryExpression,
     UnaryMinus, Variable, map_payloads, substitute, walk, with_args,
 )
@@ -36,7 +36,7 @@ MAX_CANDIDATES = 1 << 24
 HERE, THERE = 0, 1
 
 
-class Trace(Node):
+class Trace(Record):
     __slots__ = _fields = ("states", "tau")  # states of frozensets of atoms
     _defaults = {"tau": None}
 

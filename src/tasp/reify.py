@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .ground import GroundProgram
-from .syntax import Constant, Function, Integer, Node, TheoryExpression
+from .syntax import Constant, Function, Integer, Record, TheoryExpression
 from .transform import SHOW_TERM_MARKER
 
 
@@ -20,7 +20,7 @@ class ReifyError(Exception):
     pass
 
 
-class ReifiedDB(Node):
+class ReifiedDB(Record):
     """Lists of rules (head_kind, atom_tuple_id, literal_tuple_id),
     outputs and externals (symbol, literal_tuple_id; a fact's output has
     the empty tuple), formulas (type name, expression or atom) and shows

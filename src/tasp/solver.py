@@ -30,7 +30,7 @@ from collections.abc import Iterator, Set
 from itertools import chain, compress, islice
 
 from .ground import GroundProgram
-from .syntax import Node, ResourceLimit, components
+from .syntax import Record, ResourceLimit, components
 
 
 class SolverError(Exception):
@@ -73,7 +73,7 @@ class Atoms(Set):
         return "Atoms(%r)" % set(self)
 
 
-class Model(Node):
+class Model(Record):
     __slots__ = _fields = ("atoms",)  # an Atoms
 
 

@@ -9,13 +9,13 @@ from __future__ import annotations
 from operator import is_, itemgetter
 
 
-class Node:
+class Record:
     """The one form of tasp's immutable classes of named fields, in place
     of dataclasses, whose decoration took half a millisecond a class at
     import.  _fields names the fields in argument order, _defaults the
     last ones' defaults.  Making a class compiles its __init__ from one
     template, in about 60 us; a generic *args constructor took twice a
-    dataclass's time a node.  As with a frozen dataclass, == and hash
+    dataclass's time a record.  As with a frozen dataclass, == and hash
     read the class and every field but a location, and repr names every
     field."""
 
@@ -99,14 +99,14 @@ class Integer(int):
         return "Integer(%d)" % self
 
 
-class String(Node):
+class String(Record):
     __slots__ = _fields = ("value",)
 
     def __str__(self):
         return '"%s"' % self.value.replace('\\', '\\\\').replace('"', '\\"')
 
 
-class Variable(Node):
+class Variable(Record):
     __slots__ = _fields = ("name",)
 
     def __str__(self):
@@ -133,21 +133,21 @@ class Function(tuple):
         return "Function(%r, %r)" % tuple(self)
 
 
-class Supremum(Node):
+class Supremum(Record):
     __slots__ = ()
 
     def __str__(self):
         return "#sup"
 
 
-class Infimum(Node):
+class Infimum(Record):
     __slots__ = ()
 
     def __str__(self):
         return "#inf"
 
 
-class BinOp(Node):
+class BinOp(Record):
     __slots__ = _fields = ("op", "left", "right")  # op one of + - * / \ ..
 
     def __str__(self):
@@ -156,7 +156,7 @@ class BinOp(Node):
         return "(%s%s%s)" % (self.left, self.op, self.right)
 
 
-class UnaryMinus(Node):
+class UnaryMinus(Record):
     __slots__ = _fields = ("arg",)
 
     def __str__(self):
@@ -205,14 +205,14 @@ class TheoryExpression(Function):
 # Literals, rules, directives
 
 
-class Comparison(Node):
+class Comparison(Record):
     __slots__ = _fields = ("op", "left", "right")  # op one of = != < <= > >=
 
     def __str__(self):
         return "%s %s %s" % (self.left, self.op, self.right)
 
 
-class Literal(Node):
+class Literal(Record):
     __slots__ = _fields = ("positive", "payload")  # an AtomLike or Comparison
 
     def __str__(self):
@@ -221,7 +221,7 @@ class Literal(Node):
         return "not %s" % (self.payload,)
 
 
-class ConditionalLiteral(Node):
+class ConditionalLiteral(Record):
     __slots__ = _fields = ("literal", "condition")  # condition: of Literal
 
     def __str__(self):
@@ -232,7 +232,7 @@ class ConditionalLiteral(Node):
 # BodyElement: Literal or ConditionalLiteral.
 
 
-class HeadElement(Node):
+class HeadElement(Record):
     """One disjunct or choice element, optionally conditioned."""
 
     __slots__ = _fields = ("atom", "condition")  # condition: of Literal
@@ -244,7 +244,7 @@ class HeadElement(Node):
         return str(self.atom)
 
 
-class Disjunction(Node):
+class Disjunction(Record):
     __slots__ = _fields = ("elements",)  # none: an integrity constraint
     _defaults = {"elements": ()}
 
@@ -252,7 +252,7 @@ class Disjunction(Node):
         return "; ".join(str(e) for e in self.elements)
 
 
-class Choice(Node):
+class Choice(Record):
     __slots__ = _fields = ("elements",)  # of HeadElement
     _defaults = {"elements": ()}
 
@@ -263,7 +263,7 @@ class Choice(Node):
 # Head: Disjunction or Choice.
 
 
-class Rule(Node):
+class Rule(Record):
     __slots__ = _fields = ("head", "body", "location")  # (line, col)
     _defaults = {"body": (), "location": None}
 
@@ -280,7 +280,7 @@ class Rule(Node):
         return ":- %s." % body
 
 
-class External(Node):
+class External(Record):
     __slots__ = _fields = ("target", "condition", "location")
     _defaults = {"condition": (), "location": None}
 
@@ -291,7 +291,7 @@ class External(Node):
         return "#external %s." % (self.target,)
 
 
-class Show(Node):
+class Show(Record):
     """``#show t : C.``, or ``#show p/k.`` with the signature (p, k)."""
 
     __slots__ = _fields = ("term", "condition", "signature", "location")
@@ -307,7 +307,7 @@ class Show(Node):
         return "#show %s." % (self.term,)
 
 
-class ConstDef(Node):
+class ConstDef(Record):
     __slots__ = _fields = ("name", "value", "location")
     _defaults = {"location": None}
 
@@ -320,7 +320,7 @@ class ConstDef(Node):
 ARGUMENT_ONLY = "argument_only"
 
 
-class ExpressionSpec(Node):
+class ExpressionSpec(Record):
     """``&operator(safety type, ...)`` in a ``#type`` block: arg_types of
     str, arg_safety of "safe" or "unsafe"."""
 
@@ -332,7 +332,7 @@ class ExpressionSpec(Node):
         return len(self.arg_types)
 
 
-class MacroSpec(Node):
+class MacroSpec(Record):
     """``pattern := expansion where X : type, ...`` in a ``#type`` block:
     pattern a TheoryExpression or Variable placeholder, placeholders of
     (name, type)."""
@@ -341,7 +341,7 @@ class MacroSpec(Node):
     _defaults = {"placeholders": ()}
 
 
-class TypeSpec(Node):
+class TypeSpec(Record):
     """A ``#type`` declaration, validated by grammar.TheoryGrammar:
     subtypes of str, expressions of ExpressionSpec, macros of MacroSpec."""
 
@@ -355,7 +355,7 @@ class TypeSpec(Node):
 # Statement: Rule or Directive.
 
 
-class Program(Node):
+class Program(Record):
     __slots__ = _fields = ("statements",)
     _defaults = {"statements": ()}
 

@@ -614,21 +614,21 @@ def test_intervals_longer_than_maxsize(argv, text, code, printed,
         assert printed in out.split()
 
 
-def _python_s(code, stdin="", *args):
-    """Run code under python -S (no site-packages) with tasp importable."""
+def _python_s(*args, stdin=""):
+    """Run python -S (no site-packages) with tasp importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tasp.__file__)))
     return subprocess.run(
-        [sys.executable, "-S", *args, *(["-c", code] if code else [])],
-        input=stdin, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60)
+        [sys.executable, "-S", *args], input=stdin,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
 
 
 def test_warnings_print_as_before_without_logging_configured():
-    cli = _python_s(None, "p(1/0).", "-m", "tasp", "solve", "-c", "n=0")
+    cli = _python_s("-m", "tasp", "solve", "-c", "n=0", stdin="p(1/0).")
     assert cli.returncode == 10
     assert cli.stderr == "WARNING: division by zero, dropping instance\n"
     library = _python_s(
-        "import sys\nfrom tasp.cli import Pipeline\n"
+        "-c", "import sys\nfrom tasp.cli import Pipeline\n"
         "assert 'logging' not in sys.modules\n"
         "Pipeline('p(1/0).').ground\n")
     assert library.returncode == 0
@@ -636,8 +636,8 @@ def test_warnings_print_as_before_without_logging_configured():
 
 
 def test_debug_lines_print_with_log_level_debug():
-    done = _python_s(None, "{ a }.", "-m", "tasp", "solve", "-c", "n=1",
-                     "--log-level", "debug")
+    done = _python_s("-m", "tasp", "solve", "-c", "n=1", "--log-level",
+                     "debug", stdin="{ a }.")
     assert done.returncode == 10
     kinds = [line.split(":")[1].strip() for line in done.stderr.splitlines()]
     assert kinds == ["ground", "ground", "solve"]
@@ -662,6 +662,6 @@ except SystemExit as exc:
 def test_import_loads_only_what_a_solve_uses():
     # the oracle, the command line, dataclasses and logging load on first
     # use; a one-shot solve imports argparse and logging, not the oracle
-    done = _python_s(_START_UP, "{ a }.\n")
+    done = _python_s("-c", _START_UP, stdin="{ a }.\n")
     assert done.stderr.splitlines() == ["[]", "10 False"]
     assert "Models : 4" in done.stdout
