@@ -27,7 +27,7 @@ class Record:
         d, params, sets = cls._defaults, ["self"], []
         for f in cls._fields:
             params.append("%s=_d[%r]" % (f, f) if f in d else f)
-            # a list or dict default is copied: no two nodes share it
+            # a list or dict default is copied: no two records share it
             value = "%s.copy() if %s is _d[%r] else %s" % (f, f, f, f) \
                 if type(d.get(f)) in (list, dict) else f
             sets.append("_s(self, %r, %s)" % (f, value))
@@ -35,6 +35,7 @@ class Record:
         exec("def __init__(%s):\n    %s" % (", ".join(params), "\n    ".join(
             sets) or "pass"), {"_d": d, "_s": object.__setattr__}, namespace)
         cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields
